@@ -22,8 +22,7 @@ from .memory import (KernelSpec, MemoryEquation, StateHistory,
 from .mesh import (Mesh1D, QuadratureRule, ReferenceBasis, basis_eval,
                    build_uniform_mesh, eval_fe, gauss_legendre)
 from .stepper import (Assembler, SolverConfig, StepDiagnostics, cn_step,
-                      fixed_point_init, march, select_scheme, solve_block,
-                      step_residuals)
+                      fixed_point_init, march, select_scheme, step_residuals)
 
 __version__ = "0.1.0"
 
@@ -39,6 +38,6 @@ __all__ = [
     "flux_coefficient", "forcing_weights", "gauss_legendre", "i_f",
     "interpolate", "l2_error", "manufactured_example1", "march", "mass_norm",
     "memory_equation", "parse_config", "q_g", "q_gp", "select_scheme",
-    "solve_block", "step_residuals", "support_gap", "volterra_weights",
+    "step_residuals", "support_gap", "volterra_weights",
     "waiting_time",
 ]

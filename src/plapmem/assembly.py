@@ -7,6 +7,7 @@ values identically zero.
 
 import warnings
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -87,11 +88,39 @@ def _scatter(mesh: Mesh1D, local) -> np.ndarray:
     return band
 
 
+class ElementTables:
+    """Reference-element tables of one (mesh, quadrature) pair.
+
+    Basis values and the quadrature-weighted derivative products depend
+    only on the degree, the rule and h, so a caller that assembles
+    repeatedly builds them once and passes them to every assemble_* call.
+    """
+
+    def __init__(self, mesh: Mesh1D, quad: QuadratureRule):
+        self.weights = quad.weights
+        self.values = mesh.basis.tabulate(quad.points, order=0)      # (q, r+1)
+        self.derivs = mesh.basis.tabulate(quad.points, order=1)      # (q, r+1)
+        # (q, (r+1)^2): w_q phi_a'(xi_q) phi_b'(xi_q) / h, (a, b) flattened
+        self.grad_products = np.einsum("q,qa,qb->qab", quad.weights, self.derivs,
+                                       self.derivs).reshape(quad.npoints, -1) / mesh.h
+        # (q, r+1): h w_q phi_a(xi_q)
+        self.weighted_values = mesh.h * quad.weights[:, None] * self.values
+        self.dofs = mesh.element_dofs()                              # (m, r+1)
+        self.points = mesh.a + mesh.h * (np.arange(mesh.m)[:, None]
+                                         + quad.points[None, :])     # (m, q)
+
+
 def assemble_mass(mesh: Mesh1D, quad: QuadratureRule, *,
-                  include_boundary: bool = False) -> BandedSymMatrix:
-    """Mass matrix of the Lagrange basis (interior dofs unless asked otherwise)."""
-    tab = mesh.basis.tabulate(quad.points, order=0)          # (q, r+1)
-    local = mesh.h * np.einsum("q,qa,qb->ab", quad.weights, tab, tab)
+                  include_boundary: bool = False,
+                  tables: Optional[ElementTables] = None) -> BandedSymMatrix:
+    """Mass matrix of the Lagrange basis (interior dofs unless asked otherwise).
+
+    tables, when given, must be ElementTables(mesh, quad); it saves the
+    tabulation (as in the other assemble_* functions).
+    """
+    tables = tables or ElementTables(mesh, quad)
+    tab = tables.values
+    local = mesh.h * np.einsum("q,qa,qb->ab", tables.weights, tab, tab)
     band = _scatter(mesh, local)
     if include_boundary:
         return BandedSymMatrix(band)
@@ -99,7 +128,8 @@ def assemble_mass(mesh: Mesh1D, quad: QuadratureRule, *,
 
 
 def assemble_plap(mesh: Mesh1D, w: np.ndarray, params: FluxParams,
-                  quad: QuadratureRule) -> BandedSymMatrix:
+                  quad: QuadratureRule, *,
+                  tables: Optional[ElementTables] = None) -> BandedSymMatrix:
     """Gradient-weighted stiffness matrix linearized at the state w.
 
     Entry (i, j) integrates flux_coefficient(w_h') * phi_i' * phi_j'; for
@@ -107,25 +137,26 @@ def assemble_plap(mesh: Mesh1D, w: np.ndarray, params: FluxParams,
     """
     from .mesh import full_coefficients
 
-    full = full_coefficients(mesh, w)
-    dtab = mesh.basis.tabulate(quad.points, order=1)         # (q, r+1)
-    local_coeffs = full[mesh.element_dofs()]                 # (m, r+1)
-    grads = local_coeffs @ dtab.T / mesh.h                   # (m, q)
-    coef = flux_coefficient(grads, params)                   # (m, q)
-    local = np.einsum("q,mq,qa,qb->mab", quad.weights, coef, dtab, dtab) / mesh.h
+    tables = tables or ElementTables(mesh, quad)
+    local_coeffs = full_coefficients(mesh, w)[tables.dofs]      # (m, r+1)
+    grads = local_coeffs @ tables.derivs.T / mesh.h             # (m, q)
+    coef = flux_coefficient(grads, params)                      # (m, q)
+    local = (coef @ tables.grad_products).reshape(mesh.m, mesh.r + 1, mesh.r + 1)
     return _interior_band(_scatter(mesh, local))
 
 
-def assemble_load(mesh: Mesh1D, f, t: float, quad: QuadratureRule) -> np.ndarray:
+def assemble_load(mesh: Mesh1D, f, t: float, quad: QuadratureRule, *,
+                  tables: Optional[ElementTables] = None) -> np.ndarray:
     """Interior load vector of integrals f(., t) * phi_i."""
-    tab = mesh.basis.tabulate(quad.points, order=0)
-    x = mesh.a + mesh.h * (np.arange(mesh.m)[:, None] + quad.points[None, :])
+    tables = tables or ElementTables(mesh, quad)
+    x = tables.points
     fv = np.broadcast_to(np.asarray(f(x, t), dtype=float), x.shape)
     if not np.all(np.isfinite(fv)):
         raise ValueError(f"forcing term returned non-finite values at t={t}")
-    contrib = mesh.h * np.einsum("q,mq,qa->ma", quad.weights, fv, tab)
+    contrib = fv @ tables.weighted_values                       # (m, r+1)
     out = np.zeros(mesh.n_nodes)
-    np.add.at(out, mesh.element_dofs(), contrib)
+    for a in range(mesh.r + 1):      # contiguous numbering: stride-r slices
+        out[a::mesh.r][:mesh.m] += contrib[:, a]
     return out[1:-1]
 
 

@@ -1,7 +1,13 @@
-"""Symmetric banded matrices with a direct banded LU solve."""
+"""Symmetric banded matrices with reusable banded factors.
+
+A factor is the banded Cholesky factor when the matrix is positive
+definite and falls back to a banded LU otherwise; which one is used
+follows from the factorization itself, not from an option.
+"""
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import LinearSolveError
 
@@ -10,7 +16,9 @@ class BandedSymMatrix:
     """Symmetric band matrix, upper diagonals only: data[d, i] = A[i, i+d].
 
     Row d holds the d-th superdiagonal in its leading n-d entries; the
-    trailing entries of each row are kept at zero. Instances are treated as
+    trailing entries of each row are kept at zero. By symmetry this is also
+    LAPACK's lower band layout (data[d, i] = A[i+d, i]), so the Cholesky
+    factorization reads it without a repack. Instances are treated as
     immutable by the solver (all arithmetic returns new matrices).
     """
 
@@ -89,18 +97,55 @@ class BandedSymMatrix:
                 ab[bw + d, :n - d] = band
         return ab
 
+    def factor(self) -> "BandedFactor":
+        return BandedFactor(self)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Factor and solve once; keep `factor()` to solve repeatedly."""
+        return self.factor().solve(rhs)
+
+
+class BandedFactor:
+    """Factorization of a BandedSymMatrix, reusable across right-hand sides.
+
+    Holds the banded Cholesky factor when the matrix is positive definite.
+    Otherwise (an indefinite or singular matrix) it keeps the LU-ordered
+    band and each solve runs a banded LU with partial pivoting.
+    """
+
+    def __init__(self, matrix: BandedSymMatrix):
+        if not np.all(np.isfinite(matrix.data)):
+            raise LinearSolveError("non-finite entries in banded system")
+        # LAPACK's own routines: the scipy wrappers around them cost several
+        # times the factorization itself at the small sizes solved per step
+        chol, info = dpbtrf(matrix.data, lower=1)
+        if info < 0:
+            raise LinearSolveError(f"banded Cholesky rejected argument {-info}")
+        self._chol = chol if info == 0 else None
+        self._lu = None
+        if self._chol is None:
+            bw = min(matrix.bandwidth, matrix.n - 1)
+            ab = matrix._lu_band()
+            self._lu = (bw, ab[matrix.bandwidth - bw: matrix.bandwidth + bw + 1])
+
+    @property
+    def is_cholesky(self) -> bool:
+        return self._chol is not None
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
-        if not np.all(np.isfinite(self.data)) or not np.all(np.isfinite(rhs)):
+        if not np.all(np.isfinite(rhs)):
             raise LinearSolveError("non-finite entries in banded system")
-        bw = min(self.bandwidth, self.n - 1)
-        ab = self._lu_band()
-        if bw < self.bandwidth:
-            ab = ab[self.bandwidth - bw: self.bandwidth + bw + 1]
-        try:
-            x = solve_banded((bw, bw), ab, rhs, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise LinearSolveError(f"banded factorization failed: {exc}") from exc
+        if self._chol is not None:
+            x, info = dpbtrs(self._chol, rhs, lower=1)
+            if info != 0:
+                raise LinearSolveError(f"banded Cholesky solve failed (info {info})")
+        else:
+            bw, ab = self._lu
+            try:
+                x = solve_banded((bw, bw), ab, rhs, check_finite=False)
+            except np.linalg.LinAlgError as exc:
+                raise LinearSolveError(f"banded factorization failed: {exc}") from exc
         if not np.all(np.isfinite(x)):
             raise LinearSolveError("banded solve produced non-finite values "
                                    "(singular system)")

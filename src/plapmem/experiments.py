@@ -195,18 +195,25 @@ def run_example2(out_dir, p_values=(1.5, 2.0, 4.0), lam_values=(10.0, 0.0, -1.0,
     """Asymptotic behaviour of the dome datum for each (lambda, p) pair.
 
     The strongly negative amplitude drives space-oscillatory growth; with
-    the degenerate p = 4 flux on top the step iteration genuinely blows up
-    mid-run, so that cell is kept out of the default grid (it is also the
-    one combination the reference study never shows).
+    the degenerate p = 4 flux on top the fixed-point iteration stops
+    converging mid-run (step 477 at this time step), so lambda <= -10 with
+    p >= 3 is kept out of the grid (it is also the one combination the
+    reference study never shows). A request that leaves no cell raises
+    ConfigError instead of writing nothing.
     """
+    sweep = [(lam, p) for lam in lam_values for p in p_values
+             if not (lam <= -10.0 and p >= 3.0)]
+    if not sweep:
+        raise ConfigError("lambda",
+                          f"example 2 does not run lambda <= -10 with p >= 3 "
+                          f"(the fixed-point iteration stops converging); "
+                          f"got lambda in {tuple(lam_values)}, "
+                          f"p in {tuple(p_values)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     horizon, h, delta = 3.0, 0.2, 1e-3
     m = round(2.0 / h)
     n_steps = round(horizon / delta)
-
-    sweep = [(lam, p) for lam in lam_values for p in p_values
-             if not (lam <= -10.0 and p >= 3.0)]
 
     def solve(lam, p):
         problem = asymptotics_problem(p, lam, horizon)

@@ -10,8 +10,14 @@ where A_mid is the gradient-weighted stiffness matrix at the midpoint
 state. Scheme "A" keeps the new iterate inside the diffusion term (the
 matrix multiplies U_{n+1}); scheme "B" moves the whole diffusion term to
 the right-hand side, evaluated at the previous iterate. Both iterations
-share the same fixed point. Y is eliminated through the memory relation,
-leaving one banded solve per iteration plus a mass solve to recover Y.
+share the same fixed point.
+
+Y is eliminated through the memory relation: one mass solve per step,
+z = M^{-1} R, gives Y = (z - beta*U)/alpha for every iterate. alpha and
+beta depend only on delta and the kernel at zero, so the mass factor is
+a run constant, and so is the whole U matrix for scheme B and for p = 2.
+An iteration does only what depends on the iterate: one p-Laplacian
+assembly (none for p = 2), one banded solve and the two increment norms.
 """
 
 from dataclasses import dataclass, field
@@ -21,12 +27,12 @@ from typing import Optional
 import numpy as np
 
 from . import analysis
-from .assembly import (FluxParams, assemble_load, assemble_mass, assemble_plap,
-                       default_epsilon, interpolate)
-from .banded import BandedSymMatrix
-from .errors import ConfigError, FixedPointDivergenceError, IllPosedStepError
+from .assembly import (ElementTables, FluxParams, assemble_load, assemble_mass,
+                       assemble_plap, default_epsilon, interpolate)
+from .banded import BandedFactor, BandedSymMatrix
+from .errors import ConfigError, FixedPointDivergenceError
 from .memory import (KernelSpec, MemoryEquation, StateHistory, memory_equation,
-                     QUADRATURE_MODES)
+                     memory_residual, QUADRATURE_MODES)
 from .mesh import Mesh1D, QuadratureRule, default_quad_points, gauss_legendre
 
 SCHEMES = ("auto", "A", "B")
@@ -112,7 +118,8 @@ class StepDiagnostics:
 
 
 class Assembler:
-    """Mesh + quadrature + flux bundle used by the stepping loop."""
+    """Mesh + quadrature + flux bundle used by the stepping loop; keeps
+    what depends on these alone: basis tables, mass matrix and factors."""
 
     def __init__(self, mesh: Mesh1D, quad: QuadratureRule,
                  params: FluxParams, load_fn):
@@ -120,82 +127,59 @@ class Assembler:
         self.quad = quad
         self.params = params
         self.load_fn = load_fn
+        self.tables = ElementTables(mesh, quad)
+        self._system_factors = {}
 
     @cached_property
     def mass(self) -> BandedSymMatrix:
-        return assemble_mass(self.mesh, self.quad)
+        return assemble_mass(self.mesh, self.quad, tables=self.tables)
+
+    @cached_property
+    def mass_factor(self) -> BandedFactor:
+        return self.mass.factor()
 
     def plap(self, state: np.ndarray) -> BandedSymMatrix:
-        return assemble_plap(self.mesh, state, self.params, self.quad)
+        return assemble_plap(self.mesh, state, self.params, self.quad,
+                             tables=self.tables)
 
     def load(self, t: float) -> np.ndarray:
-        return assemble_load(self.mesh, self.load_fn, t, self.quad)
+        return assemble_load(self.mesh, self.load_fn, t, self.quad,
+                             tables=self.tables)
+
+    def system_factor(self, mass_coef: float, stiff_coef: float) -> BandedFactor:
+        """Factor of mass_coef*M + stiff_coef*A(0), kept per coefficient pair;
+        a run constant only where A cannot change (stiff_coef = 0 or p = 2)."""
+        key = (mass_coef, stiff_coef)
+        if key not in self._system_factors:
+            matrix = mass_coef * self.mass
+            if stiff_coef != 0.0:
+                matrix = matrix + stiff_coef * self.plap(np.zeros(self.mesh.n_interior))
+            self._system_factors[key] = matrix.factor()
+        return self._system_factors[key]
 
 
-@dataclass(frozen=True)
 class BlockSystem:
-    """U-block of one fixed-point iteration, before the Y elimination."""
+    """One step's coupled pair with Y eliminated through the memory relation.
 
-    matrix: BandedSymMatrix     # multiplies U_{n+1}
-    rhs: np.ndarray             # everything except the -delta*M*Y_{n+1} coupling
-    delta: float
+    Substituting M Y = (R - beta*M U)/alpha into the U-block S U - delta*M Y
+    = b leaves (S + shift*M) U = b + rhs_share; z = M^{-1} R, solved once,
+    gives Y = (z - beta*U)/alpha for every iterate U, relaxed ones included.
+    """
+
+    def __init__(self, mem: MemoryEquation, mass_factor: BandedFactor,
+                 delta: float):
+        self.mem = mem
+        self.shift = delta * mem.beta / mem.alpha
+        self.rhs_share = (delta / mem.alpha) * mem.rhs
+        self.z = mass_factor.solve(mem.rhs)
+
+    def memory_state(self, u: np.ndarray) -> np.ndarray:
+        return (self.z - self.mem.beta * u) / self.mem.alpha
 
 
 def fixed_point_init(hist: StateHistory):
     """Seed both iterate sequences with the previous time level."""
     return hist.u[hist.k].copy(), hist.y[hist.k].copy()
-
-
-def iteration_system_A(u_iterate: np.ndarray, hist: StateHistory,
-                       asm: Assembler, delta: float) -> BlockSystem:
-    """Implicit-diffusion iteration: (2M + delta*A)U_{n+1} on the left."""
-    u_prev = hist.u[hist.k]
-    a_mid = asm.plap(0.5 * (u_iterate + u_prev))
-    mass = asm.mass
-    matrix = 2.0 * mass + delta * a_mid
-    rhs = (2.0 * mass.matvec(u_prev) - delta * a_mid.matvec(u_prev)
-           + delta * mass.matvec(hist.y[hist.k])
-           + 2.0 * delta * hist.loads[hist.k + 1])
-    return BlockSystem(matrix=matrix, rhs=rhs, delta=delta)
-
-
-def iteration_system_B(u_iterate: np.ndarray, hist: StateHistory,
-                       asm: Assembler, delta: float) -> BlockSystem:
-    """Explicit-diffusion iteration: the whole flux term sits on the right."""
-    u_prev = hist.u[hist.k]
-    a_mid = asm.plap(0.5 * (u_iterate + u_prev))
-    mass = asm.mass
-    matrix = 2.0 * mass
-    rhs = (-delta * a_mid.matvec(u_iterate + u_prev)
-           + 2.0 * mass.matvec(u_prev)
-           + delta * mass.matvec(hist.y[hist.k])
-           + 2.0 * delta * hist.loads[hist.k + 1])
-    return BlockSystem(matrix=matrix, rhs=rhs, delta=delta)
-
-
-def recover_memory_state(mass: BandedSymMatrix, mem: MemoryEquation,
-                         u: np.ndarray) -> np.ndarray:
-    """Y determined by U through the memory relation (one mass solve)."""
-    return mass.solve((mem.rhs - mem.beta * mass.matvec(u)) / mem.alpha)
-
-
-def solve_block(system: BlockSystem, mass: BandedSymMatrix,
-                mem: MemoryEquation):
-    """Eliminate Y through the memory relation and back-substitute.
-
-    M Y_{n+1} = (R - beta*M U_{n+1}) / alpha turns the coupling column into
-    a rank-preserving shift of the U matrix; one banded solve then yields
-    U_{n+1} and a mass solve recovers Y_{n+1}.
-    """
-    if abs(mem.alpha) < 1e-12:
-        raise IllPosedStepError(
-            f"memory relation coefficient alpha = {mem.alpha:.3e} is numerically "
-            "zero; the step cannot be eliminated")
-    shift = system.delta * mem.beta / mem.alpha
-    matrix = system.matrix + shift * mass
-    rhs = system.rhs + (system.delta / mem.alpha) * mem.rhs
-    u_next = matrix.solve(rhs)
-    return u_next, recover_memory_state(mass, mem, u_next)
 
 
 #: Iterations granted to the plain iteration before a stall check.
@@ -221,8 +205,21 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     delta = cfg.delta
     hist.set_half_load(k, asm.load((k + 0.5) * delta))
     mass = asm.mass
-    mem = memory_equation(hist, kernel, mass, cfg.quadrature_mode)
-    build = iteration_system_A if cfg.scheme == "A" else iteration_system_B
+    block = BlockSystem(memory_equation(hist, kernel, mass, cfg.quadrature_mode),
+                        asm.mass_factor, delta)
+    u_prev, y_prev = hist.u[k], hist.y[k]
+    # the U-block's right-hand side, less its diffusion term
+    rhs_step = (mass.matvec(2.0 * u_prev + delta * y_prev)
+                + 2.0 * delta * hist.loads[k + 1] + block.rhs_share)
+    mass_coef = 2.0 + block.shift
+    implicit = cfg.scheme == "A"
+    linear = asm.params.p == 2.0      # diffusion matrix independent of the state
+    # scheme B never puts the diffusion matrix on the left
+    constant = not implicit or linear
+    if constant:
+        factor = asm.system_factor(mass_coef, delta if implicit else 0.0)
+    if linear:
+        a_mid = asm.plap(u_prev)
 
     u_it, y_it = fixed_point_init(hist)
     ratios = []
@@ -230,11 +227,16 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     relax = 1.0
     inc_u = inc_y = np.inf
     for iteration in range(1, cfg.max_iter + 1):
-        system = build(u_it, hist, asm, delta)
-        u_next, y_next = solve_block(system, mass, mem)
+        if not linear:
+            a_mid = asm.plap(0.5 * (u_it + u_prev))
+        rhs = rhs_step - delta * a_mid.matvec(u_prev if implicit else u_it + u_prev)
+        if constant:
+            u_next = factor.solve(rhs)
+        else:
+            u_next = (mass_coef * mass + delta * a_mid).solve(rhs)
         if relax < 1.0:
             u_next = u_it + relax * (u_next - u_it)
-            y_next = recover_memory_state(mass, mem, u_next)
+        y_next = block.memory_state(u_next)
         du = u_next - u_it
         dy = y_next - y_it
         inc_u = float(du @ mass.matvec(du))
@@ -294,8 +296,6 @@ def step_residuals(hist: StateHistory, k: int, kernel: KernelSpec,
     Evaluates the averaged (non-rearranged) forms with the stored pair, so
     any sign or bookkeeping slip in the step solver shows up here.
     """
-    from .memory import memory_residual
-
     if k >= hist.k:
         raise ValueError(f"step {k} not completed yet (history at {hist.k})")
     delta = hist.delta

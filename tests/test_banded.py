@@ -4,12 +4,14 @@ import pytest
 from plapmem import BandedSymMatrix, LinearSolveError
 
 
-def random_banded(n, bw, seed=0):
+def random_banded(n, bw, seed=0, definite=True):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((bw + 1, n))
     for d in range(1, bw + 1):
         data[d, max(n - d, 0):] = 0.0
-    data[0] += bw + 2.0    # diagonal dominance keeps it solvable
+    # diagonal dominance keeps it solvable; alternating signs make it indefinite
+    sign = np.ones(n) if definite else (-1.0) ** np.arange(n)
+    data[0] += sign * (bw + 2.0)
     return BandedSymMatrix(data)
 
 
@@ -21,13 +23,24 @@ class TestBandedSymMatrix:
         x = rng.standard_normal(n)
         assert np.allclose(mat.matvec(x), mat.to_dense() @ x, atol=1e-13)
 
-    @pytest.mark.parametrize("n,bw", [(1, 1), (6, 1), (9, 2), (15, 4)])
-    def test_solve_matches_dense(self, n, bw):
-        mat = random_banded(n, bw, seed=3 * n + bw)
+    @pytest.mark.parametrize("n,bw,definite", [
+        pytest.param(1, 1, True, id="1-1"),
+        pytest.param(6, 1, True, id="6-1"),
+        pytest.param(9, 2, True, id="9-2"),
+        pytest.param(15, 4, True, id="15-4"),
+        # indefinite bands take the banded LU fallback
+        pytest.param(6, 1, False, id="indefinite-6-1"),
+        pytest.param(15, 4, False, id="indefinite-15-4"),
+    ])
+    def test_solve_matches_dense(self, n, bw, definite):
+        mat = random_banded(n, bw, seed=3 * n + bw, definite=definite)
+        factor = mat.factor()
+        assert factor.is_cholesky == definite
         rng = np.random.default_rng(1)
-        rhs = rng.standard_normal(n)
-        x = mat.solve(rhs)
-        assert np.allclose(mat.to_dense() @ x, rhs, atol=1e-11)
+        for rhs in rng.standard_normal((2, n)):    # one factor, reused
+            x = factor.solve(rhs)
+            assert np.allclose(mat.to_dense() @ x, rhs, atol=1e-11)
+            assert np.array_equal(x, mat.solve(rhs))
 
     def test_arithmetic(self):
         a = random_banded(6, 2, seed=1)
@@ -45,9 +58,19 @@ class TestBandedSymMatrix:
         mat = BandedSymMatrix(np.zeros((2, 4)))
         with pytest.raises(LinearSolveError):
             mat.solve(np.ones(4))
+        # [[1, 1], [1, 1]]: semidefinite and singular, Cholesky and LU fail
+        semidefinite = BandedSymMatrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(LinearSolveError):
+            semidefinite.factor().solve(np.ones(2))
 
     def test_nonfinite_raises(self):
         data = np.ones((1, 3))
         data[0, 1] = np.nan
         with pytest.raises(LinearSolveError):
             BandedSymMatrix(data).solve(np.ones(3))
+        with pytest.raises(LinearSolveError):
+            BandedSymMatrix(data).factor()
+        factor = random_banded(3, 1).factor()
+        for bad in (np.nan, np.inf):
+            with pytest.raises(LinearSolveError):
+                factor.solve(np.array([1.0, bad, 1.0]))

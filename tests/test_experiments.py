@@ -64,6 +64,15 @@ class TestRunExample:
         for a, b in zip(seq, par):
             assert np.array_equal(a.u, b.u)
 
+    def test_cli_example_filtered_cell_is_config_error(self, tmp_path, capsys):
+        # the one requested cell lies outside example 2's grid: exit 2
+        # naming the field, not exit 0 with an empty output directory
+        code = main(["example", "2", "--p", "4", "--lambda", "-10",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "lambda" in capsys.readouterr().err
+        assert not (tmp_path / "example2").exists()
+
     def test_cli_example_entry(self, tmp_path, capsys):
         code = main(["example", "3", "--lambda", "0", "--out", str(tmp_path)])
         assert code == 0

@@ -5,7 +5,7 @@ from plapmem import (ConfigError, FixedPointDivergenceError, IllPosedStepError,
                      MemoryEquation, ProblemSpec, SolverConfig, assemble_mass,
                      build_uniform_mesh, cn_step, exponential_kernel,
                      fixed_point_init, gauss_legendre, manufactured_example1,
-                     march, mass_norm, select_scheme, solve_block,
+                     march, mass_norm, memory_equation, select_scheme,
                      step_residuals)
 from plapmem.banded import BandedSymMatrix
 from plapmem.assembly import interpolate
@@ -173,8 +173,9 @@ class TestSolveBlock:
         matrix = BandedSymMatrix(sdata)
         rhs = rng.standard_normal(n)
         mem = MemoryEquation(alpha=0.6, beta=-0.3, rhs=rng.standard_normal(n))
-        u, y = solve_block(BlockSystem(matrix=matrix, rhs=rhs, delta=delta),
-                           mass, mem)
+        block = BlockSystem(mem, mass.factor(), delta)
+        u = (matrix + block.shift * mass).solve(rhs + block.rhs_share)
+        y = block.memory_state(u)
         # independent dense solve of the coupled 2x2 block system
         md, sd = mass.to_dense(), matrix.to_dense()
         big = np.block([[sd, -delta * md],
@@ -189,11 +190,12 @@ class TestSolveBlock:
         assert np.max(np.abs(r2)) < 1e-10 * max(1, np.max(np.abs(mem.rhs)))
 
     def test_vanishing_alpha_guard(self):
+        # alpha = 1/2 + delta*g(0)/8 vanishes for delta*g(0) = -4
         mass = BandedSymMatrix(np.array([[1.0]]))
-        mem = MemoryEquation(alpha=0.0, beta=0.1, rhs=np.array([1.0]))
-        system = BlockSystem(matrix=mass, rhs=np.array([1.0]), delta=0.1)
+        hist = StateHistory(1, 5, 0.5)
+        hist.set_initial(np.array([1.0]), np.array([0.0]))
         with pytest.raises(IllPosedStepError):
-            solve_block(system, mass, mem)
+            memory_equation(hist, exponential_kernel(-8.0), mass)
 
 
 class TestMarch:
@@ -251,6 +253,76 @@ class TestMarch:
         mesh = build_uniform_mesh(0, 1, 1, 1)
         with pytest.raises(ConfigError):
             march(problem, mesh, SolverConfig(p=2.0, delta=0.01, n_steps=10))
+
+
+class TestLeanStep:
+    """The per-run factors and the once-per-step Y recovery against the
+    oracles: the memory relation itself and the unrearranged residuals."""
+
+    # (p, lambda, m, r, delta, tol, bound on the relative evolution residual);
+    # increments below tol bound the residual only through the contraction
+    # of the iteration, so each bound is 4-12x the residual the stopping
+    # rule leaves in that case (8e-15, 2.6e-5, 1.6e-3)
+    CASES = {
+        # p = 2, scheme A: one run-constant factor, linear step
+        "p2-A": (2.0, 1.0, 8, 2, 0.01, 1e-14, 1e-13),
+        # p = 2.5, scheme B: run-constant factor, assembled right-hand side
+        "p2.5-B": (2.5, 1.0, 8, 1, 1e-3, 1e-14, 1e-4),
+        # p = 4, scheme A at a coarse step: the 1/2-relaxation fires
+        "p4-A-relaxed": (4.0, 1.0, 10, 4, 0.01, 1e-14, 1e-2),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_steps_satisfy_oracles(self, case):
+        p, lam, m, r, delta, tol, bound = self.CASES[case]
+        n_steps = 10
+        problem = manufactured_example1(p, lam, horizon=delta * n_steps)
+        mesh = build_uniform_mesh(0, 1, m, r)
+        cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, tol=tol)
+        asm = make_assembler(problem, mesh, cfg)
+        hist = fresh_history(problem, mesh, cfg, asm)
+        diags = [cn_step(hist, problem.kernel, cfg, asm)[2]
+                 for _ in range(n_steps)]
+        if case == "p4-A-relaxed":
+            # updates are halved after a ratio >= 0.98 from iteration 5 on
+            assert any(max(d.ratios[3:-1], default=0.0) >= 0.98 for d in diags)
+        mass = asm.mass
+        for k in range(n_steps):
+            mem = memory_equation(hist.truncated(k), problem.kernel, mass)
+            my = mem.alpha * mass.matvec(hist.y[k + 1])
+            mu = mem.beta * mass.matvec(hist.u[k + 1])
+            scale = max(np.max(np.abs(t)) for t in (my, mu, mem.rhs))
+            assert np.max(np.abs(my + mu - mem.rhs)) <= 1e-12 * scale
+            res_ev, res_mem = step_residuals(hist, k, problem.kernel, cfg, asm)
+            u_mid = 0.5 * (hist.u[k + 1] + hist.u[k])
+            terms = (mass.matvec(hist.u[k + 1] - hist.u[k]) / delta,
+                     asm.plap(u_mid).matvec(u_mid),
+                     mass.matvec(0.5 * (hist.y[k + 1] + hist.y[k])))
+            scale = max(np.max(np.abs(t)) for t in terms)
+            assert np.max(np.abs(res_ev)) <= bound * scale
+            assert np.max(np.abs(res_mem)) < 1e-10
+        rerun = march(problem, mesh, cfg)
+        assert np.array_equal(rerun.u, hist.u)
+        assert np.array_equal(rerun.y, hist.y)
+
+    def test_tabulations_independent_of_step_count(self, monkeypatch):
+        from plapmem.mesh import ReferenceBasis
+        original = ReferenceBasis.tabulate
+        calls = []
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ReferenceBasis, "tabulate", counting)
+        counts = []
+        for n_steps in (5, 20):
+            calls.clear()
+            problem = manufactured_example1(3.0, 1.0, horizon=1e-3 * n_steps)
+            mesh = build_uniform_mesh(0, 1, 6, 2)
+            march(problem, mesh, SolverConfig(p=3.0, delta=1e-3, n_steps=n_steps))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestHeatReduction:
