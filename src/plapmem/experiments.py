@@ -79,8 +79,8 @@ def write_outputs(run: RunOutput, out_dir, snapshot_times=None) -> dict:
 
     paths["diagnostics"] = out / "diagnostics.csv"
     _write_csv(paths["diagnostics"],
-               ("k", "iterations", "increment_u", "increment_y"),
-               [(k, d.iterations, d.increment_u, d.increment_y)
+               ("k", "iterations", "increment_u", "increment_y", "relaxed"),
+               [(k, d.iterations, d.increment_u, d.increment_y, d.relaxed)
                 for k, d in enumerate(run.diagnostics)])
     return paths
 

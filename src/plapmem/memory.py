@@ -9,26 +9,73 @@ Collecting the k+1 unknowns on the left reduces the whole relation to
     alpha * M Y^{k+1} + beta * M U^{k+1} = R,
 
 with alpha = 1/2 + (delta/8) g(0) and beta = -(g(0)/2 + (delta/8) g'(0)).
+
+Evaluated directly (`q_g`, `q_gp`, `i_f`) the trapezoid sums cost O(k) at
+step k, so a march costs O(N^2). For the exponential kernel
+g(s) = lam*exp(-s) (a `KernelSpec` with `lam` set, as `exponential_kernel`
+builds) every lag factor splits as exp(-(k-j)*delta) times a constant, so
+`memory_equation` instead keeps the discounted sums of `ExponentialSums`,
+
+    E_k = exp(-delta) E_{k-1} + delta*y_k,          E_0 = (delta/2) y_0,
+
+and over the half-step loads
+
+    G_k = exp(-delta) G_{k-1} + delta*L_{k+1/2},    G_0 = (3*delta/4) L_{1/2},
+
+and builds R from them in O(n) per step: q_g's explicit part is
+lam*exp(-delta/2)(E_k - (delta/4) y_k) + (delta/8) lam*y_k, the u sum the
+same over u with -lam, and the load sum lam*[(delta/4) exp(-t_{k+1/2}) F_0
++ G_k - (delta/2) L_{k+1/2}], for k = 0 too. R takes the y and u sums with
+the same sign, so one running sum over y + u serves both. Only decaying
+exponentials appear, so long horizons never overflow. Any other kernel
+takes the direct quadratures, which also stay as the oracle
+(`memory_residual`).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .banded import BandedSymMatrix
-from .errors import IllPosedStepError
+from .errors import ConfigError, IllPosedStepError
 
 QUADRATURE_MODES = ("consistent", "literal")
+
+#: Lags at which a declared exponential kernel is checked against its lam.
+_LAM_CHECK_LAGS = np.array([0.0, 0.5, 1.0, 4.0])
+
+
+def _check_mode(mode: str):
+    if mode not in QUADRATURE_MODES:
+        raise ValueError(f"quadrature mode must be one of {QUADRATURE_MODES}, "
+                         f"got {mode!r}")
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Memory kernel g and its derivative gp as functions of the time lag."""
+    """Memory kernel g and its derivative gp as functions of the time lag.
+
+    lam, when set, declares g = lam*exp(-s) and selects the recursive
+    history sums; it is checked against g and gp at a few lags, so a
+    kernel that is not that exponential cannot take them by mistake.
+    """
 
     g: Callable
     gp: Callable
     lam: Optional[float] = None
+
+    def __post_init__(self):
+        if self.lam is None:
+            return
+        expected = self.lam * np.exp(-_LAM_CHECK_LAGS)
+        for name, fn, sign in (("g", self.g, 1.0), ("gp", self.gp, -1.0)):
+            dev = np.max(np.abs(_kernel_values(fn, _LAM_CHECK_LAGS) - sign * expected))
+            if not dev <= 1e-12 * abs(self.lam):
+                raise ConfigError("kernel", f"lam = {self.lam} declares "
+                                  f"{name} = {sign * self.lam:g}*exp(-s), but {name} "
+                                  f"deviates from it by {dev:.3e}")
 
 
 def exponential_kernel(lam: float) -> KernelSpec:
@@ -104,9 +151,7 @@ def forcing_weights(k: int, delta: float, mode: str = "consistent"):
     extra delta * g(0) share on the final level, reproducing a printed
     upper summation limit that double-counts that node.
     """
-    if mode not in QUADRATURE_MODES:
-        raise ValueError(f"quadrature mode must be one of {QUADRATURE_MODES}, "
-                         f"got {mode!r}")
+    _check_mode(mode)
     t_half = (k + 0.5) * delta
     if k == 0:
         weights = np.array([delta / 4.0, delta / 4.0])
@@ -131,8 +176,10 @@ class StateHistory:
 
     Arrays are preallocated for the full horizon; `k` always points at the
     newest completed level. loads[0] holds the load at t = 0 and
-    loads[1 + j] the load at t_{j+1/2}; the memory quadratures need the
-    whole tail, which is why nothing is discarded.
+    loads[1 + j] the load at t_{j+1/2}. The step itself needs only the
+    newest levels (the exponential kernel's `ExponentialSums`); the whole
+    tail is kept for the output and for the direct quadratures, which
+    general kernels and the oracle use.
     """
 
     def __init__(self, n_dofs: int, n_steps: int, delta: float):
@@ -233,24 +280,58 @@ def i_f(hist: StateHistory, kernel: KernelSpec,
     The literal mode equals the consistent one plus delta * g(0) times the
     newest half-step load.
     """
+    _check_mode(mode)
     weights, lags = forcing_weights(hist.k, hist.delta, "consistent")
     coeffs = weights * _kernel_values(kernel.g, lags)
     out = coeffs @ hist.loads_view()
     if mode == "literal":
         out = out + hist.delta * float(kernel.g(0.0)) * hist.loads[hist.k + 1]
-    elif mode != "consistent":
-        raise ValueError(f"quadrature mode must be one of {QUADRATURE_MODES}, "
-                         f"got {mode!r}")
     return out
 
 
+class ExponentialSums:
+    """Discounted running sums of one march for g = lam*exp(-s).
+
+    state_sum = sum_j c_j exp(-(k-j)*delta) (y_j + u_j) with c_0 = delta/2
+    and c_j = delta after it; load_sum the same over the half-step loads
+    L_{j+1/2}, with 3*delta/4 on L_{1/2}. lam is left out. Each level is
+    folded in once, by one multiply-add per sum. A march keeps one object
+    for its own history.
+    """
+
+    def __init__(self):
+        self.k = -1               # newest level folded in; -1: none yet
+        self.decay = self.state_sum = self.load_sum = None
+
+    def advance(self, hist: StateHistory):
+        """Fold in the levels up to hist.k and the load L_{k+1/2}; a history
+        behind the sums (a rewound or a new one) is replayed from level 0."""
+        if hist.k < self.k:
+            self.k = -1
+        delta = hist.delta
+        while self.k < hist.k:
+            j = self.k + 1
+            if j == 0:
+                self.decay = math.exp(-delta)
+                self.state_sum = (delta / 2.0) * (hist.y[0] + hist.u[0])
+                self.load_sum = (3.0 * delta / 4.0) * hist.loads[1]
+            else:
+                self.state_sum = (self.decay * self.state_sum
+                                  + delta * (hist.y[j] + hist.u[j]))
+                self.load_sum = self.decay * self.load_sum + delta * hist.loads[j + 1]
+            self.k = j
+
+
 def memory_equation(hist: StateHistory, kernel: KernelSpec,
-                    mass: BandedSymMatrix,
-                    mode: str = "consistent") -> MemoryEquation:
+                    mass: BandedSymMatrix, mode: str = "consistent",
+                    sums: Optional[ExponentialSums] = None) -> MemoryEquation:
     """Reduce the memory relation at step k to its unknowns-on-the-left form.
 
     Every history term lands in rhs; the two k+1 unknowns produce the
-    scalar coefficients alpha and beta of M Y^{k+1} and M U^{k+1}.
+    scalar coefficients alpha and beta of M Y^{k+1} and M U^{k+1}. An
+    exponential kernel builds rhs from the running sums (the march's
+    `sums`, else ones replayed from level 0 here); any other kernel re-sums
+    the trapezoid history.
     """
     delta = hist.delta
     g0 = float(kernel.g(0.0))
@@ -261,6 +342,11 @@ def memory_equation(hist: StateHistory, kernel: KernelSpec,
             f"memory relation is ill posed: |1/2 + delta*g(0)/8| = {abs(alpha):.3e}; "
             "reduce the time step")
     beta = -(0.5 * g0 + (delta / 8.0) * gp0)
+    if kernel.lam is not None:
+        return MemoryEquation(alpha=alpha, beta=beta,
+                              rhs=_recursive_rhs(hist, kernel.lam, mass, mode,
+                                                 sums if sums is not None
+                                                 else ExponentialSums()))
     t_half = (hist.k + 0.5) * delta
     qg_explicit, _ = q_g(hist, kernel, mass)
     qgp_explicit, _ = q_gp(hist, kernel, mass)
@@ -271,6 +357,27 @@ def memory_equation(hist: StateHistory, kernel: KernelSpec,
            + qgp_explicit
            - i_f(hist, kernel, mode))
     return MemoryEquation(alpha=alpha, beta=beta, rhs=rhs)
+
+
+def _recursive_rhs(hist: StateHistory, lam: float, mass: BandedSymMatrix,
+                   mode: str, sums: ExponentialSums) -> np.ndarray:
+    """The memory equation's rhs for g = lam*exp(-s) from the running sums."""
+    _check_mode(mode)
+    sums.advance(hist)
+    k, delta = hist.k, hist.delta
+    t_half = (k + 0.5) * delta
+    y_k, u_k = hist.y[k], hist.u[k]
+    # q_g's explicit part minus q_gp's, over y + u
+    levels = y_k + u_k
+    history = lam * (math.exp(-0.5 * delta) * (sums.state_sum - (delta / 4.0) * levels)
+                     + (delta / 8.0) * levels)
+    g_half = lam * math.exp(-t_half)
+    state_terms = -0.5 * y_k + 0.5 * lam * u_k - g_half * hist.u[0] - history
+    # i_f; the literal mode adds delta*g(0) on the newest load
+    newest = -0.5 * delta if mode == "consistent" else 0.5 * delta
+    forcing = ((delta / 4.0) * g_half * hist.loads[0]
+               + lam * (sums.load_sum + newest * hist.loads[k + 1]))
+    return mass.matvec(state_terms) - forcing
 
 
 def memory_residual(hist: StateHistory, k: int, kernel: KernelSpec,

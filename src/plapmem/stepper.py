@@ -31,8 +31,8 @@ from .assembly import (ElementTables, FluxParams, assemble_load, assemble_mass,
                        assemble_plap, default_epsilon, interpolate)
 from .banded import BandedFactor, BandedSymMatrix
 from .errors import ConfigError, FixedPointDivergenceError
-from .memory import (KernelSpec, MemoryEquation, StateHistory, memory_equation,
-                     memory_residual, QUADRATURE_MODES)
+from .memory import (ExponentialSums, KernelSpec, MemoryEquation, StateHistory,
+                     memory_equation, memory_residual, QUADRATURE_MODES)
 from .mesh import Mesh1D, QuadratureRule, default_quad_points, gauss_legendre
 
 SCHEMES = ("auto", "A", "B")
@@ -61,11 +61,11 @@ def resolve_scheme(p: float, requested: str) -> str:
     """Validate an explicit scheme request against the exponent."""
     if requested not in SCHEMES:
         raise ConfigError("scheme", f"must be one of {SCHEMES}, got {requested!r}")
+    default = select_scheme(p)
     if requested == "auto":
-        return select_scheme(p)
-    if not np.isfinite(p) or p <= 1.0:
-        raise ConfigError("p", f"exponent must satisfy p > 1, got {p}")
-    if requested == "A" and 2.0 < p < 3.0:
+        return default
+    # the default is "B" exactly where scheme A is unavailable
+    if requested == "A" and default == "B":
         raise ConfigError("scheme",
                           "scheme A is not available on 2 < p < 3 "
                           f"(got p = {p}); use scheme B there")
@@ -115,6 +115,7 @@ class StepDiagnostics:
     increment_u: float          # final squared M-norm increment
     increment_y: float
     ratios: tuple = field(default_factory=tuple)
+    relaxed: int = 0            # first iteration with a halved update; 0: none
 
 
 class Assembler:
@@ -190,22 +191,28 @@ _STALL_RATIO = 0.98
 
 
 def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
-            asm: Assembler):
+            asm: Assembler, sums: Optional[ExponentialSums] = None):
     """Advance one level: iterate the chosen scheme until both squared
     M-norm increments drop below tol, then append the pair to the history.
+
+    sums are the march's running history sums for an exponential kernel;
+    without them each call replays the sums from level 0 (the same numbers
+    at O(k) cost per step).
 
     Large time steps can drive the plain iteration into a period-two
     cycle (update eigenvalue at -1). When the increment stops contracting
     after a few iterations, subsequent updates are relaxed by 1/2, which
     maps a -1 eigenvalue to 0 and leaves the fixed point untouched; Y is
     re-derived from the relaxed U through the memory relation so every
-    iterate satisfies it exactly.
+    iterate satisfies it exactly. The diagnostics record the first relaxed
+    iteration.
     """
     k = hist.k
     delta = cfg.delta
     hist.set_half_load(k, asm.load((k + 0.5) * delta))
     mass = asm.mass
-    block = BlockSystem(memory_equation(hist, kernel, mass, cfg.quadrature_mode),
+    block = BlockSystem(memory_equation(hist, kernel, mass, cfg.quadrature_mode,
+                                        sums),
                         asm.mass_factor, delta)
     u_prev, y_prev = hist.u[k], hist.y[k]
     # the U-block's right-hand side, less its diffusion term
@@ -224,7 +231,7 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     u_it, y_it = fixed_point_init(hist)
     ratios = []
     prev_total = None
-    relax = 1.0
+    relaxed = 0
     inc_u = inc_y = np.inf
     for iteration in range(1, cfg.max_iter + 1):
         if not linear:
@@ -234,8 +241,8 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
             u_next = factor.solve(rhs)
         else:
             u_next = (mass_coef * mass + delta * a_mid).solve(rhs)
-        if relax < 1.0:
-            u_next = u_it + relax * (u_next - u_it)
+        if relaxed:
+            u_next = u_it + 0.5 * (u_next - u_it)
         y_next = block.memory_state(u_next)
         du = u_next - u_it
         dy = y_next - y_it
@@ -251,10 +258,11 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
             return u_it, y_it, StepDiagnostics(iterations=iteration,
                                                increment_u=inc_u,
                                                increment_y=inc_y,
-                                               ratios=tuple(ratios))
-        if (relax == 1.0 and iteration >= _STALL_GRACE
+                                               ratios=tuple(ratios),
+                                               relaxed=relaxed)
+        if (not relaxed and iteration >= _STALL_GRACE
                 and ratios[-1] >= _STALL_RATIO):
-            relax = 0.5
+            relaxed = iteration + 1
     raise FixedPointDivergenceError(step=k, iterations=cfg.max_iter,
                                     last_ratio=ratios[-1] if ratios else np.inf,
                                     increment_u=inc_u, increment_y=inc_y)
@@ -282,9 +290,10 @@ def march(problem: "analysis.ProblemSpec", mesh: Mesh1D,
     hist = StateHistory(mesh.n_interior, cfg.n_steps, cfg.delta)
     hist.set_initial(interpolate(mesh, problem.u0), asm.load(0.0))
 
+    sums = ExponentialSums()
     diagnostics = []
     for _ in range(cfg.n_steps):
-        _, _, diag = cn_step(hist, problem.kernel, cfg, asm)
+        _, _, diag = cn_step(hist, problem.kernel, cfg, asm, sums)
         diagnostics.append(diag)
     return analysis.build_run_output(problem, mesh, cfg, asm, hist, diagnostics)
 

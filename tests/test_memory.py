@@ -1,12 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from plapmem import (BandedSymMatrix, IllPosedStepError, KernelSpec,
-                     StateHistory, exponential_kernel, forcing_weights, i_f,
-                     memory_equation, q_g, q_gp, volterra_weights)
-from plapmem.memory import memory_residual
+import plapmem.memory
+from plapmem import (BandedSymMatrix, ConfigError, IllPosedStepError,
+                     KernelSpec, SolverConfig, StateHistory,
+                     build_uniform_mesh, exponential_kernel, forcing_weights,
+                     i_f, manufactured_example1, march, memory_equation, q_g,
+                     q_gp, volterra_weights)
+from plapmem.memory import ExponentialSums, memory_residual
 
 
 def scalar_mass():
@@ -234,3 +238,156 @@ class TestStateHistory:
         assert view.u is hist.u
         with pytest.raises(ValueError):
             hist.truncated(5)
+
+
+def direct(kernel):
+    """The same kernel without its lam: takes the direct quadratures."""
+    return KernelSpec(g=kernel.g, gp=kernel.gp)
+
+
+def random_history(n_steps, delta, n_dofs=3, seed=5):
+    rng = np.random.default_rng(seed)
+    hist = StateHistory(n_dofs, n_steps, delta)
+    hist.set_initial(rng.uniform(-1, 1, n_dofs), rng.uniform(-1, 1, n_dofs))
+    hist.y[0] = rng.uniform(-1, 1, n_dofs)      # exercise the y_0 share too
+    for j in range(n_steps):
+        hist.set_half_load(j, rng.uniform(-1, 1, n_dofs))
+        hist.append(rng.uniform(-1, 1, n_dofs), rng.uniform(-1, 1, n_dofs))
+    return hist
+
+
+def tridiagonal_mass(n_dofs):
+    bands = np.zeros((2, n_dofs))
+    bands[0] = 4.0 / 6.0
+    bands[1, :-1] = 1.0 / 6.0
+    return BandedSymMatrix(bands)
+
+
+class TestRecursiveHistory:
+    """The exponential kernel's running sums against the direct quadrature."""
+
+    @pytest.mark.parametrize("mode", ["consistent", "literal"])
+    @pytest.mark.parametrize("lam", [10.0, 1.0, -1.0, -10.0])
+    def test_rhs_matches_direct_over_long_march(self, lam, mode):
+        n_steps, delta = 2000, 1e-3
+        hist = random_history(n_steps, delta)
+        mass = tridiagonal_mass(hist.n_dofs)
+        kernel = exponential_kernel(lam)
+        sums = ExponentialSums()
+        worst = 0.0
+        for k in range(n_steps):          # k = 0 included
+            past = hist.truncated(k)
+            fast = memory_equation(past, kernel, mass, mode, sums)
+            ref = memory_equation(past, direct(kernel), mass, mode)
+            assert (fast.alpha, fast.beta) == (ref.alpha, ref.beta)
+            worst = max(worst, np.max(np.abs(fast.rhs - ref.rhs))
+                        / np.max(np.abs(ref.rhs)))
+        assert sums.k == n_steps - 1
+        assert worst <= 1e-12
+
+    def test_replay_is_bitwise_the_running_sums(self):
+        hist = random_history(40, 0.01)
+        mass = tridiagonal_mass(hist.n_dofs)
+        kernel = exponential_kernel(-3.0)
+        sums = ExponentialSums()
+        for k in (0, 1, 17, 39, 5, 39):     # forward, then rewound, then forward
+            past = hist.truncated(k)
+            running = memory_equation(past, kernel, mass, sums=sums).rhs
+            replayed = memory_equation(past, kernel, mass).rhs
+            assert np.array_equal(running, replayed)
+
+    def test_unknown_mode_rejected(self):
+        hist = random_history(2, 0.1)
+        with pytest.raises(ValueError):
+            memory_equation(hist, exponential_kernel(1.0),
+                            tridiagonal_mass(hist.n_dofs), "exact")
+
+    @pytest.mark.parametrize("lam", [1.0, -10.0])
+    def test_march_matches_direct(self, lam):
+        problem = manufactured_example1(3.0, lam, horizon=0.05)
+        mesh = build_uniform_mesh(0, 1, 8, 2)
+        cfg = SolverConfig(p=3.0, delta=1e-3, n_steps=50, tol=1e-14)
+        fast = march(problem, mesh, cfg)
+        ref = march(dataclasses.replace(problem, kernel=direct(problem.kernel)),
+                    mesh, cfg)
+        assert ([d.iterations for d in fast.diagnostics]
+                == [d.iterations for d in ref.diagnostics])
+        for name in ("u", "y"):
+            a, b = getattr(fast, name), getattr(ref, name)
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_march_never_uses_direct_quadrature(self, monkeypatch):
+        # a refactor that quietly restores the O(N^2) path fails here even
+        # when every accuracy test stays green
+        def forbidden(*args, **kwargs):
+            raise AssertionError("direct history quadrature called")
+
+        for name in ("q_g", "q_gp", "i_f", "volterra_weights", "forcing_weights"):
+            monkeypatch.setattr(plapmem.memory, name, forbidden)
+        for mode in ("consistent", "literal"):
+            problem = manufactured_example1(2.0, -1.0, horizon=0.02)
+            run = march(problem, build_uniform_mesh(0, 1, 6, 1),
+                        SolverConfig(p=2.0, delta=1e-3, n_steps=20,
+                                     quadrature_mode=mode))
+            assert len(run.diagnostics) == 20
+
+    def test_custom_kernel_takes_direct_quadrature(self, monkeypatch):
+        # scalar-only callables, no lam: the scripted trapezoid formula
+        def forbidden(*args, **kwargs):
+            raise AssertionError("running sums used for a general kernel")
+
+        monkeypatch.setattr(ExponentialSums, "advance", forbidden)
+        g = lambda s: 1.0 / (1.0 + s)
+        gp = lambda s: -1.0 / (1.0 + s) ** 2
+        kernel = KernelSpec(g=g, gp=gp)
+        delta = 0.1
+        u, y, loads = [1.0, 0.7, 0.4], [0.0, 0.5, 0.9], [0.3, 0.2, 0.6, 0.8]
+        hist = history_with(delta, u, y, loads=loads)
+        mem = memory_equation(hist, kernel, scalar_mass())
+        t = 2.5 * delta
+        qg = (delta / 2 * g(t) * y[0] + delta * g(t - delta) * y[1]
+              + 3 * delta / 4 * g(t - 2 * delta) * y[2] + delta / 8 * g(0) * y[2])
+        qgp = (delta / 2 * gp(t) * u[0] + delta * gp(t - delta) * u[1]
+               + 3 * delta / 4 * gp(t - 2 * delta) * u[2] + delta / 8 * gp(0) * u[2])
+        forcing = (delta / 4 * g(t) * loads[0] + 3 * delta / 4 * g(2 * delta) * loads[1]
+                   + delta * g(delta) * loads[2] + delta / 2 * g(0.0) * loads[3])
+        expected = (-0.5 * y[2] + 0.5 * g(0) * u[2] - g(t) * u[0]
+                    - qg + qgp - forcing)
+        assert mem.rhs == pytest.approx([expected], rel=1e-14)
+        assert mem.alpha == pytest.approx(0.5 + delta / 8 * g(0), rel=1e-15)
+
+
+class TestDeclaredExponential:
+    """lam selects the running sums, so it must describe g and gp."""
+
+    @pytest.mark.parametrize("g, gp", [
+        # wrong decay rate
+        (lambda s: 2.0 * np.exp(-2.0 * np.asarray(s, float)),
+         lambda s: -4.0 * np.exp(-2.0 * np.asarray(s, float))),
+        # wrong amplitude
+        (lambda s: 3.0 * np.exp(-np.asarray(s, float)),
+         lambda s: -3.0 * np.exp(-np.asarray(s, float))),
+        # right g, derivative of the wrong sign
+        (lambda s: 2.0 * np.exp(-np.asarray(s, float)),
+         lambda s: 2.0 * np.exp(-np.asarray(s, float))),
+        # scalar-only, and a different kernel
+        (lambda s: 2.0 / (1.0 + s), lambda s: -2.0 / (1.0 + s) ** 2),
+    ])
+    def test_mismatched_lam_rejected(self, g, gp):
+        with pytest.raises(ConfigError) as err:
+            KernelSpec(g=g, gp=gp, lam=2.0)
+        assert err.value.field == "kernel"
+
+    def test_nonfinite_lam_rejected(self):
+        with pytest.raises(ConfigError):
+            KernelSpec(g=lambda s: 0.0 * s, gp=lambda s: 0.0 * s, lam=float("nan"))
+
+    def test_hand_built_exponential_accepted(self):
+        lam = -2.5
+        kernel = KernelSpec(g=lambda s: lam * math.exp(-s),
+                            gp=lambda s: -lam * math.exp(-s), lam=lam)
+        hist = random_history(30, 0.01)
+        mass = tridiagonal_mass(hist.n_dofs)
+        fast = memory_equation(hist, kernel, mass).rhs
+        assert np.array_equal(fast,
+                              memory_equation(hist, exponential_kernel(lam), mass).rhs)

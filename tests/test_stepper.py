@@ -63,6 +63,15 @@ class TestSchemeSelection:
         with pytest.raises(ConfigError):
             resolve_scheme(3.0, "C")
 
+    @pytest.mark.parametrize("p, requested, field", [
+        (1.0, "A", "p"), (float("nan"), "B", "p"), (0.5, "auto", "p"),
+        (2.5, "A", "scheme"), (0.5, "C", "scheme"),
+    ])
+    def test_rejections_name_their_field(self, p, requested, field):
+        with pytest.raises(ConfigError) as err:
+            resolve_scheme(p, requested)
+        assert err.value.field == field
+
 
 class TestSolverConfig:
     def test_defaults(self):
@@ -304,6 +313,26 @@ class TestLeanStep:
         rerun = march(problem, mesh, cfg)
         assert np.array_equal(rerun.u, hist.u)
         assert np.array_equal(rerun.y, hist.y)
+
+    def test_relaxed_records_first_halved_iteration(self, tmp_path):
+        from plapmem.experiments import write_outputs
+        from plapmem.stepper import _STALL_GRACE, _STALL_RATIO
+        p, lam, m, r, delta, tol, _ = self.CASES["p4-A-relaxed"]
+        n_steps = 10
+        problem = manufactured_example1(p, lam, horizon=delta * n_steps)
+        cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, tol=tol)
+        run = march(problem, build_uniform_mesh(0, 1, m, r), cfg)
+        for d in run.diagnostics:
+            # ratios[i] is the ratio seen after iteration i + 2; the stall
+            # check runs after every non-final iteration from the grace on
+            stalled = [it for it in range(_STALL_GRACE, d.iterations)
+                       if d.ratios[it - 2] >= _STALL_RATIO]
+            assert d.relaxed == (stalled[0] + 1 if stalled else 0)
+        assert any(d.relaxed for d in run.diagnostics)
+        lines = write_outputs(run, tmp_path)["diagnostics"].read_text().splitlines()
+        assert lines[0] == "k,iterations,increment_u,increment_y,relaxed"
+        assert [int(line.split(",")[-1]) for line in lines[1:]] == \
+            [d.relaxed for d in run.diagnostics]
 
     def test_tabulations_independent_of_step_count(self, monkeypatch):
         from plapmem.mesh import ReferenceBasis
