@@ -13,7 +13,7 @@ import numpy as np
 
 from .banded import BandedSymMatrix
 from .errors import ConfigError
-from .mesh import Mesh1D, QuadratureRule
+from .mesh import Mesh1D, QuadratureRule, full_coefficients
 
 #: Regularization used for the singular range p < 2 when none is given.
 DEFAULT_EPSILON_SINGULAR = 1e-8
@@ -59,33 +59,34 @@ def flux_coefficient(xi, params: FluxParams):
     return np.power(xi * xi + params.epsilon ** 2, (params.p - 2.0) / 2.0)
 
 
-def _interior_band(full: np.ndarray) -> BandedSymMatrix:
-    """Drop boundary row/column 0 and n-1 from a full-mesh band array."""
-    bw = full.shape[0] - 1
-    n_int = full.shape[1] - 2
-    data = full[:, 1:1 + n_int].copy()
-    for d in range(1, bw + 1):
-        data[d, max(n_int - d, 0):] = 0.0
-    return BandedSymMatrix(data)
+def _band_slots(mesh: Mesh1D, interior: bool):
+    """Flat band slot of every element-local (a, b) pair, and the band shape.
 
-
-def _scatter(mesh: Mesh1D, local) -> np.ndarray:
-    """Accumulate per-element (r+1, r+1) blocks into full band storage.
-
-    local is either one block shared by all elements or an (m, r+1, r+1)
-    stack. Contiguous numbering makes every (a, b) pair land on a distinct
-    stride-r slice, so plain slice addition is race-free.
+    Band storage is (r+1, n) with n the interior or the full node count;
+    slot d*n + i holds A[i, i+d]. Lower-triangle pairs and, for interior
+    storage, pairs that touch a boundary node go to one extra dump slot,
+    (r+1)*n, which the scatter drops; the trailing entries get nothing.
     """
-    r, m, n = mesh.r, mesh.m, mesh.n_nodes
-    band = np.zeros((r + 1, n))
-    stacked = np.asarray(local)
-    per_element = stacked.ndim == 3
-    for a in range(r + 1):
-        for b in range(a, r + 1):
-            d = b - a
-            vals = stacked[:, a, b] if per_element else stacked[a, b]
-            band[d, a::r][:m] += vals
-    return band
+    r = mesh.r
+    dofs = mesh.element_dofs()
+    rows = np.repeat(dofs, r + 1, axis=1).ravel()           # node of a
+    cols = np.tile(dofs, (1, r + 1)).ravel()                # node of b
+    n = mesh.n_nodes
+    if interior:
+        n -= 2
+        rows, cols = rows - 1, cols - 1
+    keep = (cols >= rows) & (rows >= 0) & (cols < n)
+    return np.where(keep, (cols - rows) * n + rows, (r + 1) * n), (r + 1, n)
+
+
+def _scatter(slots: np.ndarray, local: np.ndarray, shape) -> BandedSymMatrix:
+    """Sum element-local blocks, flattened in the order of slots, into
+    band storage of the given shape. A slot receives at most two
+    contributions (the diagonal at a node two elements share), and a sum
+    of two floats does not depend on their order."""
+    size = shape[0] * shape[1]
+    band = np.bincount(slots, weights=local.ravel(), minlength=size + 1)
+    return BandedSymMatrix(band[:size].reshape(shape))
 
 
 class ElementTables:
@@ -106,6 +107,7 @@ class ElementTables:
         # (q, r+1): h w_q phi_a(xi_q)
         self.weighted_values = mesh.h * quad.weights[:, None] * self.values
         self.dofs = mesh.element_dofs()                              # (m, r+1)
+        self.slots, self.band_shape = _band_slots(mesh, interior=True)
         self.points = mesh.a + mesh.h * (np.arange(mesh.m)[:, None]
                                          + quad.points[None, :])     # (m, q)
 
@@ -121,10 +123,9 @@ def assemble_mass(mesh: Mesh1D, quad: QuadratureRule, *,
     tables = tables or ElementTables(mesh, quad)
     tab = tables.values
     local = mesh.h * np.einsum("q,qa,qb->ab", tables.weights, tab, tab)
-    band = _scatter(mesh, local)
-    if include_boundary:
-        return BandedSymMatrix(band)
-    return _interior_band(band)
+    slots, shape = (_band_slots(mesh, interior=False) if include_boundary
+                    else (tables.slots, tables.band_shape))
+    return _scatter(slots, np.broadcast_to(local, (mesh.m,) + local.shape), shape)
 
 
 def assemble_plap(mesh: Mesh1D, w: np.ndarray, params: FluxParams,
@@ -135,14 +136,11 @@ def assemble_plap(mesh: Mesh1D, w: np.ndarray, params: FluxParams,
     Entry (i, j) integrates flux_coefficient(w_h') * phi_i' * phi_j'; for
     p = 2 the state drops out and the ordinary stiffness matrix results.
     """
-    from .mesh import full_coefficients
-
     tables = tables or ElementTables(mesh, quad)
     local_coeffs = full_coefficients(mesh, w)[tables.dofs]      # (m, r+1)
     grads = local_coeffs @ tables.derivs.T / mesh.h             # (m, q)
     coef = flux_coefficient(grads, params)                      # (m, q)
-    local = (coef @ tables.grad_products).reshape(mesh.m, mesh.r + 1, mesh.r + 1)
-    return _interior_band(_scatter(mesh, local))
+    return _scatter(tables.slots, coef @ tables.grad_products, tables.band_shape)
 
 
 def assemble_load(mesh: Mesh1D, f, t: float, quad: QuadratureRule, *,

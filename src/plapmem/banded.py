@@ -7,7 +7,7 @@ follows from the factorization itself, not from an option.
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbsv, dpbtrf, dpbtrs
 
 from .errors import LinearSolveError
 
@@ -45,12 +45,11 @@ class BandedSymMatrix:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        n = self.n
-        y = self.data[0] * x
-        for d in range(1, self.bandwidth + 1):
-            if d >= n:
-                break
-            band = self.data[d, :n - d]
+        data = self.data
+        rows, n = data.shape
+        y = data[0] * x
+        for d in range(1, min(rows, n)):
+            band = data[d, :n - d]
             y[:n - d] += band * x[d:]
             y[d:] += band * x[:n - d]
         return y
@@ -84,25 +83,31 @@ class BandedSymMatrix:
                 dense += np.diag(diag, -d)
         return dense
 
-    def _lu_band(self) -> np.ndarray:
-        """Repack into the (2*bw+1, n) diagonal-ordered form of solve_banded."""
-        bw, n = self.bandwidth, self.n
+    def _lu_band(self):
+        """(bw, ab): the bandwidth that fits n and the (2*bw+1, n)
+        diagonal-ordered form of solve_banded."""
+        bw, n = min(self.bandwidth, self.n - 1), self.n
         ab = np.zeros((2 * bw + 1, n))
         for d in range(bw + 1):
-            if d >= n:
-                break
             band = self.data[d, :n - d]
             ab[bw - d, d:] = band
             if d > 0:
                 ab[bw + d, :n - d] = band
-        return ab
+        return bw, ab
 
     def factor(self) -> "BandedFactor":
         return BandedFactor(self)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Factor and solve once; keep `factor()` to solve repeatedly."""
-        return self.factor().solve(rhs)
+        """Factor and solve once (LAPACK dpbsv: dpbtrf + dpbtrs in one call,
+        the banded LU when the matrix is not positive definite); keep
+        `factor()` to solve repeatedly."""
+        rhs = np.asarray(rhs, dtype=float)
+        _require_finite(self.data, rhs)
+        _, x, info = dpbsv(self.data, rhs, lower=1)
+        if info < 0:
+            raise LinearSolveError(f"banded Cholesky rejected argument {-info}")
+        return _finite_solution(x if info == 0 else _lu_solve(self._lu_band(), rhs))
 
 
 class BandedFactor:
@@ -114,19 +119,14 @@ class BandedFactor:
     """
 
     def __init__(self, matrix: BandedSymMatrix):
-        if not np.all(np.isfinite(matrix.data)):
-            raise LinearSolveError("non-finite entries in banded system")
+        _require_finite(matrix.data)
         # LAPACK's own routines: the scipy wrappers around them cost several
         # times the factorization itself at the small sizes solved per step
         chol, info = dpbtrf(matrix.data, lower=1)
         if info < 0:
             raise LinearSolveError(f"banded Cholesky rejected argument {-info}")
         self._chol = chol if info == 0 else None
-        self._lu = None
-        if self._chol is None:
-            bw = min(matrix.bandwidth, matrix.n - 1)
-            ab = matrix._lu_band()
-            self._lu = (bw, ab[matrix.bandwidth - bw: matrix.bandwidth + bw + 1])
+        self._lu = None if info == 0 else matrix._lu_band()
 
     @property
     def is_cholesky(self) -> bool:
@@ -134,19 +134,32 @@ class BandedFactor:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
-        if not np.all(np.isfinite(rhs)):
+        _require_finite(rhs)
+        if self._chol is None:
+            return _finite_solution(_lu_solve(self._lu, rhs))
+        x, info = dpbtrs(self._chol, rhs, lower=1)
+        if info != 0:
+            raise LinearSolveError(f"banded Cholesky solve failed (info {info})")
+        return _finite_solution(x)
+
+
+def _require_finite(*arrays) -> None:
+    for a in arrays:
+        if not np.isfinite(a).all():
             raise LinearSolveError("non-finite entries in banded system")
-        if self._chol is not None:
-            x, info = dpbtrs(self._chol, rhs, lower=1)
-            if info != 0:
-                raise LinearSolveError(f"banded Cholesky solve failed (info {info})")
-        else:
-            bw, ab = self._lu
-            try:
-                x = solve_banded((bw, bw), ab, rhs, check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise LinearSolveError(f"banded factorization failed: {exc}") from exc
-        if not np.all(np.isfinite(x)):
-            raise LinearSolveError("banded solve produced non-finite values "
-                                   "(singular system)")
-        return x
+
+
+def _finite_solution(x: np.ndarray) -> np.ndarray:
+    if not np.isfinite(x).all():
+        raise LinearSolveError("banded solve produced non-finite values "
+                               "(singular system)")
+    return x
+
+
+def _lu_solve(lu, rhs: np.ndarray) -> np.ndarray:
+    """Banded LU with partial pivoting of (bw, ab) from `_lu_band`."""
+    bw, ab = lu
+    try:
+        return solve_banded((bw, bw), ab, rhs, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise LinearSolveError(f"banded factorization failed: {exc}") from exc

@@ -124,55 +124,32 @@ def run_example1(out_dir, p_values=(3.0, 4.0), lam=1.0,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     horizon = 0.1
-    ms = (4, 8, 16, 32)
-    rs = (1, 2, 3)
 
-    sweep = [(p, r, m) for p in p_values for r in rs for m in ms]
-    tasks = [lambda p=p, r=r, m=m: _solve_manufactured(p, lam, m, r, 1e-4,
-                                                       horizon=horizon)
-             for p, r, m in sweep]
-    runs = _run_sweep(tasks, parallel, workers)
+    def case(p, r, m, delta, subdir):
+        return ((p, r, 1.0 / m, delta), subdir,
+                lambda: _solve_manufactured(p, lam, m, r, delta, horizon=horizon))
 
+    # refinement series: (where the refined spacing sits in the row, cases);
+    # a row starts (p, r, h, delta)
+    series = [(2, [case(p, r, m, 1e-4, f"p{_fmt(p)}_r{r}_m{m}") for m in (4, 8, 16, 32)])
+              for p in p_values for r in (1, 2, 3)]
+    series += [(3, [case(p, 4, 10, horizon / n, f"p{_fmt(p)}_r4_N{n}")
+                    for n in (10, 20, 40, 80)]) for p in p_values]
+    runs = iter(_run_sweep([task for _, cases in series for *_, task in cases],
+                           parallel, workers))
     rows = []
-    for (p, r, _), run in zip(sweep, runs):
-        sub = out / f"p{_fmt(p)}_r{r}_m{run.mesh.m}"
-        write_outputs(run, sub)
-    for p in p_values:
-        for r in rs:
-            pts = [(run.mesh.h, run.errors["u"], run.errors["y"])
-                   for (pp, rr, _), run in zip(sweep, runs)
-                   if pp == p and rr == r]
-            hs = [h for h, _, _ in pts]
-            eu = [e for _, e, _ in pts]
-            ey = [e for _, _, e in pts]
-            ou = convergence_orders(eu, hs)
-            oy = convergence_orders(ey, hs)
-            for i, (h, u_err, y_err) in enumerate(pts):
-                rows.append((p, r, h, 1e-4, u_err, y_err,
-                             None if i == 0 else ou[i - 1],
-                             None if i == 0 else oy[i - 1]))
-
-    deltas = [horizon / n for n in (10, 20, 40, 80)]
-    sweep_t = [(p, d) for p in p_values for d in deltas]
-    tasks_t = [lambda p=p, d=d: _solve_manufactured(p, lam, 10, 4, d,
-                                                    horizon=horizon)
-               for p, d in sweep_t]
-    runs_t = _run_sweep(tasks_t, parallel, workers)
-    for (p, d), run in zip(sweep_t, runs_t):
-        sub = out / f"p{_fmt(p)}_r4_N{round(horizon / d)}"
-        write_outputs(run, sub)
-    for p in p_values:
-        pts = [(d, run.errors["u"], run.errors["y"])
-               for (pp, d), run in zip(sweep_t, runs_t) if pp == p]
-        ds = [d for d, _, _ in pts]
-        eu = [e for _, e, _ in pts]
-        ey = [e for _, _, e in pts]
-        ou = convergence_orders(eu, ds)
-        oy = convergence_orders(ey, ds)
-        for i, (d, u_err, y_err) in enumerate(pts):
-            rows.append((p, 4, 0.1, d, u_err, y_err,
-                         None if i == 0 else ou[i - 1],
-                         None if i == 0 else oy[i - 1]))
+    for axis, cases in series:
+        errs = []
+        for _, subdir, _ in cases:
+            run = next(runs)
+            write_outputs(run, out / subdir)
+            errs.append((run.errors["u"], run.errors["y"]))
+        spacing = [head[axis] for head, _, _ in cases]
+        ou = convergence_orders([eu for eu, _ in errs], spacing)
+        oy = convergence_orders([ey for _, ey in errs], spacing)
+        for i, ((head, _, _), (eu, ey)) in enumerate(zip(cases, errs)):
+            rows.append(head + (eu, ey, None if i == 0 else ou[i - 1],
+                                None if i == 0 else oy[i - 1]))
 
     table = out / "convergence.csv"
     write_convergence_table(table, rows)

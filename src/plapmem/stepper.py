@@ -16,8 +16,11 @@ Y is eliminated through the memory relation: one mass solve per step,
 z = M^{-1} R, gives Y = (z - beta*U)/alpha for every iterate. alpha and
 beta depend only on delta and the kernel at zero, so the mass factor is
 a run constant, and so is the whole U matrix for scheme B and for p = 2.
-An iteration does only what depends on the iterate: one p-Laplacian
-assembly (none for p = 2), one banded solve and the two increment norms.
+For p = 2 the stiffness matrix is a run constant too, and with scheme A
+so is the step's right-hand side. An iteration does only what depends on
+the iterate: one p-Laplacian assembly and one matrix-vector product (none
+for p = 2 with scheme A), one banded solve (a single LAPACK call) and the
+two increment norms.
 """
 
 from dataclasses import dataclass, field
@@ -147,6 +150,11 @@ class Assembler:
         return assemble_load(self.mesh, self.load_fn, t, self.quad,
                              tables=self.tables)
 
+    @cached_property
+    def stiffness(self) -> BandedSymMatrix:
+        """A(0); the diffusion matrix at every state when p = 2."""
+        return self.plap(np.zeros(self.mesh.n_interior))
+
     def system_factor(self, mass_coef: float, stiff_coef: float) -> BandedFactor:
         """Factor of mass_coef*M + stiff_coef*A(0), kept per coefficient pair;
         a run constant only where A cannot change (stiff_coef = 0 or p = 2)."""
@@ -154,7 +162,7 @@ class Assembler:
         if key not in self._system_factors:
             matrix = mass_coef * self.mass
             if stiff_coef != 0.0:
-                matrix = matrix + stiff_coef * self.plap(np.zeros(self.mesh.n_interior))
+                matrix = matrix + stiff_coef * self.stiffness
             self._system_factors[key] = matrix.factor()
         return self._system_factors[key]
 
@@ -225,8 +233,10 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     constant = not implicit or linear
     if constant:
         factor = asm.system_factor(mass_coef, delta if implicit else 0.0)
+    else:
+        shifted_mass = mass_coef * mass
     if linear:
-        a_mid = asm.plap(u_prev)
+        a_mid = asm.stiffness
 
     u_it, y_it = fixed_point_init(hist)
     ratios = []
@@ -236,11 +246,12 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     for iteration in range(1, cfg.max_iter + 1):
         if not linear:
             a_mid = asm.plap(0.5 * (u_it + u_prev))
-        rhs = rhs_step - delta * a_mid.matvec(u_prev if implicit else u_it + u_prev)
+        if iteration == 1 or not (linear and implicit):  # else rhs is unchanged
+            rhs = rhs_step - delta * a_mid.matvec(u_prev if implicit else u_it + u_prev)
         if constant:
             u_next = factor.solve(rhs)
         else:
-            u_next = (mass_coef * mass + delta * a_mid).solve(rhs)
+            u_next = (shifted_mass + delta * a_mid).solve(rhs)
         if relaxed:
             u_next = u_it + 0.5 * (u_next - u_it)
         y_next = block.memory_state(u_next)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plapmem import (ConfigError, FluxParams, assemble_load, assemble_mass,
                      assemble_plap, build_uniform_mesh, eval_fe, flux,
                      flux_coefficient, gauss_legendre, interpolate)
+from plapmem.assembly import ElementTables
+from plapmem.mesh import full_coefficients
 
 
 @pytest.fixture
@@ -214,3 +217,60 @@ class TestInterpolate:
     def test_coefficient_default(self):
         assert flux_coefficient(np.array([0.0, 2.0]),
                                 FluxParams(p=3.0)) == pytest.approx([0.0, 2.0])
+
+
+def dense_scatter(mesh, local):
+    """Full-mesh dense matrix of element blocks added one entry at a time."""
+    dense = np.zeros((mesh.n_nodes, mesh.n_nodes))
+    dofs = mesh.element_dofs()
+    for e in range(mesh.m):
+        for a in range(mesh.r + 1):
+            for b in range(mesh.r + 1):
+                dense[dofs[e, a], dofs[e, b]] += local[e, a, b]
+    return dense
+
+
+def dense_to_band(dense, bandwidth):
+    n = dense.shape[0]
+    band = np.zeros((bandwidth + 1, n))
+    for d in range(min(bandwidth + 1, n)):
+        band[d, :n - d] = np.diagonal(dense, d)
+    return band
+
+
+class TestScatterProperty:
+    """The precomputed band scatter against a dense element loop, exactly:
+    the element blocks are the assemblers' own, only the summation into
+    the matrix differs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=st.integers(1, 4), m=st.integers(1, 12),
+           p=st.floats(1.0, 6.0, exclude_min=True),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bands_equal_dense_element_loop(self, r, m, p, seed):
+        mesh = build_uniform_mesh(0, 1, m, r)
+        quad = gauss_legendre(r + 2)
+        tables = ElementTables(mesh, quad)
+        params = FluxParams(p=p, epsilon=1e-3 if p < 2.0 else 0.0)
+        w = np.random.default_rng(seed).standard_normal(mesh.n_interior)
+
+        grads = full_coefficients(mesh, w)[tables.dofs] @ tables.derivs.T / mesh.h
+        plap_local = (flux_coefficient(grads, params) @ tables.grad_products
+                      ).reshape(m, r + 1, r + 1)
+        mass_block = mesh.h * np.einsum("q,qa,qb->ab", quad.weights,
+                                        tables.values, tables.values)
+        mass_local = np.broadcast_to(mass_block, (m, r + 1, r + 1))
+
+        cases = (
+            (assemble_plap(mesh, w, params, quad, tables=tables), plap_local, True),
+            (assemble_mass(mesh, quad, tables=tables), mass_local, True),
+            (assemble_mass(mesh, quad, include_boundary=True), mass_local, False),
+        )
+        for matrix, local, interior in cases:
+            dense = dense_scatter(mesh, local)
+            if interior:
+                dense = dense[1:-1, 1:-1]
+            assert matrix.data.shape == (r + 1, dense.shape[0])
+            assert np.array_equal(matrix.data, dense_to_band(dense, r))
+            for d in range(1, r + 1):
+                assert not matrix.data[d, max(matrix.n - d, 0):].any()

@@ -42,6 +42,32 @@ class TestBandedSymMatrix:
             assert np.allclose(mat.to_dense() @ x, rhs, atol=1e-11)
             assert np.array_equal(x, mat.solve(rhs))
 
+    @pytest.mark.parametrize("n,bw", [(1, 0), (1, 2), (6, 1), (9, 2), (39, 1), (40, 4)])
+    def test_one_call_solve_equals_factor_solve(self, n, bw, monkeypatch):
+        import plapmem.banded as banded
+        mat = random_banded(n, bw, seed=5 * n + bw)
+        rhs = np.random.default_rng(n).standard_normal(n)
+        expected = mat.factor().solve(rhs)
+        calls = []
+        original = banded.dpbsv
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(banded, "dpbsv", counting)
+        assert np.array_equal(mat.solve(rhs), expected)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n,bw", [(2, 1), (6, 1), (9, 2), (15, 4)])
+    def test_one_call_solve_falls_back_to_lu(self, n, bw):
+        mat = random_banded(n, bw, seed=7 * n + bw, definite=False)
+        assert not mat.factor().is_cholesky
+        rhs = np.random.default_rng(n).standard_normal(n)
+        x = mat.solve(rhs)
+        assert np.allclose(x, np.linalg.solve(mat.to_dense(), rhs), atol=1e-12)
+        assert np.array_equal(x, mat.factor().solve(rhs))
+
     def test_arithmetic(self):
         a = random_banded(6, 2, seed=1)
         b = random_banded(6, 2, seed=2)

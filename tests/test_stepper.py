@@ -354,6 +354,28 @@ class TestLeanStep:
         assert counts[0] == counts[1]
 
 
+    @pytest.mark.parametrize("scheme", ["A", "B"])
+    def test_linear_run_assembles_stiffness_once(self, scheme, monkeypatch):
+        import plapmem.stepper as stepper
+        calls = []
+        original = stepper.assemble_plap
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(stepper, "assemble_plap", counting)
+        problem = manufactured_example1(2.0, 1.0, horizon=0.02)
+        cfg = SolverConfig(p=2.0, delta=1e-3, n_steps=20, scheme=scheme, tol=1e-14)
+        run = march(problem, build_uniform_mesh(0, 1, 8, 2), cfg)
+        assert len(calls) == 1
+        if scheme == "A":
+            # the step is exact after one solve; the second confirms it
+            assert all(d.iterations == 2 for d in run.diagnostics)
+            assert all(d.increment_u < 1e-24 and d.increment_y < 1e-24
+                       for d in run.diagnostics)
+
+
 class TestHeatReduction:
     def test_single_step_matches_textbook_form(self):
         # p = 2, null kernel: (2M + dK) U1 = (2M - dK) U0 + 2d F
