@@ -60,8 +60,10 @@ def _cmd_solve(args) -> int:
     write_outputs(run, out, snapshot_times=cfg.snapshot_times)
     write_config_echo(cfg, out / "config.json")
     iters = [d.iterations for d in run.diagnostics]
+    relaxed = sum(1 for d in run.diagnostics if d.relaxed)
     print(f"solved {cfg.N} steps on m={cfg.m}, r={cfg.r} "
-          f"(max {max(iters)} fixed-point iterations per step)")
+          f"({sum(iters)} fixed-point iterations, at most {max(iters)} per step; "
+          f"relaxed steps: {relaxed})")
     if run.errors:
         print(f"L2 error at T={cfg.T}: u {run.errors['u']:.6e}, "
               f"y {run.errors['y']:.6e}")

@@ -33,7 +33,7 @@ from . import analysis
 from .assembly import (ElementTables, FluxParams, assemble_load, assemble_mass,
                        assemble_plap, default_epsilon, interpolate)
 from .banded import BandedFactor, BandedSymMatrix
-from .errors import ConfigError, FixedPointDivergenceError
+from .errors import ConfigError, FixedPointDivergenceError, LinearSolveError
 from .memory import (ExponentialSums, KernelSpec, MemoryEquation, StateHistory,
                      memory_equation, memory_residual, QUADRATURE_MODES)
 from .mesh import Mesh1D, QuadratureRule, default_quad_points, gauss_legendre
@@ -118,7 +118,7 @@ class StepDiagnostics:
     increment_u: float          # final squared M-norm increment
     increment_y: float
     ratios: tuple = field(default_factory=tuple)
-    relaxed: int = 0            # first iteration with a halved update; 0: none
+    relaxed: int = 0            # first iteration with a relaxed update; 0: none
 
 
 class Assembler:
@@ -191,10 +191,10 @@ def fixed_point_init(hist: StateHistory):
     return hist.u[hist.k].copy(), hist.y[hist.k].copy()
 
 
-#: Iterations granted to the plain iteration before a stall check.
-_STALL_GRACE = 5
-#: A ratio this close to 1 (or above) after the grace period means the
-#: plain iteration is cycling; updates are then halved.
+#: The first iteration with an increment ratio, where the stall check starts.
+_STALL_GRACE = 2
+#: A ratio this close to 1 (or above) means the iteration is cycling or
+#: expanding; the update is then relaxed (again).
 _STALL_RATIO = 0.98
 
 
@@ -207,13 +207,15 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     without them each call replays the sums from level 0 (the same numbers
     at O(k) cost per step).
 
-    Large time steps can drive the plain iteration into a period-two
-    cycle (update eigenvalue at -1). When the increment stops contracting
-    after a few iterations, subsequent updates are relaxed by 1/2, which
-    maps a -1 eigenvalue to 0 and leaves the fixed point untouched; Y is
-    re-derived from the relaxed U through the memory relation so every
-    iterate satisfies it exactly. The diagnostics record the first relaxed
-    iteration.
+    Large time steps can drive the plain iteration into an oscillating
+    mode (update eigenvalue mu near -sqrt(rho), rho the ratio of squared
+    increments). Whenever an increment does not contract (rho >= 0.98),
+    later updates u + omega*(u_next - u) take omega /= 1 + sqrt(rho): the
+    relaxed map sends that mode to 1 - omega + omega*mu = 0 (omega = 1/2 on
+    a -1 cycle), compounding if a relaxed iteration stalls again. The fixed
+    point is untouched; Y is re-derived from the relaxed U through the
+    memory relation so every iterate satisfies it exactly. The diagnostics
+    record the first relaxed iteration.
     """
     k = hist.k
     delta = cfg.delta
@@ -242,18 +244,21 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     ratios = []
     prev_total = None
     relaxed = 0
+    omega = 1.0
     inc_u = inc_y = np.inf
     for iteration in range(1, cfg.max_iter + 1):
         if not linear:
             a_mid = asm.plap(0.5 * (u_it + u_prev))
         if iteration == 1 or not (linear and implicit):  # else rhs is unchanged
             rhs = rhs_step - delta * a_mid.matvec(u_prev if implicit else u_it + u_prev)
-        if constant:
-            u_next = factor.solve(rhs)
-        else:
-            u_next = (shifted_mass + delta * a_mid).solve(rhs)
+        try:
+            u_next = (factor if constant else shifted_mass + delta * a_mid).solve(rhs)
+        except LinearSolveError:
+            if iteration == 1:          # the step's own data, not an iterate
+                raise
+            break                       # an iterate grew until the system overflowed
         if relaxed:
-            u_next = u_it + 0.5 * (u_next - u_it)
+            u_next = u_it + omega * (u_next - u_it)
         y_next = block.memory_state(u_next)
         du = u_next - u_it
         dy = y_next - y_it
@@ -271,10 +276,10 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
                                                increment_y=inc_y,
                                                ratios=tuple(ratios),
                                                relaxed=relaxed)
-        if (not relaxed and iteration >= _STALL_GRACE
-                and ratios[-1] >= _STALL_RATIO):
-            relaxed = iteration + 1
-    raise FixedPointDivergenceError(step=k, iterations=cfg.max_iter,
+        if iteration >= _STALL_GRACE and ratios[-1] >= _STALL_RATIO:
+            omega /= 1.0 + np.sqrt(ratios[-1])
+            relaxed = relaxed or iteration + 1
+    raise FixedPointDivergenceError(step=k, iterations=iteration,
                                     last_ratio=ratios[-1] if ratios else np.inf,
                                     increment_u=inc_u, increment_y=inc_y)
 

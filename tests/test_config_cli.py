@@ -157,6 +157,18 @@ class TestCliExitCodes:
                      "diagnostics.csv", "config.json"):
             assert (tmp_path / "out" / name).exists()
 
+    def test_solve_summary_counts_iterations(self, tmp_path, capsys):
+        # p = 4 at delta = 1e-2 relaxes at least one step
+        assert run_cli(tmp_path, dict(MINIMAL, p=4, r=4, m=10, N=10)) == 0
+        out = capsys.readouterr().out
+        rows = [line.split(",") for line in
+                (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()[1:]]
+        iterations = sum(int(row[1]) for row in rows)
+        relaxed = sum(1 for row in rows if int(row[-1]) > 0)
+        assert relaxed > 0
+        assert f"({iterations} fixed-point iterations, at most " in out
+        assert f"; relaxed steps: {relaxed})" in out
+
     def test_solve_writes_roundtrippable_echo(self, tmp_path):
         payload = dict(MINIMAL, m=4, N=10)
         assert run_cli(tmp_path, payload) == 0
@@ -174,6 +186,17 @@ class TestCliExitCodes:
         payload = dict(MINIMAL, p=4, r=4, m=10, N=10, tol=1e-30, max_iter=3)
         assert run_cli(tmp_path, payload) == 3
         assert "converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [
+        # the relaxed iteration stalls at step 4
+        dict(MINIMAL, p=2.5, r=2, m=32),
+        # the iterates grow until the assembled system overflows
+        dict(MINIMAL, p=4, r=2, m=32, N=10, scheme="B"),
+    ])
+    def test_diverging_iteration_is_3(self, tmp_path, capsys, payload):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_cli(tmp_path, payload) == 3
+        assert "did not converge at step" in capsys.readouterr().err
 
     def test_ill_posed_step_is_4(self, tmp_path):
         # delta * g(0) = -4 zeroes the memory coefficient

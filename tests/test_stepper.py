@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plapmem import (ConfigError, FixedPointDivergenceError, IllPosedStepError,
                      MemoryEquation, ProblemSpec, SolverConfig, assemble_mass,
@@ -11,7 +12,8 @@ from plapmem.banded import BandedSymMatrix
 from plapmem.assembly import interpolate
 from plapmem.memory import StateHistory
 from plapmem.mesh import default_quad_points
-from plapmem.stepper import Assembler, BlockSystem, resolve_scheme
+from plapmem.stepper import (_STALL_GRACE, _STALL_RATIO, Assembler, BlockSystem,
+                             resolve_scheme)
 
 
 def zero_f(x, t):
@@ -277,7 +279,7 @@ class TestLeanStep:
         "p2-A": (2.0, 1.0, 8, 2, 0.01, 1e-14, 1e-13),
         # p = 2.5, scheme B: run-constant factor, assembled right-hand side
         "p2.5-B": (2.5, 1.0, 8, 1, 1e-3, 1e-14, 1e-4),
-        # p = 4, scheme A at a coarse step: the 1/2-relaxation fires
+        # p = 4, scheme A at a coarse step: the relaxation fires
         "p4-A-relaxed": (4.0, 1.0, 10, 4, 0.01, 1e-14, 1e-2),
     }
 
@@ -293,8 +295,10 @@ class TestLeanStep:
         diags = [cn_step(hist, problem.kernel, cfg, asm)[2]
                  for _ in range(n_steps)]
         if case == "p4-A-relaxed":
-            # updates are halved after a ratio >= 0.98 from iteration 5 on
-            assert any(max(d.ratios[3:-1], default=0.0) >= 0.98 for d in diags)
+            # updates are relaxed after a ratio >= 0.98 from the grace on
+            assert any(max(d.ratios[_STALL_GRACE - 2:-1], default=0.0) >= 0.98
+                       for d in diags)
+            assert any(d.relaxed for d in diags)
         mass = asm.mass
         for k in range(n_steps):
             mem = memory_equation(hist.truncated(k), problem.kernel, mass)
@@ -374,6 +378,118 @@ class TestLeanStep:
             assert all(d.iterations == 2 for d in run.diagnostics)
             assert all(d.increment_u < 1e-24 and d.increment_y < 1e-24
                        for d in run.diagnostics)
+
+
+class TestRelaxation:
+    """The stall rule: relax from the first increment ratio >= 0.98 on, by a
+    factor matched to that ratio, compounding while the iteration stalls."""
+
+    def test_relaxes_at_first_expansion(self):
+        p, lam, m, r, delta, tol, _ = TestLeanStep.CASES["p4-A-relaxed"]
+        n_steps = 10
+        problem = manufactured_example1(p, lam, horizon=delta * n_steps)
+        cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, tol=tol)
+        run = march(problem, build_uniform_mesh(0, 1, m, r), cfg)
+        relaxed = [d for d in run.diagnostics if d.relaxed]
+        assert relaxed
+        # a fixed 1/2 from iteration 6 on needs 9-10 iterations on these steps
+        assert all(d.relaxed <= 5 and d.iterations <= 6 for d in relaxed)
+        assert run.errors["u"] <= 1.3e-7
+
+    # p = 2.5 (scheme B), r = 2, delta = 1e-3: the explicit-diffusion
+    # iteration expands from the first step on
+    @pytest.mark.parametrize("lam", [1.0, 10.0])
+    def test_expanding_scheme_b_run_completes(self, lam):
+        problem = manufactured_example1(2.5, lam)
+        cfg = SolverConfig(p=2.5, delta=1e-3, n_steps=100)
+        run = march(problem, build_uniform_mesh(0, 1, 16, 2), cfg)
+        assert run.errors["u"] < 5e-5
+        stalls = [[it for it in range(_STALL_GRACE, d.iterations)
+                   if d.ratios[it - 2] >= _STALL_RATIO] for d in run.diagnostics]
+        # relaxed records the first stall, also where the factor compounds
+        assert [d.relaxed for d in run.diagnostics] == \
+            [s[0] + 1 if s else 0 for s in stalls]
+        if lam == 1.0:
+            assert sum(len(s) > 1 for s in stalls) > 0
+
+    def test_stalled_scheme_b_run_reports_divergence(self):
+        problem = manufactured_example1(2.5, 1.0)
+        cfg = SolverConfig(p=2.5, delta=1e-3, n_steps=100)
+        with pytest.raises(FixedPointDivergenceError) as err:
+            march(problem, build_uniform_mesh(0, 1, 32, 2), cfg)
+        assert err.value.step == 4
+        assert np.isfinite(err.value.increment_u)
+        assert np.isfinite(err.value.increment_y)
+
+    def test_overflowing_iteration_reports_divergence(self):
+        # the plain iterates grow until the assembled system overflows
+        problem = manufactured_example1(4.0, 1.0)
+        cfg = SolverConfig(p=4.0, delta=1e-2, n_steps=10, scheme="B")
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FixedPointDivergenceError) as err:
+            march(problem, build_uniform_mesh(0, 1, 32, 2), cfg)
+        assert err.value.step == 1
+        assert err.value.iterations < cfg.max_iter
+
+
+def forced_sine(p, lam, horizon):
+    """A smooth problem for every p > 1 (the manufactured forcing is
+    singular at x = 1/2 for p < 2)."""
+    return ProblemSpec(a=0.0, b=1.0, horizon=horizon, p=p,
+                       kernel=exponential_kernel(lam),
+                       u0=lambda x: np.sin(np.pi * np.asarray(x, dtype=float)),
+                       f=lambda x, t: np.asarray(x) * (1 - np.asarray(x)) * np.cos(t))
+
+
+class TestNonlinearSolveProperties:
+    """Random exponents, amplitudes, meshes and time steps: every run either
+    completes at the fixed point or stops with a typed divergence."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.floats(1.0, 6.0, exclude_min=True), lam=st.floats(-10.0, 10.0),
+           r=st.integers(1, 3), m=st.integers(4, 12),
+           log_delta=st.floats(-4.0, -2.0))
+    def test_run_completes_or_diverges(self, p, lam, r, m, log_delta):
+        n_steps = 10
+        delta = 10.0 ** log_delta
+        problem = forced_sine(p, lam, horizon=delta * n_steps)
+        mesh = build_uniform_mesh(0, 1, m, r)
+        # a tight tol, so the residuals measure the fixed point rather than
+        # the absolute stopping rule
+        cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, tol=1e-14)
+        asm = make_assembler(problem, mesh, cfg)
+        hist = fresh_history(problem, mesh, cfg, asm)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                for _ in range(n_steps):
+                    cn_step(hist, problem.kernel, cfg, asm)
+            except FixedPointDivergenceError as err:
+                with pytest.raises(FixedPointDivergenceError) as again:
+                    march(problem, mesh, cfg)
+                assert (again.value.step, again.value.iterations) == \
+                    (err.step, err.iterations)
+                return
+        assert np.isfinite(hist.u).all() and np.isfinite(hist.y).all()
+        rerun = march(problem, mesh, cfg)
+        assert np.array_equal(rerun.u, hist.u)
+        assert np.array_equal(rerun.y, hist.y)
+        mass = asm.mass
+        for k in range(n_steps):
+            res_ev, res_mem = step_residuals(hist, k, problem.kernel, cfg, asm)
+            memory_terms = (mass.matvec(hist.y[k + 1]), mass.matvec(hist.u[k + 1]))
+            scale = max(np.max(np.abs(t)) for t in memory_terms)
+            assert np.max(np.abs(res_mem)) <= 1e-10 * scale
+            if p < 1.5:
+                # the regularized flux's slope (up to eps^(p-2)) multiplies
+                # the last increment, which the absolute tol does not scale
+                continue
+            u_mid = 0.5 * (hist.u[k + 1] + hist.u[k])
+            terms = (mass.matvec(hist.u[k + 1] - hist.u[k]) / delta,
+                     asm.plap(u_mid).matvec(u_mid),
+                     mass.matvec(0.5 * (hist.y[k + 1] + hist.y[k])),
+                     hist.loads[k + 1])
+            scale = max(np.max(np.abs(t)) for t in terms)
+            assert np.max(np.abs(res_ev)) <= 1e-2 * scale
 
 
 class TestHeatReduction:
