@@ -24,8 +24,7 @@ class ConfigError(PlapmemError):
 
 
 class FixedPointDivergenceError(PlapmemError):
-    """Fixed-point iteration hit max_iter with increments still above tol,
-    or its iterates grew until the linear system overflowed.
+    """Fixed-point iteration hit max_iter above tol, or its iterates overflowed.
 
     Carries the last observed contraction ratio: a ratio >= 1 signals that
     the time step is too large for the current mesh.

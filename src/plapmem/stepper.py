@@ -115,7 +115,7 @@ class StepDiagnostics:
     """Per-step record of the fixed-point iteration."""
 
     iterations: int
-    increment_u: float          # final squared M-norm increment
+    increment_u: float          # final squared M-norm increment, unrelaxed
     increment_y: float
     ratios: tuple = field(default_factory=tuple)
     relaxed: int = 0            # first iteration with a relaxed update; 0: none
@@ -213,9 +213,11 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     later updates u + omega*(u_next - u) take omega /= 1 + sqrt(rho): the
     relaxed map sends that mode to 1 - omega + omega*mu = 0 (omega = 1/2 on
     a -1 cycle), compounding if a relaxed iteration stalls again. The fixed
-    point is untouched; Y is re-derived from the relaxed U through the
-    memory relation so every iterate satisfies it exactly. The diagnostics
-    record the first relaxed iteration.
+    point is untouched, and tol bounds the plain map's increments (u_next - u
+    before relaxing) whatever omega is; the ratios are those of the steps
+    taken. Y is re-derived from the relaxed U through the memory relation so
+    every iterate satisfies it exactly. The diagnostics record the first
+    relaxed iteration. An iterate that overflows ends the step as divergence.
     """
     k = hist.k
     delta = cfg.delta
@@ -245,7 +247,7 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     prev_total = None
     relaxed = 0
     omega = 1.0
-    inc_u = inc_y = np.inf
+    overflow = None
     for iteration in range(1, cfg.max_iter + 1):
         if not linear:
             a_mid = asm.plap(0.5 * (u_it + u_prev))
@@ -253,21 +255,26 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
             rhs = rhs_step - delta * a_mid.matvec(u_prev if implicit else u_it + u_prev)
         try:
             u_next = (factor if constant else shifted_mass + delta * a_mid).solve(rhs)
-        except LinearSolveError:
-            if iteration == 1:          # the step's own data, not an iterate
+        except LinearSolveError as exc:
+            # divergence only if an iterate grew until the system overflowed
+            if iteration == 1 or np.isfinite(rhs).all() and np.isfinite(a_mid.data).all():
                 raise
-            break                       # an iterate grew until the system overflowed
-        if relaxed:
-            u_next = u_it + omega * (u_next - u_it)
+            overflow = exc
+            break
         y_next = block.memory_state(u_next)
-        du = u_next - u_it
-        dy = y_next - y_it
+        du = u_next - u_it      # the plain map's increments, which the
+        dy = y_next - y_it      # stopping rule compares with tol
         inc_u = float(du @ mass.matvec(du))
         inc_y = float(dy @ mass.matvec(dy))
-        total = inc_u + inc_y
+        total = omega * omega * (inc_u + inc_y)     # those of the steps taken
+        if not np.isfinite(total):
+            break
         if prev_total is not None and prev_total > 0.0:
             ratios.append(total / prev_total)
         prev_total = total
+        if relaxed:
+            u_next = u_it + omega * du
+            y_next = block.memory_state(u_next)
         u_it, y_it = u_next, y_next
         if inc_u < cfg.tol and inc_y < cfg.tol:
             hist.append(u_it, y_it)
@@ -281,7 +288,7 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
             relaxed = relaxed or iteration + 1
     raise FixedPointDivergenceError(step=k, iterations=iteration,
                                     last_ratio=ratios[-1] if ratios else np.inf,
-                                    increment_u=inc_u, increment_y=inc_y)
+                                    increment_u=inc_u, increment_y=inc_y) from overflow
 
 
 def march(problem: "analysis.ProblemSpec", mesh: Mesh1D,

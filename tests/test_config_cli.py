@@ -188,10 +188,10 @@ class TestCliExitCodes:
         assert "converge" in capsys.readouterr().err
 
     @pytest.mark.parametrize("payload", [
-        # the relaxed iteration stalls at step 4
-        dict(MINIMAL, p=2.5, r=2, m=32),
+        # the relaxed iteration stalls at step 1
+        dict(MINIMAL, p=2.5, r=2, m=48),
         # the iterates grow until the assembled system overflows
-        dict(MINIMAL, p=4, r=2, m=32, N=10, scheme="B"),
+        dict(MINIMAL, p=6, r=2, m=32, N=10, T=0.5, scheme="B"),
     ])
     def test_diverging_iteration_is_3(self, tmp_path, capsys, payload):
         with np.errstate(over="ignore", invalid="ignore"):

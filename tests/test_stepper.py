@@ -10,6 +10,7 @@ from plapmem import (ConfigError, FixedPointDivergenceError, IllPosedStepError,
                      step_residuals)
 from plapmem.banded import BandedSymMatrix
 from plapmem.assembly import interpolate
+from plapmem.errors import LinearSolveError
 from plapmem.memory import StateHistory
 from plapmem.mesh import default_quad_points
 from plapmem.stepper import (_STALL_GRACE, _STALL_RATIO, Assembler, BlockSystem,
@@ -416,20 +417,57 @@ class TestRelaxation:
         problem = manufactured_example1(2.5, 1.0)
         cfg = SolverConfig(p=2.5, delta=1e-3, n_steps=100)
         with pytest.raises(FixedPointDivergenceError) as err:
-            march(problem, build_uniform_mesh(0, 1, 32, 2), cfg)
-        assert err.value.step == 4
-        assert np.isfinite(err.value.increment_u)
-        assert np.isfinite(err.value.increment_y)
+            march(problem, build_uniform_mesh(0, 1, 48, 2), cfg)
+        assert err.value.step == 1
+        assert err.value.iterations == cfg.max_iter
+        assert cfg.tol < err.value.increment_u < np.inf
+        assert cfg.tol < err.value.increment_y < np.inf
 
-    def test_overflowing_iteration_reports_divergence(self):
-        # the plain iterates grow until the assembled system overflows
-        problem = manufactured_example1(4.0, 1.0)
-        cfg = SolverConfig(p=4.0, delta=1e-2, n_steps=10, scheme="B")
+    def test_stagnating_step_is_not_accepted(self):
+        # ratios alternate ~1 and ~1/4: omega halves every second iteration
+        # while the plain map's increment stays put, so the increments of
+        # the relaxed steps fall below tol far from the fixed point
+        p, delta, n_steps = 2.4, 1e-2, 10
+        problem = forced_sine(p, -1.0, horizon=delta * n_steps)
+        cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps)
+        with pytest.raises(FixedPointDivergenceError) as err:
+            march(problem, build_uniform_mesh(0, 1, 10, 2), cfg)
+        assert (err.value.step, err.value.iterations) == (0, cfg.max_iter)
+        assert err.value.increment_u > 1e3 * cfg.tol
+
+    @pytest.mark.parametrize("p, m, delta, step, solve_failed", [
+        (4.0, 64, 1e-2, 0, False),  # an increment norm overflows
+        (6.0, 32, 5e-2, 1, True),   # the assembled system overflows first
+    ])
+    def test_overflowing_iteration_reports_divergence(self, p, m, delta, step,
+                                                      solve_failed):
+        n_steps = 10
+        problem = manufactured_example1(p, 1.0, horizon=delta * n_steps)
+        cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, scheme="B")
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(FixedPointDivergenceError) as err:
-            march(problem, build_uniform_mesh(0, 1, 32, 2), cfg)
-        assert err.value.step == 1
+            march(problem, build_uniform_mesh(0, 1, m, 2), cfg)
+        assert err.value.step == step
         assert err.value.iterations < cfg.max_iter
+        assert isinstance(err.value.__cause__, LinearSolveError) == solve_failed
+
+    def test_solver_failure_on_finite_iterate_is_not_divergence(self, monkeypatch):
+        # p = 4 (scheme A) solves each iteration's assembled matrix
+        calls = []
+        solve = BandedSymMatrix.solve
+
+        def fail_second(self, rhs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise LinearSolveError("injected failure")
+            return solve(self, rhs)
+
+        monkeypatch.setattr(BandedSymMatrix, "solve", fail_second)
+        p, lam, m, r, delta, tol, _ = TestLeanStep.CASES["p4-A-relaxed"]
+        problem = manufactured_example1(p, lam, horizon=delta * 10)
+        cfg = SolverConfig(p=p, delta=delta, n_steps=10, tol=tol)
+        with pytest.raises(LinearSolveError, match="injected failure"):
+            march(problem, build_uniform_mesh(0, 1, m, r), cfg)
 
 
 def forced_sine(p, lam, horizon):
@@ -439,6 +477,21 @@ def forced_sine(p, lam, horizon):
                        kernel=exponential_kernel(lam),
                        u0=lambda x: np.sin(np.pi * np.asarray(x, dtype=float)),
                        f=lambda x, t: np.asarray(x) * (1 - np.asarray(x)) * np.cos(t))
+
+
+def plain_increments(hist, k, kernel, cfg, asm):
+    """Squared M-norm increments of one plain iteration from step k's stored
+    pair: with Y eliminated, the iteration matrix S maps U - G(U) to 2*delta
+    times the evolution residual, so this needs neither omega nor the loop."""
+    res_ev, _ = step_residuals(hist, k, kernel, cfg, asm)
+    mem = memory_equation(hist.truncated(k), kernel, asm.mass, cfg.quadrature_mode)
+    mass = asm.mass.to_dense()
+    matrix = (2.0 + cfg.delta * mem.beta / mem.alpha) * mass
+    if cfg.scheme == "A":
+        matrix += cfg.delta * asm.plap(0.5 * (hist.u[k + 1] + hist.u[k])).to_dense()
+    du = np.linalg.solve(matrix, 2.0 * cfg.delta * res_ev)
+    inc_u = du @ mass @ du
+    return inc_u, (mem.beta / mem.alpha) ** 2 * inc_u
 
 
 class TestNonlinearSolveProperties:
@@ -475,6 +528,13 @@ class TestNonlinearSolveProperties:
         assert np.array_equal(rerun.y, hist.y)
         mass = asm.mass
         for k in range(n_steps):
+            # the accepted pair is a fixed point to within tol: one more plain
+            # iteration moves it about as far as the last tested increment.
+            # A mode the plain map expands can make it several times that
+            # (up to 4 tol in 7500 random runs); an omega that shrank until
+            # the relaxed steps fell below tol leaves 10 to 1e7 tol.
+            assert max(plain_increments(hist, k, problem.kernel, cfg, asm)) \
+                <= 16.0 * cfg.tol
             res_ev, res_mem = step_residuals(hist, k, problem.kernel, cfg, asm)
             memory_terms = (mass.matvec(hist.y[k + 1]), mass.matvec(hist.u[k + 1]))
             scale = max(np.max(np.abs(t)) for t in memory_terms)
