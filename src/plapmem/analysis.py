@@ -188,8 +188,7 @@ def build_run_output(problem: ProblemSpec, mesh: Mesh1D, cfg, asm, hist: StateHi
         if problem.exact_y is not None:
             errors["y"] = l2_error(mesh, hist.y[-1],
                                    lambda x: problem.exact_y(x, horizon))
-    return RunOutput(mesh=mesh, times=hist.times.copy(),
-                     u=hist.u.copy(), y=hist.y.copy(),
+    return RunOutput(mesh=mesh, times=hist.times, u=hist.u, y=hist.y,
                      energies=energies, support=support,
                      diagnostics=list(diagnostics), problem=problem,
                      errors=errors, support_threshold=eta)

@@ -130,17 +130,33 @@ def assemble_mass(mesh: Mesh1D, quad: QuadratureRule, *,
 
 def assemble_plap(mesh: Mesh1D, w: np.ndarray, params: FluxParams,
                   quad: QuadratureRule, *,
-                  tables: Optional[ElementTables] = None) -> BandedSymMatrix:
+                  tables: Optional[ElementTables] = None, tangent: bool = False):
     """Gradient-weighted stiffness matrix linearized at the state w.
 
     Entry (i, j) integrates flux_coefficient(w_h') * phi_i' * phi_j'; for
     p = 2 the state drops out and the ordinary stiffness matrix results.
+
+    With tangent=True, returns the pair (A(w), K_T(w)): K_T integrates the
+    flux slope a'(w_h') * phi_i' * phi_j' instead, the Jacobian of the flux
+    vector A(w) w, from the same gradients and on the same band.
     """
     tables = tables or ElementTables(mesh, quad)
     local_coeffs = full_coefficients(mesh, w)[tables.dofs]      # (m, r+1)
     grads = local_coeffs @ tables.derivs.T / mesh.h             # (m, q)
     coef = flux_coefficient(grads, params)                      # (m, q)
-    return _scatter(tables.slots, coef @ tables.grad_products, tables.band_shape)
+    matrix = _scatter(tables.slots, coef @ tables.grad_products, tables.band_shape)
+    if not tangent:
+        return matrix
+    # a'(xi) = coef * (1 + (p-2) xi^2/(xi^2+eps^2)), which stays finite
+    # where the power form (xi^2+eps^2)^((p-4)/2) ((p-1) xi^2 + eps^2) is
+    # 0 to a negative power (xi = eps = 0, p < 4). Without regularization
+    # the fraction is 1, also at xi = 0, so a' = (p-1) coef and K_T = (p-1) A.
+    if params.epsilon == 0.0:
+        return matrix, (params.p - 1.0) * matrix
+    square = grads * grads
+    slope = coef * (1.0 + (params.p - 2.0) * square / (square + params.epsilon ** 2))
+    return matrix, _scatter(tables.slots, slope @ tables.grad_products,
+                            tables.band_shape)
 
 
 def assemble_load(mesh: Mesh1D, f, t: float, quad: QuadratureRule, *,
@@ -150,7 +166,10 @@ def assemble_load(mesh: Mesh1D, f, t: float, quad: QuadratureRule, *,
     x = tables.points
     fv = np.broadcast_to(np.asarray(f(x, t), dtype=float), x.shape)
     if not np.all(np.isfinite(fv)):
-        raise ValueError(f"forcing term returned non-finite values at t={t}")
+        bad = x[~np.isfinite(fv)]
+        raise ConfigError("forcing", f"non-finite values at t={t}, x={float(bad[0])} "
+                          f"({bad.size} of {x.size} quadrature points); "
+                          "the forcing is singular there")
     contrib = fv @ tables.weighted_values                       # (m, r+1)
     out = np.zeros(mesh.n_nodes)
     for a in range(mesh.r + 1):      # contiguous numbering: stride-r slices

@@ -1,4 +1,5 @@
-"""Crank-Nicolson time marching with two fixed-point linearizations.
+"""Crank-Nicolson time marching: Newton's method and two fixed-point
+linearizations.
 
 Each step solves the coupled pair
 
@@ -9,18 +10,22 @@ Each step solves the coupled pair
 where A_mid is the gradient-weighted stiffness matrix at the midpoint
 state. Scheme "A" keeps the new iterate inside the diffusion term (the
 matrix multiplies U_{n+1}); scheme "B" moves the whole diffusion term to
-the right-hand side, evaluated at the previous iterate. Both iterations
-share the same fixed point.
+the right-hand side, evaluated at the previous iterate. Scheme "N" is
+Newton's method on the same equation: with Y eliminated a step solves
+G(U) = c*M U + delta*A(w)(U + U^k) - b = 0, w = (U + U^k)/2, whose
+Jacobian c*M + delta*K_T(w) takes the flux slope a'(w_x) in place of A's
+coefficient. All three share the same fixed point.
 
 Y is eliminated through the memory relation: one mass solve per step,
 z = M^{-1} R, gives Y = (z - beta*U)/alpha for every iterate. alpha and
 beta depend only on delta and the kernel at zero, so the mass factor is
 a run constant, and so is the whole U matrix for scheme B and for p = 2.
 For p = 2 the stiffness matrix is a run constant too, and with scheme A
-so is the step's right-hand side. An iteration does only what depends on
-the iterate: one p-Laplacian assembly and one matrix-vector product (none
-for p = 2 with scheme A), one banded solve (a single LAPACK call) and the
-two increment norms.
+(or N, which is then the same iteration) so is the step's right-hand
+side. An iteration does only what depends on the iterate: one p-Laplacian
+assembly (with the tangent for scheme N) and one matrix-vector product
+(two for N, none for p = 2 with scheme A), one banded solve (a single
+LAPACK call) and the two increment norms.
 """
 
 from dataclasses import dataclass, field
@@ -38,26 +43,26 @@ from .memory import (ExponentialSums, KernelSpec, MemoryEquation, StateHistory,
                      memory_equation, memory_residual, QUADRATURE_MODES)
 from .mesh import Mesh1D, QuadratureRule, default_quad_points, gauss_legendre
 
-SCHEMES = ("auto", "A", "B")
+SCHEMES = ("auto", "A", "B", "N")
 
 
 def select_scheme(p: float) -> str:
-    """Default scheme for an exponent: explicit diffusion ("B") only on
-    2 < p < 3, implicit diffusion ("A") everywhere else.
+    """Default scheme for an exponent: Newton ("N") for p > 2, implicit
+    diffusion ("A") for p <= 2.
 
-    p = 2 takes "A" because the diffusion matrix is then state independent:
-    the step is solved exactly in one linear solve and the iteration
-    terminates as soon as it repeats itself. The singular range 1 < p < 2
-    (regularized) also takes "A": the explicit iteration starts cycling
-    once the solution approaches extinction and the coefficient
-    |grad u|^(p-2) grows without bound, while the implicit one keeps the
-    stiff term inside the solve and marches through.
+    For p > 2 the fixed-point iterations contract slowly, or not at all
+    once the solution grows, while Newton converges in about two
+    iterations per step. p = 2 takes "A" because the diffusion matrix is
+    then state independent: the step is solved exactly in one linear solve
+    and the iteration terminates as soon as it repeats itself. The singular
+    range 1 < p < 2 (regularized) also takes "A": there the flux slope
+    reaches eps^(p-2), and Newton needs several times scheme A's iterations
+    (up to 27 in one step of example 2's dome at p = 1.5), while the
+    explicit iteration starts cycling near extinction.
     """
     if not np.isfinite(p) or p <= 1.0:
         raise ConfigError("p", f"exponent must satisfy p > 1, got {p}")
-    if 2.0 < p < 3.0:
-        return "B"
-    return "A"
+    return "N" if p > 2.0 else "A"
 
 
 def resolve_scheme(p: float, requested: str) -> str:
@@ -67,11 +72,10 @@ def resolve_scheme(p: float, requested: str) -> str:
     default = select_scheme(p)
     if requested == "auto":
         return default
-    # the default is "B" exactly where scheme A is unavailable
-    if requested == "A" and default == "B":
+    if requested == "A" and 2.0 < p < 3.0:
         raise ConfigError("scheme",
                           "scheme A is not available on 2 < p < 3 "
-                          f"(got p = {p}); use scheme B there")
+                          f"(got p = {p}); use scheme N or B there")
     return requested
 
 
@@ -142,9 +146,9 @@ class Assembler:
     def mass_factor(self) -> BandedFactor:
         return self.mass.factor()
 
-    def plap(self, state: np.ndarray) -> BandedSymMatrix:
+    def plap(self, state: np.ndarray, tangent: bool = False):
         return assemble_plap(self.mesh, state, self.params, self.quad,
-                             tables=self.tables)
+                             tables=self.tables, tangent=tangent)
 
     def load(self, t: float) -> np.ndarray:
         return assemble_load(self.mesh, self.load_fn, t, self.quad,
@@ -207,6 +211,10 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     without them each call replays the sums from level 0 (the same numbers
     at O(k) cost per step).
 
+    A Newton iteration solves (c*M + delta*K_T) U_next = J U - G(U)
+    = b + delta*(K_T U - A (U + U^k)) with A and K_T at the iterate's
+    midpoint; scheme A solves (c*M + delta*A) U_next = b - delta*A U^k.
+
     Large time steps can drive the plain iteration into an oscillating
     mode (update eigenvalue mu near -sqrt(rho), rho the ratio of squared
     increments). Whenever an increment does not contract (rho >= 0.98),
@@ -231,16 +239,19 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     rhs_step = (mass.matvec(2.0 * u_prev + delta * y_prev)
                 + 2.0 * delta * hist.loads[k + 1] + block.rhs_share)
     mass_coef = 2.0 + block.shift
-    implicit = cfg.scheme == "A"
     linear = asm.params.p == 2.0      # diffusion matrix independent of the state
+    implicit = cfg.scheme != "B"      # for p = 2, Newton is scheme A
+    newton = cfg.scheme == "N" and not linear
     # scheme B never puts the diffusion matrix on the left
     constant = not implicit or linear
     if constant:
         factor = asm.system_factor(mass_coef, delta if implicit else 0.0)
     else:
         shifted_mass = mass_coef * mass
+    # a_mid is A at the iterate's midpoint; lhs_stiff the stiffness matrix
+    # of the solved system: A, or its Jacobian K_T for Newton
     if linear:
-        a_mid = asm.stiffness
+        a_mid = lhs_stiff = asm.stiffness
 
     u_it, y_it = fixed_point_init(hist)
     ratios = []
@@ -249,15 +260,21 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     omega = 1.0
     overflow = None
     for iteration in range(1, cfg.max_iter + 1):
-        if not linear:
-            a_mid = asm.plap(0.5 * (u_it + u_prev))
-        if iteration == 1 or not (linear and implicit):  # else rhs is unchanged
-            rhs = rhs_step - delta * a_mid.matvec(u_prev if implicit else u_it + u_prev)
+        if newton:
+            a_mid, lhs_stiff = asm.plap(0.5 * (u_it + u_prev), tangent=True)
+            rhs = rhs_step + delta * (lhs_stiff.matvec(u_it)
+                                      - a_mid.matvec(u_it + u_prev))
+        else:
+            if not linear:
+                a_mid = lhs_stiff = asm.plap(0.5 * (u_it + u_prev))
+            if iteration == 1 or not (linear and implicit):  # else rhs is unchanged
+                rhs = rhs_step - delta * a_mid.matvec(u_prev if implicit else u_it + u_prev)
         try:
-            u_next = (factor if constant else shifted_mass + delta * a_mid).solve(rhs)
+            u_next = (factor if constant else shifted_mass + delta * lhs_stiff).solve(rhs)
         except LinearSolveError as exc:
             # divergence only if an iterate grew until the system overflowed
-            if iteration == 1 or np.isfinite(rhs).all() and np.isfinite(a_mid.data).all():
+            if (iteration == 1 or np.isfinite(rhs).all()
+                    and np.isfinite(lhs_stiff.data).all()):
                 raise
             overflow = exc
             break

@@ -78,10 +78,11 @@ def dome_runs():
 @pytest.fixture(scope="session")
 def front_runs():
     """Criterion 9 runs: quadratic-edge datum, p = 3 (lambda = 0) and the
-    p = 2 infinite-speed control."""
+    p = 2 infinite-speed control. The p = 3 run uses the paper's scheme A."""
     mesh = build_uniform_mesh(-1.0, 1.0, 100, 1)
     slow = march(propagation_problem(3.0, 0.0, 2, 10.0, 0.3), mesh,
-                 SolverConfig(p=3.0, delta=1e-3, n_steps=300, tol=1e-9))
+                 SolverConfig(p=3.0, delta=1e-3, n_steps=300, tol=1e-9,
+                              scheme="A"))
     control = march(propagation_problem(2.0, 0.0, 2, 10.0, 0.02), mesh,
                     SolverConfig(p=2.0, delta=1e-3, n_steps=20, tol=1e-9))
     return slow, control

@@ -189,8 +189,9 @@ class TestAssembleLoad:
 
     def test_nonfinite_rejected(self, quad3):
         mesh = build_uniform_mesh(0, 1, 4, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="t=0.0") as err:
             assemble_load(mesh, lambda x, t: np.full_like(x, np.nan), 0.0, quad3)
+        assert err.value.field == "forcing"
 
 
 class TestInterpolate:
@@ -274,3 +275,72 @@ class TestScatterProperty:
             assert np.array_equal(matrix.data, dense_to_band(dense, r))
             for d in range(1, r + 1):
                 assert not matrix.data[d, max(matrix.n - d, 0):].any()
+
+
+def flux_slope(x, p, eps):
+    """a'(x) from its power form (x^2 + eps^2)^((p-4)/2) ((p-1) x^2 + eps^2),
+    written (p-1)|x|^(p-2) for eps = 0 so that it stays finite at x = 0."""
+    if eps == 0.0:
+        return (p - 1) * np.abs(x) ** (p - 2)
+    return (x * x + eps ** 2) ** ((p - 4) / 2) * ((p - 1) * x * x + eps ** 2)
+
+
+def slope_modulus(xi, tau, p, eps):
+    """max |a'(eta) - a'(xi)| over |eta - xi| <= tau: for p >= 2, a' is even
+    and increasing in |eta|, so the extremes sit at |xi| + tau and at
+    max(|xi| - tau, 0)."""
+    at = flux_slope(xi, p, eps)
+    return np.maximum(flux_slope(np.abs(xi) + tau, p, eps) - at,
+                      at - flux_slope(np.maximum(np.abs(xi) - tau, 0.0), p, eps))
+
+
+class TestTangent:
+    """K_T(w) from assemble_plap(tangent=True) is the Jacobian of the flux
+    vector A(w) w: it matches central differences of that vector to within
+    what the step itself moves the slope, with and without regularization
+    and on elements where the gradient is exactly zero (0 to a negative
+    power in the power form of a' when eps = 0)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.floats(2.0, 6.0, exclude_min=True), r=st.integers(1, 4),
+           m=st.integers(2, 8), seed=st.integers(0, 2 ** 32 - 1),
+           eps=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)))
+    def test_matches_finite_difference_jacobian(self, p, r, m, seed, eps):
+        mesh = build_uniform_mesh(0, 1, m, r)
+        quad = gauss_legendre(r + 2)
+        tables = ElementTables(mesh, quad)
+        params = FluxParams(p=p, epsilon=eps)
+        rng = np.random.default_rng(seed)
+        full = np.concatenate(([0.0], rng.standard_normal(mesh.n_nodes - 2), [0.0]))
+        flat = rng.random(m) < 0.4
+        flat[rng.integers(m)] = True
+        for e in np.flatnonzero(flat):      # zero-gradient (dead-zone) elements
+            full[tables.dofs[e]] = 0.0
+        w = full[1:-1]
+        grads = full_coefficients(mesh, w)[tables.dofs] @ tables.derivs.T / mesh.h
+        assert np.all(grads[flat] == 0.0)
+
+        matrix, tangent = assemble_plap(mesh, w, params, quad, tables=tables,
+                                        tangent=True)
+        assert np.array_equal(matrix.data,
+                              assemble_plap(mesh, w, params, quad, tables=tables).data)
+        assert np.isfinite(tangent.data).all()
+        k_t = tangent.to_dense()
+
+        step = 1e-6
+        fd = np.empty_like(k_t)
+        for j in range(w.size):
+            shift = np.zeros_like(w)
+            shift[j] = step
+            plus, minus = w + shift, w - shift
+            fd[:, j] = (assemble_plap(mesh, plus, params, quad).matvec(plus)
+                        - assemble_plap(mesh, minus, params, quad).matvec(minus)
+                        ) / (2.0 * step)
+
+        # per quadrature point the difference quotient is the mean of a' over
+        # gradient +- tau, tau = step * max|phi'|/h
+        tau = step * np.max(np.abs(tables.derivs)) / mesh.h
+        local = slope_modulus(grads, tau, p, eps) @ np.abs(tables.grad_products)
+        bound = dense_scatter(mesh, local.reshape(m, r + 1, r + 1))[1:-1, 1:-1]
+        scale = np.max(np.abs(k_t))
+        assert np.all(np.abs(fd - k_t) <= bound + 1e-7 * scale)

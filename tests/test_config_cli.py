@@ -25,7 +25,7 @@ class TestValidateConfig:
         cfg = validate_config(dict(MINIMAL))
         assert cfg.tol == 1e-9
         assert cfg.max_iter == 100
-        assert cfg.scheme == "A"           # auto resolves for p = 3
+        assert cfg.scheme == "N"           # auto resolves for p = 3
         assert cfg.epsilon == 0.0
         assert cfg.quadrature_points == 3  # r + 2
         assert cfg.quadrature_mode == "consistent"
@@ -158,8 +158,9 @@ class TestCliExitCodes:
             assert (tmp_path / "out" / name).exists()
 
     def test_solve_summary_counts_iterations(self, tmp_path, capsys):
-        # p = 4 at delta = 1e-2 relaxes at least one step
-        assert run_cli(tmp_path, dict(MINIMAL, p=4, r=4, m=10, N=10)) == 0
+        # p = 4 at delta = 1e-2 relaxes at least one step of scheme A
+        assert run_cli(tmp_path, dict(MINIMAL, p=4, r=4, m=10, N=10,
+                                      scheme="A")) == 0
         out = capsys.readouterr().out
         rows = [line.split(",") for line in
                 (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()[1:]]
@@ -179,6 +180,14 @@ class TestCliExitCodes:
         assert run_cli(tmp_path, dict(MINIMAL, p=0.5)) == 2
         assert "p" in capsys.readouterr().err
 
+    def test_singular_forcing_is_2(self, tmp_path, capsys):
+        # for p < 2 the manufactured forcing is singular at x = 1/2, a
+        # quadrature point of the r = 3, m = 5 mesh
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert run_cli(tmp_path, dict(MINIMAL, p=1.5, r=3, m=5, N=10)) == 2
+        err = capsys.readouterr().err
+        assert "forcing" in err and "t=0.0" in err and "x=0.5" in err
+
     def test_manufactured_domain_pinned(self, tmp_path):
         assert run_cli(tmp_path, dict(MINIMAL, domain=[-1, 1])) == 2
 
@@ -188,8 +197,8 @@ class TestCliExitCodes:
         assert "converge" in capsys.readouterr().err
 
     @pytest.mark.parametrize("payload", [
-        # the relaxed iteration stalls at step 1
-        dict(MINIMAL, p=2.5, r=2, m=48),
+        # the relaxed iteration of scheme B stalls at step 1
+        dict(MINIMAL, p=2.5, r=2, m=48, scheme="B"),
         # the iterates grow until the assembled system overflows
         dict(MINIMAL, p=6, r=2, m=32, N=10, T=0.5, scheme="B"),
     ])

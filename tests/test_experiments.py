@@ -64,14 +64,24 @@ class TestRunExample:
         for a, b in zip(seq, par):
             assert np.array_equal(a.u, b.u)
 
-    def test_cli_example_filtered_cell_is_config_error(self, tmp_path, capsys):
-        # the one requested cell lies outside example 2's grid: exit 2
-        # naming the field, not exit 0 with an empty output directory
+    def test_cli_example_growth_cell_runs(self, tmp_path, capsys):
+        # lambda = -10 with p = 4: the solution grows and Newton follows it
         code = main(["example", "2", "--p", "4", "--lambda", "-10",
                      "--out", str(tmp_path)])
-        assert code == 2
-        assert "lambda" in capsys.readouterr().err
-        assert not (tmp_path / "example2").exists()
+        assert code == 0
+        assert "example 2" in capsys.readouterr().out
+        sub = tmp_path / "example2" / "lambda-10.0_p4.0"
+        for name in ("snapshots.csv", "energy.csv", "support.csv",
+                     "diagnostics.csv"):
+            text = (sub / name).read_text()
+            assert "nan" not in text and "inf" not in text
+        rows = [line.split(",") for line in
+                (sub / "diagnostics.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 3000
+        assert max(int(row[1]) for row in rows) <= 3
+        energy = [float(line.split(",")[1]) for line in
+                  (sub / "energy.csv").read_text().splitlines()[1:]]
+        assert energy[-1] > 1e3 * energy[0]
 
     def test_cli_example_entry(self, tmp_path, capsys):
         code = main(["example", "3", "--lambda", "0", "--out", str(tmp_path)])

@@ -33,11 +33,14 @@ def sine_bump(x):
 
 class TestSchemeSelection:
     def test_high_exponent_implicit(self):
-        assert select_scheme(3.0) == "A"
-        assert select_scheme(4.0) == "A"
+        # Newton keeps the diffusion's Jacobian on the left
+        assert select_scheme(3.0) == "N"
+        assert select_scheme(4.0) == "N"
 
-    def test_intermediate_exponent_explicit(self):
-        assert select_scheme(2.5) == "B"
+    def test_intermediate_exponent_newton(self):
+        # where scheme A is unavailable, Newton and not the explicit scheme B
+        assert select_scheme(2.5) == "N"
+        assert select_scheme(2.0 + 1e-9) == "N"
 
     def test_linear_exponent_implicit(self):
         # state-independent diffusion: the step is one exact linear solve
@@ -61,6 +64,9 @@ class TestSchemeSelection:
         assert resolve_scheme(3.0, "B") == "B"
         assert resolve_scheme(1.5, "B") == "B"
         assert resolve_scheme(2.0, "A") == "A"
+        assert resolve_scheme(3.0, "A") == "A"
+        assert resolve_scheme(2.5, "N") == "N"
+        assert resolve_scheme(1.5, "N") == "N"
         with pytest.raises(ConfigError):
             resolve_scheme(2.5, "A")
         with pytest.raises(ConfigError):
@@ -81,7 +87,7 @@ class TestSolverConfig:
         cfg = SolverConfig(p=3.0, delta=0.01, n_steps=10)
         assert cfg.tol == 1e-9
         assert cfg.max_iter == 100
-        assert cfg.scheme == "A"
+        assert cfg.scheme == "N"
         assert cfg.epsilon == 0.0
 
     @pytest.mark.parametrize("kwargs", [
@@ -166,7 +172,7 @@ class TestFixedPoint:
         problem = manufactured_example1(4.0, 1.0)
         mesh = build_uniform_mesh(0, 1, 10, 4)
         cfg = SolverConfig(p=4.0, delta=0.01, n_steps=10, tol=1e-14,
-                           max_iter=100)
+                           max_iter=100, scheme="A")
         run = march(problem, mesh, cfg)
         assert run.errors["u"] < 1e-6
 
@@ -271,26 +277,29 @@ class TestLeanStep:
     """The per-run factors and the once-per-step Y recovery against the
     oracles: the memory relation itself and the unrearranged residuals."""
 
-    # (p, lambda, m, r, delta, tol, bound on the relative evolution residual);
-    # increments below tol bound the residual only through the contraction
-    # of the iteration, so each bound is 4-12x the residual the stopping
-    # rule leaves in that case (8e-15, 2.6e-5, 1.6e-3)
+    # (scheme, p, lambda, m, r, delta, tol, bound on the relative evolution
+    # residual); increments below tol bound the residual only through the
+    # contraction of the iteration, so each bound is 4-12x the residual the
+    # stopping rule leaves in that case (8e-15, 2.6e-5, 1.6e-3, 8.2e-12)
     CASES = {
         # p = 2, scheme A: one run-constant factor, linear step
-        "p2-A": (2.0, 1.0, 8, 2, 0.01, 1e-14, 1e-13),
+        "p2-A": ("A", 2.0, 1.0, 8, 2, 0.01, 1e-14, 1e-13),
         # p = 2.5, scheme B: run-constant factor, assembled right-hand side
-        "p2.5-B": (2.5, 1.0, 8, 1, 1e-3, 1e-14, 1e-4),
+        "p2.5-B": ("B", 2.5, 1.0, 8, 1, 1e-3, 1e-14, 1e-4),
         # p = 4, scheme A at a coarse step: the relaxation fires
-        "p4-A-relaxed": (4.0, 1.0, 10, 4, 0.01, 1e-14, 1e-2),
+        "p4-A-relaxed": ("A", 4.0, 1.0, 10, 4, 0.01, 1e-14, 1e-2),
+        # the same step under Newton: assembled tangent, no relaxation
+        "p4-N": ("N", 4.0, 1.0, 10, 4, 0.01, 1e-14, 1e-10),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_steps_satisfy_oracles(self, case):
-        p, lam, m, r, delta, tol, bound = self.CASES[case]
+        scheme, p, lam, m, r, delta, tol, bound = self.CASES[case]
         n_steps = 10
         problem = manufactured_example1(p, lam, horizon=delta * n_steps)
         mesh = build_uniform_mesh(0, 1, m, r)
-        cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, tol=tol)
+        cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, tol=tol,
+                           scheme=scheme)
         asm = make_assembler(problem, mesh, cfg)
         hist = fresh_history(problem, mesh, cfg, asm)
         diags = [cn_step(hist, problem.kernel, cfg, asm)[2]
@@ -300,6 +309,8 @@ class TestLeanStep:
             assert any(max(d.ratios[_STALL_GRACE - 2:-1], default=0.0) >= 0.98
                        for d in diags)
             assert any(d.relaxed for d in diags)
+        if scheme == "N":
+            assert all(d.iterations == 2 and not d.relaxed for d in diags)
         mass = asm.mass
         for k in range(n_steps):
             mem = memory_equation(hist.truncated(k), problem.kernel, mass)
@@ -322,10 +333,11 @@ class TestLeanStep:
     def test_relaxed_records_first_halved_iteration(self, tmp_path):
         from plapmem.experiments import write_outputs
         from plapmem.stepper import _STALL_GRACE, _STALL_RATIO
-        p, lam, m, r, delta, tol, _ = self.CASES["p4-A-relaxed"]
+        scheme, p, lam, m, r, delta, tol, _ = self.CASES["p4-A-relaxed"]
         n_steps = 10
         problem = manufactured_example1(p, lam, horizon=delta * n_steps)
-        cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, tol=tol)
+        cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, tol=tol,
+                           scheme=scheme)
         run = march(problem, build_uniform_mesh(0, 1, m, r), cfg)
         for d in run.diagnostics:
             # ratios[i] is the ratio seen after iteration i + 2; the stall
@@ -386,10 +398,11 @@ class TestRelaxation:
     factor matched to that ratio, compounding while the iteration stalls."""
 
     def test_relaxes_at_first_expansion(self):
-        p, lam, m, r, delta, tol, _ = TestLeanStep.CASES["p4-A-relaxed"]
+        scheme, p, lam, m, r, delta, tol, _ = TestLeanStep.CASES["p4-A-relaxed"]
         n_steps = 10
         problem = manufactured_example1(p, lam, horizon=delta * n_steps)
-        cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, tol=tol)
+        cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, tol=tol,
+                           scheme=scheme)
         run = march(problem, build_uniform_mesh(0, 1, m, r), cfg)
         relaxed = [d for d in run.diagnostics if d.relaxed]
         assert relaxed
@@ -402,7 +415,7 @@ class TestRelaxation:
     @pytest.mark.parametrize("lam", [1.0, 10.0])
     def test_expanding_scheme_b_run_completes(self, lam):
         problem = manufactured_example1(2.5, lam)
-        cfg = SolverConfig(p=2.5, delta=1e-3, n_steps=100)
+        cfg = SolverConfig(p=2.5, delta=1e-3, n_steps=100, scheme="B")
         run = march(problem, build_uniform_mesh(0, 1, 16, 2), cfg)
         assert run.errors["u"] < 5e-5
         stalls = [[it for it in range(_STALL_GRACE, d.iterations)
@@ -415,7 +428,7 @@ class TestRelaxation:
 
     def test_stalled_scheme_b_run_reports_divergence(self):
         problem = manufactured_example1(2.5, 1.0)
-        cfg = SolverConfig(p=2.5, delta=1e-3, n_steps=100)
+        cfg = SolverConfig(p=2.5, delta=1e-3, n_steps=100, scheme="B")
         with pytest.raises(FixedPointDivergenceError) as err:
             march(problem, build_uniform_mesh(0, 1, 48, 2), cfg)
         assert err.value.step == 1
@@ -423,13 +436,21 @@ class TestRelaxation:
         assert cfg.tol < err.value.increment_u < np.inf
         assert cfg.tol < err.value.increment_y < np.inf
 
+    def test_stalled_scheme_b_run_completes_under_newton(self):
+        # the run above, with Newton: two iterations per step, never relaxed
+        problem = manufactured_example1(2.5, 1.0)
+        cfg = SolverConfig(p=2.5, delta=1e-3, n_steps=100, scheme="N")
+        run = march(problem, build_uniform_mesh(0, 1, 48, 2), cfg)
+        assert all(d.iterations <= 3 and not d.relaxed for d in run.diagnostics)
+        assert run.errors["u"] < 5e-6      # 1.5e-6; m = 16 gives 1.6e-5
+
     def test_stagnating_step_is_not_accepted(self):
         # ratios alternate ~1 and ~1/4: omega halves every second iteration
         # while the plain map's increment stays put, so the increments of
         # the relaxed steps fall below tol far from the fixed point
         p, delta, n_steps = 2.4, 1e-2, 10
         problem = forced_sine(p, -1.0, horizon=delta * n_steps)
-        cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps)
+        cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, scheme="B")
         with pytest.raises(FixedPointDivergenceError) as err:
             march(problem, build_uniform_mesh(0, 1, 10, 2), cfg)
         assert (err.value.step, err.value.iterations) == (0, cfg.max_iter)
@@ -463,9 +484,9 @@ class TestRelaxation:
             return solve(self, rhs)
 
         monkeypatch.setattr(BandedSymMatrix, "solve", fail_second)
-        p, lam, m, r, delta, tol, _ = TestLeanStep.CASES["p4-A-relaxed"]
+        scheme, p, lam, m, r, delta, tol, _ = TestLeanStep.CASES["p4-A-relaxed"]
         problem = manufactured_example1(p, lam, horizon=delta * 10)
-        cfg = SolverConfig(p=p, delta=delta, n_steps=10, tol=tol)
+        cfg = SolverConfig(p=p, delta=delta, n_steps=10, tol=tol, scheme=scheme)
         with pytest.raises(LinearSolveError, match="injected failure"):
             march(problem, build_uniform_mesh(0, 1, m, r), cfg)
 
@@ -481,17 +502,26 @@ def forced_sine(p, lam, horizon):
 
 def plain_increments(hist, k, kernel, cfg, asm):
     """Squared M-norm increments of one plain iteration from step k's stored
-    pair: with Y eliminated, the iteration matrix S maps U - G(U) to 2*delta
-    times the evolution residual, so this needs neither omega nor the loop."""
+    pair: with Y eliminated, the iteration matrix S (the Jacobian for
+    Newton) maps U - G(U) to 2*delta times the evolution residual, so this
+    needs neither omega nor the loop."""
     res_ev, _ = step_residuals(hist, k, kernel, cfg, asm)
     mem = memory_equation(hist.truncated(k), kernel, asm.mass, cfg.quadrature_mode)
     mass = asm.mass.to_dense()
     matrix = (2.0 + cfg.delta * mem.beta / mem.alpha) * mass
+    u_mid = 0.5 * (hist.u[k + 1] + hist.u[k])
     if cfg.scheme == "A":
-        matrix += cfg.delta * asm.plap(0.5 * (hist.u[k + 1] + hist.u[k])).to_dense()
+        matrix += cfg.delta * asm.plap(u_mid).to_dense()
+    elif cfg.scheme == "N":
+        matrix += cfg.delta * asm.plap(u_mid, tangent=True)[1].to_dense()
     du = np.linalg.solve(matrix, 2.0 * cfg.delta * res_ev)
     inc_u = du @ mass @ du
     return inc_u, (mem.beta / mem.alpha) ** 2 * inc_u
+
+
+PROPERTY_CASES = dict(p=st.floats(1.0, 6.0, exclude_min=True),
+                      lam=st.floats(-10.0, 10.0), r=st.integers(1, 3),
+                      m=st.integers(4, 12), log_delta=st.floats(-4.0, -2.0))
 
 
 class TestNonlinearSolveProperties:
@@ -499,17 +529,26 @@ class TestNonlinearSolveProperties:
     completes at the fixed point or stops with a typed divergence."""
 
     @settings(max_examples=40, deadline=None)
-    @given(p=st.floats(1.0, 6.0, exclude_min=True), lam=st.floats(-10.0, 10.0),
-           r=st.integers(1, 3), m=st.integers(4, 12),
-           log_delta=st.floats(-4.0, -2.0))
+    @given(**PROPERTY_CASES)
     def test_run_completes_or_diverges(self, p, lam, r, m, log_delta):
+        # the fixed-point schemes: B where A is unavailable, A elsewhere
+        self.check_run(p, lam, r, m, log_delta, "B" if 2.0 < p < 3.0 else "A")
+
+    @settings(max_examples=40, deadline=None)
+    @given(**PROPERTY_CASES)
+    def test_newton_run_completes_or_diverges(self, p, lam, r, m, log_delta):
+        self.check_run(p, lam, r, m, log_delta, "N")
+
+    @staticmethod
+    def check_run(p, lam, r, m, log_delta, scheme):
         n_steps = 10
         delta = 10.0 ** log_delta
         problem = forced_sine(p, lam, horizon=delta * n_steps)
         mesh = build_uniform_mesh(0, 1, m, r)
         # a tight tol, so the residuals measure the fixed point rather than
         # the absolute stopping rule
-        cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, tol=1e-14)
+        cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, tol=1e-14,
+                           scheme=scheme)
         asm = make_assembler(problem, mesh, cfg)
         hist = fresh_history(problem, mesh, cfg, asm)
         with np.errstate(over="ignore", invalid="ignore"):
