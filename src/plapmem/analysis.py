@@ -236,8 +236,6 @@ def manufactured_example1(p: float, lam: float, horizon: float = 0.1) -> Problem
     term has the closed form lam * psi(x) * e^{-t} * (e^{(2-p)t}-1)/(2-p)
     with psi = div(|u0'|^{p-2} u0') of the spatial profile.
     """
-    if not p > 1.0:
-        raise ConfigError("p", f"exponent must satisfy p > 1, got {p}")
 
     def exact_u(x, t):
         return _bump(np.asarray(x, dtype=float)) * np.exp(-t)

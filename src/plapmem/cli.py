@@ -11,7 +11,7 @@ from .config import parse_config, write_config_echo
 from .errors import EXIT_IO, EXIT_OK, ConfigError, PlapmemError
 from .experiments import run_example, write_outputs
 from .mesh import build_uniform_mesh
-from .stepper import SolverConfig, march
+from .stepper import march
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,20 +48,15 @@ def _cmd_solve(args) -> int:
     if abs(a) > 1e-12 or abs(b - 1.0) > 1e-12:
         raise ConfigError("domain", "the manufactured verification problem "
                           f"is defined on [0, 1]; got [{a}, {b}]")
-    problem = manufactured_example1(cfg.p, cfg.kernel_lambda, horizon=cfg.T)
+    problem = manufactured_example1(cfg.solver.p, cfg.kernel_lambda, horizon=cfg.T)
     mesh = build_uniform_mesh(a, b, cfg.m, cfg.r)
-    solver_cfg = SolverConfig(p=cfg.p, delta=cfg.delta, n_steps=cfg.N,
-                              tol=cfg.tol, max_iter=cfg.max_iter,
-                              scheme=cfg.scheme, epsilon=cfg.epsilon,
-                              quad_points=cfg.quadrature_points,
-                              quadrature_mode=cfg.quadrature_mode)
-    run = march(problem, mesh, solver_cfg)
+    run = march(problem, mesh, cfg.solver)
     out = Path(args.out) if args.out else Path(cfg.output_dir)
     write_outputs(run, out, snapshot_times=cfg.snapshot_times)
     write_config_echo(cfg, out / "config.json")
     iters = [d.iterations for d in run.diagnostics]
     relaxed = sum(1 for d in run.diagnostics if d.relaxed)
-    print(f"solved {cfg.N} steps on m={cfg.m}, r={cfg.r} "
+    print(f"solved {cfg.solver.n_steps} steps on m={cfg.m}, r={cfg.r} "
           f"({sum(iters)} fixed-point iterations, at most {max(iters)} per step; "
           f"relaxed steps: {relaxed})")
     if run.errors:

@@ -5,10 +5,8 @@ from dataclasses import dataclass, field
 from typing import List
 
 from .errors import ConfigError
-from .memory import QUADRATURE_MODES
-from .mesh import MAX_DEGREE, MAX_QUAD_POINTS
-from .stepper import SCHEMES, resolve_scheme
-from .assembly import default_epsilon
+from .mesh import build_uniform_mesh, default_quad_points, gauss_legendre
+from .stepper import SolverConfig
 
 _KNOWN_FIELDS = {
     "domain", "T", "p", "kernel", "lambda", "r", "m", "N", "tol", "max_iter",
@@ -23,24 +21,13 @@ class RunConfig:
 
     domain: tuple
     T: float
-    p: float
     kernel_lambda: float
     r: int
     m: int
-    N: int
-    tol: float
-    max_iter: int
-    epsilon: float
-    scheme: str
-    quadrature_points: int
-    quadrature_mode: str
+    solver: SolverConfig
     snapshot_times: List[float] = field(default_factory=list)
     output_dir: str = "out"
     kernel_type: str = "exponential"
-
-    @property
-    def delta(self) -> float:
-        return self.T / self.N
 
 
 def _require(raw: dict, key: str):
@@ -49,7 +36,7 @@ def _require(raw: dict, key: str):
     return raw[key]
 
 
-def _as_number(key, value, *, integer=False, minimum=None, strict_min=None):
+def _as_number(key, value, *, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(key, f"expected a number, got {value!r}")
     if integer and int(value) != value:
@@ -57,18 +44,15 @@ def _as_number(key, value, *, integer=False, minimum=None, strict_min=None):
     value = int(value) if integer else float(value)
     if value != value or value in (float("inf"), float("-inf")):
         raise ConfigError(key, "must be finite")
-    if minimum is not None and value < minimum:
-        raise ConfigError(key, f"must be >= {minimum}, got {value}")
-    if strict_min is not None and value <= strict_min:
-        raise ConfigError(key, f"must be > {strict_min}, got {value}")
     return value
 
 
 def validate_config(raw: dict) -> RunConfig:
     """Turn a raw JSON dictionary into a fully resolved RunConfig.
 
-    Any missing optional field gets its documented default; every error
-    names the offending field.
+    Any missing optional field gets its documented default. Only the JSON
+    shape is checked here; the value rules are those of the SolverConfig,
+    mesh and quadrature rule built from it. Every error names the field.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be a JSON object")
@@ -84,16 +68,16 @@ def validate_config(raw: dict) -> RunConfig:
                    for v in dom)):
         raise ConfigError("domain", f"expected [a, b], got {dom!r}")
     a, b = float(dom[0]), float(dom[1])
-    if not b > a:
-        raise ConfigError("domain", f"need b > a, got [{a}, {b}]")
 
-    T = _as_number("T", _require(raw, "T"), strict_min=0.0)
-    p = _as_number("p", _require(raw, "p"), strict_min=1.0)
-    r = _as_number("r", _require(raw, "r"), integer=True, minimum=1)
-    if r > MAX_DEGREE:
-        raise ConfigError("r", f"must be <= {MAX_DEGREE}, got {r}")
-    m = _as_number("m", _require(raw, "m"), integer=True, minimum=1)
-    n_steps = _as_number("N", _require(raw, "N"), integer=True, minimum=1)
+    T = _as_number("T", _require(raw, "T"))
+    if not T > 0.0:
+        raise ConfigError("T", f"must be > 0, got {T}")
+    p = _as_number("p", _require(raw, "p"))
+    r = _as_number("r", _require(raw, "r"), integer=True)
+    m = _as_number("m", _require(raw, "m"), integer=True)
+    n_steps = _as_number("N", _require(raw, "N"), integer=True)
+    if n_steps < 1:
+        raise ConfigError("N", f"must be >= 1, got {n_steps}")
 
     # kernel: nested object, or the top-level "lambda" shorthand
     if "kernel" in raw:
@@ -110,37 +94,21 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigError("kernel", "required field is missing "
                           "(give kernel.lambda or a top-level lambda)")
 
-    tol = _as_number("tol", raw.get("tol", 1e-9), strict_min=0.0)
-    max_iter = _as_number("max_iter", raw.get("max_iter", 100),
-                          integer=True, minimum=2)
-
+    tol = _as_number("tol", raw.get("tol", 1e-9))
+    max_iter = _as_number("max_iter", raw.get("max_iter", 100), integer=True)
     epsilon = raw.get("epsilon")
-    if epsilon is None:
-        epsilon = default_epsilon(p)
-    else:
-        epsilon = _as_number("epsilon", epsilon, minimum=0.0)
-    if p < 2.0 and epsilon == 0.0:
-        raise ConfigError("epsilon", f"p = {p} < 2 needs a positive "
-                          "regularization")
-
-    scheme = raw.get("scheme", "auto")
-    if scheme not in SCHEMES:
-        raise ConfigError("scheme", f"must be one of {SCHEMES}, got {scheme!r}")
-    scheme = resolve_scheme(p, scheme)
-
+    if epsilon is not None:
+        epsilon = _as_number("epsilon", epsilon)
     q = raw.get("quadrature_points")
-    if q is None:
-        q = r + 2
-    else:
-        q = _as_number("quadrature_points", q, integer=True, minimum=1)
-    if q > MAX_QUAD_POINTS:
-        raise ConfigError("quadrature_points",
-                          f"must be <= {MAX_QUAD_POINTS}, got {q}")
+    if q is not None:
+        q = _as_number("quadrature_points", q, integer=True)
 
-    mode = raw.get("quadrature_mode", "consistent")
-    if mode not in QUADRATURE_MODES:
-        raise ConfigError("quadrature_mode",
-                          f"must be one of {QUADRATURE_MODES}, got {mode!r}")
+    solver = SolverConfig(p=p, delta=T / n_steps, n_steps=n_steps, tol=tol,
+                          max_iter=max_iter, scheme=raw.get("scheme", "auto"),
+                          epsilon=epsilon, quad_points=default_quad_points(r, q),
+                          quadrature_mode=raw.get("quadrature_mode", "consistent"))
+    build_uniform_mesh(a, b, m, r)
+    gauss_legendre(solver.quad_points)
 
     snaps = raw.get("snapshot_times")
     if snaps is None:
@@ -157,10 +125,8 @@ def validate_config(raw: dict) -> RunConfig:
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError("output_dir", f"expected a non-empty string, got {out_dir!r}")
 
-    return RunConfig(domain=(a, b), T=T, p=p, kernel_lambda=lam, r=r, m=m,
-                     N=n_steps, tol=tol, max_iter=max_iter, epsilon=epsilon,
-                     scheme=scheme, quadrature_points=q, quadrature_mode=mode,
-                     snapshot_times=snaps, output_dir=out_dir)
+    return RunConfig(domain=(a, b), T=T, kernel_lambda=lam, r=r, m=m,
+                     solver=solver, snapshot_times=snaps, output_dir=out_dir)
 
 
 def parse_config(path) -> RunConfig:
@@ -180,17 +146,17 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return {
         "domain": [cfg.domain[0], cfg.domain[1]],
         "T": cfg.T,
-        "p": cfg.p,
+        "p": cfg.solver.p,
         "kernel": {"type": cfg.kernel_type, "lambda": cfg.kernel_lambda},
         "r": cfg.r,
         "m": cfg.m,
-        "N": cfg.N,
-        "tol": cfg.tol,
-        "max_iter": cfg.max_iter,
-        "epsilon": cfg.epsilon,
-        "scheme": cfg.scheme,
-        "quadrature_points": cfg.quadrature_points,
-        "quadrature_mode": cfg.quadrature_mode,
+        "N": cfg.solver.n_steps,
+        "tol": cfg.solver.tol,
+        "max_iter": cfg.solver.max_iter,
+        "epsilon": cfg.solver.epsilon,
+        "scheme": cfg.solver.scheme,
+        "quadrature_points": cfg.solver.quad_points,
+        "quadrature_mode": cfg.solver.quadrature_mode,
         "snapshot_times": cfg.snapshot_times,
         "output_dir": cfg.output_dir,
     }

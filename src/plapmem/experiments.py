@@ -8,7 +8,6 @@ merged in sweep order, so output files do not depend on completion order.
 import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -92,12 +91,11 @@ def write_convergence_table(path, rows) -> None:
                rows)
 
 
-def _run_sweep(tasks, parallel: bool, workers: Optional[int]):
+def _run_sweep(tasks, parallel: bool):
     """Execute callables, preserving task order in the returned list."""
     if not parallel:
         return [task() for task in tasks]
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "0")) or (os.cpu_count() or 2)
+    workers = int(os.environ.get(WORKERS_ENV, "0")) or (os.cpu_count() or 2)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(task) for task in tasks]
         return [f.result() for f in futures]
@@ -113,8 +111,7 @@ def _solve_manufactured(p, lam, m, r, delta, horizon=0.1, tol=1e-12,
     return march(problem, mesh, cfg)
 
 
-def run_example1(out_dir, p_values=(3.0, 4.0), lam=1.0,
-                 parallel=False, workers=None) -> Path:
+def run_example1(out_dir, p_values=(3.0, 4.0), lam=1.0, parallel=False) -> Path:
     """Convergence study: h-sweep for r = 1..3 and a time-step sweep at r = 4.
 
     The h-sweep fixes delta = 1e-4 over h in {1/4, 1/8, 1/16, 1/32}; the
@@ -136,7 +133,7 @@ def run_example1(out_dir, p_values=(3.0, 4.0), lam=1.0,
     series += [(3, [case(p, 4, 10, horizon / n, f"p{_fmt(p)}_r4_N{n}")
                     for n in (10, 20, 40, 80)]) for p in p_values]
     runs = iter(_run_sweep([task for _, cases in series for *_, task in cases],
-                           parallel, workers))
+                           parallel))
     rows = []
     for axis, cases in series:
         errs = []
@@ -168,7 +165,7 @@ def asymptotics_problem(p: float, lam: float, horizon: float = 3.0) -> ProblemSp
 
 
 def run_example2(out_dir, p_values=(1.5, 2.0, 4.0), lam_values=(10.0, 0.0, -1.0, -10.0),
-                 parallel=False, workers=None):
+                 parallel=False):
     """Asymptotic behaviour of the dome datum for each (lambda, p) pair.
 
     The strongly negative amplitude drives space-oscillatory growth; at
@@ -190,7 +187,7 @@ def run_example2(out_dir, p_values=(1.5, 2.0, 4.0), lam_values=(10.0, 0.0, -1.0,
         return march(problem, mesh, cfg)
 
     tasks = [lambda lam=lam, p=p: solve(lam, p) for lam, p in sweep]
-    runs = _run_sweep(tasks, parallel, workers)
+    runs = _run_sweep(tasks, parallel)
     for (lam, p), run in zip(sweep, runs):
         sub = out / f"lambda{_fmt(lam)}_p{_fmt(p)}"
         write_outputs(run, sub, snapshot_times=list(np.linspace(0.0, horizon, 7)))
@@ -214,21 +211,21 @@ def propagation_problem(p: float, lam: float, sharpness: int, scale: float,
 
 
 def run_example3(out_dir, p=3.0, lam_values=(0.0, 1.0, -1.0), horizon=0.5,
-                 parallel=False, workers=None):
+                 parallel=False):
     """Finite propagation speed: quadratic-edge datum, dead zone shrinks."""
     return _run_propagation(out_dir, p, lam_values, sharpness=2, scale=10.0,
-                            horizon=horizon, parallel=parallel, workers=workers)
+                            horizon=horizon, parallel=parallel)
 
 
 def run_example4(out_dir, p=3.0, lam_values=(0.0, -5.0), horizon=0.5,
-                 parallel=False, workers=None):
+                 parallel=False):
     """Waiting time: degree-7 edges keep the dead-zone boundary pinned."""
     return _run_propagation(out_dir, p, lam_values, sharpness=7, scale=100.0,
-                            horizon=horizon, parallel=parallel, workers=workers)
+                            horizon=horizon, parallel=parallel)
 
 
 def _run_propagation(out_dir, p, lam_values, sharpness, scale, horizon,
-                     parallel, workers):
+                     parallel):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     h, delta = 0.02, 1e-3
@@ -242,40 +239,34 @@ def _run_propagation(out_dir, p, lam_values, sharpness, scale, horizon,
         return march(problem, mesh, cfg)
 
     tasks = [lambda lam=lam: solve(lam) for lam in lam_values]
-    runs = _run_sweep(tasks, parallel, workers)
+    runs = _run_sweep(tasks, parallel)
     for lam, run in zip(lam_values, runs):
         sub = out / f"lambda{_fmt(lam)}"
         write_outputs(run, sub, snapshot_times=list(np.linspace(0.0, horizon, 6)))
     return runs
 
 
-def run_example(example_id: int, overrides=None, out_dir="out",
-                parallel=False, workers=None):
+#: Each runner's p and lambda keywords; a "_values" keyword takes a tuple.
+_RUNNERS = {1: (run_example1, "p_values", "lam"),
+            2: (run_example2, "p_values", "lam_values"),
+            3: (run_example3, "p", "lam_values"),
+            4: (run_example4, "p", "lam_values")}
+
+
+def run_example(example_id: int, overrides=None, out_dir="out", parallel=False):
     """Dispatch one of the four built-in studies with optional overrides.
 
     overrides may carry "p" and "lambda"; each restricts the corresponding
-    sweep to the single given value.
+    sweep to the single given value. The sweep defaults are the runners'.
     """
+    if example_id not in _RUNNERS:
+        raise ConfigError("example", f"must be 1, 2, 3 or 4, got {example_id}")
     overrides = overrides or {}
-    p = overrides.get("p")
-    lam = overrides.get("lambda")
-    out = Path(out_dir) / f"example{example_id}"
-    if example_id == 1:
-        return run_example1(out, p_values=(p,) if p is not None else (3.0, 4.0),
-                            lam=lam if lam is not None else 1.0,
-                            parallel=parallel, workers=workers)
-    if example_id == 2:
-        return run_example2(out,
-                            p_values=(p,) if p is not None else (1.5, 2.0, 4.0),
-                            lam_values=(lam,) if lam is not None
-                            else (10.0, 0.0, -1.0, -10.0),
-                            parallel=parallel, workers=workers)
-    if example_id == 3:
-        return run_example3(out, p=p if p is not None else 3.0,
-                            lam_values=(lam,) if lam is not None else (0.0, 1.0, -1.0),
-                            parallel=parallel, workers=workers)
-    if example_id == 4:
-        return run_example4(out, p=p if p is not None else 3.0,
-                            lam_values=(lam,) if lam is not None else (0.0, -5.0),
-                            parallel=parallel, workers=workers)
-    raise ConfigError("example", f"must be 1, 2, 3 or 4, got {example_id}")
+    runner, p_key, lam_key = _RUNNERS[example_id]
+    kwargs = {}
+    for key, value in ((p_key, overrides.get("p")),
+                       (lam_key, overrides.get("lambda"))):
+        if value is not None:
+            kwargs[key] = (value,) if key.endswith("_values") else value
+    return runner(Path(out_dir) / f"example{example_id}", parallel=parallel,
+                  **kwargs)

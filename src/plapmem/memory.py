@@ -47,10 +47,11 @@ QUADRATURE_MODES = ("consistent", "literal")
 _LAM_CHECK_LAGS = np.array([0.0, 0.5, 1.0, 4.0])
 
 
-def _check_mode(mode: str):
+def check_mode(mode: str):
+    """Reject a quadrature mode outside QUADRATURE_MODES."""
     if mode not in QUADRATURE_MODES:
-        raise ValueError(f"quadrature mode must be one of {QUADRATURE_MODES}, "
-                         f"got {mode!r}")
+        raise ConfigError("quadrature_mode",
+                          f"must be one of {QUADRATURE_MODES}, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -143,15 +144,12 @@ def volterra_weights(k: int, delta: float) -> VolterraWeights:
                            half_weight=delta / 8.0)
 
 
-def forcing_weights(k: int, delta: float, mode: str = "consistent"):
+def forcing_weights(k: int, delta: float):
     """Weights/lags over the load levels [F(t_0), F(t_1/2), .., F(t_{k+1/2})].
 
-    The consistent mode is the composite trapezoid on the half-step grid
-    (sums to t_{k+1/2} for a constant kernel). The literal mode adds one
-    extra delta * g(0) share on the final level, reproducing a printed
-    upper summation limit that double-counts that node.
+    The composite trapezoid on the half-step grid (sums to t_{k+1/2} for a
+    constant kernel).
     """
-    _check_mode(mode)
     t_half = (k + 0.5) * delta
     if k == 0:
         weights = np.array([delta / 4.0, delta / 4.0])
@@ -165,9 +163,6 @@ def forcing_weights(k: int, delta: float, mode: str = "consistent"):
         lags = np.empty(k + 2)
         lags[0] = t_half
         lags[1:] = delta * (k - np.arange(k + 1))
-    if mode == "literal":
-        weights = weights.copy()
-        weights[-1] += delta
     return weights, lags
 
 
@@ -277,11 +272,11 @@ def i_f(hist: StateHistory, kernel: KernelSpec,
         mode: str = "consistent") -> np.ndarray:
     """Kernel-weighted sum of the stored load vectors over [0, t_{k+1/2}].
 
-    The literal mode equals the consistent one plus delta * g(0) times the
-    newest half-step load.
+    The literal mode adds delta * g(0) times the newest half-step load, as a
+    printed upper summation limit that double-counts that node does.
     """
-    _check_mode(mode)
-    weights, lags = forcing_weights(hist.k, hist.delta, "consistent")
+    check_mode(mode)
+    weights, lags = forcing_weights(hist.k, hist.delta)
     coeffs = weights * _kernel_values(kernel.g, lags)
     out = coeffs @ hist.loads_view()
     if mode == "literal":
@@ -333,6 +328,7 @@ def memory_equation(hist: StateHistory, kernel: KernelSpec,
     `sums`, else ones replayed from level 0 here); any other kernel re-sums
     the trapezoid history.
     """
+    check_mode(mode)
     delta = hist.delta
     g0 = float(kernel.g(0.0))
     gp0 = float(kernel.gp(0.0))
@@ -362,7 +358,6 @@ def memory_equation(hist: StateHistory, kernel: KernelSpec,
 def _recursive_rhs(hist: StateHistory, lam: float, mass: BandedSymMatrix,
                    mode: str, sums: ExponentialSums) -> np.ndarray:
     """The memory equation's rhs for g = lam*exp(-s) from the running sums."""
-    _check_mode(mode)
     sums.advance(hist)
     k, delta = hist.k, hist.delta
     t_half = (k + 0.5) * delta

@@ -40,7 +40,7 @@ from .assembly import (ElementTables, FluxParams, assemble_load, assemble_mass,
 from .banded import BandedFactor, BandedSymMatrix
 from .errors import ConfigError, FixedPointDivergenceError, LinearSolveError
 from .memory import (ExponentialSums, KernelSpec, MemoryEquation, StateHistory,
-                     memory_equation, memory_residual, QUADRATURE_MODES)
+                     check_mode, memory_equation, memory_residual)
 from .mesh import Mesh1D, QuadratureRule, default_quad_points, gauss_legendre
 
 SCHEMES = ("auto", "A", "B", "N")
@@ -81,7 +81,7 @@ def resolve_scheme(p: float, requested: str) -> str:
 
 @dataclass
 class SolverConfig:
-    """Knobs of one time march."""
+    """Knobs of one time march; builds (and so checks) its FluxParams."""
 
     p: float
     delta: float
@@ -102,16 +102,14 @@ class SolverConfig:
             raise ConfigError("tol", f"must be positive, got {self.tol}")
         if self.max_iter < 2:
             raise ConfigError("max_iter", f"must be >= 2, got {self.max_iter}")
-        if self.quadrature_mode not in QUADRATURE_MODES:
-            raise ConfigError("quadrature_mode",
-                              f"must be one of {QUADRATURE_MODES}, "
-                              f"got {self.quadrature_mode!r}")
+        check_mode(self.quadrature_mode)
         self.scheme = resolve_scheme(self.p, self.scheme)
         if self.epsilon is None:
             self.epsilon = default_epsilon(self.p)
+        self._flux = FluxParams(p=self.p, epsilon=self.epsilon)
 
     def flux_params(self) -> FluxParams:
-        return FluxParams(p=self.p, epsilon=self.epsilon)
+        return self._flux
 
 
 @dataclass(frozen=True)
@@ -281,8 +279,9 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
         y_next = block.memory_state(u_next)
         du = u_next - u_it      # the plain map's increments, which the
         dy = y_next - y_it      # stopping rule compares with tol
-        inc_u = float(du @ mass.matvec(du))
-        inc_y = float(dy @ mass.matvec(dy))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf/nan: diverged
+            inc_u = float(du @ mass.matvec(du))
+            inc_y = float(dy @ mass.matvec(dy))
         total = omega * omega * (inc_u + inc_y)     # those of the steps taken
         if not np.isfinite(total):
             break
@@ -317,6 +316,9 @@ def march(problem: "analysis.ProblemSpec", mesh: Mesh1D,
     if mesh.n_interior < 1:
         raise ConfigError("m", "mesh has no interior degrees of freedom; "
                           "increase m or r")
+    if problem.p != cfg.p:
+        raise ConfigError("p", f"solver exponent {cfg.p} does not match the "
+                          f"problem's {problem.p}")
     if abs(mesh.a - problem.a) > 1e-12 or abs(mesh.b - problem.b) > 1e-12:
         raise ConfigError("domain", f"mesh [{mesh.a}, {mesh.b}] does not match "
                           f"problem domain [{problem.a}, {problem.b}]")

@@ -7,15 +7,15 @@ not calibrated at runtime; run with -s to see the per-criterion lines.
 import numpy as np
 import pytest
 
-from plapmem import (SolverConfig, ProblemSpec, assemble_mass, build_uniform_mesh,
-                     convergence_orders, exponential_kernel, fit_order, flux,
-                     FluxParams, forcing_weights, gauss_legendre, i_f,
+from plapmem import (SolverConfig, ProblemSpec, build_uniform_mesh,
+                     convergence_orders, exponential_kernel, fit_order,
                      manufactured_example1, march, mass_norm, support_gap,
-                     volterra_weights, waiting_time)
+                     waiting_time)
 from plapmem.analysis import extrema_series
+from plapmem.assembly import FluxParams, assemble_mass, flux
 from plapmem.experiments import asymptotics_problem, propagation_problem
-from plapmem.memory import StateHistory
-from plapmem.mesh import eval_on_elements
+from plapmem.memory import StateHistory, forcing_weights, i_f, volterra_weights
+from plapmem.mesh import eval_on_elements, gauss_legendre
 
 
 def report(num, name, ok, detail=""):

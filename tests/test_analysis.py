@@ -54,8 +54,7 @@ class TestEnergy:
         assert energy(mesh, nodal[1:-1]) == pytest.approx(1 / 30, abs=1e-12)
 
     def test_matches_direct_quadrature_for_random_fields(self):
-        from plapmem import gauss_legendre
-        from plapmem.mesh import eval_on_elements
+        from plapmem.mesh import eval_on_elements, gauss_legendre
         mesh = build_uniform_mesh(-1, 1, 7, 3)
         rng = np.random.default_rng(21)
         quad = gauss_legendre(8)

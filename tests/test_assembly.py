@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plapmem import (ConfigError, FluxParams, assemble_load, assemble_mass,
-                     assemble_plap, build_uniform_mesh, eval_fe, flux,
-                     flux_coefficient, gauss_legendre, interpolate)
-from plapmem.assembly import ElementTables
-from plapmem.mesh import full_coefficients
+from plapmem import ConfigError, build_uniform_mesh
+from plapmem.assembly import (ElementTables, FluxParams, assemble_load,
+                              assemble_mass, assemble_plap, flux,
+                              flux_coefficient, interpolate)
+from plapmem.mesh import eval_fe, full_coefficients, gauss_legendre
 
 
 @pytest.fixture

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from plapmem import BandedSymMatrix, LinearSolveError
+from plapmem import LinearSolveError
+from plapmem.banded import BandedSymMatrix
 
 
 def random_banded(n, bw, seed=0, definite=True):

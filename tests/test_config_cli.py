@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -23,14 +24,14 @@ def write_json(tmp_path, payload, name="config.json"):
 class TestValidateConfig:
     def test_minimal_defaults(self):
         cfg = validate_config(dict(MINIMAL))
-        assert cfg.tol == 1e-9
-        assert cfg.max_iter == 100
-        assert cfg.scheme == "N"           # auto resolves for p = 3
-        assert cfg.epsilon == 0.0
-        assert cfg.quadrature_points == 3  # r + 2
-        assert cfg.quadrature_mode == "consistent"
+        assert cfg.solver.tol == 1e-9
+        assert cfg.solver.max_iter == 100
+        assert cfg.solver.scheme == "N"           # auto resolves for p = 3
+        assert cfg.solver.epsilon == 0.0
+        assert cfg.solver.quad_points == 3        # r + 2
+        assert cfg.solver.quadrature_mode == "consistent"
         assert cfg.snapshot_times == [0.0, 0.05, 0.1]
-        assert cfg.delta == pytest.approx(1e-3)
+        assert cfg.solver.delta == pytest.approx(1e-3)
 
     def test_nested_kernel_form(self):
         raw = dict(MINIMAL)
@@ -62,13 +63,24 @@ class TestValidateConfig:
         ("N", 0), ("m", 0), ("r", 0), ("r", 9), ("tol", -1.0),
         ("max_iter", 1), ("scheme", "C"), ("quadrature_mode", "verbatim"),
         ("quadrature_points", 40), ("snapshot_times", [-1.0]),
-        ("domain", [1, 0]), ("T", 0),
+        ("domain", [1, 0]), ("T", 0), ("p", 0.5), ("epsilon", -1.0),
+        ("quadrature_points", 0),
     ])
     def test_invalid_values_rejected(self, field, value):
         raw = dict(MINIMAL)
         raw[field] = value
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             validate_config(raw)
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"p": 1.5, "epsilon": 0.0}, "epsilon"),
+        ({"p": 2.5, "scheme": "A"}, "scheme"),
+    ])
+    def test_exponent_dependent_rules_name_the_field(self, overrides, field):
+        with pytest.raises(ConfigError) as err:
+            validate_config(dict(MINIMAL, **overrides))
+        assert err.value.field == field
 
     def test_singular_range_needs_regularization(self):
         raw = dict(MINIMAL, p=1.5, epsilon=0.0)
@@ -174,7 +186,7 @@ class TestCliExitCodes:
         payload = dict(MINIMAL, m=4, N=10)
         assert run_cli(tmp_path, payload) == 0
         echoed = parse_config(tmp_path / "out" / "config.json")
-        assert echoed.m == 4 and echoed.N == 10
+        assert echoed.m == 4 and echoed.solver.n_steps == 10
 
     def test_config_error_is_2(self, tmp_path, capsys):
         assert run_cli(tmp_path, dict(MINIMAL, p=0.5)) == 2
@@ -206,6 +218,17 @@ class TestCliExitCodes:
         with np.errstate(over="ignore", invalid="ignore"):
             assert run_cli(tmp_path, payload) == 3
         assert "did not converge at step" in capsys.readouterr().err
+
+    def test_overflowing_iterates_end_with_the_error_alone(self, tmp_path, capsys):
+        # the iterates of scheme B overflow within the first steps
+        payload = dict(MINIMAL, p=4, r=4, m=10, N=10, scheme="B",
+                       quadrature_mode="literal", quadrature_points=7)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(tmp_path, payload) == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_ill_posed_step_is_4(self, tmp_path):
         # delta * g(0) = -4 zeroes the memory coefficient

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 import plapmem.memory
-from plapmem import (BandedSymMatrix, ConfigError, IllPosedStepError,
-                     KernelSpec, SolverConfig, StateHistory,
-                     build_uniform_mesh, exponential_kernel, forcing_weights,
-                     i_f, manufactured_example1, march, memory_equation, q_g,
-                     q_gp, volterra_weights)
-from plapmem.memory import ExponentialSums, memory_residual
+from plapmem import (ConfigError, IllPosedStepError, KernelSpec, SolverConfig,
+                     build_uniform_mesh, exponential_kernel,
+                     manufactured_example1, march)
+from plapmem.banded import BandedSymMatrix
+from plapmem.memory import (ExponentialSums, StateHistory, forcing_weights, i_f,
+                            memory_equation, memory_residual, q_g, q_gp,
+                            volterra_weights)
 
 
 def scalar_mass():
@@ -68,17 +69,6 @@ class TestForcingWeights:
         w, lags = forcing_weights(3, 0.1)
         assert lags == pytest.approx([0.35, 0.3, 0.2, 0.1, 0.0])
         assert w == pytest.approx([0.025, 0.075, 0.1, 0.1, 0.05])
-
-    def test_literal_adds_one_delta_share(self):
-        wc, _ = forcing_weights(4, 0.1, "consistent")
-        wl, _ = forcing_weights(4, 0.1, "literal")
-        diff = wl - wc
-        assert diff[:-1] == pytest.approx(0.0)
-        assert diff[-1] == pytest.approx(0.1)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            forcing_weights(1, 0.1, "exact")
 
 
 class TestQg:
@@ -298,9 +288,10 @@ class TestRecursiveHistory:
 
     def test_unknown_mode_rejected(self):
         hist = random_history(2, 0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError) as err:
             memory_equation(hist, exponential_kernel(1.0),
                             tridiagonal_mass(hist.n_dofs), "exact")
+        assert err.value.field == "quadrature_mode"
 
     @pytest.mark.parametrize("lam", [1.0, -10.0])
     def test_march_matches_direct(self, lam):

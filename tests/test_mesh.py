@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from plapmem import (ConfigError, ReferenceBasis, basis_eval, build_uniform_mesh,
-                     eval_fe, gauss_legendre)
-from plapmem.mesh import eval_on_elements
+from plapmem import ConfigError, build_uniform_mesh
+from plapmem.mesh import (ReferenceBasis, basis_eval, eval_fe, eval_on_elements,
+                          gauss_legendre)
 
 
 class TestBuildUniformMesh:

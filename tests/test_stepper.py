@@ -3,18 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plapmem import (ConfigError, FixedPointDivergenceError, IllPosedStepError,
-                     MemoryEquation, ProblemSpec, SolverConfig, assemble_mass,
-                     build_uniform_mesh, cn_step, exponential_kernel,
-                     fixed_point_init, gauss_legendre, manufactured_example1,
-                     march, mass_norm, memory_equation, select_scheme,
-                     step_residuals)
+                     ProblemSpec, SolverConfig, build_uniform_mesh,
+                     exponential_kernel, manufactured_example1, march,
+                     mass_norm, step_residuals)
 from plapmem.banded import BandedSymMatrix
-from plapmem.assembly import interpolate
+from plapmem.assembly import assemble_mass, interpolate
 from plapmem.errors import LinearSolveError
-from plapmem.memory import StateHistory
-from plapmem.mesh import default_quad_points
+from plapmem.memory import MemoryEquation, StateHistory, memory_equation
+from plapmem.mesh import default_quad_points, gauss_legendre
 from plapmem.stepper import (_STALL_GRACE, _STALL_RATIO, Assembler, BlockSystem,
-                             resolve_scheme)
+                             cn_step, fixed_point_init, resolve_scheme,
+                             select_scheme)
 
 
 def zero_f(x, t):
@@ -258,6 +257,14 @@ class TestMarch:
         mesh = build_uniform_mesh(-1, 1, 8, 1)
         with pytest.raises(ConfigError):
             march(problem, mesh, SolverConfig(p=3.0, delta=1e-3, n_steps=100))
+
+    def test_exponent_mismatch_rejected(self):
+        # a p = 4 solve of the p = 3 problem would run to a wrong answer
+        problem = manufactured_example1(3.0, 1.0)
+        mesh = build_uniform_mesh(0, 1, 16, 2)
+        with pytest.raises(ConfigError) as err:
+            march(problem, mesh, SolverConfig(p=4.0, delta=1e-3, n_steps=100))
+        assert err.value.field == "p"
 
     def test_horizon_mismatch_rejected(self):
         problem = manufactured_example1(3.0, 1.0)   # horizon 0.1
