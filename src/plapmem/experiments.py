@@ -170,8 +170,8 @@ def run_example2(out_dir, p_values=(1.5, 2.0, 4.0), lam_values=(10.0, 0.0, -1.0,
 
     The strongly negative amplitude drives space-oscillatory growth; at
     lambda = -10 with the degenerate p = 4 flux the solution grows to
-    max |u(T)| ~ 3.7e3, which Newton follows at two to three iterations
-    per step.
+    max |u(T)| ~ 3.7e3, which Newton follows at one to three iterations
+    per step (1.4 on average).
     """
     sweep = [(lam, p) for lam in lam_values for p in p_values]
     out = Path(out_dir)

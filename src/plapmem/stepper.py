@@ -26,6 +26,11 @@ side. An iteration does only what depends on the iterate: one p-Laplacian
 assembly (with the tangent for scheme N) and one matrix-vector product
 (two for N, none for p = 2 with scheme A), one banded solve (a single
 LAPACK call) and the two increment norms.
+
+Newton starts a step from the extrapolation 3(U^k - U^{k-1}) + U^{k-2} of
+the last three levels where that extrapolation has been reliable, which
+brings it within tol after one iteration on a smooth trajectory; the
+fixed-point schemes start from U^k.
 """
 
 from dataclasses import dataclass, field
@@ -51,8 +56,9 @@ def select_scheme(p: float) -> str:
     diffusion ("A") for p <= 2.
 
     For p > 2 the fixed-point iterations contract slowly, or not at all
-    once the solution grows, while Newton converges in about two
-    iterations per step. p = 2 takes "A" because the diffusion matrix is
+    once the solution grows, while Newton converges in two iterations from
+    the previous level and in one from a predicted start (see cn_step) on
+    a smooth trajectory. p = 2 takes "A" because the diffusion matrix is
     then state independent: the step is solved exactly in one linear solve
     and the iteration terminates as soon as it repeats itself. The singular
     range 1 < p < 2 (regularized) also takes "A": there the flux slope
@@ -121,6 +127,8 @@ class StepDiagnostics:
     increment_y: float
     ratios: tuple = field(default_factory=tuple)
     relaxed: int = 0            # first iteration with a relaxed update; 0: none
+    restarted: int = 0          # first iteration after an abandoned predicted
+                                # start, run from the previous level; 0: none
 
 
 class Assembler:
@@ -193,6 +201,25 @@ def fixed_point_init(hist: StateHistory):
     return hist.u[hist.k].copy(), hist.y[hist.k].copy()
 
 
+def predicted_start(hist: StateHistory) -> Optional[np.ndarray]:
+    """The next level extrapolated from the last three, 3(U_k - U_{k-1})
+    + U_{k-2} (O(delta^3) from U_{k+1} on a smooth trajectory), or None.
+
+    None before level 3, and wherever the same extrapolation from levels
+    k-1..k-3 missed U_k by no less, in max-norm, than U_{k-1} did: there the
+    trajectory is not smooth on the scale of a step, and U_k is the safer
+    start.
+    """
+    k = hist.k
+    if k < 3:
+        return None
+    u = hist.u
+    miss = u[k] - 3.0 * u[k - 1] + 3.0 * u[k - 2] - u[k - 3]
+    if np.max(np.abs(miss)) >= np.max(np.abs(u[k] - u[k - 1])):
+        return None
+    return 3.0 * (u[k] - u[k - 1]) + u[k - 2]
+
+
 #: The first iteration with an increment ratio, where the stall check starts.
 _STALL_GRACE = 2
 #: A ratio this close to 1 (or above) means the iteration is cycling or
@@ -200,6 +227,7 @@ _STALL_GRACE = 2
 _STALL_RATIO = 0.98
 
 
+@np.errstate(over="ignore", invalid="ignore")   # inf/nan: diverged
 def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
             asm: Assembler, sums: Optional[ExponentialSums] = None):
     """Advance one level: iterate the chosen scheme until both squared
@@ -213,6 +241,15 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     = b + delta*(K_T U - A (U + U^k)) with A and K_T at the iterate's
     midpoint; scheme A solves (c*M + delta*A) U_next = b - delta*A U^k.
 
+    Newton starts from predicted_start(hist) where that gives a start
+    (from level 3 on, while the extrapolation keeps predicting well), with
+    Y from the memory relation; every other iteration starts from
+    (U^k, Y^k). If the iteration from a predicted start stalls, it restarts
+    once from (U^k, Y^k) instead of relaxing, with omega = 1 and the stall
+    check's grace counted from the restart; the abandoned iterations count
+    toward max_iter, and the diagnostics record the first iteration after
+    the restart.
+
     Large time steps can drive the plain iteration into an oscillating
     mode (update eigenvalue mu near -sqrt(rho), rho the ratio of squared
     increments). Whenever an increment does not contract (rho >= 0.98),
@@ -223,7 +260,8 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     before relaxing) whatever omega is; the ratios are those of the steps
     taken. Y is re-derived from the relaxed U through the memory relation so
     every iterate satisfies it exactly. The diagnostics record the first
-    relaxed iteration. An iterate that overflows ends the step as divergence.
+    relaxed iteration. An iterate that overflows ends the step as divergence,
+    without numpy warnings: the step runs under np.errstate.
     """
     k = hist.k
     delta = cfg.delta
@@ -252,9 +290,13 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
         a_mid = lhs_stiff = asm.stiffness
 
     u_it, y_it = fixed_point_init(hist)
+    start = predicted_start(hist) if newton else None
+    predicted = start is not None
+    if predicted:
+        u_it, y_it = start, block.memory_state(start)
     ratios = []
     prev_total = None
-    relaxed = 0
+    relaxed = restarted = begun = 0     # begun: iterations before this start
     omega = 1.0
     overflow = None
     for iteration in range(1, cfg.max_iter + 1):
@@ -279,9 +321,8 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
         y_next = block.memory_state(u_next)
         du = u_next - u_it      # the plain map's increments, which the
         dy = y_next - y_it      # stopping rule compares with tol
-        with np.errstate(over="ignore", invalid="ignore"):  # inf/nan: diverged
-            inc_u = float(du @ mass.matvec(du))
-            inc_y = float(dy @ mass.matvec(dy))
+        inc_u = float(du @ mass.matvec(du))
+        inc_y = float(dy @ mass.matvec(dy))
         total = omega * omega * (inc_u + inc_y)     # those of the steps taken
         if not np.isfinite(total):
             break
@@ -298,10 +339,17 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
                                                increment_u=inc_u,
                                                increment_y=inc_y,
                                                ratios=tuple(ratios),
-                                               relaxed=relaxed)
-        if iteration >= _STALL_GRACE and ratios[-1] >= _STALL_RATIO:
-            omega /= 1.0 + np.sqrt(ratios[-1])
-            relaxed = relaxed or iteration + 1
+                                               relaxed=relaxed,
+                                               restarted=restarted)
+        if iteration - begun >= _STALL_GRACE and ratios[-1] >= _STALL_RATIO:
+            if predicted:        # restart once, from the previous level
+                predicted = False
+                u_it, y_it = fixed_point_init(hist)
+                omega, prev_total = 1.0, None
+                begun, restarted = iteration, iteration + 1
+            else:
+                omega /= 1.0 + np.sqrt(ratios[-1])
+                relaxed = relaxed or iteration + 1
     raise FixedPointDivergenceError(step=k, iterations=iteration,
                                     last_ratio=ratios[-1] if ratios else np.inf,
                                     increment_u=inc_u, increment_y=inc_y) from overflow

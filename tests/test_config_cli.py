@@ -230,6 +230,16 @@ class TestCliExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_assembly_warns_nothing(self, tmp_path, capsys):
+        # the p = 6 scheme-B iterates overflow the flux coefficient and the
+        # assembled system at step 1; no numpy warning may precede the error
+        payload = dict(MINIMAL, p=6, r=2, m=32, N=10, T=0.5, scheme="B")
+        assert run_cli(tmp_path, payload) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "did not converge at step 1" in err[0]
+
     def test_ill_posed_step_is_4(self, tmp_path):
         # delta * g(0) = -4 zeroes the memory coefficient
         payload = dict(MINIMAL, N=2, T=0.2, **{"lambda": -40})

@@ -12,8 +12,8 @@ from plapmem.errors import LinearSolveError
 from plapmem.memory import MemoryEquation, StateHistory, memory_equation
 from plapmem.mesh import default_quad_points, gauss_legendre
 from plapmem.stepper import (_STALL_GRACE, _STALL_RATIO, Assembler, BlockSystem,
-                             cn_step, fixed_point_init, resolve_scheme,
-                             select_scheme)
+                             cn_step, fixed_point_init, predicted_start,
+                             resolve_scheme, select_scheme)
 
 
 def zero_f(x, t):
@@ -317,7 +317,9 @@ class TestLeanStep:
                        for d in diags)
             assert any(d.relaxed for d in diags)
         if scheme == "N":
-            assert all(d.iterations == 2 and not d.relaxed for d in diags)
+            # two iterations from U_k, then one from the predicted start
+            assert [d.iterations for d in diags] == [2, 2, 2, 1, 1, 1, 1, 1, 1, 1]
+            assert not any(d.relaxed for d in diags)
         mass = asm.mass
         for k in range(n_steps):
             mem = memory_equation(hist.truncated(k), problem.kernel, mass)
@@ -498,6 +500,63 @@ class TestRelaxation:
             march(problem, build_uniform_mesh(0, 1, m, r), cfg)
 
 
+class TestPredictedStart:
+    """Newton starts from the extrapolation 3(U_k - U_{k-1}) + U_{k-2} where
+    it predicted U_k better than U_{k-1} did, and restarts once from U_k if
+    that start stalls."""
+
+    @staticmethod
+    def history(levels):
+        hist = StateHistory(levels.shape[1], len(levels), 0.1)
+        hist.set_initial(levels[0], np.zeros(levels.shape[1]))
+        for u in levels[1:]:
+            hist.append(u, np.zeros_like(u))
+        return hist
+
+    def test_extrapolation_exact_on_quadratic_trajectories(self):
+        t = np.arange(6)[:, None]
+        levels = 1.0 + 0.5 * t - 0.25 * t**2 * np.array([1.0, 2.0, -3.0])
+        for k in range(3):
+            assert predicted_start(self.history(levels[:k + 1])) is None
+        for k in range(3, 5):
+            hist = self.history(levels[:k + 1])
+            assert np.allclose(predicted_start(hist), levels[k + 1],
+                               rtol=0, atol=1e-13)
+
+    def test_guard_rejects_rough_trajectories(self):
+        # U_{k-1} predicts U_k better than the extrapolation from k-1..k-3
+        levels = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        assert predicted_start(self.history(levels)) is None
+        smooth = np.array([[0.0], [1.0], [2.0], [3.0]])
+        assert np.allclose(predicted_start(self.history(smooth)), [4.0])
+
+    def test_stalled_prediction_restarts_from_previous_level(self, monkeypatch):
+        import copy
+        import plapmem.stepper as stepper
+        # step 5 of this run: the predicted start's second ratio is 3.9
+        p, lam, r, m, delta = 5.555, 9.41, 2, 7, 0.0286
+        problem = forced_sine(p, lam, horizon=delta * 40)
+        mesh = build_uniform_mesh(0, 1, m, r)
+        cfg = SolverConfig(p=p, delta=delta, n_steps=40, tol=1e-12, scheme="N")
+        asm = make_assembler(problem, mesh, cfg)
+        hist = fresh_history(problem, mesh, cfg, asm)
+        early = [cn_step(hist, problem.kernel, cfg, asm)[2] for _ in range(5)]
+        assert [d.restarted for d in early] == [0] * 5
+        plain = copy.deepcopy(hist)
+        u, y, diag = cn_step(hist, problem.kernel, cfg, asm)
+        monkeypatch.setattr(stepper, "predicted_start", lambda hist: None)
+        u_plain, y_plain, diag_plain = cn_step(plain, problem.kernel, cfg, asm)
+        # after the restart the step repeats the iteration from U_k exactly:
+        # omega back at 1, no relaxation from a ratio seen before the restart
+        assert diag.restarted > _STALL_GRACE
+        assert diag.iterations == diag.restarted - 1 + diag_plain.iterations
+        assert diag.relaxed == diag_plain.relaxed == 0
+        assert np.array_equal(u, u_plain) and np.array_equal(y, y_plain)
+        # the abandoned iterations' ratios, then those after the restart
+        # (none across it: the restart clears the previous increment)
+        assert diag.ratios[diag.restarted - 2:] == diag_plain.ratios
+
+
 def forced_sine(p, lam, horizon):
     """A smooth problem for every p > 1 (the manufactured forcing is
     singular at x = 1/2 for p < 2)."""
@@ -539,35 +598,49 @@ class TestNonlinearSolveProperties:
     @given(**PROPERTY_CASES)
     def test_run_completes_or_diverges(self, p, lam, r, m, log_delta):
         # the fixed-point schemes: B where A is unavailable, A elsewhere
-        self.check_run(p, lam, r, m, log_delta, "B" if 2.0 < p < 3.0 else "A")
+        self.check_run(p, lam, r, m, 10.0 ** log_delta,
+                       "B" if 2.0 < p < 3.0 else "A")
 
     @settings(max_examples=40, deadline=None)
     @given(**PROPERTY_CASES)
     def test_newton_run_completes_or_diverges(self, p, lam, r, m, log_delta):
-        self.check_run(p, lam, r, m, log_delta, "N")
+        self.check_run(p, lam, r, m, 10.0 ** log_delta, "N")
+
+    # (p, lambda, r, m, delta): a predicted Newton start without its guard
+    # took up to 61 iterations in a step of the first (645 in all, against
+    # 205 from U_k); the second is the slowest-contracting sample of 300
+    @pytest.mark.parametrize("p, lam, r, m, delta", [
+        (5.555, 9.41, 2, 7, 0.0286),
+        (5.921, -7.64, 2, 6, 0.00781),
+    ])
+    def test_predicted_newton_start_stays_bounded(self, p, lam, r, m, delta):
+        diags = self.check_run(p, lam, r, m, delta, "N", n_steps=40, tol=1e-12)
+        assert diags is not None
+        assert max(d.iterations for d in diags) <= 10
 
     @staticmethod
-    def check_run(p, lam, r, m, log_delta, scheme):
-        n_steps = 10
-        delta = 10.0 ** log_delta
+    def check_run(p, lam, r, m, delta, scheme, n_steps=10, tol=1e-14):
+        """Run to completion and check the accepted pairs against the step
+        oracles (returning the step diagnostics), or check that a divergence
+        repeats on rerun (returning None)."""
         problem = forced_sine(p, lam, horizon=delta * n_steps)
         mesh = build_uniform_mesh(0, 1, m, r)
         # a tight tol, so the residuals measure the fixed point rather than
         # the absolute stopping rule
-        cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, tol=1e-14,
+        cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, tol=tol,
                            scheme=scheme)
         asm = make_assembler(problem, mesh, cfg)
         hist = fresh_history(problem, mesh, cfg, asm)
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                for _ in range(n_steps):
-                    cn_step(hist, problem.kernel, cfg, asm)
+                diags = [cn_step(hist, problem.kernel, cfg, asm)[2]
+                         for _ in range(n_steps)]
             except FixedPointDivergenceError as err:
                 with pytest.raises(FixedPointDivergenceError) as again:
                     march(problem, mesh, cfg)
                 assert (again.value.step, again.value.iterations) == \
                     (err.step, err.iterations)
-                return
+                return None
         assert np.isfinite(hist.u).all() and np.isfinite(hist.y).all()
         rerun = march(problem, mesh, cfg)
         assert np.array_equal(rerun.u, hist.u)
@@ -596,6 +669,7 @@ class TestNonlinearSolveProperties:
                      hist.loads[k + 1])
             scale = max(np.max(np.abs(t)) for t in terms)
             assert np.max(np.abs(res_ev)) <= 1e-2 * scale
+        return diags
 
 
 class TestHeatReduction:
