@@ -291,8 +291,7 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
 
     u_it, y_it = fixed_point_init(hist)
     start = predicted_start(hist) if newton else None
-    predicted = start is not None
-    if predicted:
+    if start is not None:
         u_it, y_it = start, block.memory_state(start)
     ratios = []
     prev_total = None
@@ -342,8 +341,8 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
                                                relaxed=relaxed,
                                                restarted=restarted)
         if iteration - begun >= _STALL_GRACE and ratios[-1] >= _STALL_RATIO:
-            if predicted:        # restart once, from the previous level
-                predicted = False
+            if start is not None:       # restart once, from the previous level
+                start = None
                 u_it, y_it = fixed_point_init(hist)
                 omega, prev_total = 1.0, None
                 begun, restarted = iteration, iteration + 1

@@ -606,9 +606,9 @@ class TestNonlinearSolveProperties:
     def test_newton_run_completes_or_diverges(self, p, lam, r, m, log_delta):
         self.check_run(p, lam, r, m, 10.0 ** log_delta, "N")
 
-    # (p, lambda, r, m, delta): a predicted Newton start without its guard
-    # took up to 61 iterations in a step of the first (645 in all, against
-    # 205 from U_k); the second is the slowest-contracting sample of 300
+    # (p, lambda, r, m, delta): without the guard the predicted start takes
+    # up to 13 iterations in a step of the first (315 in all, against 205
+    # from U_k) and 9 in the second (148, against 133)
     @pytest.mark.parametrize("p, lam, r, m, delta", [
         (5.555, 9.41, 2, 7, 0.0286),
         (5.921, -7.64, 2, 6, 0.00781),
