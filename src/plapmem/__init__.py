@@ -11,6 +11,7 @@ from .analysis import (ProblemSpec, RunOutput, convergence_orders, energy,
                        extrema_series, fit_order, l2_error,
                        manufactured_example1, mass_norm, support_gap,
                        waiting_time)
+from .assembly import SeparableForcing
 from .config import RunConfig, parse_config
 from .errors import (ConfigError, FixedPointDivergenceError, IllPosedStepError,
                      LinearSolveError, PlapmemError)
@@ -23,8 +24,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "FixedPointDivergenceError", "IllPosedStepError",
     "KernelSpec", "LinearSolveError", "Mesh1D", "PlapmemError", "ProblemSpec",
-    "RunConfig", "RunOutput", "SolverConfig", "build_uniform_mesh",
-    "convergence_orders", "energy", "exponential_kernel", "extrema_series",
-    "fit_order", "l2_error", "manufactured_example1", "march", "mass_norm",
-    "parse_config", "step_residuals", "support_gap", "waiting_time",
+    "RunConfig", "RunOutput", "SeparableForcing", "SolverConfig",
+    "build_uniform_mesh", "convergence_orders", "energy", "exponential_kernel",
+    "extrema_series", "fit_order", "l2_error", "manufactured_example1", "march",
+    "mass_norm", "parse_config", "step_residuals", "support_gap", "waiting_time",
 ]

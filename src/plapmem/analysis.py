@@ -3,11 +3,12 @@ manufactured verification problem.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .assembly import assemble_mass
+from .assembly import SeparableForcing, assemble_mass
 from .errors import ConfigError
 from .memory import KernelSpec, StateHistory, exponential_kernel
 from .mesh import (Mesh1D, QuadratureRule, default_quad_points, eval_on_elements,
@@ -19,7 +20,9 @@ class ProblemSpec:
     """Continuous problem: domain, horizon, exponent, kernel and data.
 
     u0 maps x -> value; f maps (x, t) -> value and must accept numpy
-    arrays in x. exact_u / exact_y, when given, enable error tables.
+    arrays in x. An f declared as a SeparableForcing has its load vector
+    assembled once per run instead of once per step. exact_u / exact_y,
+    when given, enable error tables.
     """
 
     a: float
@@ -244,12 +247,12 @@ def manufactured_example1(p: float, lam: float, horizon: float = 0.1) -> Problem
         psi = plap_of_bump(x, p)
         return lam * psi * np.exp(-t) * _memory_growth(t, p)
 
-    def forcing(x, t):
-        x = np.asarray(x, dtype=float)
-        return (-exact_u(x, t)
-                - plap_of_bump(x, p) * np.exp(-(p - 1.0) * t)
-                - exact_y(x, t))
-
+    # f = u_t - div(|u_x|^(p-2) u_x) - y, with both spatial factors fixed
+    forcing = SeparableForcing((
+        (_bump, lambda t: -np.exp(-t)),
+        (partial(plap_of_bump, p=p),
+         lambda t: -np.exp(-(p - 1.0) * t) - lam * np.exp(-t) * _memory_growth(t, p)),
+    ))
     return ProblemSpec(a=0.0, b=1.0, horizon=horizon, p=p,
                        kernel=exponential_kernel(lam),
                        u0=_bump, f=forcing,

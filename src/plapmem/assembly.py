@@ -177,6 +177,36 @@ def assemble_load(mesh: Mesh1D, f, t: float, quad: QuadratureRule, *,
     return out[1:-1]
 
 
+@dataclass(frozen=True)
+class SeparableForcing:
+    """A forcing declared as f(x, t) = sum_i space_i(x) * time_i(t).
+
+    terms holds the (space, time) pairs; with none, f = 0. It is itself the
+    callable f, for scalar or array x. The stepping loop integrates each
+    space profile once per run and combines the integrals with the time
+    coefficients (stepper.Assembler.load), instead of assembling f anew at
+    every step.
+    """
+
+    terms: tuple = ()
+
+    def __call__(self, x, t):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        for space, time in self.terms:
+            out = out + space(x) * time(t)
+        return out if out.ndim else float(out)
+
+    def coefficients(self, t: float) -> np.ndarray:
+        """The time coefficients at t, one per term."""
+        coeffs = np.array([float(time(t)) for _, time in self.terms])
+        if not np.all(np.isfinite(coeffs)):
+            raise ConfigError("forcing", f"non-finite time coefficient at t={t} "
+                              f"(term {int(np.argmin(np.isfinite(coeffs)))}); "
+                              "the forcing is singular there")
+        return coeffs
+
+
 def interpolate(mesh: Mesh1D, u0) -> np.ndarray:
     """Nodal interpolant of u0, returned on the interior dofs.
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .analysis import (ProblemSpec, RunOutput, convergence_orders,
                        manufactured_example1)
+from .assembly import SeparableForcing
 from .errors import ConfigError
 from .memory import exponential_kernel
 from .mesh import build_uniform_mesh, default_quad_points, eval_on_elements, gauss_legendre
@@ -161,7 +162,7 @@ def asymptotics_problem(p: float, lam: float, horizon: float = 3.0) -> ProblemSp
     """Free decay of the dome 1 - x^4 on (-1, 1); no forcing."""
     return ProblemSpec(a=-1.0, b=1.0, horizon=horizon, p=p,
                        kernel=exponential_kernel(lam),
-                       u0=_dome, f=lambda x, t: np.zeros_like(np.asarray(x)))
+                       u0=_dome, f=SeparableForcing())
 
 
 def run_example2(out_dir, p_values=(1.5, 2.0, 4.0), lam_values=(10.0, 0.0, -1.0, -10.0),
@@ -207,7 +208,7 @@ def propagation_problem(p: float, lam: float, sharpness: int, scale: float,
     return ProblemSpec(a=-1.0, b=1.0, horizon=horizon, p=p,
                        kernel=exponential_kernel(lam),
                        u0=lambda x: _front_profile(x, sharpness, scale),
-                       f=lambda x, t: np.zeros_like(np.asarray(x)))
+                       f=SeparableForcing())
 
 
 def run_example3(out_dir, p=3.0, lam_values=(0.0, 1.0, -1.0), horizon=0.5,

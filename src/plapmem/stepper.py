@@ -40,8 +40,9 @@ from typing import Optional
 import numpy as np
 
 from . import analysis
-from .assembly import (ElementTables, FluxParams, assemble_load, assemble_mass,
-                       assemble_plap, default_epsilon, interpolate)
+from .assembly import (ElementTables, FluxParams, SeparableForcing,
+                       assemble_load, assemble_mass, assemble_plap,
+                       default_epsilon, interpolate)
 from .banded import BandedFactor, BandedSymMatrix
 from .errors import ConfigError, FixedPointDivergenceError, LinearSolveError
 from .memory import (ExponentialSums, KernelSpec, MemoryEquation, StateHistory,
@@ -133,7 +134,8 @@ class StepDiagnostics:
 
 class Assembler:
     """Mesh + quadrature + flux bundle used by the stepping loop; keeps
-    what depends on these alone: basis tables, mass matrix and factors."""
+    what depends on these alone: basis tables, mass matrix and factors,
+    and the integrals of a SeparableForcing's space profiles."""
 
     def __init__(self, mesh: Mesh1D, quad: QuadratureRule,
                  params: FluxParams, load_fn):
@@ -143,6 +145,7 @@ class Assembler:
         self.load_fn = load_fn
         self.tables = ElementTables(mesh, quad)
         self._system_factors = {}
+        self._profile_loads = None
 
     @cached_property
     def mass(self) -> BandedSymMatrix:
@@ -157,8 +160,19 @@ class Assembler:
                              tables=self.tables, tangent=tangent)
 
     def load(self, t: float) -> np.ndarray:
-        return assemble_load(self.mesh, self.load_fn, t, self.quad,
-                             tables=self.tables)
+        """Interior load vector at t. A SeparableForcing's profiles are
+        integrated at the first call (a singular one is reported with that
+        call's t) and later calls only combine them; any other f is
+        assembled anew."""
+        if not isinstance(self.load_fn, SeparableForcing):
+            return assemble_load(self.mesh, self.load_fn, t, self.quad,
+                                 tables=self.tables)
+        if self._profile_loads is None:
+            self._profile_loads = np.array(
+                [assemble_load(self.mesh, lambda x, _: space(x), t, self.quad,
+                               tables=self.tables)
+                 for space, _ in self.load_fn.terms]).reshape(-1, self.mesh.n_interior)
+        return self.load_fn.coefficients(t) @ self._profile_loads
 
     @cached_property
     def stiffness(self) -> BandedSymMatrix:

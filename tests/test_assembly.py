@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plapmem import ConfigError, build_uniform_mesh
-from plapmem.assembly import (ElementTables, FluxParams, assemble_load,
-                              assemble_mass, assemble_plap, flux,
-                              flux_coefficient, interpolate)
-from plapmem.mesh import eval_fe, full_coefficients, gauss_legendre
+from plapmem import manufactured_example1
+from plapmem.assembly import (ElementTables, FluxParams, SeparableForcing,
+                              assemble_load, assemble_mass, assemble_plap,
+                              default_epsilon, flux, flux_coefficient,
+                              interpolate)
+from plapmem.mesh import (default_quad_points, eval_fe, full_coefficients,
+                          gauss_legendre)
+from plapmem.stepper import Assembler
 
 
 @pytest.fixture
@@ -191,6 +195,74 @@ class TestAssembleLoad:
         mesh = build_uniform_mesh(0, 1, 4, 1)
         with pytest.raises(ConfigError, match="t=0.0") as err:
             assemble_load(mesh, lambda x, t: np.full_like(x, np.nan), 0.0, quad3)
+        assert err.value.field == "forcing"
+
+
+def separable_assembler(mesh, forcing, p=2.0):
+    quad = gauss_legendre(default_quad_points(mesh.r))
+    return Assembler(mesh, quad, FluxParams(p, default_epsilon(p)), forcing), quad
+
+
+class TestSeparableForcing:
+    """Assembler.load combines once-integrated profiles; the generic
+    per-step assembly of the same callable is the oracle."""
+
+    def check_against_generic(self, mesh, forcing, times, p=2.0):
+        asm, quad = separable_assembler(mesh, forcing, p)
+        for t in times:
+            expected = assemble_load(mesh, forcing, t, quad)
+            got = asm.load(t)
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("r", [1, 4])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    def test_manufactured_load_matches_generic(self, p, r):
+        # m even: the singular point x = 1/2 of the p < 2 profile is a node
+        problem = manufactured_example1(p, 1.3)
+        delta = 1e-3
+        self.check_against_generic(build_uniform_mesh(0, 1, 6, r), problem.f,
+                                   (0.0, delta / 2, problem.horizon), p)
+
+    @pytest.mark.parametrize("r", [1, 4])
+    def test_two_term_load_matches_generic(self, r):
+        # x (1 - x) cos t, split as x cos t - x^2 cos t
+        forcing = SeparableForcing(((lambda x: x, np.cos),
+                                    (lambda x: -x * x, np.cos)))
+        self.check_against_generic(build_uniform_mesh(0, 1, 5, r), forcing,
+                                   (0.0, 5e-4, 0.1, 2.0))
+
+    def test_callable_matches_its_terms(self):
+        forcing = SeparableForcing(((lambda x: x, np.cos), (np.sin, np.exp)))
+        x = np.linspace(0, 1, 7)
+        assert np.allclose(forcing(x, 0.3), x * np.cos(0.3) + np.sin(x) * np.exp(0.3),
+                           rtol=1e-15, atol=0)
+        assert isinstance(forcing(0.5, 0.3), float)
+
+    def test_no_terms_is_exact_zero(self):
+        forcing = SeparableForcing()
+        x = np.linspace(-1, 1, 9)
+        assert forcing(0.25, 1.0) == 0.0 and isinstance(forcing(0.25, 1.0), float)
+        assert np.array_equal(forcing(x, 1.0), np.zeros_like(x))
+        asm, _ = separable_assembler(build_uniform_mesh(-1, 1, 8, 2), forcing)
+        for t in (0.0, 0.5, 3.0):
+            load = asm.load(t)
+            assert load.shape == (15,)
+            assert np.all(load == 0.0) and not np.any(np.signbit(load))
+
+    def test_singular_profile_names_t_and_x(self):
+        # x = 1/2 is the middle Gauss point of the one-element, r = 1 mesh
+        forcing = SeparableForcing(((lambda x: 1.0 / np.abs(x - 0.5), np.cos),))
+        asm, _ = separable_assembler(build_uniform_mesh(0, 1, 1, 1), forcing)
+        with np.errstate(divide="ignore"):
+            with pytest.raises(ConfigError, match=r"t=0\.25, x=0\.5") as err:
+                asm.load(0.25)
+        assert err.value.field == "forcing"
+
+    def test_nonfinite_time_coefficient_names_t(self):
+        forcing = SeparableForcing(((lambda x: x, np.cos),
+                                    (lambda x: x * x, lambda t: np.inf)))
+        with pytest.raises(ConfigError, match=r"t=0\.5 \(term 1\)") as err:
+            forcing.coefficients(0.5)
         assert err.value.field == "forcing"
 
 

@@ -7,8 +7,9 @@ from plapmem import (ConfigError, FixedPointDivergenceError, IllPosedStepError,
                      exponential_kernel, manufactured_example1, march,
                      mass_norm, step_residuals)
 from plapmem.banded import BandedSymMatrix
-from plapmem.assembly import assemble_mass, interpolate
+from plapmem.assembly import SeparableForcing, assemble_mass, interpolate
 from plapmem.errors import LinearSolveError
+from plapmem.experiments import asymptotics_problem, propagation_problem
 from plapmem.memory import MemoryEquation, StateHistory, memory_equation
 from plapmem.mesh import default_quad_points, gauss_legendre
 from plapmem.stepper import (_STALL_GRACE, _STALL_RATIO, Assembler, BlockSystem,
@@ -278,6 +279,62 @@ class TestMarch:
         mesh = build_uniform_mesh(0, 1, 1, 1)
         with pytest.raises(ConfigError):
             march(problem, mesh, SolverConfig(p=2.0, delta=0.01, n_steps=10))
+
+
+class CountingTerm:
+    """A (space, time) pair that counts its evaluations."""
+
+    def __init__(self, space, time):
+        self.space_calls = self.time_calls = 0
+        self._space, self._time = space, time
+
+    def space(self, x):
+        self.space_calls += 1
+        return self._space(x)
+
+    def time(self, t):
+        self.time_calls += 1
+        return self._time(t)
+
+
+def sine_01(x):
+    return np.sin(np.pi * np.asarray(x, dtype=float))
+
+
+class TestSeparableLoad:
+    def test_profiles_integrated_once_per_run(self):
+        terms = [CountingTerm(lambda x: x * (1 - x), np.cos),
+                 CountingTerm(np.sin, lambda t: np.exp(-t))]
+        forcing = SeparableForcing(tuple((c.space, c.time) for c in terms))
+        n_steps = 12
+        problem = ProblemSpec(a=0.0, b=1.0, horizon=0.12, p=3.0,
+                              kernel=exponential_kernel(1.0), u0=sine_01,
+                              f=forcing)
+        march(problem, build_uniform_mesh(0, 1, 6, 2),
+              SolverConfig(p=3.0, delta=0.01, n_steps=n_steps))
+        for term in terms:
+            assert term.space_calls == 1
+            assert term.time_calls == n_steps + 1
+
+    def test_package_problems_declare_separable_forcing(self):
+        # a plain callable would silently fall back to per-step assembly
+        problems = (manufactured_example1(3.0, 1.0), asymptotics_problem(4.0, -10.0),
+                    propagation_problem(3.0, 1.0, 2, 1.0, 0.5))
+        for problem in problems:
+            assert isinstance(problem.f, SeparableForcing)
+        assert [len(problem.f.terms) for problem in problems] == [2, 0, 0]
+
+    def test_nonfinite_time_coefficient_stops_march(self):
+        # finite at t = 0, 0.005 and 0.015; infinite from the third half step
+        forcing = SeparableForcing(((lambda x: x * (1 - x),
+                                     lambda t: 1.0 if t < 0.02 else np.inf),))
+        problem = ProblemSpec(a=0.0, b=1.0, horizon=0.05, p=2.0,
+                              kernel=exponential_kernel(1.0), u0=sine_01,
+                              f=forcing)
+        with pytest.raises(ConfigError, match=r"t=0\.025") as err:
+            march(problem, build_uniform_mesh(0, 1, 6, 1),
+                  SolverConfig(p=2.0, delta=0.01, n_steps=5))
+        assert err.value.field == "forcing"
 
 
 class TestLeanStep:
