@@ -164,7 +164,8 @@ def assemble_load(mesh: Mesh1D, f, t: float, quad: QuadratureRule, *,
     """Interior load vector of integrals f(., t) * phi_i."""
     tables = tables or ElementTables(mesh, quad)
     x = tables.points
-    fv = np.broadcast_to(np.asarray(f(x, t), dtype=float), x.shape)
+    with np.errstate(all="ignore"):     # a non-finite value is reported below
+        fv = np.broadcast_to(np.asarray(f(x, t), dtype=float), x.shape)
     if not np.all(np.isfinite(fv)):
         bad = x[~np.isfinite(fv)]
         raise ConfigError("forcing", f"non-finite values at t={t}, x={float(bad[0])} "

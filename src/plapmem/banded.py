@@ -44,14 +44,16 @@ class BandedSymMatrix:
         return BandedSymMatrix(self.data.copy())
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x for one vector, or row by row for a block of shape (levels, n);
+        each row of a block gets bitwise the product of that row alone."""
         x = np.asarray(x, dtype=float)
         data = self.data
         rows, n = data.shape
         y = data[0] * x
         for d in range(1, min(rows, n)):
             band = data[d, :n - d]
-            y[:n - d] += band * x[d:]
-            y[d:] += band * x[:n - d]
+            y[..., :n - d] += band * x[..., d:]
+            y[..., d:] += band * x[..., :n - d]
         return y
 
     def __add__(self, other):

@@ -148,16 +148,17 @@ def build_uniform_mesh(a: float, b: float, m: int, r: int) -> Mesh1D:
 
 
 def full_coefficients(mesh: Mesh1D, coeffs: np.ndarray) -> np.ndarray:
-    """Pad an interior coefficient vector with the zero boundary values.
+    """Pad an interior coefficient vector, or each row of a block of them,
+    with the zero boundary values.
 
-    A full-length vector passes through unchanged.
+    A full-length vector (or block) passes through unchanged.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape == (mesh.n_nodes,):
+    if coeffs.shape[-1:] == (mesh.n_nodes,):
         return coeffs
-    if coeffs.shape == (mesh.n_interior,):
-        out = np.zeros(mesh.n_nodes)
-        out[1:-1] = coeffs
+    if coeffs.shape[-1:] == (mesh.n_interior,):
+        out = np.zeros(coeffs.shape[:-1] + (mesh.n_nodes,))
+        out[..., 1:-1] = coeffs
         return out
     raise ValueError(f"coefficient vector of length {coeffs.shape} does not match "
                      f"mesh with {mesh.n_nodes} nodes / {mesh.n_interior} interior dofs")

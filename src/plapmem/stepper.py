@@ -17,15 +17,18 @@ Jacobian c*M + delta*K_T(w) takes the flux slope a'(w_x) in place of A's
 coefficient. All three share the same fixed point.
 
 Y is eliminated through the memory relation: one mass solve per step,
-z = M^{-1} R, gives Y = (z - beta*U)/alpha for every iterate. alpha and
-beta depend only on delta and the kernel at zero, so the mass factor is
-a run constant, and so is the whole U matrix for scheme B and for p = 2.
-For p = 2 the stiffness matrix is a run constant too, and with scheme A
-(or N, which is then the same iteration) so is the step's right-hand
-side. An iteration does only what depends on the iterate: one p-Laplacian
-assembly (with the tangent for scheme N) and one matrix-vector product
-(two for N, none for p = 2 with scheme A), one banded solve (a single
-LAPACK call) and the two increment norms.
+z = M^{-1} R, gives Y = (z - beta*U)/alpha. The iteration therefore runs
+on U alone; Y's increment is -(beta/alpha) times U's, and Y itself is
+formed once, from the accepted U. alpha and beta depend only on delta and
+the kernel at zero, so the mass factor is a run constant, and so is the
+whole U matrix for scheme B and for p = 2. For p = 2 the stiffness matrix
+is a run constant too, and with scheme A (or N, which is then the same
+iteration) so is the step's right-hand side. An iteration does only what
+depends on the iterate: one p-Laplacian assembly (with the tangent for
+scheme N), one matrix-vector product for the right-hand side (none for
+p = 2 with scheme A after the first iteration, two for N with eps > 0),
+one banded solve (a single LAPACK call) and one product for the squared
+M-norm of U's increment.
 
 Newton starts a step from the extrapolation 3(U^k - U^{k-1}) + U^{k-2} of
 the last three levels where that extrapolation has been reliable, which
@@ -125,7 +128,7 @@ class StepDiagnostics:
 
     iterations: int
     increment_u: float          # final squared M-norm increment, unrelaxed
-    increment_y: float
+    increment_y: float          # (beta/alpha)^2 * increment_u
     ratios: tuple = field(default_factory=tuple)
     relaxed: int = 0            # first iteration with a relaxed update; 0: none
     restarted: int = 0          # first iteration after an abandoned predicted
@@ -210,9 +213,9 @@ class BlockSystem:
         return (self.z - self.mem.beta * u) / self.mem.alpha
 
 
-def fixed_point_init(hist: StateHistory):
-    """Seed both iterate sequences with the previous time level."""
-    return hist.u[hist.k].copy(), hist.y[hist.k].copy()
+def fixed_point_init(hist: StateHistory) -> np.ndarray:
+    """Seed the iterate with (a copy of) the previous time level's U."""
+    return hist.u[hist.k].copy()
 
 
 def predicted_start(hist: StateHistory) -> Optional[np.ndarray]:
@@ -244,7 +247,7 @@ _STALL_RATIO = 0.98
 @np.errstate(over="ignore", invalid="ignore")   # inf/nan: diverged
 def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
             asm: Assembler, sums: Optional[ExponentialSums] = None):
-    """Advance one level: iterate the chosen scheme until both squared
+    """Advance one level: iterate the chosen scheme on U until both squared
     M-norm increments drop below tol, then append the pair to the history.
 
     sums are the march's running history sums for an exponential kernel;
@@ -253,16 +256,23 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
 
     A Newton iteration solves (c*M + delta*K_T) U_next = J U - G(U)
     = b + delta*(K_T U - A (U + U^k)) with A and K_T at the iterate's
-    midpoint; scheme A solves (c*M + delta*A) U_next = b - delta*A U^k.
+    midpoint (with eps = 0, K_T = (p-1)*A and the right-hand side is
+    b + delta*A ((p-2) U - U^k), one product); scheme A solves
+    (c*M + delta*A) U_next = b - delta*A U^k.
+
+    Y is not iterated: each iterate U stands for (U, Y(U)) with
+    Y(U) = (z - beta*U)/alpha, so Y's squared increment is (beta/alpha)^2
+    times U's, and Y is formed once, from the accepted U. A step started
+    from U^k thus measures its first increment against Y(U^k), not against
+    the stored Y^k, which satisfies the previous step's memory relation.
 
     Newton starts from predicted_start(hist) where that gives a start
-    (from level 3 on, while the extrapolation keeps predicting well), with
-    Y from the memory relation; every other iteration starts from
-    (U^k, Y^k). If the iteration from a predicted start stalls, it restarts
-    once from (U^k, Y^k) instead of relaxing, with omega = 1 and the stall
-    check's grace counted from the restart; the abandoned iterations count
-    toward max_iter, and the diagnostics record the first iteration after
-    the restart.
+    (from level 3 on, while the extrapolation keeps predicting well); every
+    other iteration starts from U^k. If the iteration from a predicted
+    start stalls, it restarts once from U^k instead of relaxing, with
+    omega = 1 and the stall check's grace counted from the restart; the
+    abandoned iterations count toward max_iter, and the diagnostics record
+    the first iteration after the restart.
 
     Large time steps can drive the plain iteration into an oscillating
     mode (update eigenvalue mu near -sqrt(rho), rho the ratio of squared
@@ -272,10 +282,9 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     a -1 cycle), compounding if a relaxed iteration stalls again. The fixed
     point is untouched, and tol bounds the plain map's increments (u_next - u
     before relaxing) whatever omega is; the ratios are those of the steps
-    taken. Y is re-derived from the relaxed U through the memory relation so
-    every iterate satisfies it exactly. The diagnostics record the first
-    relaxed iteration. An iterate that overflows ends the step as divergence,
-    without numpy warnings: the step runs under np.errstate.
+    taken. The diagnostics record the first relaxed iteration. An iterate
+    that overflows ends the step as divergence, without numpy warnings: the
+    step runs under np.errstate.
     """
     k = hist.k
     delta = cfg.delta
@@ -284,6 +293,8 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     block = BlockSystem(memory_equation(hist, kernel, mass, cfg.quadrature_mode,
                                         sums),
                         asm.mass_factor, delta)
+    # dY = -(beta/alpha) dU between any two iterates
+    y_gain = (block.mem.beta / block.mem.alpha) ** 2
     u_prev, y_prev = hist.u[k], hist.y[k]
     # the U-block's right-hand side, less its diffusion term
     rhs_step = (mass.matvec(2.0 * u_prev + delta * y_prev)
@@ -292,6 +303,8 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     linear = asm.params.p == 2.0      # diffusion matrix independent of the state
     implicit = cfg.scheme != "B"      # for p = 2, Newton is scheme A
     newton = cfg.scheme == "N" and not linear
+    # with eps = 0, K_T = (p-1)*A, so K_T U - A (U + U^k) = A ((p-2) U - U^k)
+    one_product = asm.params.epsilon == 0.0
     # scheme B never puts the diffusion matrix on the left
     constant = not implicit or linear
     if constant:
@@ -303,10 +316,8 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     if linear:
         a_mid = lhs_stiff = asm.stiffness
 
-    u_it, y_it = fixed_point_init(hist)
     start = predicted_start(hist) if newton else None
-    if start is not None:
-        u_it, y_it = start, block.memory_state(start)
+    u_it = fixed_point_init(hist) if start is None else start
     ratios = []
     prev_total = None
     relaxed = restarted = begun = 0     # begun: iterations before this start
@@ -315,8 +326,11 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     for iteration in range(1, cfg.max_iter + 1):
         if newton:
             a_mid, lhs_stiff = asm.plap(0.5 * (u_it + u_prev), tangent=True)
-            rhs = rhs_step + delta * (lhs_stiff.matvec(u_it)
-                                      - a_mid.matvec(u_it + u_prev))
+            if one_product:
+                rhs = rhs_step + delta * a_mid.matvec((asm.params.p - 2.0) * u_it - u_prev)
+            else:
+                rhs = rhs_step + delta * (lhs_stiff.matvec(u_it)
+                                          - a_mid.matvec(u_it + u_prev))
         else:
             if not linear:
                 a_mid = lhs_stiff = asm.plap(0.5 * (u_it + u_prev))
@@ -331,33 +345,29 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
                 raise
             overflow = exc
             break
-        y_next = block.memory_state(u_next)
-        du = u_next - u_it      # the plain map's increments, which the
-        dy = y_next - y_it      # stopping rule compares with tol
+        du = u_next - u_it      # the plain map's increment, compared with tol
         inc_u = float(du @ mass.matvec(du))
-        inc_y = float(dy @ mass.matvec(dy))
+        inc_y = y_gain * inc_u
         total = omega * omega * (inc_u + inc_y)     # those of the steps taken
         if not np.isfinite(total):
             break
         if prev_total is not None and prev_total > 0.0:
             ratios.append(total / prev_total)
         prev_total = total
-        if relaxed:
-            u_next = u_it + omega * du
-            y_next = block.memory_state(u_next)
-        u_it, y_it = u_next, y_next
+        u_it = u_it + omega * du if relaxed else u_next
         if inc_u < cfg.tol and inc_y < cfg.tol:
-            hist.append(u_it, y_it)
-            return u_it, y_it, StepDiagnostics(iterations=iteration,
-                                               increment_u=inc_u,
-                                               increment_y=inc_y,
-                                               ratios=tuple(ratios),
-                                               relaxed=relaxed,
-                                               restarted=restarted)
+            y_new = block.memory_state(u_it)
+            hist.append(u_it, y_new)
+            return u_it, y_new, StepDiagnostics(iterations=iteration,
+                                                increment_u=inc_u,
+                                                increment_y=inc_y,
+                                                ratios=tuple(ratios),
+                                                relaxed=relaxed,
+                                                restarted=restarted)
         if iteration - begun >= _STALL_GRACE and ratios[-1] >= _STALL_RATIO:
             if start is not None:       # restart once, from the previous level
                 start = None
-                u_it, y_it = fixed_point_init(hist)
+                u_it = fixed_point_init(hist)
                 omega, prev_total = 1.0, None
                 begun, restarted = iteration, iteration + 1
             else:

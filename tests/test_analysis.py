@@ -6,9 +6,13 @@ from plapmem import (ConfigError, RunOutput, build_uniform_mesh,
                      convergence_orders, energy, extrema_series, fit_order,
                      l2_error, manufactured_example1, support_gap,
                      waiting_time)
+from plapmem import analysis
 from plapmem.analysis import plap_of_bump
 from plapmem.assembly import interpolate
-from plapmem.experiments import _front_profile
+from plapmem.experiments import _front_profile, asymptotics_problem, propagation_problem
+from plapmem.memory import StateHistory
+from plapmem.mesh import default_quad_points, full_coefficients, gauss_legendre
+from plapmem.stepper import Assembler, SolverConfig, cn_step
 
 
 class TestL2Error:
@@ -268,3 +272,62 @@ class TestManufacturedProblem:
     def test_invalid_exponent(self):
         with pytest.raises(ConfigError):
             manufactured_example1(0.5, 1.0)
+
+
+def walked_support_gap(mesh, coeffs, eta):
+    """The dead zone around x = 0 found node by node: the reference for the
+    run-length pass."""
+    full = np.abs(full_coefficients(mesh, coeffs))
+    center = int(np.argmin(np.abs(mesh.nodes)))
+    if full[center] >= eta:
+        return None
+    left = right = center
+    while left > 0 and full[left - 1] < eta:
+        left -= 1
+    while right < mesh.n_nodes - 1 and full[right + 1] < eta:
+        right += 1
+    return float(mesh.nodes[left]), float(mesh.nodes[right])
+
+
+class TestRunRecord:
+    """build_run_output's blocked energies and support series against the
+    same quantities taken level by level."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        out = {}
+        # the dome's extinction: supported centre, then a dead zone that
+        # spans the domain; the front datum's dead zone shrinks and closes
+        for name, problem, mesh, cfg in [
+            ("dome", asymptotics_problem(1.5, 0.0, horizon=1.5),
+             build_uniform_mesh(-1, 1, 10, 1),
+             SolverConfig(p=1.5, delta=1e-2, n_steps=150, tol=1e-9)),
+            ("front", propagation_problem(3.0, 0.0, 2, 10.0, horizon=0.2),
+             build_uniform_mesh(-1, 1, 40, 1),
+             SolverConfig(p=3.0, delta=1e-2, n_steps=20, tol=1e-9, scheme="A")),
+        ]:
+            quad = gauss_legendre(default_quad_points(mesh.r))
+            asm = Assembler(mesh, quad, cfg.flux_params(), problem.f)
+            hist = StateHistory(mesh.n_interior, cfg.n_steps, cfg.delta)
+            hist.set_initial(interpolate(mesh, problem.u0), asm.load(0.0))
+            diags = [cn_step(hist, problem.kernel, cfg, asm)[2]
+                     for _ in range(cfg.n_steps)]
+            out[name] = (problem, mesh, cfg, asm, hist, diags)
+        return out
+
+    @pytest.mark.parametrize("name", ["dome", "front"])
+    @pytest.mark.parametrize("block_levels", [1, 4, 7, None])
+    def test_blocked_record_matches_levels(self, runs, monkeypatch, name,
+                                           block_levels):
+        problem, mesh, cfg, asm, hist, diags = runs[name]
+        if block_levels is not None:    # 151 and 21 levels: a partial last block
+            monkeypatch.setattr(analysis, "_BLOCK_BYTES", 8 * mesh.n_nodes * block_levels)
+        run = analysis.build_run_output(problem, mesh, cfg, asm, hist, diags)
+        energies = np.array([float(u @ asm.mass.matvec(u)) for u in hist.u])
+        assert np.array_equal(run.energies, energies)
+        eta = run.support_threshold
+        assert run.support == [walked_support_gap(mesh, u, eta) for u in hist.u]
+        assert None in run.support
+        assert any(gap is not None for gap in run.support)
+        if name == "front":
+            assert len({gap for gap in run.support if gap is not None}) > 2

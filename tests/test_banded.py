@@ -24,6 +24,14 @@ class TestBandedSymMatrix:
         x = rng.standard_normal(n)
         assert np.allclose(mat.matvec(x), mat.to_dense() @ x, atol=1e-13)
 
+    @pytest.mark.parametrize("n,bw", [(1, 0), (1, 2), (5, 1), (12, 4)])
+    def test_matvec_of_a_block_is_row_by_row(self, n, bw):
+        mat = random_banded(n, bw, seed=n + bw)
+        block = np.random.default_rng(7).standard_normal((9, n))
+        products = mat.matvec(block)
+        assert products.shape == block.shape
+        assert all(np.array_equal(row, mat.matvec(x)) for row, x in zip(products, block))
+
     @pytest.mark.parametrize("n,bw,definite", [
         pytest.param(1, 1, True, id="1-1"),
         pytest.param(6, 1, True, id="6-1"),

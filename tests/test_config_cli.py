@@ -200,6 +200,15 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "forcing" in err and "t=0.0" in err and "x=0.5" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_singular_forcing_warns_nothing(self, tmp_path, capsys):
+        # the singular forcing above with no errstate around the call: the
+        # error line is all that reaches stderr
+        assert run_cli(tmp_path, dict(MINIMAL, p=1.5, r=3, m=5, N=10)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "forcing" in err[0] and "t=0.0" in err[0] and "x=0.5" in err[0]
+
     def test_manufactured_domain_pinned(self, tmp_path):
         assert run_cli(tmp_path, dict(MINIMAL, domain=[-1, 1])) == 2
 

@@ -10,7 +10,8 @@ from plapmem.banded import BandedSymMatrix
 from plapmem.assembly import SeparableForcing, assemble_mass, interpolate
 from plapmem.errors import LinearSolveError
 from plapmem.experiments import asymptotics_problem, propagation_problem
-from plapmem.memory import MemoryEquation, StateHistory, memory_equation
+from plapmem.memory import (ExponentialSums, MemoryEquation, StateHistory,
+                            memory_equation)
 from plapmem.mesh import default_quad_points, gauss_legendre
 from plapmem.stepper import (_STALL_GRACE, _STALL_RATIO, Assembler, BlockSystem,
                              cn_step, fixed_point_init, predicted_start,
@@ -120,7 +121,7 @@ class TestFixedPoint:
         cfg = SolverConfig(p=2.0, delta=0.01, n_steps=5)
         asm = make_assembler(problem, mesh, cfg)
         hist = fresh_history(problem, mesh, cfg, asm)
-        u0, y0 = fixed_point_init(hist)
+        u0 = fixed_point_init(hist)
         assert np.array_equal(u0, hist.u[0])
         u0 += 1.0                      # must not alias the stored level
         assert not np.array_equal(u0, hist.u[0])
@@ -865,3 +866,133 @@ class TestRoundTrip:
             res_ev, res_mem = step_residuals(hist, k, problem.kernel, cfg, asm)
             assert np.max(np.abs(res_ev)) < bound
             assert np.max(np.abs(res_mem)) < 1e-10
+
+
+class TestIterationOnU:
+    """The step iterates on U alone: Y's increment follows from U's through
+    the memory relation, and Y is formed once, from the accepted U."""
+
+    RESTART = ("N", 5.555, 9.41, 7, 2, 0.0286, 1e-12)   # restarts at step 5
+
+    def test_memory_increment_is_scaled_u_increment(self):
+        problem = manufactured_example1(3.0, -2.0, horizon=0.05)
+        mesh = build_uniform_mesh(0, 1, 6, 2)
+        cfg = SolverConfig(p=3.0, delta=0.01, n_steps=5)
+        asm = make_assembler(problem, mesh, cfg)
+        hist = fresh_history(problem, mesh, cfg, asm)
+        mem = memory_equation(hist, problem.kernel, asm.mass)
+        block = BlockSystem(mem, asm.mass_factor, cfg.delta)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            u1, u2 = rng.standard_normal((2, mesh.n_interior))
+            du, dy = u1 - u2, block.memory_state(u1) - block.memory_state(u2)
+            inc_u = du @ asm.mass.matvec(du)
+            assert dy @ asm.mass.matvec(dy) == pytest.approx(
+                (mem.beta / mem.alpha) ** 2 * inc_u, rel=1e-12)
+
+    @pytest.mark.parametrize("case", list(TestLeanStep.CASES) + ["p5.555-N-restarted"])
+    def test_increments_and_memory_relation(self, case):
+        if case in TestLeanStep.CASES:
+            scheme, p, lam, m, r, delta, tol, _ = TestLeanStep.CASES[case]
+            problem = manufactured_example1(p, lam, horizon=delta * 10)
+            n_steps = 10
+        else:
+            scheme, p, lam, m, r, delta, tol = self.RESTART
+            problem = forced_sine(p, lam, horizon=delta * 40)
+            n_steps = 6
+        mesh = build_uniform_mesh(0, 1, m, r)
+        cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, tol=tol, scheme=scheme)
+        asm = make_assembler(problem, mesh, cfg)
+        hist = fresh_history(problem, mesh, cfg, asm)
+        mass, sums = asm.mass, ExponentialSums()
+        diags = []
+        for k in range(n_steps):
+            _, _, diag = cn_step(hist, problem.kernel, cfg, asm, sums)
+            diags.append(diag)
+            mem = memory_equation(hist.truncated(k), problem.kernel, mass)
+            assert diag.increment_y == (mem.beta / mem.alpha) ** 2 * diag.increment_u
+            my = mem.alpha * mass.matvec(hist.y[k + 1])
+            mu = mem.beta * mass.matvec(hist.u[k + 1])
+            scale = max(np.max(np.abs(t)) for t in (my, mu, mem.rhs))
+            assert np.max(np.abs(my + mu - mem.rhs)) <= 1e-12 * scale
+        if case == "p4-A-relaxed":
+            assert any(d.relaxed for d in diags)
+        if case == "p5.555-N-restarted":
+            assert diags[5].restarted > 0
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_newton_right_hand_side_in_one_product(self, p, r):
+        # eps = 0: K_T = (p-1) A, so K_T U - A (U + U^k) = A ((p-2) U - U^k)
+        mesh = build_uniform_mesh(0, 1, 7, r)
+        asm = Assembler(mesh, gauss_legendre(default_quad_points(r)),
+                        SolverConfig(p=p, delta=0.01, n_steps=1).flux_params(), zero_f)
+        rng = np.random.default_rng(int(10 * p) + r)
+        for _ in range(5):
+            u, u_prev = rng.standard_normal((2, mesh.n_interior))
+            a_mid, k_t = asm.plap(0.5 * (u + u_prev), tangent=True)
+            two = k_t.matvec(u) - a_mid.matvec(u + u_prev)
+            one = a_mid.matvec((p - 2.0) * u - u_prev)
+            scale = max(np.max(np.abs(k_t.matvec(u))),
+                        np.max(np.abs(a_mid.matvec(u + u_prev))))
+            assert np.max(np.abs(one - two)) <= 1e-13 * scale
+
+    def test_regularized_newton_run_completes(self):
+        # eps > 0 keeps the two-product right-hand side
+        problem = forced_sine(4.0, 1.0, horizon=0.1)
+        mesh = build_uniform_mesh(0, 1, 8, 2)
+        cfg = SolverConfig(p=4.0, delta=0.01, n_steps=10, tol=1e-12, scheme="N",
+                           epsilon=1e-2)
+        asm = make_assembler(problem, mesh, cfg)
+        hist = fresh_history(problem, mesh, cfg, asm)
+        for _ in range(cfg.n_steps):
+            cn_step(hist, problem.kernel, cfg, asm)
+        for k in range(cfg.n_steps):
+            res_ev, res_mem = step_residuals(hist, k, problem.kernel, cfg, asm)
+            assert np.max(np.abs(res_ev)) < 1e-8
+            assert np.max(np.abs(res_mem)) < 1e-10
+
+
+class TestProductCounts:
+    """Banded matrix-vector products per step of a hand-driven loop: two per
+    step (the step's right-hand side and the memory relation's), then per
+    iteration one for the right-hand side (two for Newton with eps > 0,
+    none after the first for p = 2 with scheme A) and one for the increment."""
+
+    @pytest.mark.parametrize("scheme, p, epsilon, per_iteration", [
+        ("A", 4.0, None, 2), ("B", 2.5, None, 2), ("N", 4.0, None, 2),
+        ("N", 3.0, None, 2), ("N", 4.0, 1e-2, 3),
+    ])
+    def test_products_per_step(self, monkeypatch, scheme, p, epsilon, per_iteration):
+        counts = self.count(monkeypatch, scheme, p, epsilon)
+        assert all(calls == 2 + per_iteration * diag.iterations
+                   for calls, diag in counts)
+
+    def test_linear_step_takes_five(self, monkeypatch):
+        counts = self.count(monkeypatch, "A", 2.0, None)
+        assert [(calls, diag.iterations) for calls, diag in counts] == [(5, 2)] * 10
+
+    @staticmethod
+    def count(monkeypatch, scheme, p, epsilon):
+        """(products, diagnostics) of each of 10 steps."""
+        problem = forced_sine(p, 1.0, horizon=0.01)
+        mesh = build_uniform_mesh(0, 1, 8, 2)
+        cfg = SolverConfig(p=p, delta=1e-3, n_steps=10, tol=1e-12, scheme=scheme,
+                           epsilon=epsilon)
+        asm = make_assembler(problem, mesh, cfg)
+        hist = fresh_history(problem, mesh, cfg, asm)
+        sums = ExponentialSums()
+        calls = [0]
+        matvec = BandedSymMatrix.matvec
+
+        def counting(self, x):
+            calls[0] += 1
+            return matvec(self, x)
+
+        monkeypatch.setattr(BandedSymMatrix, "matvec", counting)
+        out = []
+        for _ in range(cfg.n_steps):
+            calls[0] = 0
+            diag = cn_step(hist, problem.kernel, cfg, asm, sums)[2]
+            out.append((calls[0], diag))
+        return out
