@@ -150,9 +150,10 @@ def assemble_plap(mesh: Mesh1D, w: np.ndarray, params: FluxParams,
     # a'(xi) = coef * (1 + (p-2) xi^2/(xi^2+eps^2)), which stays finite
     # where the power form (xi^2+eps^2)^((p-4)/2) ((p-1) xi^2 + eps^2) is
     # 0 to a negative power (xi = eps = 0, p < 4). Without regularization
-    # the fraction is 1, also at xi = 0, so a' = (p-1) coef and K_T = (p-1) A.
+    # the fraction is 1, also at xi = 0, so a' = (p-1) coef and K_T = (p-1) A,
+    # which the stepper takes from A without asking for it.
     if params.epsilon == 0.0:
-        return matrix, (params.p - 1.0) * matrix
+        return matrix, BandedSymMatrix((params.p - 1.0) * matrix.data)
     square = grads * grads
     slope = coef * (1.0 + (params.p - 2.0) * square / (square + params.epsilon ** 2))
     return matrix, _scatter(tables.slots, slope @ tables.grad_products,

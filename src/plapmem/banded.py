@@ -18,8 +18,10 @@ class BandedSymMatrix:
     Row d holds the d-th superdiagonal in its leading n-d entries; the
     trailing entries of each row are kept at zero. By symmetry this is also
     LAPACK's lower band layout (data[d, i] = A[i+d, i]), so the Cholesky
-    factorization reads it without a repack. Instances are treated as
-    immutable by the solver (all arithmetic returns new matrices).
+    factorization reads it without a repack. Matrices the solver keeps
+    (mass, stiffness, system matrices) are never written to; a band it has
+    just assembled for one iteration may be turned into that iteration's
+    system matrix in place.
     """
 
     def __init__(self, data: np.ndarray):
@@ -55,23 +57,6 @@ class BandedSymMatrix:
             y[..., :n - d] += band * x[..., d:]
             y[..., d:] += band * x[..., :n - d]
         return y
-
-    def __add__(self, other):
-        if not isinstance(other, BandedSymMatrix) or other.data.shape != self.data.shape:
-            return NotImplemented
-        return BandedSymMatrix(self.data + other.data)
-
-    def __sub__(self, other):
-        if not isinstance(other, BandedSymMatrix) or other.data.shape != self.data.shape:
-            return NotImplemented
-        return BandedSymMatrix(self.data - other.data)
-
-    def __mul__(self, c):
-        if not np.isscalar(c):
-            return NotImplemented
-        return BandedSymMatrix(self.data * float(c))
-
-    __rmul__ = __mul__
 
     def to_dense(self) -> np.ndarray:
         n = self.n

@@ -61,8 +61,8 @@ def write_outputs(run: RunOutput, out_dir, snapshot_times=None) -> dict:
         x, uv = eval_on_elements(mesh, run.u[k], quad.points)
         _, yv = eval_on_elements(mesh, run.y[k], quad.points)
         t_k = float(times[k])
-        for xi, ui, yi in zip(x.ravel(), uv.ravel(), yv.ravel()):
-            snap_rows.append((t_k, xi, ui, yi))
+        snap_rows.extend((t_k, *row) for row in zip(
+            x.ravel().tolist(), uv.ravel().tolist(), yv.ravel().tolist()))
 
     paths = {}
     paths["snapshots"] = out / "snapshots.csv"

@@ -22,16 +22,21 @@ and over the half-step loads
 
     G_k = exp(-delta) G_{k-1} + delta*L_{k+1/2},    G_0 = (3*delta/4) L_{1/2},
 
-and builds R from them in O(n) per step: q_g's explicit part is
-lam*exp(-delta/2)(E_k - (delta/4) y_k) + (delta/8) lam*y_k, the u sum the
-same over u with -lam, and the load sum lam*[(delta/4) exp(-t_{k+1/2}) F_0
-+ G_k - (delta/2) L_{k+1/2}], for k = 0 too. R takes the y and u sums with
-the same sign, so one running sum over y + u serves both. Only decaying
-exponentials appear, so long horizons never overflow. Any other kernel
-takes the direct quadratures, which also stay as the oracle
+and builds the relation from them in O(n) per step. The step takes it in
+nodal form, alpha*Y^{k+1} + beta*U^{k+1} = s - M^{-1}F (`MemoryEquation`):
+s combines stored levels, F the loads, and R = M*s - F. q_g's explicit
+part is lam*exp(-delta/2)(E_k - (delta/4) y_k) + (delta/8) lam*y_k, the
+u sum the same over u with -lam, and F = lam*[(delta/4) exp(-t_{k+1/2})
+L_0 + G_k - (delta/2) L_{k+1/2}], for k = 0 too. R takes the y and u sums
+with the same sign, so one running sum over y + u serves both. The load
+levels may be summed in any linear coordinates (a SeparableForcing's time
+coefficients, one scalar per term), and F comes out in the same ones. Only
+decaying exponentials appear, so long horizons never overflow. Any other
+kernel takes the direct quadratures, which also stay as the oracle
 (`memory_residual`).
 """
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -178,10 +183,6 @@ class StateHistory:
     """
 
     def __init__(self, n_dofs: int, n_steps: int, delta: float):
-        if n_steps < 1:
-            raise ValueError(f"need at least one step, got {n_steps}")
-        if delta <= 0.0:
-            raise ValueError(f"time step must be positive, got {delta}")
         self.n_dofs = int(n_dofs)
         self.n_steps = int(n_steps)
         self.delta = float(delta)
@@ -189,12 +190,15 @@ class StateHistory:
         self.y = np.zeros((self.n_steps + 1, self.n_dofs))
         self.loads = np.zeros((self.n_steps + 2, self.n_dofs))
         self.k = 0
+        # (level, vector): the extrapolation predicted_start formed last
+        self.extrapolation = None
 
     def set_initial(self, u0: np.ndarray, load0: np.ndarray):
         self.u[0] = u0
         self.y[0] = 0.0          # the memory term vanishes at t = 0
         self.loads[0] = load0
         self.k = 0
+        self.extrapolation = None
 
     def set_half_load(self, j: int, load: np.ndarray):
         self.loads[1 + j] = load
@@ -210,37 +214,38 @@ class StateHistory:
     def times(self) -> np.ndarray:
         return self.delta * np.arange(self.n_steps + 1)
 
-    def u_view(self) -> np.ndarray:
-        return self.u[:self.k + 1]
-
-    def y_view(self) -> np.ndarray:
-        return self.y[:self.k + 1]
-
-    def loads_view(self) -> np.ndarray:
-        return self.loads[:self.k + 2]
-
     def truncated(self, k: int) -> "StateHistory":
         """Read-only alias of this history rewound to level k (shares arrays)."""
         if not 0 <= k <= self.k:
             raise ValueError(f"cannot rewind to {k}; history is at {self.k}")
-        view = object.__new__(StateHistory)
-        view.n_dofs = self.n_dofs
-        view.n_steps = self.n_steps
-        view.delta = self.delta
-        view.u = self.u
-        view.y = self.y
-        view.loads = self.loads
+        view = copy.copy(self)
         view.k = k
+        view.extrapolation = None
         return view
 
 
 @dataclass(frozen=True)
 class MemoryEquation:
-    """Linear relation alpha*M*Y^{k+1} + beta*M*U^{k+1} = rhs."""
+    """The relation alpha*M*Y^{k+1} + beta*M*U^{k+1} = M*state - forcing.
+
+    state is a nodal combination of stored levels; forcing is the load
+    share F, in the coordinates of the load levels it was summed from.
+    """
 
     alpha: float
     beta: float
-    rhs: np.ndarray
+    state: np.ndarray
+    forcing: np.ndarray
+
+
+def _quadrature(hist: StateHistory, fn, levels: np.ndarray):
+    """Trapezoid sum of fn(lag) * level over the stored levels, with the
+    averaged t_k share; and the delta/8 * fn(0) multiplier of level k+1."""
+    w = volterra_weights(hist.k, hist.delta)
+    f0 = float(fn(0.0))
+    acc = (w.node_weights * _kernel_values(fn, w.node_lags)) @ levels[:hist.k + 1]
+    acc += w.half_weight * f0 * levels[hist.k]
+    return acc, w.half_weight * f0
 
 
 def q_g(hist: StateHistory, kernel: KernelSpec, mass: BandedSymMatrix):
@@ -250,22 +255,14 @@ def q_g(hist: StateHistory, kernel: KernelSpec, mass: BandedSymMatrix):
     every stored level including the averaged t_k share; implicit_coeff is
     the delta/8 * g(0) multiplier of M Y^{k+1}.
     """
-    w = volterra_weights(hist.k, hist.delta)
-    g0 = float(kernel.g(0.0))
-    coeffs = w.node_weights * _kernel_values(kernel.g, w.node_lags)
-    acc = coeffs @ hist.y_view()
-    acc += w.half_weight * g0 * hist.y[hist.k]
-    return mass.matvec(acc), w.half_weight * g0
+    acc, implicit = _quadrature(hist, kernel.g, hist.y)
+    return mass.matvec(acc), implicit
 
 
 def q_gp(hist: StateHistory, kernel: KernelSpec, mass: BandedSymMatrix):
     """Same quadrature applied to the u history with the kernel derivative."""
-    w = volterra_weights(hist.k, hist.delta)
-    gp0 = float(kernel.gp(0.0))
-    coeffs = w.node_weights * _kernel_values(kernel.gp, w.node_lags)
-    acc = coeffs @ hist.u_view()
-    acc += w.half_weight * gp0 * hist.u[hist.k]
-    return mass.matvec(acc), w.half_weight * gp0
+    acc, implicit = _quadrature(hist, kernel.gp, hist.u)
+    return mass.matvec(acc), implicit
 
 
 def i_f(hist: StateHistory, kernel: KernelSpec,
@@ -278,7 +275,7 @@ def i_f(hist: StateHistory, kernel: KernelSpec,
     check_mode(mode)
     weights, lags = forcing_weights(hist.k, hist.delta)
     coeffs = weights * _kernel_values(kernel.g, lags)
-    out = coeffs @ hist.loads_view()
+    out = coeffs @ hist.loads[:hist.k + 2]
     if mode == "literal":
         out = out + hist.delta * float(kernel.g(0.0)) * hist.loads[hist.k + 1]
     return out
@@ -288,45 +285,54 @@ class ExponentialSums:
     """Discounted running sums of one march for g = lam*exp(-s).
 
     state_sum = sum_j c_j exp(-(k-j)*delta) (y_j + u_j) with c_0 = delta/2
-    and c_j = delta after it; load_sum the same over the half-step loads
-    L_{j+1/2}, with 3*delta/4 on L_{1/2}. lam is left out. Each level is
-    folded in once, by one multiply-add per sum. A march keeps one object
-    for its own history.
+    and c_j = delta after it; load_sum the same over the half-step load
+    levels, with 3*delta/4 on L_{1/2}. lam is left out. Each level is
+    folded in once, by one multiply-add per sum; first_load and newest_load
+    keep L_0 and L_{k+1/2}. A march keeps one object for its own history,
+    advanced with one kind of load levels.
     """
 
     def __init__(self):
         self.k = -1               # newest level folded in; -1: none yet
         self.decay = self.state_sum = self.load_sum = None
+        self.first_load = self.newest_load = None
 
-    def advance(self, hist: StateHistory):
+    def advance(self, hist: StateHistory, levels: Optional[Callable] = None):
         """Fold in the levels up to hist.k and the load L_{k+1/2}; a history
-        behind the sums (a rewound or a new one) is replayed from level 0."""
+        behind the sums (a rewound or a new one) is replayed from level 0.
+        levels(j) is load level j (L_0, then L_{j-1/2}) in the coordinates
+        to sum; by default the load vector hist.loads[j]."""
         if hist.k < self.k:
             self.k = -1
+        levels = levels or hist.loads.__getitem__
         delta = hist.delta
         while self.k < hist.k:
             j = self.k + 1
+            self.newest_load = levels(j + 1)
             if j == 0:
                 self.decay = math.exp(-delta)
                 self.state_sum = (delta / 2.0) * (hist.y[0] + hist.u[0])
-                self.load_sum = (3.0 * delta / 4.0) * hist.loads[1]
+                self.load_sum = (3.0 * delta / 4.0) * self.newest_load
+                self.first_load = levels(0)
             else:
                 self.state_sum = (self.decay * self.state_sum
                                   + delta * (hist.y[j] + hist.u[j]))
-                self.load_sum = self.decay * self.load_sum + delta * hist.loads[j + 1]
+                self.load_sum = self.decay * self.load_sum + delta * self.newest_load
             self.k = j
 
 
 def memory_equation(hist: StateHistory, kernel: KernelSpec,
-                    mass: BandedSymMatrix, mode: str = "consistent",
-                    sums: Optional[ExponentialSums] = None) -> MemoryEquation:
+                    mode: str = "consistent",
+                    sums: Optional[ExponentialSums] = None,
+                    levels: Optional[Callable] = None) -> MemoryEquation:
     """Reduce the memory relation at step k to its unknowns-on-the-left form.
 
-    Every history term lands in rhs; the two k+1 unknowns produce the
-    scalar coefficients alpha and beta of M Y^{k+1} and M U^{k+1}. An
-    exponential kernel builds rhs from the running sums (the march's
-    `sums`, else ones replayed from level 0 here); any other kernel re-sums
-    the trapezoid history.
+    Every history term lands in state or forcing; the two k+1 unknowns
+    produce the scalar coefficients alpha and beta of M Y^{k+1} and
+    M U^{k+1}. An exponential kernel builds both from the running sums (the
+    march's `sums`, else ones replayed from level 0 here), with forcing in
+    the coordinates of `levels` (see ExponentialSums.advance); any other
+    kernel re-sums the trapezoid history, with forcing a load vector.
     """
     check_mode(mode)
     delta = hist.delta
@@ -338,41 +344,29 @@ def memory_equation(hist: StateHistory, kernel: KernelSpec,
             f"memory relation is ill posed: |1/2 + delta*g(0)/8| = {abs(alpha):.3e}; "
             "reduce the time step")
     beta = -(0.5 * g0 + (delta / 8.0) * gp0)
-    if kernel.lam is not None:
-        return MemoryEquation(alpha=alpha, beta=beta,
-                              rhs=_recursive_rhs(hist, kernel.lam, mass, mode,
-                                                 sums if sums is not None
-                                                 else ExponentialSums()))
-    t_half = (hist.k + 0.5) * delta
-    qg_explicit, _ = q_g(hist, kernel, mass)
-    qgp_explicit, _ = q_gp(hist, kernel, mass)
-    rhs = (-0.5 * mass.matvec(hist.y[hist.k])
-           + 0.5 * g0 * mass.matvec(hist.u[hist.k])
-           - float(kernel.g(t_half)) * mass.matvec(hist.u[0])
-           - qg_explicit
-           + qgp_explicit
-           - i_f(hist, kernel, mode))
-    return MemoryEquation(alpha=alpha, beta=beta, rhs=rhs)
-
-
-def _recursive_rhs(hist: StateHistory, lam: float, mass: BandedSymMatrix,
-                   mode: str, sums: ExponentialSums) -> np.ndarray:
-    """The memory equation's rhs for g = lam*exp(-s) from the running sums."""
-    sums.advance(hist)
-    k, delta = hist.k, hist.delta
+    k = hist.k
     t_half = (k + 0.5) * delta
-    y_k, u_k = hist.y[k], hist.u[k]
-    # q_g's explicit part minus q_gp's, over y + u
-    levels = y_k + u_k
-    history = lam * (math.exp(-0.5 * delta) * (sums.state_sum - (delta / 4.0) * levels)
-                     + (delta / 8.0) * levels)
-    g_half = lam * math.exp(-t_half)
-    state_terms = -0.5 * y_k + 0.5 * lam * u_k - g_half * hist.u[0] - history
-    # i_f; the literal mode adds delta*g(0) on the newest load
-    newest = -0.5 * delta if mode == "consistent" else 0.5 * delta
-    forcing = ((delta / 4.0) * g_half * hist.loads[0]
-               + lam * (sums.load_sum + newest * hist.loads[k + 1]))
-    return mass.matvec(state_terms) - forcing
+    if kernel.lam is not None:
+        sums = sums if sums is not None else ExponentialSums()
+        sums.advance(hist, levels)
+        lam = kernel.lam
+        g_half = lam * math.exp(-t_half)
+        # q_g's explicit part minus q_gp's, over y + u
+        levels_k = hist.y[k] + hist.u[k]
+        history = lam * (math.exp(-0.5 * delta) * (sums.state_sum - (delta / 4.0) * levels_k)
+                         + (delta / 8.0) * levels_k)
+        state = -0.5 * hist.y[k] + 0.5 * lam * hist.u[k] - g_half * hist.u[0] - history
+        # i_f; the literal mode adds delta*g(0) on the newest load
+        newest = -0.5 * delta if mode == "consistent" else 0.5 * delta
+        forcing = ((delta / 4.0) * g_half * sums.first_load
+                   + lam * (sums.load_sum + newest * sums.newest_load))
+    else:
+        state = (-0.5 * hist.y[k] + 0.5 * g0 * hist.u[k]
+                 - float(kernel.g(t_half)) * hist.u[0]
+                 - _quadrature(hist, kernel.g, hist.y)[0]
+                 + _quadrature(hist, kernel.gp, hist.u)[0])
+        forcing = i_f(hist, kernel, mode)
+    return MemoryEquation(alpha=alpha, beta=beta, state=state, forcing=forcing)
 
 
 def memory_residual(hist: StateHistory, k: int, kernel: KernelSpec,

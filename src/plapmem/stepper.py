@@ -4,36 +4,25 @@ linearizations.
 Each step solves the coupled pair
 
     (2M + delta*A_mid) U^{k+1} - delta*M Y^{k+1} = (2M - delta*A_mid) U^k
-                                                   + delta*M Y^k + 2*delta*F
-    alpha*M Y^{k+1} + beta*M U^{k+1} = R            (memory relation)
+                                                   + delta*M Y^k + 2*delta*L
+    alpha*Y^{k+1} + beta*U^{k+1} = z = s - M^{-1}F   (memory relation)
 
-where A_mid is the gradient-weighted stiffness matrix at the midpoint
-state. Scheme "A" keeps the new iterate inside the diffusion term (the
-matrix multiplies U_{n+1}); scheme "B" moves the whole diffusion term to
-the right-hand side, evaluated at the previous iterate. Scheme "N" is
-Newton's method on the same equation: with Y eliminated a step solves
-G(U) = c*M U + delta*A(w)(U + U^k) - b = 0, w = (U + U^k)/2, whose
-Jacobian c*M + delta*K_T(w) takes the flux slope a'(w_x) in place of A's
-coefficient. All three share the same fixed point.
+with A_mid the gradient-weighted stiffness matrix at the midpoint state
+and L the load at t_{k+1/2}. Scheme "A" keeps the new iterate in the
+diffusion term; scheme "B" evaluates the whole term at the previous
+iterate; scheme "N" is Newton's method on G(U) = c*M U + delta*A(w)(U + U^k)
+- b, w = (U + U^k)/2, c = 2 + delta*beta/alpha, whose Jacobian is
+c*M + delta*K_T(w). All three share the same fixed point.
 
-Y is eliminated through the memory relation: one mass solve per step,
-z = M^{-1} R, gives Y = (z - beta*U)/alpha. The iteration therefore runs
-on U alone; Y's increment is -(beta/alpha) times U's, and Y itself is
-formed once, from the accepted U. alpha and beta depend only on delta and
-the kernel at zero, so the mass factor is a run constant, and so is the
-whole U matrix for scheme B and for p = 2. For p = 2 the stiffness matrix
-is a run constant too, and with scheme A (or N, which is then the same
-iteration) so is the step's right-hand side. An iteration does only what
-depends on the iterate: one p-Laplacian assembly (with the tangent for
-scheme N), one matrix-vector product for the right-hand side (none for
-p = 2 with scheme A after the first iteration, two for N with eps > 0),
-one banded solve (a single LAPACK call) and one product for the squared
-M-norm of U's increment.
-
-Newton starts a step from the extrapolation 3(U^k - U^{k-1}) + U^{k-2} of
-the last three levels where that extrapolation has been reliable, which
-brings it within tol after one iteration on a smooth trajectory; the
-fixed-point schemes start from U^k.
+Y = (z - beta*U)/alpha is eliminated, so the iteration runs on U alone and
+Y is formed once, from the accepted U. Per step, outside the iteration: one
+banded product, and one mass solve unless the forcing is a SeparableForcing
+and the kernel exponential (the profiles are then solved once per run).
+Per iteration: one p-Laplacian assembly (two bands for Newton with
+eps > 0), one product for the right-hand side (two for Newton with eps > 0,
+none after the first for p = 2 with scheme A), one banded solve and one
+product for U's squared M-norm increment. c*M is a run constant, and so is
+the factored system for scheme B and for p = 2.
 """
 
 from dataclasses import dataclass, field
@@ -48,8 +37,8 @@ from .assembly import (ElementTables, FluxParams, SeparableForcing,
                        default_epsilon, interpolate)
 from .banded import BandedFactor, BandedSymMatrix
 from .errors import ConfigError, FixedPointDivergenceError, LinearSolveError
-from .memory import (ExponentialSums, KernelSpec, MemoryEquation, StateHistory,
-                     check_mode, memory_equation, memory_residual)
+from .memory import (ExponentialSums, KernelSpec, StateHistory, check_mode,
+                     memory_equation, memory_residual)
 from .mesh import Mesh1D, QuadratureRule, default_quad_points, gauss_legendre
 
 SCHEMES = ("auto", "A", "B", "N")
@@ -138,7 +127,7 @@ class StepDiagnostics:
 class Assembler:
     """Mesh + quadrature + flux bundle used by the stepping loop; keeps
     what depends on these alone: basis tables, mass matrix and factors,
-    and the integrals of a SeparableForcing's space profiles."""
+    run-constant systems, and a SeparableForcing's profile loads."""
 
     def __init__(self, mesh: Mesh1D, quad: QuadratureRule,
                  params: FluxParams, load_fn):
@@ -147,8 +136,10 @@ class Assembler:
         self.params = params
         self.load_fn = load_fn
         self.tables = ElementTables(mesh, quad)
+        self._systems = {}
         self._system_factors = {}
         self._profile_loads = None
+        self._kept_coefficients = {}
 
     @cached_property
     def mass(self) -> BandedSymMatrix:
@@ -170,52 +161,85 @@ class Assembler:
         if not isinstance(self.load_fn, SeparableForcing):
             return assemble_load(self.mesh, self.load_fn, t, self.quad,
                                  tables=self.tables)
+        return self._coefficients(t) @ self._profiles(t)
+
+    def _coefficients(self, t: float) -> np.ndarray:
+        """A SeparableForcing's time coefficients at t, kept for t = 0 and
+        for the newest t: a march reads each of those twice."""
+        if t not in self._kept_coefficients:
+            self._kept_coefficients = {s: c for s, c in self._kept_coefficients.items()
+                                       if s == 0.0}
+            self._kept_coefficients[t] = self.load_fn.coefficients(t)
+        return self._kept_coefficients[t]
+
+    def _profiles(self, t: float) -> np.ndarray:
         if self._profile_loads is None:
             self._profile_loads = np.array(
                 [assemble_load(self.mesh, lambda x, _: space(x), t, self.quad,
                                tables=self.tables)
                  for space, _ in self.load_fn.terms]).reshape(-1, self.mesh.n_interior)
-        return self.load_fn.coefficients(t) @ self._profile_loads
+        return self._profile_loads
+
+    def load_levels(self, delta: float):
+        """Load level j of a march (L_0, then L_{j-1/2}) as a SeparableForcing's
+        time coefficients, the coordinates of memory_equation's levels; None
+        for any other f."""
+        if not isinstance(self.load_fn, SeparableForcing):
+            return None
+        return lambda j: self._coefficients(max(j - 0.5, 0.0) * delta)
+
+    @cached_property
+    def solved_profiles(self) -> np.ndarray:
+        """M^{-1} P_i of a SeparableForcing's profile loads P_i, as rows,
+        from one solve with all profiles as columns."""
+        profiles = self._profiles(0.0)
+        return self.mass_factor.solve(profiles.T).T if len(profiles) else profiles
 
     @cached_property
     def stiffness(self) -> BandedSymMatrix:
         """A(0); the diffusion matrix at every state when p = 2."""
         return self.plap(np.zeros(self.mesh.n_interior))
 
+    def system(self, mass_coef: float, stiff_coef: float = 0.0) -> BandedSymMatrix:
+        """mass_coef*M + stiff_coef*A(0), kept per coefficient pair; a run
+        constant only where A cannot change (stiff_coef = 0 or p = 2)."""
+        key = (mass_coef, stiff_coef)
+        if key not in self._systems:
+            data = mass_coef * self.mass.data
+            if stiff_coef != 0.0:
+                data = data + stiff_coef * self.stiffness.data
+            self._systems[key] = BandedSymMatrix(data)
+        return self._systems[key]
+
     def system_factor(self, mass_coef: float, stiff_coef: float) -> BandedFactor:
-        """Factor of mass_coef*M + stiff_coef*A(0), kept per coefficient pair;
-        a run constant only where A cannot change (stiff_coef = 0 or p = 2)."""
+        """The factor of system(mass_coef, stiff_coef), kept with it."""
         key = (mass_coef, stiff_coef)
         if key not in self._system_factors:
-            matrix = mass_coef * self.mass
-            if stiff_coef != 0.0:
-                matrix = matrix + stiff_coef * self.stiffness
-            self._system_factors[key] = matrix.factor()
+            self._system_factors[key] = self.system(mass_coef, stiff_coef).factor()
         return self._system_factors[key]
 
 
-class BlockSystem:
-    """One step's coupled pair with Y eliminated through the memory relation.
+def nodal_memory_relation(hist: StateHistory, kernel: KernelSpec,
+                          cfg: SolverConfig, asm: Assembler,
+                          sums: Optional[ExponentialSums] = None):
+    """(mem, z): step hist.k's memory relation, alpha*Y^{k+1} + beta*U^{k+1}
+    = z with z = s - M^{-1}F. With an exponential kernel a SeparableForcing's
+    F is per-term coefficients on the profiles solved once per run (z = s
+    for f = 0); any other F takes one mass solve."""
+    levels = asm.load_levels(hist.delta) if kernel.lam is not None else None
+    mem = memory_equation(hist, kernel, cfg.quadrature_mode, sums, levels)
+    if levels is None:
+        z = mem.state - asm.mass_factor.solve(mem.forcing)
+    elif mem.forcing.size:
+        z = mem.state - mem.forcing @ asm.solved_profiles
+    else:
+        z = mem.state
+    return mem, z
 
-    Substituting M Y = (R - beta*M U)/alpha into the U-block S U - delta*M Y
-    = b leaves (S + shift*M) U = b + rhs_share; z = M^{-1} R, solved once,
-    gives Y = (z - beta*U)/alpha for every iterate U, relaxed ones included.
-    """
 
-    def __init__(self, mem: MemoryEquation, mass_factor: BandedFactor,
-                 delta: float):
-        self.mem = mem
-        self.shift = delta * mem.beta / mem.alpha
-        self.rhs_share = (delta / mem.alpha) * mem.rhs
-        self.z = mass_factor.solve(mem.rhs)
-
-    def memory_state(self, u: np.ndarray) -> np.ndarray:
-        return (self.z - self.mem.beta * u) / self.mem.alpha
-
-
-def fixed_point_init(hist: StateHistory) -> np.ndarray:
-    """Seed the iterate with (a copy of) the previous time level's U."""
-    return hist.u[hist.k].copy()
+def _extrapolate(u: np.ndarray, k: int) -> np.ndarray:
+    """Level k+1 extrapolated from levels k, k-1 and k-2."""
+    return 3.0 * (u[k] - u[k - 1]) + u[k - 2]
 
 
 def predicted_start(hist: StateHistory) -> Optional[np.ndarray]:
@@ -225,16 +249,22 @@ def predicted_start(hist: StateHistory) -> Optional[np.ndarray]:
     None before level 3, and wherever the same extrapolation from levels
     k-1..k-3 missed U_k by no less, in max-norm, than U_{k-1} did: there the
     trajectory is not smooth on the scale of a step, and U_k is the safer
-    start.
+    start. Each call keeps its extrapolation in hist.extrapolation, so the
+    next call's miss is U_{k+1} minus it.
     """
-    k = hist.k
+    k, u = hist.k, hist.u
+    if k < 2:
+        return None
+    level, previous = hist.extrapolation or (None, None)
+    start = _extrapolate(u, k)
+    hist.extrapolation = (k + 1, start)
     if k < 3:
         return None
-    u = hist.u
-    miss = u[k] - 3.0 * u[k - 1] + 3.0 * u[k - 2] - u[k - 3]
-    if np.max(np.abs(miss)) >= np.max(np.abs(u[k] - u[k - 1])):
+    if level != k:      # no call at level k-1 formed it
+        previous = _extrapolate(u, k - 1)
+    if np.max(np.abs(u[k] - previous)) >= np.max(np.abs(u[k] - u[k - 1])):
         return None
-    return 3.0 * (u[k] - u[k - 1]) + u[k - 2]
+    return start
 
 
 #: The first iteration with an increment ratio, where the stall check starts.
@@ -247,97 +277,82 @@ _STALL_RATIO = 0.98
 @np.errstate(over="ignore", invalid="ignore")   # inf/nan: diverged
 def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
             asm: Assembler, sums: Optional[ExponentialSums] = None):
-    """Advance one level: iterate the chosen scheme on U until both squared
-    M-norm increments drop below tol, then append the pair to the history.
+    """Advance one level and append it to the history; returns (U, Y,
+    StepDiagnostics). The scheme iterates on U until both squared M-norm
+    increments drop below tol; Y's is (beta/alpha)^2 times U's.
 
     sums are the march's running history sums for an exponential kernel;
-    without them each call replays the sums from level 0 (the same numbers
-    at O(k) cost per step).
+    without them each call replays the sums from level 0.
 
-    A Newton iteration solves (c*M + delta*K_T) U_next = J U - G(U)
-    = b + delta*(K_T U - A (U + U^k)) with A and K_T at the iterate's
-    midpoint (with eps = 0, K_T = (p-1)*A and the right-hand side is
-    b + delta*A ((p-2) U - U^k), one product); scheme A solves
-    (c*M + delta*A) U_next = b - delta*A U^k.
-
-    Y is not iterated: each iterate U stands for (U, Y(U)) with
-    Y(U) = (z - beta*U)/alpha, so Y's squared increment is (beta/alpha)^2
-    times U's, and Y is formed once, from the accepted U. A step started
-    from U^k thus measures its first increment against Y(U^k), not against
-    the stored Y^k, which satisfies the previous step's memory relation.
-
-    Newton starts from predicted_start(hist) where that gives a start
-    (from level 3 on, while the extrapolation keeps predicting well); every
-    other iteration starts from U^k. If the iteration from a predicted
-    start stalls, it restarts once from U^k instead of relaxing, with
-    omega = 1 and the stall check's grace counted from the restart; the
-    abandoned iterations count toward max_iter, and the diagnostics record
-    the first iteration after the restart.
-
-    Large time steps can drive the plain iteration into an oscillating
-    mode (update eigenvalue mu near -sqrt(rho), rho the ratio of squared
-    increments). Whenever an increment does not contract (rho >= 0.98),
-    later updates u + omega*(u_next - u) take omega /= 1 + sqrt(rho): the
-    relaxed map sends that mode to 1 - omega + omega*mu = 0 (omega = 1/2 on
-    a -1 cycle), compounding if a relaxed iteration stalls again. The fixed
-    point is untouched, and tol bounds the plain map's increments (u_next - u
-    before relaxing) whatever omega is; the ratios are those of the steps
-    taken. The diagnostics record the first relaxed iteration. An iterate
-    that overflows ends the step as divergence, without numpy warnings: the
-    step runs under np.errstate.
+    Newton starts from predicted_start(hist) where that gives a start and
+    restarts once from U^k (omega = 1, stall grace counted anew) if the
+    iteration from it stalls; every other iteration starts from U^k. From
+    iteration _STALL_GRACE on, an increment ratio >= _STALL_RATIO relaxes
+    the later updates, u + omega*(u_next - u) with omega /= 1 + sqrt(ratio);
+    tol bounds the plain map's increment whatever omega is. An iterate that
+    overflows ends the step with FixedPointDivergenceError.
     """
     k = hist.k
     delta = cfg.delta
-    hist.set_half_load(k, asm.load((k + 0.5) * delta))
-    mass = asm.mass
-    block = BlockSystem(memory_equation(hist, kernel, mass, cfg.quadrature_mode,
-                                        sums),
-                        asm.mass_factor, delta)
+    load = asm.load((k + 0.5) * delta)
+    hist.set_half_load(k, load)
+    mem, z = nodal_memory_relation(hist, kernel, cfg, asm, sums)
+    alpha, beta = mem.alpha, mem.beta
     # dY = -(beta/alpha) dU between any two iterates
-    y_gain = (block.mem.beta / block.mem.alpha) ** 2
-    u_prev, y_prev = hist.u[k], hist.y[k]
-    # the U-block's right-hand side, less its diffusion term
-    rhs_step = (mass.matvec(2.0 * u_prev + delta * y_prev)
-                + 2.0 * delta * hist.loads[k + 1] + block.rhs_share)
-    mass_coef = 2.0 + block.shift
-    linear = asm.params.p == 2.0      # diffusion matrix independent of the state
+    y_gain = (beta / alpha) ** 2
+    mass = asm.mass
+    u_prev = hist.u[k]
+    # the U-block's right-hand side, less its diffusion term, with
+    # M Y^{k+1} = M (z - beta U^{k+1})/alpha substituted
+    rhs_step = (mass.matvec(2.0 * u_prev + delta * hist.y[k] + (delta / alpha) * z)
+                + 2.0 * delta * load)
+    mass_coef = 2.0 + delta * beta / alpha
+    p = asm.params.p
+    linear = p == 2.0                 # diffusion matrix independent of the state
     implicit = cfg.scheme != "B"      # for p = 2, Newton is scheme A
     newton = cfg.scheme == "N" and not linear
     # with eps = 0, K_T = (p-1)*A, so K_T U - A (U + U^k) = A ((p-2) U - U^k)
     one_product = asm.params.epsilon == 0.0
+    # the solved system is c*M + delta*slope*lhs_stiff
+    slope = p - 1.0 if newton and one_product else 1.0
     # scheme B never puts the diffusion matrix on the left
     constant = not implicit or linear
     if constant:
         factor = asm.system_factor(mass_coef, delta if implicit else 0.0)
     else:
-        shifted_mass = mass_coef * mass
-    # a_mid is A at the iterate's midpoint; lhs_stiff the stiffness matrix
-    # of the solved system: A, or its Jacobian K_T for Newton
+        shifted_mass = asm.system(mass_coef).data
+    # a_mid is A at the iterate's midpoint; lhs_stiff the stiffness band of
+    # the solved system: A, or Newton's K_T with eps > 0
     if linear:
         a_mid = lhs_stiff = asm.stiffness
 
     start = predicted_start(hist) if newton else None
-    u_it = fixed_point_init(hist) if start is None else start
+    u_it = u_prev if start is None else start
     ratios = []
     prev_total = None
     relaxed = restarted = begun = 0     # begun: iterations before this start
     omega = 1.0
     overflow = None
     for iteration in range(1, cfg.max_iter + 1):
-        if newton:
+        if newton and one_product:
+            a_mid = lhs_stiff = asm.plap(0.5 * (u_it + u_prev))
+            rhs = rhs_step + delta * a_mid.matvec((p - 2.0) * u_it - u_prev)
+        elif newton:
             a_mid, lhs_stiff = asm.plap(0.5 * (u_it + u_prev), tangent=True)
-            if one_product:
-                rhs = rhs_step + delta * a_mid.matvec((asm.params.p - 2.0) * u_it - u_prev)
-            else:
-                rhs = rhs_step + delta * (lhs_stiff.matvec(u_it)
-                                          - a_mid.matvec(u_it + u_prev))
+            rhs = rhs_step + delta * (lhs_stiff.matvec(u_it)
+                                      - a_mid.matvec(u_it + u_prev))
         else:
             if not linear:
                 a_mid = lhs_stiff = asm.plap(0.5 * (u_it + u_prev))
             if iteration == 1 or not (linear and implicit):  # else rhs is unchanged
                 rhs = rhs_step - delta * a_mid.matvec(u_prev if implicit else u_it + u_prev)
         try:
-            u_next = (factor if constant else shifted_mass + delta * lhs_stiff).solve(rhs)
+            if constant:
+                u_next = factor.solve(rhs)
+            else:       # the system, in the band this iteration assembled
+                lhs_stiff.data *= delta * slope
+                lhs_stiff.data += shifted_mass
+                u_next = lhs_stiff.solve(rhs)
         except LinearSolveError as exc:
             # divergence only if an iterate grew until the system overflowed
             if (iteration == 1 or np.isfinite(rhs).all()
@@ -356,7 +371,7 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
         prev_total = total
         u_it = u_it + omega * du if relaxed else u_next
         if inc_u < cfg.tol and inc_y < cfg.tol:
-            y_new = block.memory_state(u_it)
+            y_new = (z - beta * u_it) / alpha
             hist.append(u_it, y_new)
             return u_it, y_new, StepDiagnostics(iterations=iteration,
                                                 increment_u=inc_u,
@@ -367,7 +382,7 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
         if iteration - begun >= _STALL_GRACE and ratios[-1] >= _STALL_RATIO:
             if start is not None:       # restart once, from the previous level
                 start = None
-                u_it = fixed_point_init(hist)
+                u_it = u_prev
                 omega, prev_total = 1.0, None
                 begun, restarted = iteration, iteration + 1
             else:

@@ -77,14 +77,6 @@ class TestBandedSymMatrix:
         assert np.allclose(x, np.linalg.solve(mat.to_dense(), rhs), atol=1e-12)
         assert np.array_equal(x, mat.factor().solve(rhs))
 
-    def test_arithmetic(self):
-        a = random_banded(6, 2, seed=1)
-        b = random_banded(6, 2, seed=2)
-        x = np.arange(6.0)
-        combo = 2.0 * a + b - 0.5 * b
-        expect = 2.0 * a.to_dense() + 0.5 * b.to_dense()
-        assert np.allclose(combo.matvec(x), expect @ x)
-
     def test_dense_is_symmetric(self):
         dense = random_banded(7, 3, seed=9).to_dense()
         assert np.allclose(dense, dense.T)

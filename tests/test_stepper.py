@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,15 +8,14 @@ from plapmem import (ConfigError, FixedPointDivergenceError, IllPosedStepError,
                      ProblemSpec, SolverConfig, build_uniform_mesh,
                      exponential_kernel, manufactured_example1, march,
                      mass_norm, step_residuals)
-from plapmem.banded import BandedSymMatrix
+from plapmem.banded import BandedFactor, BandedSymMatrix
 from plapmem.assembly import SeparableForcing, assemble_mass, interpolate
 from plapmem.errors import LinearSolveError
 from plapmem.experiments import asymptotics_problem, propagation_problem
-from plapmem.memory import (ExponentialSums, MemoryEquation, StateHistory,
-                            memory_equation)
+from plapmem.memory import ExponentialSums, KernelSpec, StateHistory, memory_equation
 from plapmem.mesh import default_quad_points, gauss_legendre
-from plapmem.stepper import (_STALL_GRACE, _STALL_RATIO, Assembler, BlockSystem,
-                             cn_step, fixed_point_init, predicted_start,
+from plapmem.stepper import (_STALL_GRACE, _STALL_RATIO, Assembler, cn_step,
+                             nodal_memory_relation, predicted_start,
                              resolve_scheme, select_scheme)
 
 
@@ -114,18 +115,12 @@ def fresh_history(problem, mesh, cfg, asm):
     return hist
 
 
-class TestFixedPoint:
-    def test_init_copies_latest_level(self):
-        problem = free_decay(2.0, 0.0, sine_bump)
-        mesh = build_uniform_mesh(-1, 1, 8, 1)
-        cfg = SolverConfig(p=2.0, delta=0.01, n_steps=5)
-        asm = make_assembler(problem, mesh, cfg)
-        hist = fresh_history(problem, mesh, cfg, asm)
-        u0 = fixed_point_init(hist)
-        assert np.array_equal(u0, hist.u[0])
-        u0 += 1.0                      # must not alias the stored level
-        assert not np.array_equal(u0, hist.u[0])
+def relation_rhs(mem, mass):
+    """R = M*s - F of alpha*M*Y + beta*M*U = R, from the nodal form."""
+    return mass.matvec(mem.state) - mem.forcing
 
+
+class TestFixedPoint:
     def test_discrete_steady_state_converges_in_one_iteration(self):
         # u solving K u = F is a fixed point of the heat step; seeding with
         # it makes the very first increment vanish
@@ -191,22 +186,25 @@ class TestSolveBlock:
         sdata[1, -1] = 0.0
         matrix = BandedSymMatrix(sdata)
         rhs = rng.standard_normal(n)
-        mem = MemoryEquation(alpha=0.6, beta=-0.3, rhs=rng.standard_normal(n))
-        block = BlockSystem(mem, mass.factor(), delta)
-        u = (matrix + block.shift * mass).solve(rhs + block.rhs_share)
-        y = block.memory_state(u)
+        # the memory relation alpha*Y + beta*U = z in nodal form, eliminated
+        # as in the step: (S + delta*beta/alpha*M) U = rhs + delta/alpha*M z
+        alpha, beta, z = 0.6, -0.3, rng.standard_normal(n)
+        shift = delta * beta / alpha
+        u = BandedSymMatrix(sdata + shift * mdata).solve(
+            rhs + (delta / alpha) * mass.matvec(z))
+        y = (z - beta * u) / alpha
         # independent dense solve of the coupled 2x2 block system
         md, sd = mass.to_dense(), matrix.to_dense()
         big = np.block([[sd, -delta * md],
-                        [mem.beta * md, mem.alpha * md]])
-        sol = np.linalg.solve(big, np.concatenate([rhs, mem.rhs]))
+                        [beta * md, alpha * md]])
+        sol = np.linalg.solve(big, np.concatenate([rhs, md @ z]))
         assert np.allclose(u, sol[:n], atol=1e-12)
         assert np.allclose(y, sol[n:], atol=1e-12)
         # residuals of both original blocks
         r1 = sd @ u - delta * (md @ y) - rhs
-        r2 = mem.beta * (md @ u) + mem.alpha * (md @ y) - mem.rhs
+        r2 = beta * (md @ u) + alpha * (md @ y) - md @ z
         assert np.max(np.abs(r1)) < 1e-10 * max(1, np.max(np.abs(rhs)))
-        assert np.max(np.abs(r2)) < 1e-10 * max(1, np.max(np.abs(mem.rhs)))
+        assert np.max(np.abs(r2)) < 1e-10 * max(1, np.max(np.abs(md @ z)))
 
     def test_vanishing_alpha_guard(self):
         # alpha = 1/2 + delta*g(0)/8 vanishes for delta*g(0) = -4
@@ -214,7 +212,7 @@ class TestSolveBlock:
         hist = StateHistory(1, 5, 0.5)
         hist.set_initial(np.array([1.0]), np.array([0.0]))
         with pytest.raises(IllPosedStepError):
-            memory_equation(hist, exponential_kernel(-8.0), mass)
+            memory_equation(hist, exponential_kernel(-8.0))
 
 
 class TestMarch:
@@ -380,11 +378,12 @@ class TestLeanStep:
             assert not any(d.relaxed for d in diags)
         mass = asm.mass
         for k in range(n_steps):
-            mem = memory_equation(hist.truncated(k), problem.kernel, mass)
+            mem = memory_equation(hist.truncated(k), problem.kernel)
+            rhs = relation_rhs(mem, mass)
             my = mem.alpha * mass.matvec(hist.y[k + 1])
             mu = mem.beta * mass.matvec(hist.u[k + 1])
-            scale = max(np.max(np.abs(t)) for t in (my, mu, mem.rhs))
-            assert np.max(np.abs(my + mu - mem.rhs)) <= 1e-12 * scale
+            scale = max(np.max(np.abs(t)) for t in (my, mu, rhs))
+            assert np.max(np.abs(my + mu - rhs)) <= 1e-12 * scale
             res_ev, res_mem = step_residuals(hist, k, problem.kernel, cfg, asm)
             u_mid = 0.5 * (hist.u[k + 1] + hist.u[k])
             terms = (mass.matvec(hist.u[k + 1] - hist.u[k]) / delta,
@@ -630,7 +629,7 @@ def plain_increments(hist, k, kernel, cfg, asm):
     Newton) maps U - G(U) to 2*delta times the evolution residual, so this
     needs neither omega nor the loop."""
     res_ev, _ = step_residuals(hist, k, kernel, cfg, asm)
-    mem = memory_equation(hist.truncated(k), kernel, asm.mass, cfg.quadrature_mode)
+    mem = memory_equation(hist.truncated(k), kernel, cfg.quadrature_mode)
     mass = asm.mass.to_dense()
     matrix = (2.0 + cfg.delta * mem.beta / mem.alpha) * mass
     u_mid = 0.5 * (hist.u[k + 1] + hist.u[k])
@@ -880,12 +879,12 @@ class TestIterationOnU:
         cfg = SolverConfig(p=3.0, delta=0.01, n_steps=5)
         asm = make_assembler(problem, mesh, cfg)
         hist = fresh_history(problem, mesh, cfg, asm)
-        mem = memory_equation(hist, problem.kernel, asm.mass)
-        block = BlockSystem(mem, asm.mass_factor, cfg.delta)
+        mem, z = nodal_memory_relation(hist, problem.kernel, cfg, asm)
         rng = np.random.default_rng(5)
         for _ in range(5):
             u1, u2 = rng.standard_normal((2, mesh.n_interior))
-            du, dy = u1 - u2, block.memory_state(u1) - block.memory_state(u2)
+            du = u1 - u2
+            dy = (z - mem.beta * u1) / mem.alpha - (z - mem.beta * u2) / mem.alpha
             inc_u = du @ asm.mass.matvec(du)
             assert dy @ asm.mass.matvec(dy) == pytest.approx(
                 (mem.beta / mem.alpha) ** 2 * inc_u, rel=1e-12)
@@ -909,12 +908,13 @@ class TestIterationOnU:
         for k in range(n_steps):
             _, _, diag = cn_step(hist, problem.kernel, cfg, asm, sums)
             diags.append(diag)
-            mem = memory_equation(hist.truncated(k), problem.kernel, mass)
+            mem = memory_equation(hist.truncated(k), problem.kernel)
+            rhs = relation_rhs(mem, mass)
             assert diag.increment_y == (mem.beta / mem.alpha) ** 2 * diag.increment_u
             my = mem.alpha * mass.matvec(hist.y[k + 1])
             mu = mem.beta * mass.matvec(hist.u[k + 1])
-            scale = max(np.max(np.abs(t)) for t in (my, mu, mem.rhs))
-            assert np.max(np.abs(my + mu - mem.rhs)) <= 1e-12 * scale
+            scale = max(np.max(np.abs(t)) for t in (my, mu, rhs))
+            assert np.max(np.abs(my + mu - rhs)) <= 1e-12 * scale
         if case == "p4-A-relaxed":
             assert any(d.relaxed for d in diags)
         if case == "p5.555-N-restarted":
@@ -954,28 +954,59 @@ class TestIterationOnU:
 
 
 class TestProductCounts:
-    """Banded matrix-vector products per step of a hand-driven loop: two per
-    step (the step's right-hand side and the memory relation's), then per
-    iteration one for the right-hand side (two for Newton with eps > 0,
-    none after the first for p = 2 with scheme A) and one for the increment."""
+    """Work per step of a hand-driven loop. Banded matrix-vector products:
+    one per step (the step's right-hand side), then per iteration one for
+    the right-hand side (two for Newton with eps > 0, none after the first
+    for p = 2 with scheme A) and one for the increment. Mass solves: one
+    per step for a forcing that is not a SeparableForcing, none for one
+    (its profiles are solved once, in the first step). Bands built: the
+    ones the iteration assembles, plus the run constants in the first step."""
 
     @pytest.mark.parametrize("scheme, p, epsilon, per_iteration", [
         ("A", 4.0, None, 2), ("B", 2.5, None, 2), ("N", 4.0, None, 2),
         ("N", 3.0, None, 2), ("N", 4.0, 1e-2, 3),
     ])
     def test_products_per_step(self, monkeypatch, scheme, p, epsilon, per_iteration):
-        counts = self.count(monkeypatch, scheme, p, epsilon)
-        assert all(calls == 2 + per_iteration * diag.iterations
+        counts = self.count(monkeypatch, BandedSymMatrix, "matvec", scheme, p, epsilon)
+        assert all(calls == 1 + per_iteration * diag.iterations
                    for calls, diag in counts)
 
-    def test_linear_step_takes_five(self, monkeypatch):
-        counts = self.count(monkeypatch, "A", 2.0, None)
-        assert [(calls, diag.iterations) for calls, diag in counts] == [(5, 2)] * 10
+    def test_linear_step_takes_four(self, monkeypatch):
+        counts = self.count(monkeypatch, BandedSymMatrix, "matvec", "A", 2.0, None)
+        assert [(calls, diag.iterations) for calls, diag in counts] == [(4, 2)] * 10
+
+    @pytest.mark.parametrize("forcing, solves", [
+        (SeparableForcing(), [0] * 10),
+        (SeparableForcing(((lambda x: x * (1 - x), np.cos),)), [1] + [0] * 9),
+        (None, [1] * 10),       # forced_sine's f, a plain callable
+    ])
+    def test_mass_solves_per_step(self, monkeypatch, forcing, solves):
+        counts = self.count(monkeypatch, BandedFactor, "solve", "N", 4.0, None,
+                            forcing=forcing, mass_only=True)
+        assert [calls for calls, _ in counts] == solves
+
+    # run constants: M and c*M, and A(0) for p = 2
+    @pytest.mark.parametrize("scheme, p, epsilon, per_iteration, constants", [
+        ("A", 4.0, None, 1, 2), ("B", 2.5, None, 1, 2), ("N", 4.0, None, 1, 2),
+        ("N", 4.0, 1e-2, 2, 2), ("A", 2.0, None, 0, 3),
+    ])
+    def test_bands_built_per_step(self, monkeypatch, scheme, p, epsilon,
+                                  per_iteration, constants):
+        # the solved system is formed in the band its iteration assembled
+        counts = self.count(monkeypatch, BandedSymMatrix, "__init__", scheme, p, epsilon)
+        assert [calls for calls, _ in counts] == [
+            (constants if k == 0 else 0) + per_iteration * diag.iterations
+            for k, (_, diag) in enumerate(counts)]
 
     @staticmethod
-    def count(monkeypatch, scheme, p, epsilon):
-        """(products, diagnostics) of each of 10 steps."""
+    def count(monkeypatch, owner, name, scheme, p, epsilon, forcing=None,
+              mass_only=False):
+        """(calls of owner.name, diagnostics) of each of 10 steps; forcing
+        replaces forced_sine's f, and mass_only counts only the calls on
+        the mass factor."""
         problem = forced_sine(p, 1.0, horizon=0.01)
+        if forcing is not None:
+            problem = dataclasses.replace(problem, f=forcing)
         mesh = build_uniform_mesh(0, 1, 8, 2)
         cfg = SolverConfig(p=p, delta=1e-3, n_steps=10, tol=1e-12, scheme=scheme,
                            epsilon=epsilon)
@@ -983,16 +1014,103 @@ class TestProductCounts:
         hist = fresh_history(problem, mesh, cfg, asm)
         sums = ExponentialSums()
         calls = [0]
-        matvec = BandedSymMatrix.matvec
+        method = getattr(owner, name)
 
-        def counting(self, x):
-            calls[0] += 1
-            return matvec(self, x)
+        def counting(self, *args):
+            if not mass_only or self is vars(asm).get("mass_factor"):
+                calls[0] += 1
+            return method(self, *args)
 
-        monkeypatch.setattr(BandedSymMatrix, "matvec", counting)
+        monkeypatch.setattr(owner, name, counting)
         out = []
         for _ in range(cfg.n_steps):
             calls[0] = 0
             diag = cn_step(hist, problem.kernel, cfg, asm, sums)[2]
             out.append((calls[0], diag))
         return out
+
+
+class TestNodalMemoryRelation:
+    """z = s - M^{-1}F on the step's path against the reduction it
+    replaces, M^{-1}(M*s - F) with F summed over the stored load vectors."""
+
+    FORCINGS = {
+        "zero": SeparableForcing(),
+        "separable": SeparableForcing(((lambda x: x * (1 - x), np.cos),)),
+        "callable": lambda x, t: np.asarray(x) * (1 - np.asarray(x)) * np.cos(t),
+    }
+
+    @pytest.mark.parametrize("mode", ["consistent", "literal"])
+    @pytest.mark.parametrize("running", [True, False], ids=["running-sums", "direct"])
+    @pytest.mark.parametrize("forcing", list(FORCINGS))
+    def test_z_matches_solved_relation(self, forcing, running, mode):
+        kernel = exponential_kernel(-3.0)
+        if not running:
+            kernel = KernelSpec(g=kernel.g, gp=kernel.gp)
+        problem = ProblemSpec(a=0.0, b=1.0, horizon=0.08, p=3.0, kernel=kernel,
+                              u0=sine_01, f=self.FORCINGS[forcing])
+        mesh = build_uniform_mesh(0, 1, 8, 2)
+        cfg = SolverConfig(p=3.0, delta=0.01, n_steps=8, tol=1e-12,
+                           quadrature_mode=mode)
+        asm = make_assembler(problem, mesh, cfg)
+        hist = fresh_history(problem, mesh, cfg, asm)
+        sums, mass = ExponentialSums(), asm.mass
+        for k in range(cfg.n_steps):
+            hist.set_half_load(k, asm.load((k + 0.5) * cfg.delta))
+            mem, z = nodal_memory_relation(hist, kernel, cfg, asm, sums)
+            ref = memory_equation(hist, kernel, mode)
+            assert (mem.alpha, mem.beta) == (ref.alpha, ref.beta)
+            z_ref = np.linalg.solve(mass.to_dense(), relation_rhs(ref, mass))
+            assert np.max(np.abs(z - z_ref)) <= 1e-12 * np.max(np.abs(z_ref))
+            cn_step(hist, kernel, cfg, asm, sums)
+
+
+def four_level_start(hist):
+    """The predicted start with its guard formed from the stored levels
+    alone: 3(U_k - U_{k-1}) + U_{k-2} where U_k - 3U_{k-1} + 3U_{k-2} -
+    U_{k-3} is smaller in max-norm than U_k - U_{k-1}."""
+    k, u = hist.k, hist.u
+    if k < 3:
+        return None
+    miss = u[k] - 3.0 * u[k - 1] + 3.0 * u[k - 2] - u[k - 3]
+    if np.max(np.abs(miss)) >= np.max(np.abs(u[k] - u[k - 1])):
+        return None
+    return 3.0 * (u[k] - u[k - 1]) + u[k - 2]
+
+
+class TestIncrementalStart:
+    """predicted_start keeps its extrapolation for the next step's guard;
+    the starts, the guard's decisions and the iterations are those of the
+    four-level formula on the regression trajectories."""
+
+    @pytest.mark.parametrize("case", ["p4-N", "p5.555-N-restarted"])
+    def test_matches_four_level_formula(self, monkeypatch, case):
+        import plapmem.stepper as stepper
+        if case == "p4-N":
+            scheme, p, lam, m, r, delta, tol, _ = TestLeanStep.CASES[case]
+            problem = manufactured_example1(p, lam, horizon=delta * 10)
+            n_steps = 10
+        else:   # guard passes at k = 4, 5 only; restarts at step 5
+            scheme, p, lam, m, r, delta, tol = TestIterationOnU.RESTART
+            problem = forced_sine(p, lam, horizon=delta * 40)
+            n_steps = 40
+        mesh = build_uniform_mesh(0, 1, m, r)
+        cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, tol=tol, scheme=scheme)
+        incremental = stepper.predicted_start
+        decisions = []
+
+        def compare(hist):
+            start, ref = incremental(hist), four_level_start(hist)
+            decisions.append((start is None, ref is None))
+            if ref is not None and start is not None:
+                assert np.max(np.abs(start - ref)) <= 1e-14 * np.max(np.abs(ref))
+            return start
+
+        monkeypatch.setattr(stepper, "predicted_start", compare)
+        run = march(problem, mesh, cfg)
+        monkeypatch.setattr(stepper, "predicted_start", four_level_start)
+        ref = march(problem, mesh, cfg)
+        assert all(new == old for new, old in decisions)
+        assert len(decisions) == n_steps
+        assert ([(d.iterations, d.restarted) for d in run.diagnostics]
+                == [(d.iterations, d.restarted) for d in ref.diagnostics])

@@ -10,7 +10,9 @@ kernel amplitude lambda in [-10, 10], a degree r in 1..3, m in 4..12
 elements and a time step delta = 10^U(-4, -1.5), in that order, and solves
 u0 = sin(pi x), f = x (1 - x) cos t on (0, 1) for --steps steps at tol
 1e-12, tight enough that the counts measure the solver more than the
-stopping rule. plapmem is imported from src/ of this script's
+stopping rule. Every other run (odd i) declares f as a SeparableForcing,
+the others pass it as a plain callable, so both load paths are sampled
+with the same draws. plapmem is imported from src/ of this script's
 checkout. With --against DIR the same problems are also solved in a child
 process that imports plapmem from DIR/src, and the runs where this checkout
 does worse are counted: more iterations, or no completion where DIR
@@ -47,18 +49,20 @@ def solve_all(src, problems, scheme, n_steps):
     import numpy as np
     import plapmem
     from plapmem import (FixedPointDivergenceError, PlapmemError, ProblemSpec,
-                         SolverConfig, build_uniform_mesh, exponential_kernel,
-                         march)
+                         SeparableForcing, SolverConfig, build_uniform_mesh,
+                         exponential_kernel, march)
     if Path(plapmem.__file__).resolve().parent != (Path(src) / "plapmem").resolve():
         raise ImportError(f"imported plapmem from {plapmem.__file__}, not {src}")
 
+    separable = SeparableForcing(((lambda x: x * (1 - x), np.cos),))
     records = []
-    for prob in problems:
+    for i, prob in enumerate(problems):
         delta = prob["delta"]
         problem = ProblemSpec(a=0.0, b=1.0, horizon=delta * n_steps, p=prob["p"],
                               kernel=exponential_kernel(prob["lam"]),
                               u0=lambda x: np.sin(np.pi * np.asarray(x, dtype=float)),
-                              f=lambda x, t: np.asarray(x) * (1 - np.asarray(x)) * np.cos(t))
+                              f=separable if i % 2 else
+                              lambda x, t: np.asarray(x) * (1 - np.asarray(x)) * np.cos(t))
         cfg = SolverConfig(p=prob["p"], delta=delta, n_steps=n_steps, tol=TOL,
                            scheme=scheme)
         try:
