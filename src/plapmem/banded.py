@@ -30,10 +30,6 @@ class BandedSymMatrix:
             raise ValueError("band storage must be 2-D (bandwidth+1, n)")
         self.data = data
 
-    @classmethod
-    def zeros(cls, n: int, bandwidth: int) -> "BandedSymMatrix":
-        return cls(np.zeros((bandwidth + 1, n)))
-
     @property
     def n(self) -> int:
         return self.data.shape[1]
@@ -41,9 +37,6 @@ class BandedSymMatrix:
     @property
     def bandwidth(self) -> int:
         return self.data.shape[0] - 1
-
-    def copy(self) -> "BandedSymMatrix":
-        return BandedSymMatrix(self.data.copy())
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A x for one vector, or row by row for a block of shape (levels, n);

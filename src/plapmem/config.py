@@ -27,7 +27,6 @@ class RunConfig:
     solver: SolverConfig
     snapshot_times: List[float] = field(default_factory=list)
     output_dir: str = "out"
-    kernel_type: str = "exponential"
 
 
 def _require(raw: dict, key: str):
@@ -147,7 +146,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
         "domain": [cfg.domain[0], cfg.domain[1]],
         "T": cfg.T,
         "p": cfg.solver.p,
-        "kernel": {"type": cfg.kernel_type, "lambda": cfg.kernel_lambda},
+        "kernel": {"type": "exponential", "lambda": cfg.kernel_lambda},
         "r": cfg.r,
         "m": cfg.m,
         "N": cfg.solver.n_steps,

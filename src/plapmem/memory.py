@@ -336,8 +336,8 @@ def memory_equation(hist: StateHistory, kernel: KernelSpec,
     """
     check_mode(mode)
     delta = hist.delta
-    g0 = float(kernel.g(0.0))
-    gp0 = float(kernel.gp(0.0))
+    g0, gp0 = ((kernel.lam, -kernel.lam) if kernel.lam is not None
+                else (float(kernel.g(0.0)), float(kernel.gp(0.0))))
     alpha = 0.5 + (delta / 8.0) * g0
     if abs(alpha) < 1e-12:
         raise IllPosedStepError(

@@ -1,5 +1,5 @@
-"""Crank-Nicolson time marching: Newton's method and two fixed-point
-linearizations.
+"""Crank-Nicolson time marching: one iteration for Newton's method and the
+paper's two fixed-point linearizations.
 
 Each step solves the coupled pair
 
@@ -8,21 +8,27 @@ Each step solves the coupled pair
     alpha*Y^{k+1} + beta*U^{k+1} = z = s - M^{-1}F   (memory relation)
 
 with A_mid the gradient-weighted stiffness matrix at the midpoint state
-and L the load at t_{k+1/2}. Scheme "A" keeps the new iterate in the
-diffusion term; scheme "B" evaluates the whole term at the previous
-iterate; scheme "N" is Newton's method on G(U) = c*M U + delta*A(w)(U + U^k)
-- b, w = (U + U^k)/2, c = 2 + delta*beta/alpha, whose Jacobian is
-c*M + delta*K_T(w). All three share the same fixed point.
+and L the load at t_{k+1/2}. With Y = (z - beta*U)/alpha eliminated, a step
+solves G(U) = c*M U + delta*A(w)(U + U^k) - b = 0 on U alone, with
+w = (U + U^k)/2 and c = 2 + delta*beta/alpha, and every scheme iterates
 
-Y = (z - beta*U)/alpha is eliminated, so the iteration runs on U alone and
-Y is formed once, from the accepted U. Per step, outside the iteration: one
-banded product, and one mass solve unless the forcing is a SeparableForcing
-and the kernel exponential (the profiles are then solved once per run).
-Per iteration: one p-Laplacian assembly (two bands for Newton with
-eps > 0), one product for the right-hand side (two for Newton with eps > 0,
-none after the first for p = 2 with scheme A), one banded solve and one
-product for U's squared M-norm increment. c*M is a run constant, and so is
-the factored system for scheme B and for p = 2.
+    (c*M + delta*slope*A(w)) U_next = b + delta*A(w)((slope - 1) U - U^k)
+
+    scheme "A"  slope 1      the new iterate inside the diffusion term
+    scheme "B"  slope 0      the diffusion term at the previous iterate
+    scheme "N"  slope p - 1  Newton: its Jacobian K_T(w) is (p-1)*A(w) at eps = 0
+
+Newton with eps > 0 alone assembles K_T(w) and solves with c*M + delta*K_T,
+right-hand side b + delta*(K_T U - A(w)(U + U^k)). All three share the same
+fixed point, and Y is formed once, from the accepted U. Per step, outside
+the iteration: one banded product, and one mass solve unless the forcing is
+a SeparableForcing and the kernel exponential (the profiles are then solved
+once per run). Per iteration: one p-Laplacian assembly (two bands for Newton
+with eps > 0, none for p = 2), one product for the right-hand side (two for
+Newton with eps > 0, none after the first for p = 2 with slope 1), one
+banded solve and one product for U's squared M-norm increment. c*M is a run
+constant, and so is the factored system where it cannot change: for p = 2
+and for slope 0.
 """
 
 from dataclasses import dataclass, field
@@ -44,9 +50,10 @@ from .mesh import Mesh1D, QuadratureRule, default_quad_points, gauss_legendre
 SCHEMES = ("auto", "A", "B", "N")
 
 
-def select_scheme(p: float) -> str:
-    """Default scheme for an exponent: Newton ("N") for p > 2, implicit
-    diffusion ("A") for p <= 2.
+def resolve_scheme(p: float, requested: str) -> str:
+    """The scheme a march runs for a request: "auto" takes Newton ("N") for
+    p > 2 and implicit diffusion ("A") for p <= 2; an explicit "A" is refused
+    on 2 < p < 3. The exponent itself is FluxParams' to check.
 
     For p > 2 the fixed-point iterations contract slowly, or not at all
     once the solution grows, while Newton converges in two iterations from
@@ -59,18 +66,10 @@ def select_scheme(p: float) -> str:
     (up to 27 in one step of example 2's dome at p = 1.5), while the
     explicit iteration starts cycling near extinction.
     """
-    if not np.isfinite(p) or p <= 1.0:
-        raise ConfigError("p", f"exponent must satisfy p > 1, got {p}")
-    return "N" if p > 2.0 else "A"
-
-
-def resolve_scheme(p: float, requested: str) -> str:
-    """Validate an explicit scheme request against the exponent."""
     if requested not in SCHEMES:
         raise ConfigError("scheme", f"must be one of {SCHEMES}, got {requested!r}")
-    default = select_scheme(p)
     if requested == "auto":
-        return default
+        return "N" if p > 2.0 else "A"
     if requested == "A" and 2.0 < p < 3.0:
         raise ConfigError("scheme",
                           "scheme A is not available on 2 < p < 3 "
@@ -309,16 +308,12 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     mass_coef = 2.0 + delta * beta / alpha
     p = asm.params.p
     linear = p == 2.0                 # diffusion matrix independent of the state
-    implicit = cfg.scheme != "B"      # for p = 2, Newton is scheme A
-    newton = cfg.scheme == "N" and not linear
-    # with eps = 0, K_T = (p-1)*A, so K_T U - A (U + U^k) = A ((p-2) U - U^k)
-    one_product = asm.params.epsilon == 0.0
-    # the solved system is c*M + delta*slope*lhs_stiff
-    slope = p - 1.0 if newton and one_product else 1.0
-    # scheme B never puts the diffusion matrix on the left
-    constant = not implicit or linear
+    slope = {"A": 1.0, "B": 0.0, "N": p - 1.0}[cfg.scheme]
+    # only Newton with eps > 0 solves with a band other than slope*A(w): K_T
+    tangent = cfg.scheme == "N" and not linear and asm.params.epsilon != 0.0
+    constant = linear or slope == 0.0     # the solved system is a run constant
     if constant:
-        factor = asm.system_factor(mass_coef, delta if implicit else 0.0)
+        factor = asm.system_factor(mass_coef, delta * slope)
     else:
         shifted_mass = asm.system(mass_coef).data
     # a_mid is A at the iterate's midpoint; lhs_stiff the stiffness band of
@@ -326,7 +321,7 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     if linear:
         a_mid = lhs_stiff = asm.stiffness
 
-    start = predicted_start(hist) if newton else None
+    start = predicted_start(hist) if cfg.scheme == "N" and not linear else None
     u_it = u_prev if start is None else start
     ratios = []
     prev_total = None
@@ -334,23 +329,20 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     omega = 1.0
     overflow = None
     for iteration in range(1, cfg.max_iter + 1):
-        if newton and one_product:
-            a_mid = lhs_stiff = asm.plap(0.5 * (u_it + u_prev))
-            rhs = rhs_step + delta * a_mid.matvec((p - 2.0) * u_it - u_prev)
-        elif newton:
+        if tangent:
             a_mid, lhs_stiff = asm.plap(0.5 * (u_it + u_prev), tangent=True)
             rhs = rhs_step + delta * (lhs_stiff.matvec(u_it)
                                       - a_mid.matvec(u_it + u_prev))
         else:
             if not linear:
                 a_mid = lhs_stiff = asm.plap(0.5 * (u_it + u_prev))
-            if iteration == 1 or not (linear and implicit):  # else rhs is unchanged
-                rhs = rhs_step - delta * a_mid.matvec(u_prev if implicit else u_it + u_prev)
+            if iteration == 1 or not (linear and slope == 1.0):  # else rhs is unchanged
+                rhs = rhs_step + delta * a_mid.matvec((slope - 1.0) * u_it - u_prev)
         try:
             if constant:
                 u_next = factor.solve(rhs)
             else:       # the system, in the band this iteration assembled
-                lhs_stiff.data *= delta * slope
+                lhs_stiff.data *= delta if tangent else delta * slope
                 lhs_stiff.data += shifted_mass
                 u_next = lhs_stiff.solve(rhs)
         except LinearSolveError as exc:

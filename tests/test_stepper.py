@@ -16,7 +16,7 @@ from plapmem.memory import ExponentialSums, KernelSpec, StateHistory, memory_equ
 from plapmem.mesh import default_quad_points, gauss_legendre
 from plapmem.stepper import (_STALL_GRACE, _STALL_RATIO, Assembler, cn_step,
                              nodal_memory_relation, predicted_start,
-                             resolve_scheme, select_scheme)
+                             resolve_scheme)
 
 
 def zero_f(x, t):
@@ -36,31 +36,32 @@ def sine_bump(x):
 class TestSchemeSelection:
     def test_high_exponent_implicit(self):
         # Newton keeps the diffusion's Jacobian on the left
-        assert select_scheme(3.0) == "N"
-        assert select_scheme(4.0) == "N"
+        assert resolve_scheme(3.0, "auto") == "N"
+        assert resolve_scheme(4.0, "auto") == "N"
 
     def test_intermediate_exponent_newton(self):
         # where scheme A is unavailable, Newton and not the explicit scheme B
-        assert select_scheme(2.5) == "N"
-        assert select_scheme(2.0 + 1e-9) == "N"
+        assert resolve_scheme(2.5, "auto") == "N"
+        assert resolve_scheme(2.0 + 1e-9, "auto") == "N"
 
     def test_linear_exponent_implicit(self):
         # state-independent diffusion: the step is one exact linear solve
-        assert select_scheme(2.0) == "A"
+        assert resolve_scheme(2.0, "auto") == "A"
 
     def test_singular_exponent_implicit(self):
         # explicit-diffusion iterations cycle near extinction for p < 2;
         # the implicit route is the one that completes those runs
-        assert select_scheme(1.5) == "A"
+        assert resolve_scheme(1.5, "auto") == "A"
         cfg = SolverConfig(p=1.5, delta=0.1, n_steps=10)
         assert cfg.scheme == "A"
         assert cfg.epsilon == 1e-8
 
     def test_invalid_exponent(self):
-        with pytest.raises(ConfigError):
-            select_scheme(1.0)
-        with pytest.raises(ConfigError):
-            select_scheme(0.5)
+        # the exponent is FluxParams' rule, reached through SolverConfig
+        for p in (1.0, 0.5):
+            with pytest.raises(ConfigError) as err:
+                SolverConfig(p=p, delta=0.1, n_steps=10)
+            assert err.value.field == "p"
 
     def test_override_rules(self):
         assert resolve_scheme(3.0, "B") == "B"
@@ -79,8 +80,9 @@ class TestSchemeSelection:
         (2.5, "A", "scheme"), (0.5, "C", "scheme"),
     ])
     def test_rejections_name_their_field(self, p, requested, field):
+        # an unknown scheme is reported before a bad exponent
         with pytest.raises(ConfigError) as err:
-            resolve_scheme(p, requested)
+            SolverConfig(p=p, delta=0.1, n_steps=10, scheme=requested)
         assert err.value.field == field
 
 
@@ -766,17 +768,21 @@ class TestSchemeEquivalence:
         assert diff < 1e-10
 
     def test_degenerate_case_same_fixed_points(self):
-        problem = manufactured_example1(3.0, 1.0, horizon=0.02)
+        # slopes 1, 0 and p - 1 of one iteration: the same fixed point,
+        # on both sides of p = 2
         mesh = build_uniform_mesh(0, 1, 8, 1)
         mass = assemble_mass(mesh, gauss_legendre(3))
-        runs = {}
-        for scheme in ("A", "B"):
-            cfg = SolverConfig(p=3.0, delta=1e-3, n_steps=20, tol=1e-20,
-                               max_iter=300, scheme=scheme)
-            runs[scheme] = march(problem, mesh, cfg)
-        worst = max(mass_norm(runs["A"].u[k] - runs["B"].u[k], mass)
-                    for k in range(21))
-        assert worst < 1e-8
+        for p in (3.0, 1.5, 4.0):
+            problem = manufactured_example1(p, 1.0, horizon=0.02)
+            runs = {}
+            for scheme in ("A", "B", "N"):
+                cfg = SolverConfig(p=p, delta=1e-3, n_steps=20, tol=1e-20,
+                                   max_iter=300, scheme=scheme)
+                runs[scheme] = march(problem, mesh, cfg)
+            for other in ("B", "N"):
+                worst = max(mass_norm(runs["A"].u[k] - runs[other].u[k], mass)
+                            for k in range(21))
+                assert worst < 1e-8, (p, other)
 
 
 class TestEnergyDissipation:
@@ -923,7 +929,9 @@ class TestIterationOnU:
     @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_newton_right_hand_side_in_one_product(self, p, r):
-        # eps = 0: K_T = (p-1) A, so K_T U - A (U + U^k) = A ((p-2) U - U^k)
+        # J U - A (U + U^k) = A ((slope-1) U - U^k) for J = slope*A; at eps = 0
+        # Newton's K_T is (p-1) A, and slopes 0 and 1 (schemes B and A) give
+        # the former products -A (U + U^k) and -A U^k bitwise
         mesh = build_uniform_mesh(0, 1, 7, r)
         asm = Assembler(mesh, gauss_legendre(default_quad_points(r)),
                         SolverConfig(p=p, delta=0.01, n_steps=1).flux_params(), zero_f)
@@ -931,11 +939,17 @@ class TestIterationOnU:
         for _ in range(5):
             u, u_prev = rng.standard_normal((2, mesh.n_interior))
             a_mid, k_t = asm.plap(0.5 * (u + u_prev), tangent=True)
-            two = k_t.matvec(u) - a_mid.matvec(u + u_prev)
-            one = a_mid.matvec((p - 2.0) * u - u_prev)
-            scale = max(np.max(np.abs(k_t.matvec(u))),
-                        np.max(np.abs(a_mid.matvec(u + u_prev))))
-            assert np.max(np.abs(one - two)) <= 1e-13 * scale
+            for slope, jacobian_u, before in (
+                    (0.0, 0.0 * a_mid.matvec(u), -a_mid.matvec(u + u_prev)),
+                    (1.0, a_mid.matvec(u), -a_mid.matvec(u_prev)),
+                    (p - 1.0, k_t.matvec(u), None)):
+                one = a_mid.matvec((slope - 1.0) * u - u_prev)
+                two = jacobian_u - a_mid.matvec(u + u_prev)
+                scale = max(np.max(np.abs(jacobian_u)),
+                            np.max(np.abs(a_mid.matvec(u + u_prev))))
+                assert np.max(np.abs(one - two)) <= 1e-13 * scale
+                if before is not None:
+                    assert np.array_equal(one, before)
 
     def test_regularized_newton_run_completes(self):
         # eps > 0 keeps the two-product right-hand side
@@ -956,11 +970,12 @@ class TestIterationOnU:
 class TestProductCounts:
     """Work per step of a hand-driven loop. Banded matrix-vector products:
     one per step (the step's right-hand side), then per iteration one for
-    the right-hand side (two for Newton with eps > 0, none after the first
-    for p = 2 with scheme A) and one for the increment. Mass solves: one
-    per step for a forcing that is not a SeparableForcing, none for one
-    (its profiles are solved once, in the first step). Bands built: the
-    ones the iteration assembles, plus the run constants in the first step."""
+    the right-hand side A(w)((slope-1) U - U^k) (two for Newton with
+    eps > 0, none after the first for p = 2 with slope 1) and one for the
+    increment. Mass solves: one per step for a forcing that is not a
+    SeparableForcing, none for one (its profiles are solved once, in the
+    first step). Bands built: the ones the iteration assembles, plus the
+    run constants in the first step."""
 
     @pytest.mark.parametrize("scheme, p, epsilon, per_iteration", [
         ("A", 4.0, None, 2), ("B", 2.5, None, 2), ("N", 4.0, None, 2),

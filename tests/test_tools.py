@@ -8,13 +8,16 @@ import sample_runs  # noqa: E402
 
 
 def test_sampler_against_its_own_checkout(capsys):
-    assert sample_runs.main(["--scheme", "N", "--count", "3", "--seed", "7",
-                             "--steps", "5", "--against", str(ROOT)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "scheme N, 3 runs, seed 7, 5 steps, tol 1e-12"
-    assert lines[1].startswith("this checkout: 3 completed, 0 diverged, 0 failed")
-    assert lines[2].split(": ", 1)[1] == lines[1].split(": ", 1)[1]
-    assert lines[3] == "worse in 0 of 3 runs; slowest step slower in 0 runs"
+    # scheme A is refused on 2 < p < 3, which the third draw (p = 2.81) hits
+    for scheme, counts in (("N", "3 completed, 0 diverged, 0 failed"),
+                           ("A", "2 completed, 0 diverged, 1 failed")):
+        assert sample_runs.main(["--scheme", scheme, "--count", "3", "--seed", "7",
+                                 "--steps", "5", "--against", str(ROOT)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"scheme {scheme}, 3 runs, seed 7, 5 steps, tol 1e-12"
+        assert lines[1].startswith(f"this checkout: {counts}")
+        assert lines[2].split(": ", 1)[1] == lines[1].split(": ", 1)[1]
+        assert lines[3] == "worse in 0 of 3 runs; slowest step slower in 0 runs"
 
 
 def test_problems_cover_the_stated_ranges():

@@ -63,9 +63,9 @@ def solve_all(src, problems, scheme, n_steps):
                               u0=lambda x: np.sin(np.pi * np.asarray(x, dtype=float)),
                               f=separable if i % 2 else
                               lambda x, t: np.asarray(x) * (1 - np.asarray(x)) * np.cos(t))
-        cfg = SolverConfig(p=prob["p"], delta=delta, n_steps=n_steps, tol=TOL,
-                           scheme=scheme)
         try:
+            cfg = SolverConfig(p=prob["p"], delta=delta, n_steps=n_steps, tol=TOL,
+                               scheme=scheme)
             with np.errstate(all="ignore"):
                 run = march(problem, build_uniform_mesh(0, 1, prob["m"], prob["r"]), cfg)
         except FixedPointDivergenceError:
