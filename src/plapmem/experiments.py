@@ -30,10 +30,10 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """Rows of Python scalars, written by repr; a None field stays empty."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join("" if v is None else _fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(map(repr, row)).replace("None", "") + "\n" for row in rows)
 
 
 def write_outputs(run: RunOutput, out_dir, snapshot_times=None) -> dict:
@@ -70,12 +70,12 @@ def write_outputs(run: RunOutput, out_dir, snapshot_times=None) -> dict:
 
     paths["energy"] = out / "energy.csv"
     _write_csv(paths["energy"], ("t", "b"),
-               zip(times, run.energies))
+               zip(times.tolist(), run.energies.tolist()))
 
     paths["support"] = out / "support.csv"
     _write_csv(paths["support"], ("t", "left", "right"),
-               [(t, gap[0] if gap else None, gap[1] if gap else None)
-                for t, gap in zip(times, run.support)])
+               [(t, *(gap or (None, None)))
+                for t, gap in zip(times.tolist(), run.support)])
 
     paths["diagnostics"] = out / "diagnostics.csv"
     _write_csv(paths["diagnostics"],
@@ -143,8 +143,8 @@ def run_example1(out_dir, p_values=(3.0, 4.0), lam=1.0, parallel=False) -> Path:
             write_outputs(run, out / subdir)
             errs.append((run.errors["u"], run.errors["y"]))
         spacing = [head[axis] for head, _, _ in cases]
-        ou = convergence_orders([eu for eu, _ in errs], spacing)
-        oy = convergence_orders([ey for _, ey in errs], spacing)
+        ou = convergence_orders([eu for eu, _ in errs], spacing).tolist()
+        oy = convergence_orders([ey for _, ey in errs], spacing).tolist()
         for i, ((head, _, _), (eu, ey)) in enumerate(zip(cases, errs)):
             rows.append(head + (eu, ey, None if i == 0 else ou[i - 1],
                                 None if i == 0 else oy[i - 1]))

@@ -9,31 +9,39 @@ Collecting the k+1 unknowns on the left reduces the whole relation to
     alpha * M Y^{k+1} + beta * M U^{k+1} = R,
 
 with alpha = 1/2 + (delta/8) g(0) and beta = -(g(0)/2 + (delta/8) g'(0)).
+The step takes it in nodal form, alpha*Y^{k+1} + beta*U^{k+1} = z with
+z = s - M^{-1}F: s combines stored levels, F the loads, and R = M*s - F.
 
-Evaluated directly (`q_g`, `q_gp`, `i_f`) the trapezoid sums cost O(k) at
-step k, so a march costs O(N^2). For the exponential kernel
-g(s) = lam*exp(-s) (a `KernelSpec` with `lam` set, as `exponential_kernel`
-builds) every lag factor splits as exp(-(k-j)*delta) times a constant, so
-`memory_equation` instead keeps the discounted sums of `ExponentialSums`,
+Evaluated directly (`q_g`, `q_gp`, `i_f`, `memory_equation`) the trapezoid
+sums cost O(k) at step k, so a march costs O(N^2). For the exponential
+kernel g(s) = lam*exp(-s) (a `KernelSpec` with `lam` set, as
+`exponential_kernel` builds) every lag factor splits as exp(-(k-j)*delta)
+times a constant, and the history reduces to discounted sums,
 
     E_k = exp(-delta) E_{k-1} + delta*y_k,          E_0 = (delta/2) y_0,
 
 and over the half-step loads
 
-    G_k = exp(-delta) G_{k-1} + delta*L_{k+1/2},    G_0 = (3*delta/4) L_{1/2},
+    G_k = exp(-delta) G_{k-1} + delta*L_{k+1/2},    G_0 = (3*delta/4) L_{1/2}.
 
-and builds the relation from them in O(n) per step. The step takes it in
-nodal form, alpha*Y^{k+1} + beta*U^{k+1} = s - M^{-1}F (`MemoryEquation`):
-s combines stored levels, F the loads, and R = M*s - F. q_g's explicit
-part is lam*exp(-delta/2)(E_k - (delta/4) y_k) + (delta/8) lam*y_k, the
-u sum the same over u with -lam, and F = lam*[(delta/4) exp(-t_{k+1/2})
-L_0 + G_k - (delta/2) L_{k+1/2}], for k = 0 too. R takes the y and u sums
-with the same sign, so one running sum over y + u serves both. The load
-levels may be summed in any linear coordinates (a SeparableForcing's time
-coefficients, one scalar per term), and F comes out in the same ones. Only
-decaying exponentials appear, so long horizons never overflow. Any other
-kernel takes the direct quadratures, which also stay as the oracle
-(`memory_residual`).
+q_g's explicit part is lam*exp(-delta/2)(E_k - (delta/4) y_k) + (delta/8)
+lam*y_k, the u sum the same over u with -lam, and F = lam*[(delta/4)
+exp(-t_{k+1/2}) L_0 + G_k - (delta/2) L_{k+1/2}], for k = 0 too; the
+literal mode adds delta*lam*L_{k+1/2}. R takes the y and u sums with the
+same sign, so one sum S_k over y + u serves both. Only decaying
+exponentials appear, so long horizons never overflow.
+
+So z, and the v whose mass product is the step's right-hand side less its
+diffusion term (see stepper), combine a few rows with scalar coefficients
+of k. A march carries those rows as one block (`MemoryBlock`),
+
+    W = [U_k, Y_k, S_{k-1}, H_{k-1}, U_0, M^{-1}L_0, R_1..R_T],
+
+with H = M^{-1}G and rows R whose combination c @ R is M^{-1}L_{k+1/2}
+(a SeparableForcing's solved profiles, c its time coefficients, or the
+newest solved load, c = 1). A step fills a 4 x (6+T) matrix from scalars,
+and one product gives z, v, S_k and H_k. Any other kernel takes the direct
+quadratures, which also stay as the oracle (`memory_residual`).
 """
 
 import copy
@@ -63,9 +71,9 @@ def check_mode(mode: str):
 class KernelSpec:
     """Memory kernel g and its derivative gp as functions of the time lag.
 
-    lam, when set, declares g = lam*exp(-s) and selects the recursive
-    history sums; it is checked against g and gp at a few lags, so a
-    kernel that is not that exponential cannot take them by mistake.
+    lam, when set, declares g = lam*exp(-s) and selects the carried
+    MemoryBlock; it is checked against g and gp at a few lags, so a
+    kernel that is not that exponential cannot take it by mistake.
     """
 
     g: Callable
@@ -176,8 +184,8 @@ class StateHistory:
 
     Arrays are preallocated for the full horizon; `k` always points at the
     newest completed level. loads[0] holds the load at t = 0 and
-    loads[1 + j] the load at t_{j+1/2}. The step itself needs only the
-    newest levels (the exponential kernel's `ExponentialSums`); the whole
+    loads[1 + j] the load at t_{j+1/2}. With an exponential kernel the
+    step needs only its carried `MemoryBlock` (kept in block); the whole
     tail is kept for the output and for the direct quadratures, which
     general kernels and the oracle use.
     """
@@ -192,13 +200,14 @@ class StateHistory:
         self.k = 0
         # (level, vector): the extrapolation predicted_start formed last
         self.extrapolation = None
+        self.block = None
 
     def set_initial(self, u0: np.ndarray, load0: np.ndarray):
         self.u[0] = u0
         self.y[0] = 0.0          # the memory term vanishes at t = 0
         self.loads[0] = load0
         self.k = 0
-        self.extrapolation = None
+        self.extrapolation = self.block = None
 
     def set_half_load(self, j: int, load: np.ndarray):
         self.loads[1 + j] = load
@@ -220,17 +229,14 @@ class StateHistory:
             raise ValueError(f"cannot rewind to {k}; history is at {self.k}")
         view = copy.copy(self)
         view.k = k
-        view.extrapolation = None
+        view.extrapolation = view.block = None
         return view
 
 
 @dataclass(frozen=True)
 class MemoryEquation:
-    """The relation alpha*M*Y^{k+1} + beta*M*U^{k+1} = M*state - forcing.
-
-    state is a nodal combination of stored levels; forcing is the load
-    share F, in the coordinates of the load levels it was summed from.
-    """
+    """The relation alpha*M*Y^{k+1} + beta*M*U^{k+1} = M*state - forcing:
+    state a nodal combination of stored levels, forcing the load share F."""
 
     alpha: float
     beta: float
@@ -281,92 +287,91 @@ def i_f(hist: StateHistory, kernel: KernelSpec,
     return out
 
 
-class ExponentialSums:
-    """Discounted running sums of one march for g = lam*exp(-s).
-
-    state_sum = sum_j c_j exp(-(k-j)*delta) (y_j + u_j) with c_0 = delta/2
-    and c_j = delta after it; load_sum the same over the half-step load
-    levels, with 3*delta/4 on L_{1/2}. lam is left out. Each level is
-    folded in once, by one multiply-add per sum; first_load and newest_load
-    keep L_0 and L_{k+1/2}. A march keeps one object for its own history,
-    advanced with one kind of load levels.
-    """
-
-    def __init__(self):
-        self.k = -1               # newest level folded in; -1: none yet
-        self.decay = self.state_sum = self.load_sum = None
-        self.first_load = self.newest_load = None
-
-    def advance(self, hist: StateHistory, levels: Optional[Callable] = None):
-        """Fold in the levels up to hist.k and the load L_{k+1/2}; a history
-        behind the sums (a rewound or a new one) is replayed from level 0.
-        levels(j) is load level j (L_0, then L_{j-1/2}) in the coordinates
-        to sum; by default the load vector hist.loads[j]."""
-        if hist.k < self.k:
-            self.k = -1
-        levels = levels or hist.loads.__getitem__
-        delta = hist.delta
-        while self.k < hist.k:
-            j = self.k + 1
-            self.newest_load = levels(j + 1)
-            if j == 0:
-                self.decay = math.exp(-delta)
-                self.state_sum = (delta / 2.0) * (hist.y[0] + hist.u[0])
-                self.load_sum = (3.0 * delta / 4.0) * self.newest_load
-                self.first_load = levels(0)
-            else:
-                self.state_sum = (self.decay * self.state_sum
-                                  + delta * (hist.y[j] + hist.u[j]))
-                self.load_sum = self.decay * self.load_sum + delta * self.newest_load
-            self.k = j
-
-
-def memory_equation(hist: StateHistory, kernel: KernelSpec,
-                    mode: str = "consistent",
-                    sums: Optional[ExponentialSums] = None,
-                    levels: Optional[Callable] = None) -> MemoryEquation:
-    """Reduce the memory relation at step k to its unknowns-on-the-left form.
-
-    Every history term lands in state or forcing; the two k+1 unknowns
-    produce the scalar coefficients alpha and beta of M Y^{k+1} and
-    M U^{k+1}. An exponential kernel builds both from the running sums (the
-    march's `sums`, else ones replayed from level 0 here), with forcing in
-    the coordinates of `levels` (see ExponentialSums.advance); any other
-    kernel re-sums the trapezoid history, with forcing a load vector.
-    """
-    check_mode(mode)
-    delta = hist.delta
-    g0, gp0 = ((kernel.lam, -kernel.lam) if kernel.lam is not None
-                else (float(kernel.g(0.0)), float(kernel.gp(0.0))))
+def relation_coefficients(g0: float, gp0: float, delta: float):
+    """(alpha, beta) of the memory relation for g(0) = g0 and g'(0) = gp0;
+    IllPosedStepError where alpha vanishes."""
     alpha = 0.5 + (delta / 8.0) * g0
     if abs(alpha) < 1e-12:
         raise IllPosedStepError(
             f"memory relation is ill posed: |1/2 + delta*g(0)/8| = {abs(alpha):.3e}; "
             "reduce the time step")
-    beta = -(0.5 * g0 + (delta / 8.0) * gp0)
+    return alpha, -(0.5 * g0 + (delta / 8.0) * gp0)
+
+
+def memory_equation(hist: StateHistory, kernel: KernelSpec,
+                    mode: str = "consistent") -> MemoryEquation:
+    """Reduce the memory relation at step k to its unknowns-on-the-left form
+    by the direct trapezoid sums, for any kernel: every history term lands
+    in state or forcing (a load vector), and the two k+1 unknowns give the
+    scalar coefficients alpha and beta of M Y^{k+1} and M U^{k+1}."""
+    check_mode(mode)
+    g0 = float(kernel.g(0.0))
+    alpha, beta = relation_coefficients(g0, float(kernel.gp(0.0)), hist.delta)
     k = hist.k
-    t_half = (k + 0.5) * delta
-    if kernel.lam is not None:
-        sums = sums if sums is not None else ExponentialSums()
-        sums.advance(hist, levels)
-        lam = kernel.lam
-        g_half = lam * math.exp(-t_half)
-        # q_g's explicit part minus q_gp's, over y + u
-        levels_k = hist.y[k] + hist.u[k]
-        history = lam * (math.exp(-0.5 * delta) * (sums.state_sum - (delta / 4.0) * levels_k)
-                         + (delta / 8.0) * levels_k)
-        state = -0.5 * hist.y[k] + 0.5 * lam * hist.u[k] - g_half * hist.u[0] - history
-        # i_f; the literal mode adds delta*g(0) on the newest load
-        newest = -0.5 * delta if mode == "consistent" else 0.5 * delta
-        forcing = ((delta / 4.0) * g_half * sums.first_load
-                   + lam * (sums.load_sum + newest * sums.newest_load))
-    else:
-        state = (-0.5 * hist.y[k] + 0.5 * g0 * hist.u[k]
-                 - float(kernel.g(t_half)) * hist.u[0]
-                 - _quadrature(hist, kernel.g, hist.y)[0]
-                 + _quadrature(hist, kernel.gp, hist.u)[0])
-        forcing = i_f(hist, kernel, mode)
-    return MemoryEquation(alpha=alpha, beta=beta, state=state, forcing=forcing)
+    state = (-0.5 * hist.y[k] + 0.5 * g0 * hist.u[k]
+             - float(kernel.g((k + 0.5) * hist.delta)) * hist.u[0]
+             - _quadrature(hist, kernel.g, hist.y)[0]
+             + _quadrature(hist, kernel.gp, hist.u)[0])
+    return MemoryEquation(alpha=alpha, beta=beta, state=state,
+                          forcing=i_f(hist, kernel, mode))
+
+
+class MemoryBlock:
+    """The rows one march with g = lam*exp(-s) carries from step to step.
+
+    rows = [U_k, Y_k, S_{k-1}, H_{k-1}, U_0, M^{-1}L_0, R_1..R_T] (see the
+    module docstring), with the sums at zero; the caller fills the solved
+    loads rows[5:]. relation(c) forms step k's z and v by one product, and
+    accept moves the block to level k+1. alpha is checked once, here.
+    """
+
+    def __init__(self, lam: float, delta: float, mode: str,
+                 u0: np.ndarray, y0: np.ndarray, n_load_rows: int):
+        check_mode(mode)
+        self.lam, self.delta, self.k = lam, delta, 0
+        self.alpha, self.beta = relation_coefficients(lam, -lam, delta)
+        self.rows = np.zeros((6 + n_load_rows, len(u0)))
+        self.rows[0] = self.rows[4] = u0
+        self.rows[1] = y0
+        self.coef = np.zeros((4, len(self.rows)))
+        ratio = delta / self.alpha
+        # the coefficients of U_0 and M^{-1}L_0 per unit of g(t_{k+1/2})
+        self._first = np.array([[-1.0, -delta / 4.0], [-ratio, -ratio * delta / 4.0]])
+        # i_f's share of the newest load beyond its trapezoid weight
+        self._newest = -0.5 * delta if mode == "consistent" else 0.5 * delta
+        self._weights(delta / 2.0, 3.0 * delta / 4.0)
+
+    def _weights(self, w: float, w_load: float):
+        """The coefficients that hold from step k on: w is level k's weight
+        in S_k, w_load that of L_{k+1/2} in G_k (both delta from k = 1)."""
+        lam, delta, decay = self.lam, self.delta, math.exp(-self.delta)
+        ratio, half = delta / self.alpha, math.exp(-0.5 * delta)
+        # z = s - M^{-1}F, with the history's weight on Y_k + U_k shared;
+        # v = 2 U_k + delta Y_k + (delta/alpha) z + 2 delta M^{-1}L_{k+1/2}
+        shared = lam * (half * (w - delta / 4.0) + delta / 8.0)
+        z = np.array([0.5 * lam - shared, -0.5 - shared, -lam * half * decay, -lam * decay])
+        self.coef[:, :4] = (z, ratio * z + (2.0, delta, 0.0, 0.0),
+                            (w, w, decay, 0.0), (0.0, 0.0, 0.0, decay))
+        newest = -lam * (w_load + self._newest)
+        self._load = np.array([newest, ratio * newest + 2.0 * delta, 0.0, w_load])
+
+    def relation(self, c: Optional[np.ndarray]):
+        """(z, v) of step k, with c @ R = M^{-1}L_{k+1/2} (None: no R rows)."""
+        g_half = self.lam * math.exp(-(self.k + 0.5) * self.delta)
+        np.multiply(self._first, g_half, out=self.coef[:2, 4:6])
+        if c is not None:
+            np.outer(self._load, c, out=self.coef[:, 6:])
+        self._product = self.coef @ self.rows
+        return self._product[0], self._product[1]
+
+    def accept(self, u: np.ndarray, y: np.ndarray):
+        """Move to level k+1 = (u, y), with the sums of the last relation."""
+        self.rows[0] = u
+        self.rows[1] = y
+        self.rows[2:4] = self._product[2:4]
+        self.k += 1
+        if self.k == 1:
+            self._weights(self.delta, self.delta)
 
 
 def memory_residual(hist: StateHistory, k: int, kernel: KernelSpec,
@@ -382,7 +387,6 @@ def memory_residual(hist: StateHistory, k: int, kernel: KernelSpec,
     delta = hist.delta
     t_half = (k + 0.5) * delta
     g0 = float(kernel.g(0.0))
-    gp0 = float(kernel.gp(0.0))
     qg_explicit, qg_impl = q_g(past, kernel, mass)
     qgp_explicit, qgp_impl = q_gp(past, kernel, mass)
     y_bar = 0.5 * (hist.y[k + 1] + hist.y[k])

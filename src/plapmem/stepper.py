@@ -21,14 +21,16 @@ w = (U + U^k)/2 and c = 2 + delta*beta/alpha, and every scheme iterates
 Newton with eps > 0 alone assembles K_T(w) and solves with c*M + delta*K_T,
 right-hand side b + delta*(K_T U - A(w)(U + U^k)). All three share the same
 fixed point, and Y is formed once, from the accepted U. Per step, outside
-the iteration: one banded product, and one mass solve unless the forcing is
-a SeparableForcing and the kernel exponential (the profiles are then solved
-once per run). Per iteration: one p-Laplacian assembly (two bands for Newton
-with eps > 0, none for p = 2), one product for the right-hand side (two for
-Newton with eps > 0, none after the first for p = 2 with slope 1), one
-banded solve and one product for U's squared M-norm increment. c*M is a run
-constant, and so is the factored system where it cannot change: for p = 2
-and for slope 0.
+the iteration: for an exponential kernel one small dense product of the
+memory block (see memory), and for any other the direct history sums; one
+banded product, M*v; one mass solve for a forcing that is not a
+SeparableForcing or a kernel that is not exponential (otherwise one per
+run, in the first step, none for f = 0). Per iteration: one p-Laplacian
+assembly (two bands for Newton with eps > 0, none for p = 2), one product
+for the right-hand side (two for Newton with eps > 0, none after the first
+for p = 2 with slope 1), one banded solve and one product for U's squared
+M-norm increment. c*M is a run constant, and so is the factored system
+where it cannot change: for p = 2 and for slope 0.
 """
 
 from dataclasses import dataclass, field
@@ -43,7 +45,7 @@ from .assembly import (ElementTables, FluxParams, SeparableForcing,
                        default_epsilon, interpolate)
 from .banded import BandedFactor, BandedSymMatrix
 from .errors import ConfigError, FixedPointDivergenceError, LinearSolveError
-from .memory import (ExponentialSums, KernelSpec, StateHistory, check_mode,
+from .memory import (KernelSpec, MemoryBlock, StateHistory, check_mode,
                      memory_equation, memory_residual)
 from .mesh import Mesh1D, QuadratureRule, default_quad_points, gauss_legendre
 
@@ -138,7 +140,6 @@ class Assembler:
         self._systems = {}
         self._system_factors = {}
         self._profile_loads = None
-        self._kept_coefficients = {}
 
     @cached_property
     def mass(self) -> BandedSymMatrix:
@@ -154,45 +155,22 @@ class Assembler:
 
     def load(self, t: float) -> np.ndarray:
         """Interior load vector at t. A SeparableForcing's profiles are
-        integrated at the first call (a singular one is reported with that
-        call's t) and later calls only combine them; any other f is
-        assembled anew."""
+        integrated at the first call and later calls only combine them;
+        any other f is assembled anew."""
         if not isinstance(self.load_fn, SeparableForcing):
             return assemble_load(self.mesh, self.load_fn, t, self.quad,
                                  tables=self.tables)
-        return self._coefficients(t) @ self._profiles(t)
+        return self.load_fn.coefficients(t) @ self.profiles(t)
 
-    def _coefficients(self, t: float) -> np.ndarray:
-        """A SeparableForcing's time coefficients at t, kept for t = 0 and
-        for the newest t: a march reads each of those twice."""
-        if t not in self._kept_coefficients:
-            self._kept_coefficients = {s: c for s, c in self._kept_coefficients.items()
-                                       if s == 0.0}
-            self._kept_coefficients[t] = self.load_fn.coefficients(t)
-        return self._kept_coefficients[t]
-
-    def _profiles(self, t: float) -> np.ndarray:
+    def profiles(self, t: float) -> np.ndarray:
+        """A SeparableForcing's profile loads P_i as rows, integrated at the
+        first call (a singular one is reported with that call's t)."""
         if self._profile_loads is None:
             self._profile_loads = np.array(
                 [assemble_load(self.mesh, lambda x, _: space(x), t, self.quad,
                                tables=self.tables)
                  for space, _ in self.load_fn.terms]).reshape(-1, self.mesh.n_interior)
         return self._profile_loads
-
-    def load_levels(self, delta: float):
-        """Load level j of a march (L_0, then L_{j-1/2}) as a SeparableForcing's
-        time coefficients, the coordinates of memory_equation's levels; None
-        for any other f."""
-        if not isinstance(self.load_fn, SeparableForcing):
-            return None
-        return lambda j: self._coefficients(max(j - 0.5, 0.0) * delta)
-
-    @cached_property
-    def solved_profiles(self) -> np.ndarray:
-        """M^{-1} P_i of a SeparableForcing's profile loads P_i, as rows,
-        from one solve with all profiles as columns."""
-        profiles = self._profiles(0.0)
-        return self.mass_factor.solve(profiles.T).T if len(profiles) else profiles
 
     @cached_property
     def stiffness(self) -> BandedSymMatrix:
@@ -218,22 +196,49 @@ class Assembler:
         return self._system_factors[key]
 
 
-def nodal_memory_relation(hist: StateHistory, kernel: KernelSpec,
-                          cfg: SolverConfig, asm: Assembler,
-                          sums: Optional[ExponentialSums] = None):
-    """(mem, z): step hist.k's memory relation, alpha*Y^{k+1} + beta*U^{k+1}
-    = z with z = s - M^{-1}F. With an exponential kernel a SeparableForcing's
-    F is per-term coefficients on the profiles solved once per run (z = s
-    for f = 0); any other F takes one mass solve."""
-    levels = asm.load_levels(hist.delta) if kernel.lam is not None else None
-    mem = memory_equation(hist, kernel, cfg.quadrature_mode, sums, levels)
-    if levels is None:
-        z = mem.state - asm.mass_factor.solve(mem.forcing)
-    elif mem.forcing.size:
-        z = mem.state - mem.forcing @ asm.solved_profiles
-    else:
-        z = mem.state
-    return mem, z
+def step_relation(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
+                  asm: Assembler):
+    """(alpha, beta, z, v) of step hist.k: the memory relation alpha*Y^{k+1}
+    + beta*U^{k+1} = z, and v with M*v the U-block's right-hand side less
+    its diffusion term. Stores the load L_{k+1/2} in hist.loads.
+
+    An exponential kernel takes both from the history's MemoryBlock, started
+    here at level 0, where L_0 is solved with a SeparableForcing's profiles
+    or with any other f's first load; such an f's load is solved once per
+    step. Any other kernel takes memory_equation and one mass solve.
+    """
+    k, delta = hist.k, cfg.delta
+    t = (k + 0.5) * delta
+    forcing = asm.load_fn
+    separable = isinstance(forcing, SeparableForcing)
+    if kernel.lam is None:
+        hist.set_half_load(k, asm.load(t))
+        mem = memory_equation(hist, kernel, cfg.quadrature_mode)
+        solved = asm.mass_factor.solve(np.stack((mem.forcing, hist.loads[k + 1]), axis=1))
+        z = mem.state - solved[:, 0]
+        v = (2.0 * hist.u[k] + delta * hist.y[k] + (delta / mem.alpha) * z
+             + 2.0 * delta * solved[:, 1])
+        return mem.alpha, mem.beta, z, v
+    block = hist.block
+    if block is None:
+        if k:
+            raise ValueError(f"a memory block starts at level 0, not {k}")
+        block = hist.block = MemoryBlock(
+            kernel.lam, delta, cfg.quadrature_mode, hist.u[0], hist.y[0],
+            len(forcing.terms) if separable else 1)
+    coeffs = None           # f = 0: the load rows stay zero
+    if not separable:
+        hist.set_half_load(k, asm.load(t))
+        coeffs, rows = np.ones(1), hist.loads[1:2]
+        if k:
+            block.rows[6] = asm.mass_factor.solve(hist.loads[k + 1])
+    elif forcing.terms:
+        coeffs, rows = forcing.coefficients(t), asm.profiles(t)
+        np.dot(coeffs, rows, out=hist.loads[k + 1])
+    if coeffs is not None and not k:        # L_0 with the sources of the R rows
+        block.rows[5:] = asm.mass_factor.solve(np.vstack((hist.loads[0], rows)).T).T
+    z, v = block.relation(coeffs)
+    return block.alpha, block.beta, z, v
 
 
 def _extrapolate(u: np.ndarray, k: int) -> np.ndarray:
@@ -275,13 +280,10 @@ _STALL_RATIO = 0.98
 
 @np.errstate(over="ignore", invalid="ignore")   # inf/nan: diverged
 def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
-            asm: Assembler, sums: Optional[ExponentialSums] = None):
+            asm: Assembler):
     """Advance one level and append it to the history; returns (U, Y,
     StepDiagnostics). The scheme iterates on U until both squared M-norm
     increments drop below tol; Y's is (beta/alpha)^2 times U's.
-
-    sums are the march's running history sums for an exponential kernel;
-    without them each call replays the sums from level 0.
 
     Newton starts from predicted_start(hist) where that gives a start and
     restarts once from U^k (omega = 1, stall grace counted anew) if the
@@ -291,20 +293,11 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     tol bounds the plain map's increment whatever omega is. An iterate that
     overflows ends the step with FixedPointDivergenceError.
     """
-    k = hist.k
-    delta = cfg.delta
-    load = asm.load((k + 0.5) * delta)
-    hist.set_half_load(k, load)
-    mem, z = nodal_memory_relation(hist, kernel, cfg, asm, sums)
-    alpha, beta = mem.alpha, mem.beta
-    # dY = -(beta/alpha) dU between any two iterates
-    y_gain = (beta / alpha) ** 2
-    mass = asm.mass
-    u_prev = hist.u[k]
-    # the U-block's right-hand side, less its diffusion term, with
-    # M Y^{k+1} = M (z - beta U^{k+1})/alpha substituted
-    rhs_step = (mass.matvec(2.0 * u_prev + delta * hist.y[k] + (delta / alpha) * z)
-                + 2.0 * delta * load)
+    k, delta = hist.k, cfg.delta
+    alpha, beta, z, v = step_relation(hist, kernel, cfg, asm)
+    y_gain = (beta / alpha) ** 2      # dY = -(beta/alpha) dU between any two iterates
+    mass, u_prev = asm.mass, hist.u[k]
+    rhs_step = mass.matvec(v)       # the U-block's right-hand side, less A's term
     mass_coef = 2.0 + delta * beta / alpha
     p = asm.params.p
     linear = p == 2.0                 # diffusion matrix independent of the state
@@ -365,6 +358,8 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
         if inc_u < cfg.tol and inc_y < cfg.tol:
             y_new = (z - beta * u_it) / alpha
             hist.append(u_it, y_new)
+            if hist.block is not None:
+                hist.block.accept(u_it, y_new)
             return u_it, y_new, StepDiagnostics(iterations=iteration,
                                                 increment_u=inc_u,
                                                 increment_y=inc_y,
@@ -410,10 +405,9 @@ def march(problem: "analysis.ProblemSpec", mesh: Mesh1D,
     hist = StateHistory(mesh.n_interior, cfg.n_steps, cfg.delta)
     hist.set_initial(interpolate(mesh, problem.u0), asm.load(0.0))
 
-    sums = ExponentialSums()
     diagnostics = []
     for _ in range(cfg.n_steps):
-        _, _, diag = cn_step(hist, problem.kernel, cfg, asm, sums)
+        _, _, diag = cn_step(hist, problem.kernel, cfg, asm)
         diagnostics.append(diag)
     return analysis.build_run_output(problem, mesh, cfg, asm, hist, diagnostics)
 

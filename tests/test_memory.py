@@ -9,7 +9,7 @@ from plapmem import (ConfigError, IllPosedStepError, KernelSpec, SolverConfig,
                      build_uniform_mesh, exponential_kernel,
                      manufactured_example1, march)
 from plapmem.banded import BandedSymMatrix
-from plapmem.memory import (ExponentialSums, StateHistory, forcing_weights, i_f,
+from plapmem.memory import (MemoryBlock, StateHistory, forcing_weights, i_f,
                             memory_equation, memory_residual, q_g, q_gp,
                             volterra_weights)
 
@@ -259,38 +259,38 @@ def tridiagonal_mass(n_dofs):
 
 
 class TestRecursiveHistory:
-    """The exponential kernel's running sums against the direct quadrature."""
+    """The exponential kernel's carried block against the direct quadrature."""
 
     @pytest.mark.parametrize("mode", ["consistent", "literal"])
     @pytest.mark.parametrize("lam", [10.0, 1.0, -1.0, -10.0])
     def test_rhs_matches_direct_over_long_march(self, lam, mode):
+        # z and M*v of MemoryBlock.relation, with the newest load as its one
+        # R row, against the direct sums and the step's unreduced right-hand
+        # side M(2U_k + delta Y_k + (delta/alpha) z) + 2 delta L_{k+1/2}
         n_steps, delta = 2000, 1e-3
         hist = random_history(n_steps, delta)
         mass = tridiagonal_mass(hist.n_dofs)
+        dense = mass.to_dense()
+        solved = np.linalg.solve(dense, hist.loads.T).T
         kernel = exponential_kernel(lam)
-        sums = ExponentialSums()
+        block = MemoryBlock(lam, delta, mode, hist.u[0], hist.y[0], 1)
+        block.rows[5:] = solved[:2]
         worst = 0.0
         for k in range(n_steps):          # k = 0 included
             past = hist.truncated(k)
-            fast = memory_equation(past, kernel, mode, sums)
+            block.rows[6] = solved[k + 1]
+            z, v = block.relation(np.ones(1))
             ref = memory_equation(past, direct(kernel), mode)
-            assert (fast.alpha, fast.beta) == (ref.alpha, ref.beta)
-            fast, ref = relation_rhs(fast, mass), relation_rhs(ref, mass)
-            worst = max(worst, np.max(np.abs(fast - ref)) / np.max(np.abs(ref)))
-        assert sums.k == n_steps - 1
+            assert (block.alpha, block.beta) == (ref.alpha, ref.beta)
+            z_ref = np.linalg.solve(dense, relation_rhs(ref, mass))
+            mv_ref = (mass.matvec(2.0 * hist.u[k] + delta * hist.y[k]
+                                  + (delta / ref.alpha) * z_ref)
+                      + 2.0 * delta * hist.loads[k + 1])
+            for fast, slow in ((z, z_ref), (mass.matvec(v), mv_ref)):
+                worst = max(worst, np.max(np.abs(fast - slow)) / np.max(np.abs(slow)))
+            block.accept(hist.u[k + 1], hist.y[k + 1])
+        assert block.k == n_steps
         assert worst <= 1e-12
-
-    def test_replay_is_bitwise_the_running_sums(self):
-        hist = random_history(40, 0.01)
-        mass = tridiagonal_mass(hist.n_dofs)
-        kernel = exponential_kernel(-3.0)
-        sums = ExponentialSums()
-        for k in (0, 1, 17, 39, 5, 39):     # forward, then rewound, then forward
-            past = hist.truncated(k)
-            running = memory_equation(past, kernel, sums=sums)
-            replayed = memory_equation(past, kernel)
-            assert np.array_equal(running.state, replayed.state)
-            assert np.array_equal(running.forcing, replayed.forcing)
 
     def test_unknown_mode_rejected(self):
         hist = random_history(2, 0.1)
@@ -332,7 +332,7 @@ class TestRecursiveHistory:
         def forbidden(*args, **kwargs):
             raise AssertionError("running sums used for a general kernel")
 
-        monkeypatch.setattr(ExponentialSums, "advance", forbidden)
+        monkeypatch.setattr(MemoryBlock, "relation", forbidden)
         g = lambda s: 1.0 / (1.0 + s)
         gp = lambda s: -1.0 / (1.0 + s) ** 2
         kernel = KernelSpec(g=g, gp=gp)
@@ -379,11 +379,15 @@ class TestDeclaredExponential:
             KernelSpec(g=lambda s: 0.0 * s, gp=lambda s: 0.0 * s, lam=float("nan"))
 
     def test_hand_built_exponential_accepted(self):
+        # scalar-only callables with lam: the march takes the block, which
+        # reads lam alone
         lam = -2.5
         kernel = KernelSpec(g=lambda s: lam * math.exp(-s),
                             gp=lambda s: -lam * math.exp(-s), lam=lam)
-        hist = random_history(30, 0.01)
-        fast = memory_equation(hist, kernel)
-        ref = memory_equation(hist, exponential_kernel(lam))
-        assert np.array_equal(fast.state, ref.state)
-        assert np.array_equal(fast.forcing, ref.forcing)
+        problem = manufactured_example1(3.0, lam, horizon=0.03)
+        mesh = build_uniform_mesh(0, 1, 6, 2)
+        cfg = SolverConfig(p=3.0, delta=1e-3, n_steps=30)
+        fast = march(dataclasses.replace(problem, kernel=kernel), mesh, cfg)
+        ref = march(problem, mesh, cfg)
+        assert np.array_equal(fast.u, ref.u)
+        assert np.array_equal(fast.y, ref.y)

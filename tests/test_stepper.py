@@ -12,11 +12,10 @@ from plapmem.banded import BandedFactor, BandedSymMatrix
 from plapmem.assembly import SeparableForcing, assemble_mass, interpolate
 from plapmem.errors import LinearSolveError
 from plapmem.experiments import asymptotics_problem, propagation_problem
-from plapmem.memory import ExponentialSums, KernelSpec, StateHistory, memory_equation
+from plapmem.memory import KernelSpec, MemoryBlock, StateHistory, memory_equation
 from plapmem.mesh import default_quad_points, gauss_legendre
 from plapmem.stepper import (_STALL_GRACE, _STALL_RATIO, Assembler, cn_step,
-                             nodal_memory_relation, predicted_start,
-                             resolve_scheme)
+                             predicted_start, resolve_scheme, step_relation)
 
 
 def zero_f(x, t):
@@ -215,6 +214,8 @@ class TestSolveBlock:
         hist.set_initial(np.array([1.0]), np.array([0.0]))
         with pytest.raises(IllPosedStepError):
             memory_equation(hist, exponential_kernel(-8.0))
+        with pytest.raises(IllPosedStepError):
+            MemoryBlock(-8.0, 0.5, "consistent", hist.u[0], hist.y[0], 0)
 
 
 class TestMarch:
@@ -885,15 +886,15 @@ class TestIterationOnU:
         cfg = SolverConfig(p=3.0, delta=0.01, n_steps=5)
         asm = make_assembler(problem, mesh, cfg)
         hist = fresh_history(problem, mesh, cfg, asm)
-        mem, z = nodal_memory_relation(hist, problem.kernel, cfg, asm)
+        alpha, beta, z, _ = step_relation(hist, problem.kernel, cfg, asm)
         rng = np.random.default_rng(5)
         for _ in range(5):
             u1, u2 = rng.standard_normal((2, mesh.n_interior))
             du = u1 - u2
-            dy = (z - mem.beta * u1) / mem.alpha - (z - mem.beta * u2) / mem.alpha
+            dy = (z - beta * u1) / alpha - (z - beta * u2) / alpha
             inc_u = du @ asm.mass.matvec(du)
             assert dy @ asm.mass.matvec(dy) == pytest.approx(
-                (mem.beta / mem.alpha) ** 2 * inc_u, rel=1e-12)
+                (beta / alpha) ** 2 * inc_u, rel=1e-12)
 
     @pytest.mark.parametrize("case", list(TestLeanStep.CASES) + ["p5.555-N-restarted"])
     def test_increments_and_memory_relation(self, case):
@@ -909,10 +910,10 @@ class TestIterationOnU:
         cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, tol=tol, scheme=scheme)
         asm = make_assembler(problem, mesh, cfg)
         hist = fresh_history(problem, mesh, cfg, asm)
-        mass, sums = asm.mass, ExponentialSums()
+        mass = asm.mass
         diags = []
         for k in range(n_steps):
-            _, _, diag = cn_step(hist, problem.kernel, cfg, asm, sums)
+            _, _, diag = cn_step(hist, problem.kernel, cfg, asm)
             diags.append(diag)
             mem = memory_equation(hist.truncated(k), problem.kernel)
             rhs = relation_rhs(mem, mass)
@@ -1027,7 +1028,6 @@ class TestProductCounts:
                            epsilon=epsilon)
         asm = make_assembler(problem, mesh, cfg)
         hist = fresh_history(problem, mesh, cfg, asm)
-        sums = ExponentialSums()
         calls = [0]
         method = getattr(owner, name)
 
@@ -1040,14 +1040,17 @@ class TestProductCounts:
         out = []
         for _ in range(cfg.n_steps):
             calls[0] = 0
-            diag = cn_step(hist, problem.kernel, cfg, asm, sums)[2]
+            diag = cn_step(hist, problem.kernel, cfg, asm)[2]
             out.append((calls[0], diag))
         return out
 
 
 class TestNodalMemoryRelation:
-    """z = s - M^{-1}F on the step's path against the reduction it
-    replaces, M^{-1}(M*s - F) with F summed over the stored load vectors."""
+    """step_relation's z and M*v against the dense reduction they replace:
+    z = M^{-1}(M*s - F) and M(2U_k + delta Y_k + (delta/alpha) z) +
+    2 delta L_{k+1/2}, with F summed directly over the stored load vectors;
+    through the carried block ("running-sums") and through memory_equation
+    and one mass solve ("direct")."""
 
     FORCINGS = {
         "zero": SeparableForcing(),
@@ -1069,15 +1072,41 @@ class TestNodalMemoryRelation:
                            quadrature_mode=mode)
         asm = make_assembler(problem, mesh, cfg)
         hist = fresh_history(problem, mesh, cfg, asm)
-        sums, mass = ExponentialSums(), asm.mass
+        mass = asm.mass
+        delta = cfg.delta
         for k in range(cfg.n_steps):
-            hist.set_half_load(k, asm.load((k + 0.5) * cfg.delta))
-            mem, z = nodal_memory_relation(hist, kernel, cfg, asm, sums)
-            ref = memory_equation(hist, kernel, mode)
-            assert (mem.alpha, mem.beta) == (ref.alpha, ref.beta)
+            alpha, beta, z, v = step_relation(hist, kernel, cfg, asm)
+            ref = memory_equation(hist, KernelSpec(g=kernel.g, gp=kernel.gp), mode)
+            assert (alpha, beta) == (ref.alpha, ref.beta)
             z_ref = np.linalg.solve(mass.to_dense(), relation_rhs(ref, mass))
+            mv_ref = (mass.matvec(2.0 * hist.u[k] + delta * hist.y[k]
+                                  + (delta / alpha) * z_ref)
+                      + 2.0 * delta * hist.loads[k + 1])
             assert np.max(np.abs(z - z_ref)) <= 1e-12 * np.max(np.abs(z_ref))
-            cn_step(hist, kernel, cfg, asm, sums)
+            assert (np.max(np.abs(mass.matvec(v) - mv_ref))
+                    <= 1e-12 * np.max(np.abs(mv_ref)))
+            cn_step(hist, kernel, cfg, asm)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_forcing_paths_agree(self, p):
+        # one f as a plain callable and declared as a SeparableForcing, each
+        # with the exponential kernel and with its direct quadrature: four
+        # load and history paths, one trajectory
+        exponential = exponential_kernel(-3.0)
+        runs = []
+        for f in (self.FORCINGS["callable"], self.FORCINGS["separable"]):
+            for kernel in (exponential, KernelSpec(g=exponential.g, gp=exponential.gp)):
+                problem = ProblemSpec(a=0.0, b=1.0, horizon=0.1, p=p, kernel=kernel,
+                                      u0=sine_01, f=f)
+                runs.append(march(problem, build_uniform_mesh(0, 1, 8, 2),
+                                  SolverConfig(p=p, delta=2e-3, n_steps=50, tol=1e-13)))
+        ref = runs[0]
+        for run in runs[1:]:
+            assert ([d.iterations for d in run.diagnostics]
+                    == [d.iterations for d in ref.diagnostics])
+            for name in ("u", "y"):
+                a, b = getattr(run, name), getattr(ref, name)
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 def four_level_start(hist):

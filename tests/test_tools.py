@@ -18,6 +18,9 @@ def test_sampler_against_its_own_checkout(capsys):
         assert lines[1].startswith(f"this checkout: {counts}")
         assert lines[2].split(": ", 1)[1] == lines[1].split(": ", 1)[1]
         assert lines[3] == "worse in 0 of 3 runs; slowest step slower in 0 runs"
+        done = counts[0]
+        assert lines[4] == (f"final level over the {done} runs both completed: "
+                            "largest relative difference 0 in u, 0 in y")
 
 
 def test_problems_cover_the_stated_ranges():

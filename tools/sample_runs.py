@@ -17,7 +17,9 @@ checkout. With --against DIR the same problems are also solved in a child
 process that imports plapmem from DIR/src, and the runs where this checkout
 does worse are counted: more iterations, or no completion where DIR
 completed, and so are those whose slowest step got slower. Iterations are
-counted over completed runs only.
+counted over completed runs only. The last line states the largest
+relative difference of the final u and y (max-norm of the difference over
+max-norm of DIR's) over the runs that both checkouts completed.
 """
 
 import argparse
@@ -44,7 +46,8 @@ def draw_problems(count, seed):
 
 
 def solve_all(src, problems, scheme, n_steps):
-    """One record per problem: status, total and largest per-step iterations."""
+    """One record per problem: status, total and largest per-step iterations,
+    and the final u and y."""
     sys.path.insert(0, str(src))
     import numpy as np
     import plapmem
@@ -76,7 +79,8 @@ def solve_all(src, problems, scheme, n_steps):
             continue
         iters = [d.iterations for d in run.diagnostics]
         records.append(dict(status="completed", iterations=sum(iters),
-                            max_step=max(iters)))
+                            max_step=max(iters), u=run.u[-1].tolist(),
+                            y=run.y[-1].tolist()))
     return records
 
 
@@ -110,6 +114,21 @@ def compare(problems, ours, theirs):
     return line + f"; slowest step slower in {slower} runs"
 
 
+def accuracy(ours, theirs):
+    """The largest relative difference of the final u and of the final y
+    over the runs both completed."""
+    import numpy as np
+    both = [(a, b) for a, b in zip(ours, theirs)
+            if a["status"] == b["status"] == "completed"]
+    worst = {}
+    for name in ("u", "y"):
+        worst[name] = max((np.max(np.abs(np.subtract(a[name], b[name])))
+                           / max(np.max(np.abs(b[name])), np.finfo(float).tiny)
+                           for a, b in both), default=0.0)
+    return (f"final level over the {len(both)} runs both completed: largest "
+            f"relative difference {worst['u']:.3g} in u, {worst['y']:.3g} in y")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scheme", default="N", choices=("auto", "A", "B", "N"))
@@ -141,6 +160,7 @@ def main(argv=None):
         theirs = json.loads(child.stdout.splitlines()[-1])
         print(f"{args.against}: {summary(theirs)}")
         print(compare(problems, ours, theirs))
+        print(accuracy(ours, theirs))
     return 0
 
 
