@@ -5,6 +5,7 @@ produced here lives on the m*r - 1 interior nodes, with the two boundary
 values identically zero.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -201,12 +202,12 @@ class SeparableForcing:
 
     def coefficients(self, t: float) -> np.ndarray:
         """The time coefficients at t, one per term."""
-        coeffs = np.array([float(time(t)) for _, time in self.terms])
-        if not np.all(np.isfinite(coeffs)):
-            raise ConfigError("forcing", f"non-finite time coefficient at t={t} "
-                              f"(term {int(np.argmin(np.isfinite(coeffs)))}); "
-                              "the forcing is singular there")
-        return coeffs
+        coeffs = [float(time(t)) for _, time in self.terms]
+        for term, value in enumerate(coeffs):
+            if not math.isfinite(value):
+                raise ConfigError("forcing", f"non-finite time coefficient at t={t} "
+                                  f"(term {term}); the forcing is singular there")
+        return np.array(coeffs)
 
 
 def interpolate(mesh: Mesh1D, u0) -> np.ndarray:

@@ -29,11 +29,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    """Rows of Python scalars, written by repr; a None field stays empty."""
+def _write_lines(path: Path, header, lines) -> None:
+    """A header and lines of already formatted fields."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(repr, row)).replace("None", "") + "\n" for row in rows)
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """Rows of Python scalars, written by repr; a None field stays empty."""
+    _write_lines(path, header,
+                 (",".join(map(repr, row)).replace("None", "") for row in rows))
 
 
 def write_outputs(run: RunOutput, out_dir, snapshot_times=None) -> dict:
@@ -41,7 +47,9 @@ def write_outputs(run: RunOutput, out_dir, snapshot_times=None) -> dict:
 
     snapshots.csv samples u and y at quadrature resolution (r + 2 Gauss
     points per element) for each requested time, mapped to the nearest
-    stored level.
+    stored level. Fields are formatted as _write_csv formats them; a value
+    that several rows share (a snapshot's t, the points x, a level's t) is
+    formatted once.
     """
     out = Path(out_dir)
     try:
@@ -55,27 +63,31 @@ def write_outputs(run: RunOutput, out_dir, snapshot_times=None) -> dict:
         snapshot_times = [float(times[-1])]
 
     quad = gauss_legendre(default_quad_points(mesh.r))
-    snap_rows = []
-    for t_req in snapshot_times:
-        k = int(np.argmin(np.abs(times - t_req)))
-        x, uv = eval_on_elements(mesh, run.u[k], quad.points)
-        _, yv = eval_on_elements(mesh, run.y[k], quad.points)
-        t_k = float(times[k])
-        snap_rows.extend((t_k, *row) for row in zip(
-            x.ravel().tolist(), uv.ravel().tolist(), yv.ravel().tolist()))
+
+    def snapshot_lines():
+        xs = None           # every snapshot samples the same points
+        for t_req in snapshot_times:
+            k = int(np.argmin(np.abs(times - t_req)))
+            points, uv = eval_on_elements(mesh, run.u[k], quad.points)
+            _, yv = eval_on_elements(mesh, run.y[k], quad.points)
+            xs = xs or list(map(repr, points.ravel().tolist()))
+            t_k = repr(float(times[k]))
+            yield from (f"{t_k},{x},{u!r},{y!r}" for x, u, y in zip(
+                xs, uv.ravel().tolist(), yv.ravel().tolist()))
 
     paths = {}
     paths["snapshots"] = out / "snapshots.csv"
-    _write_csv(paths["snapshots"], ("t", "x", "u", "y"), snap_rows)
+    _write_lines(paths["snapshots"], ("t", "x", "u", "y"), snapshot_lines())
 
+    ts = list(map(repr, times.tolist()))
     paths["energy"] = out / "energy.csv"
-    _write_csv(paths["energy"], ("t", "b"),
-               zip(times.tolist(), run.energies.tolist()))
+    _write_lines(paths["energy"], ("t", "b"),
+                 map("{},{!r}".format, ts, run.energies.tolist()))
 
     paths["support"] = out / "support.csv"
-    _write_csv(paths["support"], ("t", "left", "right"),
-               [(t, *(gap or (None, None)))
-                for t, gap in zip(times.tolist(), run.support)])
+    _write_lines(paths["support"], ("t", "left", "right"),
+                 (f"{t},{gap[0]!r},{gap[1]!r}" if gap else f"{t},,"
+                  for t, gap in zip(ts, run.support)))
 
     paths["diagnostics"] = out / "diagnostics.csv"
     _write_csv(paths["diagnostics"],

@@ -184,10 +184,11 @@ class StateHistory:
 
     Arrays are preallocated for the full horizon; `k` always points at the
     newest completed level. loads[0] holds the load at t = 0 and
-    loads[1 + j] the load at t_{j+1/2}. With an exponential kernel the
-    step needs only its carried `MemoryBlock` (kept in block); the whole
-    tail is kept for the output and for the direct quadratures, which
-    general kernels and the oracle use.
+    loads[1 + j] the load at t_{j+1/2}, which the direct quadratures read.
+    With an exponential kernel the step needs only its carried
+    `MemoryBlock` (kept in block) and leaves loads[1:] at zero, so u and y
+    are the only rows a march fills; a step with any other kernel fills
+    its load, and an oracle fills its own (see stepper.oracle_history).
     """
 
     def __init__(self, n_dofs: int, n_steps: int, delta: float):
@@ -353,14 +354,15 @@ class MemoryBlock:
         self.coef[:, :4] = (z, ratio * z + (2.0, delta, 0.0, 0.0),
                             (w, w, decay, 0.0), (0.0, 0.0, 0.0, decay))
         newest = -lam * (w_load + self._newest)
-        self._load = np.array([newest, ratio * newest + 2.0 * delta, 0.0, w_load])
+        # a column, so that the load columns are one product with c
+        self._load = np.array([[newest], [ratio * newest + 2.0 * delta], [0.0], [w_load]])
 
     def relation(self, c: Optional[np.ndarray]):
         """(z, v) of step k, with c @ R = M^{-1}L_{k+1/2} (None: no R rows)."""
         g_half = self.lam * math.exp(-(self.k + 0.5) * self.delta)
         np.multiply(self._first, g_half, out=self.coef[:2, 4:6])
         if c is not None:
-            np.outer(self._load, c, out=self.coef[:, 6:])
+            np.multiply(self._load, c, out=self.coef[:, 6:])
         self._product = self.coef @ self.rows
         return self._product[0], self._product[1]
 

@@ -33,6 +33,7 @@ M-norm increment. c*M is a run constant, and so is the factored system
 where it cannot change: for p = 2 and for slope 0.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -200,12 +201,14 @@ def step_relation(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
                   asm: Assembler):
     """(alpha, beta, z, v) of step hist.k: the memory relation alpha*Y^{k+1}
     + beta*U^{k+1} = z, and v with M*v the U-block's right-hand side less
-    its diffusion term. Stores the load L_{k+1/2} in hist.loads.
+    its diffusion term.
 
     An exponential kernel takes both from the history's MemoryBlock, started
-    here at level 0, where L_0 is solved with a SeparableForcing's profiles
-    or with any other f's first load; such an f's load is solved once per
-    step. Any other kernel takes memory_equation and one mass solve.
+    here at level 0, where L_0 (hist.loads[0]) is solved with a
+    SeparableForcing's profiles or with any other f's first load; such an
+    f's load is solved once per step, and hist.loads[1:] stays untouched.
+    Any other kernel stores L_{k+1/2} in hist.loads for memory_equation and
+    takes one mass solve.
     """
     k, delta = hist.k, cfg.delta
     t = (k + 0.5) * delta
@@ -226,15 +229,14 @@ def step_relation(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
         block = hist.block = MemoryBlock(
             kernel.lam, delta, cfg.quadrature_mode, hist.u[0], hist.y[0],
             len(forcing.terms) if separable else 1)
-    coeffs = None           # f = 0: the load rows stay zero
+    coeffs = None           # f = 0: no load rows
     if not separable:
-        hist.set_half_load(k, asm.load(t))
-        coeffs, rows = np.ones(1), hist.loads[1:2]
+        load = asm.load(t)
+        coeffs, rows = np.ones(1), load[None]
         if k:
-            block.rows[6] = asm.mass_factor.solve(hist.loads[k + 1])
+            block.rows[6] = asm.mass_factor.solve(load)
     elif forcing.terms:
         coeffs, rows = forcing.coefficients(t), asm.profiles(t)
-        np.dot(coeffs, rows, out=hist.loads[k + 1])
     if coeffs is not None and not k:        # L_0 with the sources of the R rows
         block.rows[5:] = asm.mass_factor.solve(np.vstack((hist.loads[0], rows)).T).T
     z, v = block.relation(coeffs)
@@ -266,9 +268,9 @@ def predicted_start(hist: StateHistory) -> Optional[np.ndarray]:
         return None
     if level != k:      # no call at level k-1 formed it
         previous = _extrapolate(u, k - 1)
-    if np.max(np.abs(u[k] - previous)) >= np.max(np.abs(u[k] - u[k - 1])):
-        return None
-    return start
+    misses = np.subtract(u[k], (previous, u[k - 1]))
+    missed, stepped = np.abs(misses, out=misses).max(axis=1).tolist()
+    return None if missed >= stepped else start
 
 
 #: The first iteration with an increment ratio, where the stall check starts.
@@ -349,7 +351,7 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
         inc_u = float(du @ mass.matvec(du))
         inc_y = y_gain * inc_u
         total = omega * omega * (inc_u + inc_y)     # those of the steps taken
-        if not np.isfinite(total):
+        if not math.isfinite(total):
             break
         if prev_total is not None and prev_total > 0.0:
             ratios.append(total / prev_total)
@@ -412,15 +414,28 @@ def march(problem: "analysis.ProblemSpec", mesh: Mesh1D,
     return analysis.build_run_output(problem, mesh, cfg, asm, hist, diagnostics)
 
 
+def oracle_history(hist: StateHistory, k: int, asm: Assembler) -> StateHistory:
+    """Read-only alias of hist (same level, shared u and y) whose loads are
+    L_0, L_{1/2}, .., L_{k+1/2}, each assembled anew by asm.load: the load
+    levels the direct quadratures of steps up to k read, taken from the
+    problem and not from any load a step stored."""
+    view = hist.truncated(hist.k)
+    times = [0.0] + [(j + 0.5) * hist.delta for j in range(k + 1)]
+    view.loads = np.array([asm.load(t) for t in times])
+    return view
+
+
 def step_residuals(hist: StateHistory, k: int, kernel: KernelSpec,
                    cfg: SolverConfig, asm: Assembler):
     """Galerkin residual vectors of the two weak equations across step k.
 
-    Evaluates the averaged (non-rearranged) forms with the stored pair, so
-    any sign or bookkeeping slip in the step solver shows up here.
+    Evaluates the averaged (non-rearranged) forms with the stored pair and
+    the loads of oracle_history, so any sign or bookkeeping slip in the step
+    solver, its loads included, shows up here.
     """
     if k >= hist.k:
         raise ValueError(f"step {k} not completed yet (history at {hist.k})")
+    past = oracle_history(hist, k, asm)
     delta = hist.delta
     mass = asm.mass
     u_new, u_old = hist.u[k + 1], hist.u[k]
@@ -430,6 +445,6 @@ def step_residuals(hist: StateHistory, k: int, kernel: KernelSpec,
     res_evolution = (mass.matvec((u_new - u_old) / delta)
                      + a_mid.matvec(u_mid)
                      - mass.matvec(0.5 * (y_new + y_old))
-                     - hist.loads[k + 1])
-    res_memory = memory_residual(hist, k, kernel, mass, cfg.quadrature_mode)
+                     - past.loads[k + 1])
+    res_memory = memory_residual(past, k, kernel, mass, cfg.quadrature_mode)
     return res_evolution, res_memory

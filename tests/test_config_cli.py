@@ -209,8 +209,9 @@ class TestCliExitCodes:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "forcing" in err[0] and "t=0.0" in err[0] and "x=0.5" in err[0]
 
-    def test_manufactured_domain_pinned(self, tmp_path):
+    def test_manufactured_domain_pinned(self, tmp_path, capsys):
         assert run_cli(tmp_path, dict(MINIMAL, domain=[-1, 1])) == 2
+        assert "domain" in capsys.readouterr().err
 
     def test_divergence_is_3(self, tmp_path, capsys):
         payload = dict(MINIMAL, p=4, r=4, m=10, N=10, tol=1e-30, max_iter=3)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from plapmem import ConfigError
+from plapmem import ConfigError, manufactured_example1
 from plapmem.cli import main
-from plapmem.experiments import run_example
+from plapmem.experiments import asymptotics_problem, run_example, write_outputs
+from plapmem.mesh import (build_uniform_mesh, default_quad_points,
+                          eval_on_elements, gauss_legendre)
+from plapmem.stepper import SolverConfig, march
 
 
 class TestRunExample:
@@ -87,3 +90,57 @@ class TestRunExample:
         code = main(["example", "3", "--lambda", "0", "--out", str(tmp_path)])
         assert code == 0
         assert "example 3" in capsys.readouterr().out
+
+
+def row_formatted_outputs(run, snapshot_times):
+    """The four CSVs of write_outputs with every row formatted on its own,
+    each field by repr and None written as empty."""
+    def csv(header, rows):
+        return "".join(line + "\n" for line in [",".join(header)] + [
+            ",".join(map(repr, row)).replace("None", "") for row in rows])
+
+    quad = gauss_legendre(default_quad_points(run.mesh.r))
+    snapshots = []
+    for t_req in snapshot_times:
+        k = int(np.argmin(np.abs(run.times - t_req)))
+        x, uv = eval_on_elements(run.mesh, run.u[k], quad.points)
+        _, yv = eval_on_elements(run.mesh, run.y[k], quad.points)
+        snapshots += [(float(run.times[k]), *row) for row in zip(
+            x.ravel().tolist(), uv.ravel().tolist(), yv.ravel().tolist())]
+    times = run.times.tolist()
+    return {
+        "snapshots": csv(("t", "x", "u", "y"), snapshots),
+        "energy": csv(("t", "b"), zip(times, run.energies.tolist())),
+        "support": csv(("t", "left", "right"),
+                       [(t, *(gap or (None, None))) for t, gap in zip(times, run.support)]),
+        "diagnostics": csv(("k", "iterations", "increment_u", "increment_y", "relaxed"),
+                           [(k, d.iterations, d.increment_u, d.increment_y, d.relaxed)
+                            for k, d in enumerate(run.diagnostics)]),
+    }
+
+
+class TestWriteOutputs:
+    # (problem, mesh, solver config, snapshot times); the dome at p = 1.5
+    # goes extinct at step 108, so its support column has both kinds of rows
+    CASES = {
+        "manufactured": (manufactured_example1(3.0, 1.0, horizon=0.02),
+                         build_uniform_mesh(0, 1, 6, 2),
+                         SolverConfig(p=3.0, delta=1e-3, n_steps=20),
+                         [0.0, 0.01, 0.02]),
+        "dome-extinction": (asymptotics_problem(1.5, 0.0, horizon=3.0),
+                            build_uniform_mesh(-1, 1, 10, 1),
+                            SolverConfig(p=1.5, delta=1e-2, n_steps=300, tol=1e-9),
+                            list(np.linspace(0.0, 3.0, 7))),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bytes_match_row_formatter(self, tmp_path, case):
+        problem, mesh, cfg, snapshot_times = self.CASES[case]
+        run = march(problem, mesh, cfg)
+        if case == "dome-extinction":
+            assert None in run.support and any(run.support)
+        paths = write_outputs(run, tmp_path, snapshot_times=snapshot_times)
+        expected = row_formatted_outputs(run, snapshot_times)
+        assert sorted(paths) == sorted(expected)
+        for name, text in expected.items():
+            assert paths[name].read_bytes() == text.encode("utf-8")

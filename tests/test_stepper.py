@@ -15,7 +15,8 @@ from plapmem.experiments import asymptotics_problem, propagation_problem
 from plapmem.memory import KernelSpec, MemoryBlock, StateHistory, memory_equation
 from plapmem.mesh import default_quad_points, gauss_legendre
 from plapmem.stepper import (_STALL_GRACE, _STALL_RATIO, Assembler, cn_step,
-                             predicted_start, resolve_scheme, step_relation)
+                             oracle_history, predicted_start, resolve_scheme,
+                             step_relation)
 
 
 def zero_f(x, t):
@@ -380,8 +381,9 @@ class TestLeanStep:
             assert [d.iterations for d in diags] == [2, 2, 2, 1, 1, 1, 1, 1, 1, 1]
             assert not any(d.relaxed for d in diags)
         mass = asm.mass
+        oracle = oracle_history(hist, n_steps - 1, asm)
         for k in range(n_steps):
-            mem = memory_equation(hist.truncated(k), problem.kernel)
+            mem = memory_equation(oracle.truncated(k), problem.kernel)
             rhs = relation_rhs(mem, mass)
             my = mem.alpha * mass.matvec(hist.y[k + 1])
             mu = mem.beta * mass.matvec(hist.u[k + 1])
@@ -632,7 +634,8 @@ def plain_increments(hist, k, kernel, cfg, asm):
     Newton) maps U - G(U) to 2*delta times the evolution residual, so this
     needs neither omega nor the loop."""
     res_ev, _ = step_residuals(hist, k, kernel, cfg, asm)
-    mem = memory_equation(hist.truncated(k), kernel, cfg.quadrature_mode)
+    mem = memory_equation(oracle_history(hist, k, asm).truncated(k), kernel,
+                          cfg.quadrature_mode)
     mass = asm.mass.to_dense()
     matrix = (2.0 + cfg.delta * mem.beta / mem.alpha) * mass
     u_mid = 0.5 * (hist.u[k + 1] + hist.u[k])
@@ -726,7 +729,7 @@ class TestNonlinearSolveProperties:
             terms = (mass.matvec(hist.u[k + 1] - hist.u[k]) / delta,
                      asm.plap(u_mid).matvec(u_mid),
                      mass.matvec(0.5 * (hist.y[k + 1] + hist.y[k])),
-                     hist.loads[k + 1])
+                     asm.load((k + 0.5) * delta))
             scale = max(np.max(np.abs(t)) for t in terms)
             assert np.max(np.abs(res_ev)) <= 1e-2 * scale
         return diags
@@ -867,6 +870,10 @@ class TestRoundTrip:
         hist = fresh_history(problem, mesh, cfg, asm)
         for _ in range(cfg.n_steps):
             cn_step(hist, problem.kernel, cfg, asm)
+        # the exponential step stores no load, and step_residuals assembles
+        # the loads it reads: a step that used a wrong load shows here
+        assert np.abs(problem.f(0.5, 0.0)) > 0.0
+        assert not hist.loads[1:].any()
         bound = max(1e-9, 10 * np.sqrt(cfg.tol))
         for k in range(cfg.n_steps):
             res_ev, res_mem = step_residuals(hist, k, problem.kernel, cfg, asm)
@@ -915,7 +922,8 @@ class TestIterationOnU:
         for k in range(n_steps):
             _, _, diag = cn_step(hist, problem.kernel, cfg, asm)
             diags.append(diag)
-            mem = memory_equation(hist.truncated(k), problem.kernel)
+            mem = memory_equation(oracle_history(hist, k, asm).truncated(k),
+                                  problem.kernel)
             rhs = relation_rhs(mem, mass)
             assert diag.increment_y == (mem.beta / mem.alpha) ** 2 * diag.increment_u
             my = mem.alpha * mass.matvec(hist.y[k + 1])
@@ -1048,9 +1056,9 @@ class TestProductCounts:
 class TestNodalMemoryRelation:
     """step_relation's z and M*v against the dense reduction they replace:
     z = M^{-1}(M*s - F) and M(2U_k + delta Y_k + (delta/alpha) z) +
-    2 delta L_{k+1/2}, with F summed directly over the stored load vectors;
-    through the carried block ("running-sums") and through memory_equation
-    and one mass solve ("direct")."""
+    2 delta L_{k+1/2}, with F summed directly over load vectors assembled
+    anew (oracle_history); through the carried block ("running-sums") and
+    through memory_equation and one mass solve ("direct")."""
 
     FORCINGS = {
         "zero": SeparableForcing(),
@@ -1076,12 +1084,13 @@ class TestNodalMemoryRelation:
         delta = cfg.delta
         for k in range(cfg.n_steps):
             alpha, beta, z, v = step_relation(hist, kernel, cfg, asm)
-            ref = memory_equation(hist, KernelSpec(g=kernel.g, gp=kernel.gp), mode)
+            ref = memory_equation(oracle_history(hist, k, asm),
+                                  KernelSpec(g=kernel.g, gp=kernel.gp), mode)
             assert (alpha, beta) == (ref.alpha, ref.beta)
             z_ref = np.linalg.solve(mass.to_dense(), relation_rhs(ref, mass))
             mv_ref = (mass.matvec(2.0 * hist.u[k] + delta * hist.y[k]
                                   + (delta / alpha) * z_ref)
-                      + 2.0 * delta * hist.loads[k + 1])
+                      + 2.0 * delta * asm.load((k + 0.5) * delta))
             assert np.max(np.abs(z - z_ref)) <= 1e-12 * np.max(np.abs(z_ref))
             assert (np.max(np.abs(mass.matvec(v) - mv_ref))
                     <= 1e-12 * np.max(np.abs(mv_ref)))
