@@ -34,9 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     example.add_argument("--lambda", dest="lam", type=float, default=None,
                          help="restrict the sweep to this kernel amplitude")
     example.add_argument("--out", default="out", help="output root directory")
-    example.add_argument("--parallel", action="store_true",
-                         help="run sweep points in a thread pool "
-                              "(PLAPMEM_WORKERS sets the size)")
 
     sub.add_parser("verify", help="run the built-in self checks")
     return parser
@@ -68,8 +65,7 @@ def _cmd_example(args) -> int:
         overrides["p"] = args.p
     if args.lam is not None:
         overrides["lambda"] = args.lam
-    run_example(args.id, overrides=overrides, out_dir=args.out,
-                parallel=args.parallel)
+    run_example(args.id, overrides=overrides, out_dir=args.out)
     print(f"example {args.id} outputs written under "
           f"{Path(args.out) / f'example{args.id}'}")
     return EXIT_OK

@@ -1,12 +1,9 @@
 """The four built-in experiment drivers and the CSV emitters.
 
-Sweeps run sequentially by default; with parallel=True the independent
-runs go through a thread pool (every run owns its state) and results are
-merged in sweep order, so output files do not depend on completion order.
+Each driver marches its sweep's cells one after another, writing a cell's
+outputs before the next cell starts; the runs it returns are in sweep order.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +15,6 @@ from .errors import ConfigError
 from .memory import exponential_kernel
 from .mesh import build_uniform_mesh, default_quad_points, eval_on_elements, gauss_legendre
 from .stepper import SolverConfig, march
-
-WORKERS_ENV = "PLAPMEM_WORKERS"
 
 
 def _fmt(value) -> str:
@@ -97,23 +92,6 @@ def write_outputs(run: RunOutput, out_dir, snapshot_times=None) -> dict:
     return paths
 
 
-def write_convergence_table(path, rows) -> None:
-    """rows: (p, r, h, delta, err_u, err_y, order_u, order_y)."""
-    _write_csv(Path(path),
-               ("p", "r", "h", "delta", "err_u", "err_y", "order_u", "order_y"),
-               rows)
-
-
-def _run_sweep(tasks, parallel: bool):
-    """Execute callables, preserving task order in the returned list."""
-    if not parallel:
-        return [task() for task in tasks]
-    workers = int(os.environ.get(WORKERS_ENV, "0")) or (os.cpu_count() or 2)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
-
-
 def _solve_manufactured(p, lam, m, r, delta, horizon=0.1, tol=1e-12,
                         max_iter=500):
     problem = manufactured_example1(p, lam, horizon=horizon)
@@ -124,7 +102,7 @@ def _solve_manufactured(p, lam, m, r, delta, horizon=0.1, tol=1e-12,
     return march(problem, mesh, cfg)
 
 
-def run_example1(out_dir, p_values=(3.0, 4.0), lam=1.0, parallel=False) -> Path:
+def run_example1(out_dir, p_values=(3.0, 4.0), lam=1.0) -> Path:
     """Convergence study: h-sweep for r = 1..3 and a time-step sweep at r = 4.
 
     The h-sweep fixes delta = 1e-4 over h in {1/4, 1/8, 1/16, 1/32}; the
@@ -134,35 +112,29 @@ def run_example1(out_dir, p_values=(3.0, 4.0), lam=1.0, parallel=False) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     horizon = 0.1
-
-    def case(p, r, m, delta, subdir):
-        return ((p, r, 1.0 / m, delta), subdir,
-                lambda: _solve_manufactured(p, lam, m, r, delta, horizon=horizon))
-
     # refinement series: (where the refined spacing sits in the row, cases);
-    # a row starts (p, r, h, delta)
-    series = [(2, [case(p, r, m, 1e-4, f"p{_fmt(p)}_r{r}_m{m}") for m in (4, 8, 16, 32)])
+    # a case is (p, r, m, delta, subdir) and its row starts (p, r, h, delta)
+    series = [(2, [(p, r, m, 1e-4, f"p{_fmt(p)}_r{r}_m{m}") for m in (4, 8, 16, 32)])
               for p in p_values for r in (1, 2, 3)]
-    series += [(3, [case(p, 4, 10, horizon / n, f"p{_fmt(p)}_r4_N{n}")
+    series += [(3, [(p, 4, 10, horizon / n, f"p{_fmt(p)}_r4_N{n}")
                     for n in (10, 20, 40, 80)]) for p in p_values]
-    runs = iter(_run_sweep([task for _, cases in series for *_, task in cases],
-                           parallel))
     rows = []
     for axis, cases in series:
-        errs = []
-        for _, subdir, _ in cases:
-            run = next(runs)
+        heads, err_u, err_y = [], [], []
+        for p, r, m, delta, subdir in cases:
+            run = _solve_manufactured(p, lam, m, r, delta, horizon=horizon)
             write_outputs(run, out / subdir)
-            errs.append((run.errors["u"], run.errors["y"]))
-        spacing = [head[axis] for head, _, _ in cases]
-        ou = convergence_orders([eu for eu, _ in errs], spacing).tolist()
-        oy = convergence_orders([ey for _, ey in errs], spacing).tolist()
-        for i, ((head, _, _), (eu, ey)) in enumerate(zip(cases, errs)):
-            rows.append(head + (eu, ey, None if i == 0 else ou[i - 1],
-                                None if i == 0 else oy[i - 1]))
+            heads.append((p, r, 1.0 / m, delta))
+            err_u.append(run.errors["u"])
+            err_y.append(run.errors["y"])
+        spacing = [head[axis] for head in heads]
+        ou = [None] + convergence_orders(err_u, spacing).tolist()
+        oy = [None] + convergence_orders(err_y, spacing).tolist()
+        rows += [head + errs for head, errs in zip(heads, zip(err_u, err_y, ou, oy))]
 
     table = out / "convergence.csv"
-    write_convergence_table(table, rows)
+    _write_csv(table, ("p", "r", "h", "delta", "err_u", "err_y", "order_u", "order_y"),
+               rows)
     return table
 
 
@@ -177,8 +149,29 @@ def asymptotics_problem(p: float, lam: float, horizon: float = 3.0) -> ProblemSp
                        u0=_dome, f=SeparableForcing())
 
 
-def run_example2(out_dir, p_values=(1.5, 2.0, 4.0), lam_values=(10.0, 0.0, -1.0, -10.0),
-                 parallel=False):
+def _sweep(out_dir, cells, m, n_snapshots):
+    """March each (subdir, problem) cell and write its outputs under subdir.
+
+    A cell runs on m linear elements of its problem's domain at
+    delta = 1e-3 and tol 1e-9, with n_snapshots snapshots evenly spaced
+    over [0, T]. Returns the runs in cell order.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    delta = 1e-3
+    runs = []
+    for subdir, problem in cells:
+        mesh = build_uniform_mesh(problem.a, problem.b, m, 1)
+        cfg = SolverConfig(p=problem.p, delta=delta,
+                           n_steps=round(problem.horizon / delta), tol=1e-9)
+        run = march(problem, mesh, cfg)
+        write_outputs(run, out / subdir, snapshot_times=list(
+            np.linspace(0.0, problem.horizon, n_snapshots)))
+        runs.append(run)
+    return runs
+
+
+def run_example2(out_dir, p_values=(1.5, 2.0, 4.0), lam_values=(10.0, 0.0, -1.0, -10.0)):
     """Asymptotic behaviour of the dome datum for each (lambda, p) pair.
 
     The strongly negative amplitude drives space-oscillatory growth; at
@@ -186,25 +179,9 @@ def run_example2(out_dir, p_values=(1.5, 2.0, 4.0), lam_values=(10.0, 0.0, -1.0,
     max |u(T)| ~ 3.7e3, which Newton follows at one to three iterations
     per step (1.4 on average).
     """
-    sweep = [(lam, p) for lam in lam_values for p in p_values]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    horizon, h, delta = 3.0, 0.2, 1e-3
-    m = round(2.0 / h)
-    n_steps = round(horizon / delta)
-
-    def solve(lam, p):
-        problem = asymptotics_problem(p, lam, horizon)
-        mesh = build_uniform_mesh(-1.0, 1.0, m, 1)
-        cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, tol=1e-9)
-        return march(problem, mesh, cfg)
-
-    tasks = [lambda lam=lam, p=p: solve(lam, p) for lam, p in sweep]
-    runs = _run_sweep(tasks, parallel)
-    for (lam, p), run in zip(sweep, runs):
-        sub = out / f"lambda{_fmt(lam)}_p{_fmt(p)}"
-        write_outputs(run, sub, snapshot_times=list(np.linspace(0.0, horizon, 7)))
-    return runs
+    cells = [(f"lambda{_fmt(lam)}_p{_fmt(p)}", asymptotics_problem(p, lam))
+             for lam in lam_values for p in p_values]
+    return _sweep(out_dir, cells, m=10, n_snapshots=7)
 
 
 def _front_profile(x, sharpness: int, scale: float):
@@ -223,40 +200,18 @@ def propagation_problem(p: float, lam: float, sharpness: int, scale: float,
                        f=SeparableForcing())
 
 
-def run_example3(out_dir, p=3.0, lam_values=(0.0, 1.0, -1.0), horizon=0.5,
-                 parallel=False):
+def run_example3(out_dir, p=3.0, lam_values=(0.0, 1.0, -1.0), horizon=0.5):
     """Finite propagation speed: quadratic-edge datum, dead zone shrinks."""
-    return _run_propagation(out_dir, p, lam_values, sharpness=2, scale=10.0,
-                            horizon=horizon, parallel=parallel)
+    cells = [(f"lambda{_fmt(lam)}", propagation_problem(p, lam, 2, 10.0, horizon))
+             for lam in lam_values]
+    return _sweep(out_dir, cells, m=100, n_snapshots=6)
 
 
-def run_example4(out_dir, p=3.0, lam_values=(0.0, -5.0), horizon=0.5,
-                 parallel=False):
+def run_example4(out_dir, p=3.0, lam_values=(0.0, -5.0), horizon=0.5):
     """Waiting time: degree-7 edges keep the dead-zone boundary pinned."""
-    return _run_propagation(out_dir, p, lam_values, sharpness=7, scale=100.0,
-                            horizon=horizon, parallel=parallel)
-
-
-def _run_propagation(out_dir, p, lam_values, sharpness, scale, horizon,
-                     parallel):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    h, delta = 0.02, 1e-3
-    m = round(2.0 / h)
-    n_steps = round(horizon / delta)
-
-    def solve(lam):
-        problem = propagation_problem(p, lam, sharpness, scale, horizon)
-        mesh = build_uniform_mesh(-1.0, 1.0, m, 1)
-        cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, tol=1e-9)
-        return march(problem, mesh, cfg)
-
-    tasks = [lambda lam=lam: solve(lam) for lam in lam_values]
-    runs = _run_sweep(tasks, parallel)
-    for lam, run in zip(lam_values, runs):
-        sub = out / f"lambda{_fmt(lam)}"
-        write_outputs(run, sub, snapshot_times=list(np.linspace(0.0, horizon, 6)))
-    return runs
+    cells = [(f"lambda{_fmt(lam)}", propagation_problem(p, lam, 7, 100.0, horizon))
+             for lam in lam_values]
+    return _sweep(out_dir, cells, m=100, n_snapshots=6)
 
 
 #: Each runner's p and lambda keywords; a "_values" keyword takes a tuple.
@@ -266,7 +221,7 @@ _RUNNERS = {1: (run_example1, "p_values", "lam"),
             4: (run_example4, "p", "lam_values")}
 
 
-def run_example(example_id: int, overrides=None, out_dir="out", parallel=False):
+def run_example(example_id: int, overrides=None, out_dir="out"):
     """Dispatch one of the four built-in studies with optional overrides.
 
     overrides may carry "p" and "lambda"; each restricts the corresponding
@@ -281,5 +236,4 @@ def run_example(example_id: int, overrides=None, out_dir="out", parallel=False):
                        (lam_key, overrides.get("lambda"))):
         if value is not None:
             kwargs[key] = (value,) if key.endswith("_values") else value
-    return runner(Path(out_dir) / f"example{example_id}", parallel=parallel,
-                  **kwargs)
+    return runner(Path(out_dir) / f"example{example_id}", **kwargs)

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fe_oracles import eval_fe
 from plapmem import ConfigError, build_uniform_mesh
 from plapmem import manufactured_example1
 from plapmem.assembly import (ElementTables, FluxParams, SeparableForcing,
                               assemble_load, assemble_mass, assemble_plap,
                               default_epsilon, flux, flux_coefficient,
                               interpolate)
-from plapmem.mesh import (default_quad_points, eval_fe, full_coefficients,
-                          gauss_legendre)
+from plapmem.mesh import default_quad_points, full_coefficients, gauss_legendre
 from plapmem.stepper import Assembler
 
 

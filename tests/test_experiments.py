@@ -3,7 +3,8 @@ import pytest
 
 from plapmem import ConfigError, manufactured_example1
 from plapmem.cli import main
-from plapmem.experiments import asymptotics_problem, run_example, write_outputs
+from plapmem.experiments import (asymptotics_problem, propagation_problem,
+                                 run_example, write_outputs)
 from plapmem.mesh import (build_uniform_mesh, default_quad_points,
                           eval_on_elements, gauss_legendre)
 from plapmem.stepper import SolverConfig, march
@@ -60,12 +61,20 @@ class TestRunExample:
         ts = waiting_time(runs[0])
         assert ts is not None and ts > 0
 
-    def test_parallel_matches_sequential(self, tmp_path):
-        seq = run_example(3, overrides={"p": 3.0}, out_dir=tmp_path / "seq")
-        par = run_example(3, overrides={"p": 3.0}, out_dir=tmp_path / "par",
-                          parallel=True)
-        for a, b in zip(seq, par):
-            assert np.array_equal(a.u, b.u)
+    def test_propagation_runs_in_lambda_order(self, tmp_path):
+        # one run per lambda of example 3's sweep, in sweep order, each the
+        # march of its own cell and each written to its own directory
+        lam_values = (0.0, 1.0, -1.0)
+        runs = run_example(3, out_dir=tmp_path)
+        assert len(runs) == len(lam_values)
+        for lam, run in zip(lam_values, runs):
+            alone = march(propagation_problem(3.0, lam, 2, 10.0, 0.5),
+                          build_uniform_mesh(-1.0, 1.0, 100, 1),
+                          SolverConfig(p=3.0, delta=1e-3, n_steps=500, tol=1e-9))
+            assert run.u.tobytes() == alone.u.tobytes()
+            energy = tmp_path / "example3" / f"lambda{lam}" / "energy.csv"
+            b_column = [line.split(",")[1] for line in energy.read_text().splitlines()[1:]]
+            assert b_column == list(map(repr, run.energies.tolist()))
 
     def test_cli_example_growth_cell_runs(self, tmp_path, capsys):
         # lambda = -10 with p = 4: the solution grows and Newton follows it

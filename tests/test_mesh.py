@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from fe_oracles import basis_eval, eval_fe
 from plapmem import ConfigError, build_uniform_mesh
-from plapmem.mesh import (ReferenceBasis, basis_eval, eval_fe, eval_on_elements,
-                          gauss_legendre)
+from plapmem.mesh import ReferenceBasis, eval_on_elements, gauss_legendre
 
 
 class TestBuildUniformMesh:
