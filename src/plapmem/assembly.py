@@ -60,22 +60,19 @@ def flux_coefficient(xi, params: FluxParams):
     return np.power(xi * xi + params.epsilon ** 2, (params.p - 2.0) / 2.0)
 
 
-def _band_slots(mesh: Mesh1D, interior: bool):
+def _band_slots(mesh: Mesh1D):
     """Flat band slot of every element-local (a, b) pair, and the band shape.
 
-    Band storage is (r+1, n) with n the interior or the full node count;
-    slot d*n + i holds A[i, i+d]. Lower-triangle pairs and, for interior
-    storage, pairs that touch a boundary node go to one extra dump slot,
-    (r+1)*n, which the scatter drops; the trailing entries get nothing.
+    Band storage is (r+1, n) with n the interior node count; slot d*n + i
+    holds A[i, i+d]. Lower-triangle pairs and pairs that touch a boundary
+    node go to one extra dump slot, (r+1)*n, which the scatter drops; the
+    trailing entries get nothing.
     """
     r = mesh.r
-    dofs = mesh.element_dofs()
+    dofs = mesh.element_dofs() - 1                          # interior numbering
     rows = np.repeat(dofs, r + 1, axis=1).ravel()           # node of a
     cols = np.tile(dofs, (1, r + 1)).ravel()                # node of b
-    n = mesh.n_nodes
-    if interior:
-        n -= 2
-        rows, cols = rows - 1, cols - 1
+    n = mesh.n_interior
     keep = (cols >= rows) & (rows >= 0) & (cols < n)
     return np.where(keep, (cols - rows) * n + rows, (r + 1) * n), (r + 1, n)
 
@@ -108,15 +105,14 @@ class ElementTables:
         # (q, r+1): h w_q phi_a(xi_q)
         self.weighted_values = mesh.h * quad.weights[:, None] * self.values
         self.dofs = mesh.element_dofs()                              # (m, r+1)
-        self.slots, self.band_shape = _band_slots(mesh, interior=True)
+        self.slots, self.band_shape = _band_slots(mesh)
         self.points = mesh.a + mesh.h * (np.arange(mesh.m)[:, None]
                                          + quad.points[None, :])     # (m, q)
 
 
 def assemble_mass(mesh: Mesh1D, quad: QuadratureRule, *,
-                  include_boundary: bool = False,
                   tables: Optional[ElementTables] = None) -> BandedSymMatrix:
-    """Mass matrix of the Lagrange basis (interior dofs unless asked otherwise).
+    """Mass matrix of the Lagrange basis on the interior dofs.
 
     tables, when given, must be ElementTables(mesh, quad); it saves the
     tabulation (as in the other assemble_* functions).
@@ -124,9 +120,8 @@ def assemble_mass(mesh: Mesh1D, quad: QuadratureRule, *,
     tables = tables or ElementTables(mesh, quad)
     tab = tables.values
     local = mesh.h * np.einsum("q,qa,qb->ab", tables.weights, tab, tab)
-    slots, shape = (_band_slots(mesh, interior=False) if include_boundary
-                    else (tables.slots, tables.band_shape))
-    return _scatter(slots, np.broadcast_to(local, (mesh.m,) + local.shape), shape)
+    return _scatter(tables.slots, np.broadcast_to(local, (mesh.m,) + local.shape),
+                    tables.band_shape)
 
 
 def assemble_plap(mesh: Mesh1D, w: np.ndarray, params: FluxParams,

@@ -51,18 +51,6 @@ class BandedSymMatrix:
             y[..., d:] += band * x[..., :n - d]
         return y
 
-    def to_dense(self) -> np.ndarray:
-        n = self.n
-        dense = np.zeros((n, n))
-        for d in range(self.bandwidth + 1):
-            if d >= n:
-                break
-            diag = self.data[d, :n - d]
-            dense += np.diag(diag, d)
-            if d > 0:
-                dense += np.diag(diag, -d)
-        return dense
-
     def _lu_band(self):
         """(bw, ab): the bandwidth that fits n and the (2*bw+1, n)
         diagonal-ordered form of solve_banded."""
@@ -107,10 +95,6 @@ class BandedFactor:
             raise LinearSolveError(f"banded Cholesky rejected argument {-info}")
         self._chol = chol if info == 0 else None
         self._lu = None if info == 0 else matrix._lu_band()
-
-    @property
-    def is_cholesky(self) -> bool:
-        return self._chol is not None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)

@@ -1,11 +1,11 @@
 """JSON run configuration: parsing, validation and the resolved echo."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List
 
 from .errors import ConfigError
-from .mesh import build_uniform_mesh, default_quad_points, gauss_legendre
+from .mesh import build_uniform_mesh, default_quad_points
 from .stepper import SolverConfig
 
 _KNOWN_FIELDS = {
@@ -50,8 +50,9 @@ def validate_config(raw: dict) -> RunConfig:
     """Turn a raw JSON dictionary into a fully resolved RunConfig.
 
     Any missing optional field gets its documented default. Only the JSON
-    shape is checked here; the value rules are those of the SolverConfig,
-    mesh and quadrature rule built from it. Every error names the field.
+    shape is checked here; the value rules are those of the SolverConfig
+    (its quadrature rule included) and mesh built from it. Every error
+    names the field.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be a JSON object")
@@ -104,10 +105,11 @@ def validate_config(raw: dict) -> RunConfig:
 
     solver = SolverConfig(p=p, delta=T / n_steps, n_steps=n_steps, tol=tol,
                           max_iter=max_iter, scheme=raw.get("scheme", "auto"),
-                          epsilon=epsilon, quad_points=default_quad_points(r, q),
+                          epsilon=epsilon,
                           quadrature_mode=raw.get("quadrature_mode", "consistent"))
     build_uniform_mesh(a, b, m, r)
-    gauss_legendre(solver.quad_points)
+    # the point count last, as its default r + 2 is only valid for a valid r
+    solver = replace(solver, quad_points=default_quad_points(r, q))
 
     snaps = raw.get("snapshot_times")
     if snaps is None:

@@ -92,13 +92,12 @@ def write_outputs(run: RunOutput, out_dir, snapshot_times=None) -> dict:
     return paths
 
 
-def _solve_manufactured(p, lam, m, r, delta, horizon=0.1, tol=1e-12,
-                        max_iter=500):
+def _solve_manufactured(p, lam, m, r, delta, horizon=0.1):
     problem = manufactured_example1(p, lam, horizon=horizon)
     mesh = build_uniform_mesh(0.0, 1.0, m, r)
     n_steps = round(horizon / delta)
-    cfg = SolverConfig(p=p, delta=horizon / n_steps, n_steps=n_steps, tol=tol,
-                       max_iter=max_iter)
+    cfg = SolverConfig(p=p, delta=horizon / n_steps, n_steps=n_steps, tol=1e-12,
+                       max_iter=500)
     return march(problem, mesh, cfg)
 
 

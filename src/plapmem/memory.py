@@ -187,8 +187,8 @@ class StateHistory:
     loads[1 + j] the load at t_{j+1/2}, which the direct quadratures read.
     With an exponential kernel the step needs only its carried
     `MemoryBlock` (kept in block) and leaves loads[1:] at zero, so u and y
-    are the only rows a march fills; a step with any other kernel fills
-    its load, and an oracle fills its own (see stepper.oracle_history).
+    are the only rows a march fills; a step with any other kernel writes
+    its load row, and an oracle fills its own (see stepper.oracle_history).
     """
 
     def __init__(self, n_dofs: int, n_steps: int, delta: float):
@@ -199,8 +199,6 @@ class StateHistory:
         self.y = np.zeros((self.n_steps + 1, self.n_dofs))
         self.loads = np.zeros((self.n_steps + 2, self.n_dofs))
         self.k = 0
-        # (level, vector): the extrapolation predicted_start formed last
-        self.extrapolation = None
         self.block = None
 
     def set_initial(self, u0: np.ndarray, load0: np.ndarray):
@@ -208,10 +206,7 @@ class StateHistory:
         self.y[0] = 0.0          # the memory term vanishes at t = 0
         self.loads[0] = load0
         self.k = 0
-        self.extrapolation = self.block = None
-
-    def set_half_load(self, j: int, load: np.ndarray):
-        self.loads[1 + j] = load
+        self.block = None
 
     def append(self, u_new: np.ndarray, y_new: np.ndarray):
         if self.k >= self.n_steps:
@@ -230,7 +225,7 @@ class StateHistory:
             raise ValueError(f"cannot rewind to {k}; history is at {self.k}")
         view = copy.copy(self)
         view.k = k
-        view.extrapolation = view.block = None
+        view.block = None
         return view
 
 
@@ -305,7 +300,6 @@ def memory_equation(hist: StateHistory, kernel: KernelSpec,
     by the direct trapezoid sums, for any kernel: every history term lands
     in state or forcing (a load vector), and the two k+1 unknowns give the
     scalar coefficients alpha and beta of M Y^{k+1} and M U^{k+1}."""
-    check_mode(mode)
     g0 = float(kernel.g(0.0))
     alpha, beta = relation_coefficients(g0, float(kernel.gp(0.0)), hist.delta)
     k = hist.k

@@ -37,9 +37,7 @@ def default_quad_points(r: int, requested=None) -> int:
     exactness is impossible anyway; r + 2 keeps the quadrature error well
     below the discretization error (doubling it shifts errors by < 1%).
     """
-    if requested is None:
-        return int(r) + 2
-    return int(requested)
+    return int(r) + 2 if requested is None else requested
 
 
 def gauss_legendre(q: int) -> QuadratureRule:

@@ -80,6 +80,10 @@ def resolve_scheme(p: float, requested: str) -> str:
     return requested
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class SolverConfig:
     """Knobs of one time march; builds (and so checks) its FluxParams."""
@@ -97,12 +101,14 @@ class SolverConfig:
     def __post_init__(self):
         if not np.isfinite(self.delta) or self.delta <= 0.0:
             raise ConfigError("delta", f"time step must be positive, got {self.delta}")
-        if self.n_steps < 1:
-            raise ConfigError("N", f"need at least one step, got {self.n_steps}")
-        if not self.tol > 0.0:
-            raise ConfigError("tol", f"must be positive, got {self.tol}")
-        if self.max_iter < 2:
-            raise ConfigError("max_iter", f"must be >= 2, got {self.max_iter}")
+        if not _is_integer(self.n_steps) or self.n_steps < 1:
+            raise ConfigError("N", f"need an integer >= 1, got {self.n_steps!r}")
+        if not 0.0 < self.tol < math.inf:
+            raise ConfigError("tol", f"must be positive and finite, got {self.tol}")
+        if not _is_integer(self.max_iter) or self.max_iter < 2:
+            raise ConfigError("max_iter", f"need an integer >= 2, got {self.max_iter!r}")
+        if self.quad_points is not None:
+            gauss_legendre(self.quad_points)
         check_mode(self.quadrature_mode)
         self.scheme = resolve_scheme(self.p, self.scheme)
         if self.epsilon is None:
@@ -215,7 +221,7 @@ def step_relation(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     forcing = asm.load_fn
     separable = isinstance(forcing, SeparableForcing)
     if kernel.lam is None:
-        hist.set_half_load(k, asm.load(t))
+        hist.loads[k + 1] = asm.load(t)
         mem = memory_equation(hist, kernel, cfg.quadrature_mode)
         solved = asm.mass_factor.solve(np.stack((mem.forcing, hist.loads[k + 1]), axis=1))
         z = mem.state - solved[:, 0]
@@ -255,22 +261,14 @@ def predicted_start(hist: StateHistory) -> Optional[np.ndarray]:
     None before level 3, and wherever the same extrapolation from levels
     k-1..k-3 missed U_k by no less, in max-norm, than U_{k-1} did: there the
     trajectory is not smooth on the scale of a step, and U_k is the safer
-    start. Each call keeps its extrapolation in hist.extrapolation, so the
-    next call's miss is U_{k+1} minus it.
+    start.
     """
     k, u = hist.k, hist.u
-    if k < 2:
-        return None
-    level, previous = hist.extrapolation or (None, None)
-    start = _extrapolate(u, k)
-    hist.extrapolation = (k + 1, start)
     if k < 3:
         return None
-    if level != k:      # no call at level k-1 formed it
-        previous = _extrapolate(u, k - 1)
-    misses = np.subtract(u[k], (previous, u[k - 1]))
+    misses = np.subtract(u[k], (_extrapolate(u, k - 1), u[k - 1]))
     missed, stepped = np.abs(misses, out=misses).max(axis=1).tolist()
-    return None if missed >= stepped else start
+    return None if missed >= stepped else _extrapolate(u, k)
 
 
 #: The first iteration with an increment ratio, where the stall check starts.

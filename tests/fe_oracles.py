@@ -1,9 +1,23 @@
-"""Point-at-a-time finite-element evaluation, the tests' oracle for the
-library's element-wise evaluation and assembly."""
+"""Point-at-a-time finite-element evaluation and dense band expansion, the
+tests' oracles for the library's element-wise evaluation, assembly and
+banded storage."""
 
 import numpy as np
 
+from plapmem.banded import BandedSymMatrix
 from plapmem.mesh import Mesh1D, ReferenceBasis, full_coefficients
+
+
+def to_dense(matrix: BandedSymMatrix) -> np.ndarray:
+    """The full symmetric matrix that a band storage holds."""
+    n = matrix.n
+    dense = np.zeros((n, n))
+    for d in range(min(matrix.bandwidth + 1, n)):
+        diag = matrix.data[d, :n - d]
+        dense += np.diag(diag, d)
+        if d > 0:
+            dense += np.diag(diag, -d)
+    return dense
 
 
 def basis_eval(basis: ReferenceBasis, j: int, xi: float, order: int = 0) -> float:

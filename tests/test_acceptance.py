@@ -200,7 +200,7 @@ class TestCriterion5:
             for j in range(k):
                 hist.append(np.zeros(3), np.zeros(3))
             for j in range(k + 1):
-                hist.set_half_load(j, rng.standard_normal(3))
+                hist.loads[1 + j] = rng.standard_normal(3)
             lit = i_f(hist, kernel, "literal")
             con = i_f(hist, kernel, "consistent")
             extra = delta * 1.0 * hist.loads[k + 1]

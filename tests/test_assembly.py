@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fe_oracles import eval_fe
+from fe_oracles import eval_fe, to_dense
 from plapmem import ConfigError, build_uniform_mesh
 from plapmem import manufactured_example1
 from plapmem.assembly import (ElementTables, FluxParams, SeparableForcing,
@@ -98,27 +98,28 @@ class TestAssembleMass:
         mesh = build_uniform_mesh(0, 1, 8, 1)
         mass = assemble_mass(mesh, quad3)
         h = mesh.h
-        dense = mass.to_dense()
+        dense = to_dense(mass)
         assert np.allclose(np.diag(dense), 2 * h / 3)
         assert np.allclose(np.diag(dense, 1), h / 6)
 
     def test_two_element_scalar(self, quad3):
         mesh = build_uniform_mesh(0, 1, 2, 1)
         mass = assemble_mass(mesh, quad3)
-        assert mass.to_dense() == pytest.approx(np.array([[1 / 3]]))
+        assert to_dense(mass) == pytest.approx(np.array([[1 / 3]]))
 
     def test_full_row_sums_are_basis_integrals(self, quad3):
+        # an inner row is full and sums to the integral of its hat, h; the
+        # two edge rows lack their boundary neighbour's h/6
         mesh = build_uniform_mesh(0, 1, 6, 1)
-        full = assemble_mass(mesh, quad3, include_boundary=True).to_dense()
-        sums = full.sum(axis=1)
+        sums = to_dense(assemble_mass(mesh, quad3)).sum(axis=1)
         assert np.allclose(sums[1:-1], mesh.h)
-        assert np.allclose(sums[[0, -1]], mesh.h / 2)
+        assert np.allclose(sums[[0, -1]], 5 * mesh.h / 6)
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_positive_definite(self, r):
         mesh = build_uniform_mesh(-1, 1, 5, r)
         mass = assemble_mass(mesh, gauss_legendre(r + 2))
-        np.linalg.cholesky(mass.to_dense())   # raises if not SPD
+        np.linalg.cholesky(to_dense(mass))   # raises if not SPD
 
 
 class TestAssemblePlap:
@@ -126,7 +127,7 @@ class TestAssemblePlap:
         mesh = build_uniform_mesh(0, 1, 8, 1)
         rng = np.random.default_rng(2)
         w = rng.standard_normal(mesh.n_interior)
-        mat = assemble_plap(mesh, w, FluxParams(p=2.0), quad3).to_dense()
+        mat = to_dense(assemble_plap(mesh, w, FluxParams(p=2.0), quad3))
         h = mesh.h
         assert np.allclose(np.diag(mat), 2 / h)
         assert np.allclose(np.diag(mat, 1), -1 / h)
@@ -139,20 +140,20 @@ class TestAssemblePlap:
         stiff = assemble_plap(mesh, rng.standard_normal(mesh.n_interior),
                               FluxParams(p=2.0), quad3)
         mat = assemble_plap(mesh, w, FluxParams(p=p), quad3)
-        assert np.allclose(mat.to_dense(), stiff.to_dense(), atol=1e-13)
+        assert np.allclose(to_dense(mat), to_dense(stiff), atol=1e-13)
 
     def test_zero_state_degenerate(self, quad3):
         mesh = build_uniform_mesh(0, 1, 5, 1)
         mat = assemble_plap(mesh, np.zeros(mesh.n_interior),
                             FluxParams(p=3.0, epsilon=0.0), quad3)
-        assert np.allclose(mat.to_dense(), 0.0)
+        assert np.allclose(to_dense(mat), 0.0)
 
     def test_symmetric_and_positive_semidefinite(self):
         mesh = build_uniform_mesh(-1, 1, 7, 2)
         rng = np.random.default_rng(8)
         w = rng.standard_normal(mesh.n_interior)
         mat = assemble_plap(mesh, w, FluxParams(p=3.0), gauss_legendre(4))
-        dense = mat.to_dense()
+        dense = to_dense(mat)
         assert np.max(np.abs(dense - dense.T)) < 1e-13
         for _ in range(100):
             v = rng.standard_normal(mesh.n_interior)
@@ -183,7 +184,7 @@ class TestAssembleLoad:
         # integrating phi_j against every phi_i reproduces column j of M
         mesh = build_uniform_mesh(0, 1, 4, 2)
         quad = gauss_legendre(5)
-        mass = assemble_mass(mesh, quad).to_dense()
+        mass = to_dense(assemble_mass(mesh, quad))
         j = 3
         unit = np.zeros(mesh.n_interior)
         unit[j] = 1.0
@@ -335,14 +336,11 @@ class TestScatterProperty:
         mass_local = np.broadcast_to(mass_block, (m, r + 1, r + 1))
 
         cases = (
-            (assemble_plap(mesh, w, params, quad, tables=tables), plap_local, True),
-            (assemble_mass(mesh, quad, tables=tables), mass_local, True),
-            (assemble_mass(mesh, quad, include_boundary=True), mass_local, False),
+            (assemble_plap(mesh, w, params, quad, tables=tables), plap_local),
+            (assemble_mass(mesh, quad, tables=tables), mass_local),
         )
-        for matrix, local, interior in cases:
-            dense = dense_scatter(mesh, local)
-            if interior:
-                dense = dense[1:-1, 1:-1]
+        for matrix, local in cases:
+            dense = dense_scatter(mesh, local)[1:-1, 1:-1]
             assert matrix.data.shape == (r + 1, dense.shape[0])
             assert np.array_equal(matrix.data, dense_to_band(dense, r))
             for d in range(1, r + 1):
@@ -397,7 +395,7 @@ class TestTangent:
         assert np.array_equal(matrix.data,
                               assemble_plap(mesh, w, params, quad, tables=tables).data)
         assert np.isfinite(tangent.data).all()
-        k_t = tangent.to_dense()
+        k_t = to_dense(tangent)
 
         step = 1e-6
         fd = np.empty_like(k_t)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import plapmem.memory
+from fe_oracles import to_dense
 from plapmem import (ConfigError, IllPosedStepError, KernelSpec, SolverConfig,
                      build_uniform_mesh, exponential_kernel,
                      manufactured_example1, march)
@@ -32,7 +33,7 @@ def history_with(delta, u_levels, y_levels, loads=None, n_steps=10):
         hist.append(np.array([u], float), np.array([y], float))
     for j in range(len(u_levels)):
         if loads:
-            hist.set_half_load(j, np.array([loads[j + 1]], float))
+            hist.loads[1 + j] = loads[j + 1]
     hist.y[0] = y_levels[0]
     return hist
 
@@ -246,7 +247,7 @@ def random_history(n_steps, delta, n_dofs=3, seed=5):
     hist.set_initial(rng.uniform(-1, 1, n_dofs), rng.uniform(-1, 1, n_dofs))
     hist.y[0] = rng.uniform(-1, 1, n_dofs)      # exercise the y_0 share too
     for j in range(n_steps):
-        hist.set_half_load(j, rng.uniform(-1, 1, n_dofs))
+        hist.loads[1 + j] = rng.uniform(-1, 1, n_dofs)
         hist.append(rng.uniform(-1, 1, n_dofs), rng.uniform(-1, 1, n_dofs))
     return hist
 
@@ -270,7 +271,7 @@ class TestRecursiveHistory:
         n_steps, delta = 2000, 1e-3
         hist = random_history(n_steps, delta)
         mass = tridiagonal_mass(hist.n_dofs)
-        dense = mass.to_dense()
+        dense = to_dense(mass)
         solved = np.linalg.solve(dense, hist.loads.T).T
         kernel = exponential_kernel(lam)
         block = MemoryBlock(lam, delta, mode, hist.u[0], hist.y[0], 1)

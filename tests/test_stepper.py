@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fe_oracles import to_dense
 from plapmem import (ConfigError, FixedPointDivergenceError, IllPosedStepError,
                      ProblemSpec, SolverConfig, build_uniform_mesh,
                      exponential_kernel, manufactured_example1, march,
@@ -94,16 +95,37 @@ class TestSolverConfig:
         assert cfg.scheme == "N"
         assert cfg.epsilon == 0.0
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(p=3.0, delta=-0.1, n_steps=10),
-        dict(p=3.0, delta=0.1, n_steps=0),
-        dict(p=3.0, delta=0.1, n_steps=10, tol=0.0),
-        dict(p=3.0, delta=0.1, n_steps=10, max_iter=1),
-        dict(p=3.0, delta=0.1, n_steps=10, quadrature_mode="verbatim"),
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ConfigError):
+    INVALID = [
+        (dict(p=3.0, delta=-0.1, n_steps=10), "delta"),
+        (dict(p=3.0, delta=0.1, n_steps=0), "N"),
+        (dict(p=3.0, delta=0.1, n_steps=10, tol=0.0), "tol"),
+        (dict(p=3.0, delta=0.1, n_steps=10, max_iter=1), "max_iter"),
+        (dict(p=3.0, delta=0.1, n_steps=10, quadrature_mode="verbatim"),
+         "quadrature_mode"),
+        (dict(p=3.0, delta=0.1, n_steps=2.5), "N"),
+        (dict(p=3.0, delta=0.1, n_steps=True), "N"),
+        (dict(p=3.0, delta=0.1, n_steps=10, max_iter=2.5), "max_iter"),
+        (dict(p=3.0, delta=0.1, n_steps=10, max_iter=True), "max_iter"),
+        (dict(p=3.0, delta=0.1, n_steps=10, tol=np.inf), "tol"),
+        (dict(p=3.0, delta=0.1, n_steps=10, tol=np.nan), "tol"),
+        (dict(p=3.0, delta=0.1, n_steps=10, quad_points=2.5), "quadrature_points"),
+        (dict(p=3.0, delta=0.1, n_steps=10, quad_points=0), "quadrature_points"),
+    ]
+
+    @pytest.mark.parametrize("kwargs,field", INVALID,
+                             ids=[f"kwargs{i}" for i in range(len(INVALID))])
+    def test_validation(self, kwargs, field):
+        with pytest.raises(ConfigError) as err:
             SolverConfig(**kwargs)
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_steps=np.int64(3), max_iter=np.int32(5)),
+        dict(n_steps=3, quad_points=np.int64(4)),
+    ])
+    def test_numpy_integers_accepted(self, kwargs):
+        cfg = SolverConfig(p=3.0, delta=0.1, **kwargs)
+        assert cfg.n_steps == 3
 
 
 def make_assembler(problem, mesh, cfg):
@@ -196,7 +218,7 @@ class TestSolveBlock:
             rhs + (delta / alpha) * mass.matvec(z))
         y = (z - beta * u) / alpha
         # independent dense solve of the coupled 2x2 block system
-        md, sd = mass.to_dense(), matrix.to_dense()
+        md, sd = to_dense(mass), to_dense(matrix)
         big = np.block([[sd, -delta * md],
                         [beta * md, alpha * md]])
         sol = np.linalg.solve(big, np.concatenate([rhs, md @ z]))
@@ -636,13 +658,13 @@ def plain_increments(hist, k, kernel, cfg, asm):
     res_ev, _ = step_residuals(hist, k, kernel, cfg, asm)
     mem = memory_equation(oracle_history(hist, k, asm).truncated(k), kernel,
                           cfg.quadrature_mode)
-    mass = asm.mass.to_dense()
+    mass = to_dense(asm.mass)
     matrix = (2.0 + cfg.delta * mem.beta / mem.alpha) * mass
     u_mid = 0.5 * (hist.u[k + 1] + hist.u[k])
     if cfg.scheme == "A":
-        matrix += cfg.delta * asm.plap(u_mid).to_dense()
+        matrix += cfg.delta * to_dense(asm.plap(u_mid))
     elif cfg.scheme == "N":
-        matrix += cfg.delta * asm.plap(u_mid, tangent=True)[1].to_dense()
+        matrix += cfg.delta * to_dense(asm.plap(u_mid, tangent=True)[1])
     du = np.linalg.solve(matrix, 2.0 * cfg.delta * res_ev)
     inc_u = du @ mass @ du
     return inc_u, (mem.beta / mem.alpha) ** 2 * inc_u
@@ -1087,7 +1109,7 @@ class TestNodalMemoryRelation:
             ref = memory_equation(oracle_history(hist, k, asm),
                                   KernelSpec(g=kernel.g, gp=kernel.gp), mode)
             assert (alpha, beta) == (ref.alpha, ref.beta)
-            z_ref = np.linalg.solve(mass.to_dense(), relation_rhs(ref, mass))
+            z_ref = np.linalg.solve(to_dense(mass), relation_rhs(ref, mass))
             mv_ref = (mass.matvec(2.0 * hist.u[k] + delta * hist.y[k]
                                   + (delta / alpha) * z_ref)
                       + 2.0 * delta * asm.load((k + 0.5) * delta))
@@ -1132,9 +1154,8 @@ def four_level_start(hist):
 
 
 class TestIncrementalStart:
-    """predicted_start keeps its extrapolation for the next step's guard;
-    the starts, the guard's decisions and the iterations are those of the
-    four-level formula on the regression trajectories."""
+    """predicted_start's starts, guard decisions and iterations are those
+    of the four-level formula on the regression trajectories."""
 
     @pytest.mark.parametrize("case", ["p4-N", "p5.555-N-restarted"])
     def test_matches_four_level_formula(self, monkeypatch, case):
