@@ -149,7 +149,7 @@ def default_support_threshold(u0_coeffs: np.ndarray) -> float:
 
 
 def extrema_series(run: RunOutput) -> np.ndarray:
-    """(N+1, 2) array of per-step nodal (min, max); flags negative dips."""
+    """(N+1, 2) array of per-step nodal (min, max) of u."""
     lo = run.u.min(axis=1)
     hi = run.u.max(axis=1)
     return np.column_stack([lo, hi])

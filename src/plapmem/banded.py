@@ -1,13 +1,13 @@
 """Symmetric banded matrices with reusable banded factors.
 
 A factor is the banded Cholesky factor when the matrix is positive
-definite and falls back to a banded LU otherwise; which one is used
-follows from the factorization itself, not from an option.
+definite and falls back to a banded LU with partial pivoting otherwise;
+which one is used follows from the factorization itself, not from an
+option. Either is factored once and reused by every solve.
 """
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dpbsv, dpbtrf, dpbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 
 from .errors import LinearSolveError
 
@@ -51,39 +51,20 @@ class BandedSymMatrix:
             y[..., d:] += band * x[..., :n - d]
         return y
 
-    def _lu_band(self):
-        """(bw, ab): the bandwidth that fits n and the (2*bw+1, n)
-        diagonal-ordered form of solve_banded."""
-        bw, n = min(self.bandwidth, self.n - 1), self.n
-        ab = np.zeros((2 * bw + 1, n))
-        for d in range(bw + 1):
-            band = self.data[d, :n - d]
-            ab[bw - d, d:] = band
-            if d > 0:
-                ab[bw + d, :n - d] = band
-        return bw, ab
-
     def factor(self) -> "BandedFactor":
         return BandedFactor(self)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Factor and solve once (LAPACK dpbsv: dpbtrf + dpbtrs in one call,
-        the banded LU when the matrix is not positive definite); keep
-        `factor()` to solve repeatedly."""
-        rhs = np.asarray(rhs, dtype=float)
-        _require_finite(self.data, rhs)
-        _, x, info = dpbsv(self.data, rhs, lower=1)
-        if info < 0:
-            raise LinearSolveError(f"banded Cholesky rejected argument {-info}")
-        return _finite_solution(x if info == 0 else _lu_solve(self._lu_band(), rhs))
+        """Factor and solve once; keep `factor()` to solve repeatedly."""
+        return self.factor().solve(rhs)
 
 
 class BandedFactor:
     """Factorization of a BandedSymMatrix, reusable across right-hand sides.
 
-    Holds the banded Cholesky factor when the matrix is positive definite.
-    Otherwise (an indefinite or singular matrix) it keeps the LU-ordered
-    band and each solve runs a banded LU with partial pivoting.
+    Holds the banded Cholesky factor when the matrix is positive definite,
+    and otherwise (an indefinite matrix) its banded LU factors with partial
+    pivoting; a singular matrix raises LinearSolveError here.
     """
 
     def __init__(self, matrix: BandedSymMatrix):
@@ -94,16 +75,18 @@ class BandedFactor:
         if info < 0:
             raise LinearSolveError(f"banded Cholesky rejected argument {-info}")
         self._chol = chol if info == 0 else None
-        self._lu = None if info == 0 else matrix._lu_band()
+        self._lu = None if info == 0 else _lu_factor(matrix)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         _require_finite(rhs)
         if self._chol is None:
-            return _finite_solution(_lu_solve(self._lu, rhs))
-        x, info = dpbtrs(self._chol, rhs, lower=1)
+            bw, lu, piv = self._lu
+            x, info = dgbtrs(lu, bw, bw, rhs, piv)
+        else:
+            x, info = dpbtrs(self._chol, rhs, lower=1)
         if info != 0:
-            raise LinearSolveError(f"banded Cholesky solve failed (info {info})")
+            raise LinearSolveError(f"banded solve failed (info {info})")
         return _finite_solution(x)
 
 
@@ -120,10 +103,18 @@ def _finite_solution(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _lu_solve(lu, rhs: np.ndarray) -> np.ndarray:
-    """Banded LU with partial pivoting of (bw, ab) from `_lu_band`."""
-    bw, ab = lu
-    try:
-        return solve_banded((bw, bw), ab, rhs, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise LinearSolveError(f"banded factorization failed: {exc}") from exc
+def _lu_factor(matrix: BandedSymMatrix):
+    """(bw, lu, piv): LAPACK dgbtrf of the full band, bw the bandwidth that
+    fits n; upper diagonal d sits in row 2*bw - d, lower diagonal d in row
+    2*bw + d, and the top bw rows are dgbtrf's fill-in space."""
+    n = matrix.n
+    bw = min(matrix.bandwidth, n - 1)
+    ab = np.zeros((3 * bw + 1, n))
+    for d in range(bw + 1):
+        band = matrix.data[d, :n - d]
+        ab[2 * bw - d, d:] = band
+        ab[2 * bw + d, :n - d] = band
+    lu, piv, info = dgbtrf(ab, bw, bw)
+    if info != 0:
+        raise LinearSolveError(f"banded LU failed (info {info}): singular matrix")
+    return bw, lu, piv

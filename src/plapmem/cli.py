@@ -91,8 +91,8 @@ def _cmd_verify() -> int:
     delta = 0.01
     worst = 0.0
     for k in range(201):
-        w = volterra_weights(k, delta)
-        worst = max(worst, abs(w.total() - (k + 0.5) * delta))
+        vw, _ = volterra_weights(k, delta)
+        worst = max(worst, abs(float(np.sum(vw)) + delta / 4.0 - (k + 0.5) * delta))
         fw, _ = forcing_weights(k, delta)
         worst = max(worst, abs(float(np.sum(fw)) - (k + 0.5) * delta))
     report("memory weight sums equal t_{k+1/2} (k <= 200)", worst < 1e-14,

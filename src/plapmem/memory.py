@@ -1,47 +1,17 @@
 """Memory kernel and the discrete Volterra quadratures of the time scheme.
 
-At step k the memory integral over [0, t_{k+1/2}] is approximated by a
-composite trapezoid on the stored time levels; the value on the final
-half-interval node t_{k+1/2} is the Crank-Nicolson average of levels k and
-k+1, which is what produces the delta/8 shares on both of those levels.
-Collecting the k+1 unknowns on the left reduces the whole relation to
+With the history integrals on composite trapezoid weights over the stored
+levels and the final half-interval node averaged, step k's memory
+relation reduces to the nodal form
 
-    alpha * M Y^{k+1} + beta * M U^{k+1} = R,
+    alpha * Y^{k+1} + beta * U^{k+1} = z = s - M^{-1}F,
 
-with alpha = 1/2 + (delta/8) g(0) and beta = -(g(0)/2 + (delta/8) g'(0)).
-The step takes it in nodal form, alpha*Y^{k+1} + beta*U^{k+1} = z with
-z = s - M^{-1}F: s combines stored levels, F the loads, and R = M*s - F.
-
-Evaluated directly (`q_g`, `q_gp`, `i_f`, `memory_equation`) the trapezoid
-sums cost O(k) at step k, so a march costs O(N^2). For the exponential
-kernel g(s) = lam*exp(-s) (a `KernelSpec` with `lam` set, as
-`exponential_kernel` builds) every lag factor splits as exp(-(k-j)*delta)
-times a constant, and the history reduces to discounted sums,
-
-    E_k = exp(-delta) E_{k-1} + delta*y_k,          E_0 = (delta/2) y_0,
-
-and over the half-step loads
-
-    G_k = exp(-delta) G_{k-1} + delta*L_{k+1/2},    G_0 = (3*delta/4) L_{1/2}.
-
-q_g's explicit part is lam*exp(-delta/2)(E_k - (delta/4) y_k) + (delta/8)
-lam*y_k, the u sum the same over u with -lam, and F = lam*[(delta/4)
-exp(-t_{k+1/2}) L_0 + G_k - (delta/2) L_{k+1/2}], for k = 0 too; the
-literal mode adds delta*lam*L_{k+1/2}. R takes the y and u sums with the
-same sign, so one sum S_k over y + u serves both. Only decaying
-exponentials appear, so long horizons never overflow.
-
-So z, and the v whose mass product is the step's right-hand side less its
-diffusion term (see stepper), combine a few rows with scalar coefficients
-of k. A march carries those rows as one block (`MemoryBlock`),
-
-    W = [U_k, Y_k, S_{k-1}, H_{k-1}, U_0, M^{-1}L_0, R_1..R_T],
-
-with H = M^{-1}G and rows R whose combination c @ R is M^{-1}L_{k+1/2}
-(a SeparableForcing's solved profiles, c its time coefficients, or the
-newest solved load, c = 1). A step fills a 4 x (6+T) matrix from scalars,
-and one product gives z, v, S_k and H_k. Any other kernel takes the direct
-quadratures, which also stay as the oracle (`memory_residual`).
+alpha = 1/2 + (delta/8) g(0), beta = -(g(0)/2 + (delta/8) g'(0)), with s a
+combination of stored levels and F the loads' share. `memory_equation`
+forms it by the direct O(k) sums (`q_g`, `q_gp`, `i_f`) for any kernel,
+and these stay the oracle (`memory_residual`). For g = lam*exp(-s) the
+sums are discounted running sums, and a march carries them in a
+`MemoryBlock` at O(1) cost per step; the README derives the recursions.
 """
 
 import copy
@@ -115,32 +85,14 @@ def _kernel_values(fn, lags: np.ndarray) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True)
-class VolterraWeights:
-    """Trapezoid weights over the stored levels t_0..t_k plus the averaged node.
+def volterra_weights(k: int, delta: float):
+    """Weights/lags of the memory quadrature over the stored levels t_0..t_k.
 
-    node_weights[j] multiplies g(node_lags[j]) * value(t_j). The final
-    half-interval node contributes half_weight * g(0) on value(t_k) and the
-    same on value(t_{k+1}); the latter is the implicit share the caller
-    moves to the left-hand side.
-    """
-
-    node_weights: np.ndarray
-    node_lags: np.ndarray
-    half_weight: float
-
-    def total(self) -> float:
-        """Weight sum for a constant kernel: equals t_{k+1/2} exactly."""
-        return float(np.sum(self.node_weights) + 2.0 * self.half_weight)
-
-
-def volterra_weights(k: int, delta: float) -> VolterraWeights:
-    """Weights of the memory quadrature at step k.
-
-    For k >= 1: delta/2 at t_0, delta at t_1..t_{k-1}, 3*delta/4 at t_k,
-    and delta/8 on each of the two averaged values. k = 0 collapses to the
-    two-point trapezoid over the single half interval [0, t_{1/2}], with
-    delta/4 at t_0.
+    For k >= 1: delta/2 at t_0, delta at t_1..t_{k-1} and 3*delta/4 at t_k.
+    k = 0 collapses to the two-point trapezoid over the single half
+    interval [0, t_{1/2}], with delta/4 at t_0. The averaged node t_{k+1/2}
+    adds delta/8 on levels k and k+1 (see _quadrature), so the weights sum
+    to t_{k+1/2} - delta/4.
     """
     if k < 0:
         raise ValueError(f"step index must be >= 0, got {k}")
@@ -153,8 +105,7 @@ def volterra_weights(k: int, delta: float) -> VolterraWeights:
         weights[0] = delta / 2.0
         weights[k] = 3.0 * delta / 4.0
         lags = t_half - delta * np.arange(k + 1)
-    return VolterraWeights(node_weights=weights, node_lags=lags,
-                           half_weight=delta / 8.0)
+    return weights, lags
 
 
 def forcing_weights(k: int, delta: float):
@@ -243,11 +194,11 @@ class MemoryEquation:
 def _quadrature(hist: StateHistory, fn, levels: np.ndarray):
     """Trapezoid sum of fn(lag) * level over the stored levels, with the
     averaged t_k share; and the delta/8 * fn(0) multiplier of level k+1."""
-    w = volterra_weights(hist.k, hist.delta)
-    f0 = float(fn(0.0))
-    acc = (w.node_weights * _kernel_values(fn, w.node_lags)) @ levels[:hist.k + 1]
-    acc += w.half_weight * f0 * levels[hist.k]
-    return acc, w.half_weight * f0
+    weights, lags = volterra_weights(hist.k, hist.delta)
+    half = hist.delta / 8.0 * float(fn(0.0))
+    acc = (weights * _kernel_values(fn, lags)) @ levels[:hist.k + 1]
+    acc += half * levels[hist.k]
+    return acc, half
 
 
 def q_g(hist: StateHistory, kernel: KernelSpec, mass: BandedSymMatrix):
@@ -314,15 +265,16 @@ def memory_equation(hist: StateHistory, kernel: KernelSpec,
 class MemoryBlock:
     """The rows one march with g = lam*exp(-s) carries from step to step.
 
-    rows = [U_k, Y_k, S_{k-1}, H_{k-1}, U_0, M^{-1}L_0, R_1..R_T] (see the
-    module docstring), with the sums at zero; the caller fills the solved
-    loads rows[5:]. relation(c) forms step k's z and v by one product, and
-    accept moves the block to level k+1. alpha is checked once, here.
+    rows = [U_k, Y_k, S_{k-1}, H_{k-1}, U_0, M^{-1}L_0, R_1..R_T], with S
+    the discounted sum over Y + U, H = M^{-1}G that over the half-step
+    loads (both start at zero), and c @ R = M^{-1}L_{k+1/2}; the caller
+    fills the solved loads rows[5:]. relation(c) forms step k's z and v by
+    one product, and accept moves the block to level k+1. alpha is checked
+    once, here; the mode is the caller's to check (SolverConfig does).
     """
 
     def __init__(self, lam: float, delta: float, mode: str,
                  u0: np.ndarray, y0: np.ndarray, n_load_rows: int):
-        check_mode(mode)
         self.lam, self.delta, self.k = lam, delta, 0
         self.alpha, self.beta = relation_coefficients(lam, -lam, delta)
         self.rows = np.zeros((6 + n_load_rows, len(u0)))

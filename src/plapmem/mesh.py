@@ -30,6 +30,11 @@ class QuadratureRule:
         return len(self.points)
 
 
+def is_count(value) -> bool:
+    """True for an int or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def default_quad_points(r: int, requested=None) -> int:
     """Resolve the per-element point count: r + 2 unless overridden.
 
@@ -45,7 +50,7 @@ def gauss_legendre(q: int) -> QuadratureRule:
 
     Exact for polynomials of degree <= 2q - 1.
     """
-    if not isinstance(q, (int, np.integer)) or not 1 <= q <= MAX_QUAD_POINTS:
+    if not is_count(q) or not 1 <= q <= MAX_QUAD_POINTS:
         raise ConfigError("quadrature_points",
                           f"need an integer in [1, {MAX_QUAD_POINTS}], got {q!r}")
     t, w = np.polynomial.legendre.leggauss(int(q))
@@ -56,7 +61,7 @@ class ReferenceBasis:
     """Lagrange basis of degree r on equispaced nodes of [0, 1]."""
 
     def __init__(self, degree: int):
-        if not isinstance(degree, (int, np.integer)) or not 1 <= degree <= MAX_DEGREE:
+        if not is_count(degree) or not 1 <= degree <= MAX_DEGREE:
             raise ConfigError("r", f"need an integer degree in [1, {MAX_DEGREE}], "
                                    f"got {degree!r}")
         self.degree = int(degree)
@@ -104,7 +109,7 @@ class Mesh1D:
     def __init__(self, a: float, b: float, m: int, r: int):
         if not np.isfinite(a) or not np.isfinite(b) or b <= a:
             raise ConfigError("domain", f"need finite b > a, got [{a}, {b}]")
-        if not isinstance(m, (int, np.integer)) or m < 1:
+        if not is_count(m) or m < 1:
             raise ConfigError("m", f"need a positive element count, got {m!r}")
         self.a = float(a)
         self.b = float(b)
@@ -116,11 +121,6 @@ class Mesh1D:
         self.n_interior = self.n_nodes - 2
         # equispaced within each element == globally equispaced for uniform h
         self.nodes = np.linspace(self.a, self.b, self.n_nodes)
-
-    @property
-    def interior(self) -> np.ndarray:
-        """Global indices of the interior degrees of freedom."""
-        return np.arange(1, self.n_nodes - 1)
 
     def element_dofs(self) -> np.ndarray:
         """(m, r+1) array: global node indices per element."""

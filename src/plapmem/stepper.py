@@ -48,7 +48,8 @@ from .banded import BandedFactor, BandedSymMatrix
 from .errors import ConfigError, FixedPointDivergenceError, LinearSolveError
 from .memory import (KernelSpec, MemoryBlock, StateHistory, check_mode,
                      memory_equation, memory_residual)
-from .mesh import Mesh1D, QuadratureRule, default_quad_points, gauss_legendre
+from .mesh import (Mesh1D, QuadratureRule, default_quad_points, gauss_legendre,
+                   is_count)
 
 SCHEMES = ("auto", "A", "B", "N")
 
@@ -80,10 +81,6 @@ def resolve_scheme(p: float, requested: str) -> str:
     return requested
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass
 class SolverConfig:
     """Knobs of one time march; builds (and so checks) its FluxParams."""
@@ -101,11 +98,11 @@ class SolverConfig:
     def __post_init__(self):
         if not np.isfinite(self.delta) or self.delta <= 0.0:
             raise ConfigError("delta", f"time step must be positive, got {self.delta}")
-        if not _is_integer(self.n_steps) or self.n_steps < 1:
+        if not is_count(self.n_steps) or self.n_steps < 1:
             raise ConfigError("N", f"need an integer >= 1, got {self.n_steps!r}")
         if not 0.0 < self.tol < math.inf:
             raise ConfigError("tol", f"must be positive and finite, got {self.tol}")
-        if not _is_integer(self.max_iter) or self.max_iter < 2:
+        if not is_count(self.max_iter) or self.max_iter < 2:
             raise ConfigError("max_iter", f"need an integer >= 2, got {self.max_iter!r}")
         if self.quad_points is not None:
             gauss_legendre(self.quad_points)

@@ -11,9 +11,15 @@ def random_banded(n, bw, seed=0, definite=True):
     data = rng.standard_normal((bw + 1, n))
     for d in range(1, bw + 1):
         data[d, max(n - d, 0):] = 0.0
-    # diagonal dominance keeps it solvable; alternating signs make it indefinite
+    # a diagonal shift keeps it solvable; alternating signs make it indefinite
     sign = np.ones(n) if definite else (-1.0) ** np.arange(n)
     data[0] += sign * (bw + 2.0)
+    if definite:    # strict diagonal dominance: positive definite (Gershgorin)
+        data[0] = np.abs(data[0])
+        for d in range(1, bw + 1):
+            band = np.abs(data[d, :n - d])
+            data[0, :n - d] += band
+            data[0, d:] += band
     return BandedSymMatrix(data)
 
 
@@ -34,10 +40,14 @@ class TestBandedSymMatrix:
         assert all(np.array_equal(row, mat.matvec(x)) for row, x in zip(products, block))
 
     @pytest.mark.parametrize("n,bw,definite", [
+        pytest.param(1, 0, True, id="1-0"),
         pytest.param(1, 1, True, id="1-1"),
+        pytest.param(1, 2, True, id="1-2"),
         pytest.param(6, 1, True, id="6-1"),
         pytest.param(9, 2, True, id="9-2"),
         pytest.param(15, 4, True, id="15-4"),
+        pytest.param(39, 1, True, id="39-1"),
+        pytest.param(40, 4, True, id="40-4"),
         # indefinite bands take the banded LU fallback
         pytest.param(6, 1, False, id="indefinite-6-1"),
         pytest.param(15, 4, False, id="indefinite-15-4"),
@@ -52,22 +62,59 @@ class TestBandedSymMatrix:
             assert np.allclose(to_dense(mat) @ x, rhs, atol=1e-11)
             assert np.array_equal(x, mat.solve(rhs))
 
-    @pytest.mark.parametrize("n,bw", [(1, 0), (1, 2), (6, 1), (9, 2), (39, 1), (40, 4)])
+    @pytest.mark.parametrize("n,bw", [(6, 1), (9, 2)])
     def test_one_call_solve_equals_factor_solve(self, n, bw, monkeypatch):
         import plapmem.banded as banded
         mat = random_banded(n, bw, seed=5 * n + bw)
         rhs = np.random.default_rng(n).standard_normal(n)
         expected = mat.factor().solve(rhs)
+        calls = {"dpbtrf": 0, "dgbtrf": 0}
+
+        def counting(name):
+            original = getattr(banded, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(banded, name, counting(name))
+        assert np.array_equal(mat.solve(rhs), expected)
+        # a definite band is factored once, by Cholesky, with no LU
+        assert calls == {"dpbtrf": 1, "dgbtrf": 0}
+
+    def test_lu_is_factored_once(self, monkeypatch):
+        import plapmem.banded as banded
         calls = []
-        original = banded.dpbsv
+        original = banded.dgbtrf
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(banded, "dpbsv", counting)
-        assert np.array_equal(mat.solve(rhs), expected)
+        monkeypatch.setattr(banded, "dgbtrf", counting)
+        factor = random_banded(15, 4, seed=2, definite=False).factor()
+        for rhs in np.random.default_rng(3).standard_normal((2, 15)):
+            factor.solve(rhs)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("n,bw", [(2, 1), (6, 1), (39, 1), (9, 2), (15, 4), (40, 4)])
+    def test_lu_matches_solve_banded(self, n, bw):
+        from scipy.linalg import solve_banded
+        mat = random_banded(n, bw, seed=11 * n + bw, definite=False)
+        factor = mat.factor()
+        assert factor._lu[1].shape == (3 * bw + 1, n)     # dgbtrf's band
+        ab = np.zeros((2 * bw + 1, n))                    # solve_banded's
+        for d in range(bw + 1):
+            ab[bw - d, d:] = ab[bw + d, :n - d] = mat.data[d, :n - d]
+        rng = np.random.default_rng(n)
+        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            x, expected = factor.solve(rhs), solve_banded((bw, bw), ab, rhs)
+            if bw >= 2:     # the same dgbtrf + dgbtrs; scipy takes gtsv for (1, 1)
+                assert np.array_equal(x, expected)
+            else:
+                assert np.max(np.abs(x - expected)) <= 1e-15 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("n,bw", [(2, 1), (6, 1), (9, 2), (15, 4)])
     def test_one_call_solve_falls_back_to_lu(self, n, bw):
@@ -87,9 +134,10 @@ class TestBandedSymMatrix:
         with pytest.raises(LinearSolveError):
             mat.solve(np.ones(4))
         # [[1, 1], [1, 1]]: semidefinite and singular, Cholesky and LU fail
+        # when it is factored
         semidefinite = BandedSymMatrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(LinearSolveError):
-            semidefinite.factor().solve(np.ones(2))
+            semidefinite.factor()
 
     def test_nonfinite_raises(self):
         data = np.ones((1, 3))

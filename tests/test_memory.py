@@ -40,24 +40,24 @@ def history_with(delta, u_levels, y_levels, loads=None, n_steps=10):
 
 class TestVolterraWeights:
     def test_weight_sum_is_half_level_time(self):
-        # composite trapezoid integrates constants exactly
+        # composite trapezoid integrates constants exactly, with delta/8 on
+        # each of the two averaged values
         delta = 0.01
         for k in range(201):
-            w = volterra_weights(k, delta)
-            assert abs(w.total() - (k + 0.5) * delta) < 1e-14
+            weights, _ = volterra_weights(k, delta)
+            assert abs(np.sum(weights) + delta / 4.0 - (k + 0.5) * delta) < 1e-14
 
     def test_k2_pattern(self):
-        w = volterra_weights(2, 0.1)
-        assert w.node_weights == pytest.approx([0.05, 0.1, 0.075])
-        assert w.node_lags == pytest.approx([0.25, 0.15, 0.05])
-        assert w.half_weight == pytest.approx(0.0125)
-        assert w.total() == pytest.approx(0.25)
+        weights, lags = volterra_weights(2, 0.1)
+        assert weights == pytest.approx([0.05, 0.1, 0.075])
+        assert lags == pytest.approx([0.25, 0.15, 0.05])
+        assert np.sum(weights) + 2 * 0.0125 == pytest.approx(0.25)
 
     def test_k0_two_point_trapezoid(self):
-        w = volterra_weights(0, 0.1)
-        assert w.node_weights == pytest.approx([0.025])
-        assert w.node_lags == pytest.approx([0.05])
-        assert w.total() == pytest.approx(0.05)
+        weights, lags = volterra_weights(0, 0.1)
+        assert weights == pytest.approx([0.025])
+        assert lags == pytest.approx([0.05])
+        assert np.sum(weights) + 2 * 0.0125 == pytest.approx(0.05)
 
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
@@ -392,3 +392,56 @@ class TestDeclaredExponential:
         ref = march(problem, mesh, cfg)
         assert np.array_equal(fast.u, ref.u)
         assert np.array_equal(fast.y, ref.y)
+
+
+class TestParasiticRoot:
+    """The step's amplification per mode at p = 2, f = 0, as an oracle.
+
+    With A = mu*M on a generalized eigenvector of (A(0), M), a step from
+    k >= 1 acts on (u, y, S) by a 3x3 matrix built from MemoryBlock's
+    coefficients (U_0's decaying term aside): u' = (v - delta*mu*u)/(c +
+    delta*mu) with c = 2 + delta*beta/alpha, y' = (z - beta*u')/alpha, and
+    S' from the block's sum row. Two roots follow the continuous pair
+    u' = -mu*u + y, y' = -lam*mu*u - y; the third is negative and real
+    with modulus exp(lam*delta/2), so it grows for lam > 0 (the step-to-step
+    alternation in y of example 2 at lam = 10) whatever mu is.
+    """
+
+    @staticmethod
+    def step_matrix(lam, delta, mu):
+        block = MemoryBlock(lam, delta, "consistent", np.zeros(1), np.zeros(1), 0)
+        block.relation(None)
+        block.accept(np.zeros(1), np.zeros(1))
+        z, v, s = block.coef[:3, :3]
+        alpha, beta = block.alpha, block.beta
+        u_row = (v - (delta * mu, 0.0, 0.0)) / (2.0 + delta * beta / alpha + delta * mu)
+        return np.array([u_row, (z - beta * u_row) / alpha, s])
+
+    @pytest.fixture(scope="class")
+    def spectrum(self):
+        from scipy.linalg import eigh
+        from plapmem.assembly import FluxParams, assemble_mass, assemble_plap
+        from plapmem.mesh import gauss_legendre
+        mesh = build_uniform_mesh(-1, 1, 10, 1)      # example 2's mesh
+        quad = gauss_legendre(3)
+        stiff = assemble_plap(mesh, np.zeros(mesh.n_interior), FluxParams(p=2.0), quad)
+        return eigh(to_dense(stiff), to_dense(assemble_mass(mesh, quad)),
+                    eigvals_only=True)
+
+    @pytest.mark.parametrize("lam", [10.0, 0.0, -10.0])
+    @pytest.mark.parametrize("delta,rate_tol,physical_tol",
+                             [(1e-3, 3e-3, 1e-3), (1e-4, 3e-4, 1e-5)])
+    def test_roots(self, spectrum, lam, delta, rate_tol, physical_tol):
+        assert len(spectrum) == 9
+        for mu in spectrum:
+            roots = np.linalg.eigvals(self.step_matrix(lam, delta, mu))
+            i = int(np.argmin(roots.real))
+            assert roots[i].imag == 0.0 and roots[i].real < 0.0
+            assert abs(math.log(-roots[i].real) / delta - lam / 2.0) <= rate_tol
+            if mu > 75.0 + 1e-9:
+                continue
+            # second order: the relative rate error falls 100-fold with delta
+            exact = np.linalg.eigvals(np.array([[-mu, 1.0], [-lam * mu, -1.0]]))
+            for rate in np.log(np.delete(roots, i).astype(complex)) / delta:
+                nearest = exact[np.argmin(np.abs(exact - rate))]
+                assert abs(rate - nearest) <= physical_tol * abs(nearest)

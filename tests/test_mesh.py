@@ -22,7 +22,7 @@ class TestBuildUniformMesh:
         assert np.all(np.diff(mesh.nodes) > 0)
 
     @pytest.mark.parametrize("args", [(0, 1, 0, 1), (0, 1, 4, 0), (1, 0, 4, 1),
-                                      (0, 0, 4, 1)])
+                                      (0, 0, 4, 1), (0, 1, True, 1), (0, 1, 4, True)])
     def test_degenerate_inputs_rejected(self, args):
         with pytest.raises(ConfigError):
             build_uniform_mesh(*args)
@@ -70,7 +70,7 @@ class TestGaussLegendre:
         err = abs(float(rule.weights @ rule.points ** d) - 1.0 / (d + 1))
         assert err > 1e-13 / (d + 1)
 
-    @pytest.mark.parametrize("q", [0, 17, -3])
+    @pytest.mark.parametrize("q", [0, 17, -3, True])
     def test_out_of_range(self, q):
         with pytest.raises(ConfigError):
             gauss_legendre(q)

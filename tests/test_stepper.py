@@ -110,6 +110,7 @@ class TestSolverConfig:
         (dict(p=3.0, delta=0.1, n_steps=10, tol=np.nan), "tol"),
         (dict(p=3.0, delta=0.1, n_steps=10, quad_points=2.5), "quadrature_points"),
         (dict(p=3.0, delta=0.1, n_steps=10, quad_points=0), "quadrature_points"),
+        (dict(p=3.0, delta=0.1, n_steps=10, quad_points=True), "quadrature_points"),
     ]
 
     @pytest.mark.parametrize("kwargs,field", INVALID,

@@ -1,9 +1,11 @@
+import json
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
+import bench_record  # noqa: E402
 import sample_runs  # noqa: E402
 
 
@@ -30,3 +32,37 @@ def test_problems_cover_the_stated_ranges():
                and 1e-4 <= q["delta"] <= 10 ** -1.5 for q in problems)
     assert {q["r"] for q in problems} == {1, 2, 3}
     assert {q["m"] for q in problems} == set(range(4, 13))
+
+
+def synthetic_report(run_norm_s, failed=0):
+    return {"workload": "growth_damped", "seed": 4, "lambda": -10.01, "trace": 0,
+            "metrics": {"run_norm_s": {"value": run_norm_s, "unit": "s"},
+                        "setup_s": {"value": 0.6, "unit": "s"},
+                        "peak_rss_mb": {"value": 60.5, "unit": "MB"}},
+            "runs": [{"ok": i >= failed} for i in range(3)]}
+
+
+def test_bench_record_of_one_pair(tmp_path, capsys):
+    paths = {}
+    for side, value, failed in (("change", 0.18, 0), ("parent", 0.20, 1)):
+        paths[side] = tmp_path / f"{side}.json"
+        paths[side].write_text(json.dumps(synthetic_report(value, failed)))
+    out = tmp_path / "BENCH_0.json"
+    assert bench_record.main(["--out", str(out), f"change:{paths['change']}",
+                              f"parent:{paths['parent']}"]) == 0
+    result = json.loads(out.read_text())
+    assert result["metrics"] == {"run_norm_s": "lower", "setup_s": "lower",
+                                 "peak_rss_mb": "lower"}
+    entry = result["workloads"]["growth_damped"]
+    (pair,) = entry["pairs"]
+    assert (pair["first"], pair["seed"], pair["lambda"]) == ("change", 4, -10.01)
+    assert pair["parent"] == {"metrics": {"run_norm_s": 0.20, "setup_s": 0.6,
+                                          "peak_rss_mb": 60.5}, "runs": 3, "failed": 1}
+    assert pair["change"]["failed"] == 0
+    run = entry["metrics"]["run_norm_s"]
+    assert run["parent"] == {"median": 0.20, "q1": 0.20, "q3": 0.20}
+    assert run["change"]["median"] == 0.18 and run["change_wins"] == 1
+    assert entry["metrics"]["setup_s"]["change_wins"] == 0     # a tie is no win
+    assert "run_norm_s: parent 0.2 (0.2-0.2), change 0.18" in capsys.readouterr().out
+    # an unpaired report is refused
+    assert bench_record.main(["--out", str(out), f"change:{paths['change']}"]) == 2
