@@ -36,8 +36,8 @@ class ProblemSpec:
     exact_y: Optional[Callable] = None
 
     def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ConfigError("T", f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < np.inf:
+            raise ConfigError("T", f"horizon must be positive and finite, got {self.horizon}")
         if not self.p > 1.0:
             raise ConfigError("p", f"exponent must satisfy p > 1, got {self.p}")
         if not self.b > self.a:
@@ -181,7 +181,7 @@ def waiting_time(run: RunOutput) -> Optional[float]:
 _BLOCK_BYTES = 64 * 1024
 
 
-def build_run_output(problem: ProblemSpec, mesh: Mesh1D, cfg, asm, hist: StateHistory,
+def build_run_output(problem: ProblemSpec, mesh: Mesh1D, asm, hist: StateHistory,
                      diagnostics: list) -> RunOutput:
     """Assemble the output record from a completed history.
 

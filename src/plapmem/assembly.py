@@ -208,11 +208,17 @@ class SeparableForcing:
 def interpolate(mesh: Mesh1D, u0) -> np.ndarray:
     """Nodal interpolant of u0, returned on the interior dofs.
 
-    Nonzero boundary values are truncated silently by the Dirichlet
-    elimination, so a warning is emitted when they exceed roundoff size.
+    A non-finite nodal value is a ConfigError. Nonzero boundary values are
+    truncated silently by the Dirichlet elimination, so a warning is
+    emitted when they exceed roundoff size.
     """
-    vals = np.broadcast_to(np.asarray(u0(mesh.nodes), dtype=float),
-                           mesh.nodes.shape)
+    with np.errstate(all="ignore"):     # a non-finite value is reported below
+        vals = np.broadcast_to(np.asarray(u0(mesh.nodes), dtype=float),
+                               mesh.nodes.shape)
+    if not np.all(np.isfinite(vals)):
+        bad = mesh.nodes[~np.isfinite(vals)]
+        raise ConfigError("u0", f"non-finite initial datum at x={float(bad[0])} "
+                          f"({bad.size} of {vals.size} nodes)")
     bmax = max(abs(vals[0]), abs(vals[-1]))
     if bmax > 1e-12:
         warnings.warn(f"initial datum is {bmax:.3e} at a boundary; "

@@ -136,8 +136,8 @@ class StateHistory:
     Arrays are preallocated for the full horizon; `k` always points at the
     newest completed level. loads[0] holds the load at t = 0 and
     loads[1 + j] the load at t_{j+1/2}, which the direct quadratures read.
-    With an exponential kernel the step needs only its carried
-    `MemoryBlock` (kept in block) and leaves loads[1:] at zero, so u and y
+    With an exponential kernel a step reads the march's `MemoryBlock`
+    (stepper.StepPlan carries it) and leaves loads[1:] at zero, so u and y
     are the only rows a march fills; a step with any other kernel writes
     its load row, and an oracle fills its own (see stepper.oracle_history).
     """
@@ -150,14 +150,12 @@ class StateHistory:
         self.y = np.zeros((self.n_steps + 1, self.n_dofs))
         self.loads = np.zeros((self.n_steps + 2, self.n_dofs))
         self.k = 0
-        self.block = None
 
     def set_initial(self, u0: np.ndarray, load0: np.ndarray):
         self.u[0] = u0
         self.y[0] = 0.0          # the memory term vanishes at t = 0
         self.loads[0] = load0
         self.k = 0
-        self.block = None
 
     def append(self, u_new: np.ndarray, y_new: np.ndarray):
         if self.k >= self.n_steps:
@@ -176,7 +174,6 @@ class StateHistory:
             raise ValueError(f"cannot rewind to {k}; history is at {self.k}")
         view = copy.copy(self)
         view.k = k
-        view.block = None
         return view
 
 
@@ -267,7 +264,7 @@ class MemoryBlock:
 
     rows = [U_k, Y_k, S_{k-1}, H_{k-1}, U_0, M^{-1}L_0, R_1..R_T], with S
     the discounted sum over Y + U, H = M^{-1}G that over the half-step
-    loads (both start at zero), and c @ R = M^{-1}L_{k+1/2}; the caller
+    loads (both start at zero), and c @ R = M^{-1}L_{k+1/2}; stepper.StepPlan
     fills the solved loads rows[5:]. relation(c) forms step k's z and v by
     one product, and accept moves the block to level k+1. alpha is checked
     once, here; the mode is the caller's to check (SolverConfig does).

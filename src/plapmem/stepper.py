@@ -19,18 +19,20 @@ w = (U + U^k)/2 and c = 2 + delta*beta/alpha, and every scheme iterates
     scheme "N"  slope p - 1  Newton: its Jacobian K_T(w) is (p-1)*A(w) at eps = 0
 
 Newton with eps > 0 alone assembles K_T(w) and solves with c*M + delta*K_T,
-right-hand side b + delta*(K_T U - A(w)(U + U^k)). All three share the same
-fixed point, and Y is formed once, from the accepted U. Per step, outside
-the iteration: for an exponential kernel one small dense product of the
-memory block (see memory), and for any other the direct history sums; one
-banded product, M*v; one mass solve for a forcing that is not a
-SeparableForcing or a kernel that is not exponential (otherwise one per
-run, in the first step, none for f = 0). Per iteration: one p-Laplacian
-assembly (two bands for Newton with eps > 0, none for p = 2), one product
-for the right-hand side (two for Newton with eps > 0, none after the first
-for p = 2 with slope 1), one banded solve and one product for U's squared
-M-norm increment. c*M is a run constant, and so is the factored system
-where it cannot change: for p = 2 and for slope 0.
+right-hand side b + delta*(K_T U - A(w)(U + U^k)). All three share the
+same fixed point, and Y is formed once, from the accepted U.
+
+Per run, a StepPlan forms alpha, beta, the slope and the scheme's flags,
+c*M, the factored system where it cannot change (p = 2, slope 0), and for
+an exponential kernel the memory block (see memory), with M^{-1}L_0 and a
+SeparableForcing's profile loads in one mass solve. Per step: one small
+dense product of that block, or for any other kernel the direct history
+sums; one banded product, M*v; one mass solve for a forcing that is not a
+SeparableForcing or a kernel that is not exponential. Per iteration: one
+p-Laplacian assembly (two bands for Newton with eps > 0, none for p = 2),
+one product for the right-hand side (two for Newton with eps > 0, none
+after the first for p = 2 with slope 1), one banded solve and one product
+for U's squared M-norm increment.
 """
 
 import math
@@ -47,7 +49,7 @@ from .assembly import (ElementTables, FluxParams, SeparableForcing,
 from .banded import BandedFactor, BandedSymMatrix
 from .errors import ConfigError, FixedPointDivergenceError, LinearSolveError
 from .memory import (KernelSpec, MemoryBlock, StateHistory, check_mode,
-                     memory_equation, memory_residual)
+                     memory_equation, memory_residual, relation_coefficients)
 from .mesh import (Mesh1D, QuadratureRule, default_quad_points, gauss_legendre,
                    is_count)
 
@@ -131,8 +133,8 @@ class StepDiagnostics:
 
 class Assembler:
     """Mesh + quadrature + flux bundle used by the stepping loop; keeps
-    what depends on these alone: basis tables, mass matrix and factors,
-    run-constant systems, and a SeparableForcing's profile loads."""
+    what depends on these alone: basis tables, mass matrix and its factor,
+    A(0), and a SeparableForcing's profile loads."""
 
     def __init__(self, mesh: Mesh1D, quad: QuadratureRule,
                  params: FluxParams, load_fn):
@@ -141,8 +143,6 @@ class Assembler:
         self.params = params
         self.load_fn = load_fn
         self.tables = ElementTables(mesh, quad)
-        self._systems = {}
-        self._system_factors = {}
         self._profile_loads = None
 
     @cached_property
@@ -181,69 +181,71 @@ class Assembler:
         """A(0); the diffusion matrix at every state when p = 2."""
         return self.plap(np.zeros(self.mesh.n_interior))
 
-    def system(self, mass_coef: float, stiff_coef: float = 0.0) -> BandedSymMatrix:
-        """mass_coef*M + stiff_coef*A(0), kept per coefficient pair; a run
-        constant only where A cannot change (stiff_coef = 0 or p = 2)."""
-        key = (mass_coef, stiff_coef)
-        if key not in self._systems:
-            data = mass_coef * self.mass.data
-            if stiff_coef != 0.0:
-                data = data + stiff_coef * self.stiffness.data
-            self._systems[key] = BandedSymMatrix(data)
-        return self._systems[key]
 
-    def system_factor(self, mass_coef: float, stiff_coef: float) -> BandedFactor:
-        """The factor of system(mass_coef, stiff_coef), kept with it."""
-        key = (mass_coef, stiff_coef)
-        if key not in self._system_factors:
-            self._system_factors[key] = self.system(mass_coef, stiff_coef).factor()
-        return self._system_factors[key]
+class StepPlan:
+    """What every step of a march shares, set up once at level 0 of the
+    history it advances: alpha, beta, the slope and the scheme's flags;
+    system = c*M, plus delta*slope*A(0) and factored where it cannot change
+    (p = 2, slope 0; else factor is None); for g = lam*exp(-s) the
+    MemoryBlock, with M^{-1}L_0 and any profile loads solved into it."""
 
-
-def step_relation(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
-                  asm: Assembler):
-    """(alpha, beta, z, v) of step hist.k: the memory relation alpha*Y^{k+1}
-    + beta*U^{k+1} = z, and v with M*v the U-block's right-hand side less
-    its diffusion term.
-
-    An exponential kernel takes both from the history's MemoryBlock, started
-    here at level 0, where L_0 (hist.loads[0]) is solved with a
-    SeparableForcing's profiles or with any other f's first load; such an
-    f's load is solved once per step, and hist.loads[1:] stays untouched.
-    Any other kernel stores L_{k+1/2} in hist.loads for memory_equation and
-    takes one mass solve.
-    """
-    k, delta = hist.k, cfg.delta
-    t = (k + 0.5) * delta
-    forcing = asm.load_fn
-    separable = isinstance(forcing, SeparableForcing)
-    if kernel.lam is None:
-        hist.loads[k + 1] = asm.load(t)
-        mem = memory_equation(hist, kernel, cfg.quadrature_mode)
-        solved = asm.mass_factor.solve(np.stack((mem.forcing, hist.loads[k + 1]), axis=1))
-        z = mem.state - solved[:, 0]
-        v = (2.0 * hist.u[k] + delta * hist.y[k] + (delta / mem.alpha) * z
-             + 2.0 * delta * solved[:, 1])
-        return mem.alpha, mem.beta, z, v
-    block = hist.block
-    if block is None:
-        if k:
-            raise ValueError(f"a memory block starts at level 0, not {k}")
-        block = hist.block = MemoryBlock(
+    def __init__(self, hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
+                 asm: Assembler):
+        if hist.k:
+            raise ValueError(f"a step plan starts at level 0, not {hist.k}")
+        self.hist, self.kernel, self.cfg, self.asm = hist, kernel, cfg, asm
+        delta, p, forcing = cfg.delta, asm.params.p, asm.load_fn
+        separable = isinstance(forcing, SeparableForcing)
+        self.block = block = None if kernel.lam is None else MemoryBlock(
             kernel.lam, delta, cfg.quadrature_mode, hist.u[0], hist.y[0],
             len(forcing.terms) if separable else 1)
-    coeffs = None           # f = 0: no load rows
-    if not separable:
-        load = asm.load(t)
-        coeffs, rows = np.ones(1), load[None]
-        if k:
-            block.rows[6] = asm.mass_factor.solve(load)
-    elif forcing.terms:
-        coeffs, rows = forcing.coefficients(t), asm.profiles(t)
-    if coeffs is not None and not k:        # L_0 with the sources of the R rows
-        block.rows[5:] = asm.mass_factor.solve(np.vstack((hist.loads[0], rows)).T).T
-    z, v = block.relation(coeffs)
-    return block.alpha, block.beta, z, v
+        if block is None:
+            self.alpha, self.beta = relation_coefficients(
+                float(kernel.g(0.0)), float(kernel.gp(0.0)), delta)
+        else:
+            self.alpha, self.beta = block.alpha, block.beta
+            if not separable:
+                block.rows[5] = asm.mass_factor.solve(hist.loads[0])
+            elif forcing.terms:     # L_0 with the profiles; f = 0: no load rows
+                block.rows[5:] = asm.mass_factor.solve(
+                    np.vstack((hist.loads[0], asm.profiles(0.0))).T).T
+        self.y_gain = (self.beta / self.alpha) ** 2   # dY = -(beta/alpha) dU
+        self.linear = p == 2.0      # diffusion matrix independent of the state
+        self.slope = {"A": 1.0, "B": 0.0, "N": p - 1.0}[cfg.scheme]
+        self.predict = cfg.scheme == "N" and not self.linear
+        # only Newton with eps > 0 solves with a band other than slope*A(w): K_T
+        self.tangent = self.predict and asm.params.epsilon != 0.0
+        self.stiff_coef = delta if self.tangent else delta * self.slope
+        data = (2.0 + delta * self.beta / self.alpha) * asm.mass.data
+        constant = self.linear or self.slope == 0.0
+        if constant and self.slope != 0.0:
+            data = data + self.stiff_coef * asm.stiffness.data
+        self.system = BandedSymMatrix(data)
+        self.factor = self.system.factor() if constant else None
+
+
+def step_relation(plan: StepPlan):
+    """(z, v) of step plan.hist.k: alpha*Y^{k+1} + beta*U^{k+1} = z is the
+    memory relation, and M*v the U-block's right-hand side less its diffusion
+    term. An exponential kernel takes both from the plan's MemoryBlock, into
+    which it solves the load of an f that is not a SeparableForcing; any
+    other stores L_{k+1/2} in hist.loads and takes one mass solve.
+    """
+    hist, asm, block, forcing = plan.hist, plan.asm, plan.block, plan.asm.load_fn
+    k, delta = hist.k, plan.cfg.delta
+    t = (k + 0.5) * delta
+    if block is None:
+        hist.loads[k + 1] = asm.load(t)
+        mem = memory_equation(hist, plan.kernel, plan.cfg.quadrature_mode)
+        solved = asm.mass_factor.solve(np.stack((mem.forcing, hist.loads[k + 1]), axis=1))
+        z = mem.state - solved[:, 0]
+        v = (2.0 * hist.u[k] + delta * hist.y[k] + (delta / plan.alpha) * z
+             + 2.0 * delta * solved[:, 1])
+        return z, v
+    if not isinstance(forcing, SeparableForcing):
+        block.rows[6] = asm.mass_factor.solve(asm.load(t))
+        return block.relation(np.ones(1))
+    return block.relation(forcing.coefficients(t) if forcing.terms else None)
 
 
 def _extrapolate(u: np.ndarray, k: int) -> np.ndarray:
@@ -276,11 +278,10 @@ _STALL_RATIO = 0.98
 
 
 @np.errstate(over="ignore", invalid="ignore")   # inf/nan: diverged
-def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
-            asm: Assembler):
-    """Advance one level and append it to the history; returns (U, Y,
-    StepDiagnostics). The scheme iterates on U until both squared M-norm
-    increments drop below tol; Y's is (beta/alpha)^2 times U's.
+def cn_step(plan: StepPlan):
+    """Advance plan.hist one level; returns (U, Y, StepDiagnostics). The
+    scheme iterates on U until both squared M-norm increments drop below
+    tol; Y's is (beta/alpha)^2 times U's.
 
     Newton starts from predicted_start(hist) where that gives a start and
     restarts once from U^k (omega = 1, stall grace counted anew) if the
@@ -290,28 +291,17 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     tol bounds the plain map's increment whatever omega is. An iterate that
     overflows ends the step with FixedPointDivergenceError.
     """
-    k, delta = hist.k, cfg.delta
-    alpha, beta, z, v = step_relation(hist, kernel, cfg, asm)
-    y_gain = (beta / alpha) ** 2      # dY = -(beta/alpha) dU between any two iterates
+    hist, cfg, asm, factor, slope = plan.hist, plan.cfg, plan.asm, plan.factor, plan.slope
+    k, delta, alpha, beta = hist.k, cfg.delta, plan.alpha, plan.beta
+    z, v = step_relation(plan)
     mass, u_prev = asm.mass, hist.u[k]
     rhs_step = mass.matvec(v)       # the U-block's right-hand side, less A's term
-    mass_coef = 2.0 + delta * beta / alpha
-    p = asm.params.p
-    linear = p == 2.0                 # diffusion matrix independent of the state
-    slope = {"A": 1.0, "B": 0.0, "N": p - 1.0}[cfg.scheme]
-    # only Newton with eps > 0 solves with a band other than slope*A(w): K_T
-    tangent = cfg.scheme == "N" and not linear and asm.params.epsilon != 0.0
-    constant = linear or slope == 0.0     # the solved system is a run constant
-    if constant:
-        factor = asm.system_factor(mass_coef, delta * slope)
-    else:
-        shifted_mass = asm.system(mass_coef).data
     # a_mid is A at the iterate's midpoint; lhs_stiff the stiffness band of
     # the solved system: A, or Newton's K_T with eps > 0
-    if linear:
+    if plan.linear:
         a_mid = lhs_stiff = asm.stiffness
 
-    start = predicted_start(hist) if cfg.scheme == "N" and not linear else None
+    start = predicted_start(hist) if plan.predict else None
     u_it = u_prev if start is None else start
     ratios = []
     prev_total = None
@@ -319,21 +309,21 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
     omega = 1.0
     overflow = None
     for iteration in range(1, cfg.max_iter + 1):
-        if tangent:
+        if plan.tangent:
             a_mid, lhs_stiff = asm.plap(0.5 * (u_it + u_prev), tangent=True)
             rhs = rhs_step + delta * (lhs_stiff.matvec(u_it)
                                       - a_mid.matvec(u_it + u_prev))
         else:
-            if not linear:
+            if not plan.linear:
                 a_mid = lhs_stiff = asm.plap(0.5 * (u_it + u_prev))
-            if iteration == 1 or not (linear and slope == 1.0):  # else rhs is unchanged
+            if iteration == 1 or not (plan.linear and slope == 1.0):  # else rhs is unchanged
                 rhs = rhs_step + delta * a_mid.matvec((slope - 1.0) * u_it - u_prev)
         try:
-            if constant:
+            if factor is not None:
                 u_next = factor.solve(rhs)
             else:       # the system, in the band this iteration assembled
-                lhs_stiff.data *= delta if tangent else delta * slope
-                lhs_stiff.data += shifted_mass
+                lhs_stiff.data *= plan.stiff_coef
+                lhs_stiff.data += plan.system.data
                 u_next = lhs_stiff.solve(rhs)
         except LinearSolveError as exc:
             # divergence only if an iterate grew until the system overflowed
@@ -344,7 +334,7 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
             break
         du = u_next - u_it      # the plain map's increment, compared with tol
         inc_u = float(du @ mass.matvec(du))
-        inc_y = y_gain * inc_u
+        inc_y = plan.y_gain * inc_u
         total = omega * omega * (inc_u + inc_y)     # those of the steps taken
         if not math.isfinite(total):
             break
@@ -355,8 +345,8 @@ def cn_step(hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
         if inc_u < cfg.tol and inc_y < cfg.tol:
             y_new = (z - beta * u_it) / alpha
             hist.append(u_it, y_new)
-            if hist.block is not None:
-                hist.block.accept(u_it, y_new)
+            if plan.block is not None:
+                plan.block.accept(u_it, y_new)
             return u_it, y_new, StepDiagnostics(iterations=iteration,
                                                 increment_u=inc_u,
                                                 increment_y=inc_y,
@@ -402,11 +392,9 @@ def march(problem: "analysis.ProblemSpec", mesh: Mesh1D,
     hist = StateHistory(mesh.n_interior, cfg.n_steps, cfg.delta)
     hist.set_initial(interpolate(mesh, problem.u0), asm.load(0.0))
 
-    diagnostics = []
-    for _ in range(cfg.n_steps):
-        _, _, diag = cn_step(hist, problem.kernel, cfg, asm)
-        diagnostics.append(diag)
-    return analysis.build_run_output(problem, mesh, cfg, asm, hist, diagnostics)
+    plan = StepPlan(hist, problem.kernel, cfg, asm)
+    diagnostics = [cn_step(plan)[2] for _ in range(cfg.n_steps)]
+    return analysis.build_run_output(problem, mesh, asm, hist, diagnostics)
 
 
 def oracle_history(hist: StateHistory, k: int, asm: Assembler) -> StateHistory:

@@ -12,7 +12,7 @@ from plapmem.assembly import interpolate
 from plapmem.experiments import _front_profile, asymptotics_problem, propagation_problem
 from plapmem.memory import StateHistory
 from plapmem.mesh import default_quad_points, full_coefficients, gauss_legendre
-from plapmem.stepper import Assembler, SolverConfig, cn_step
+from plapmem.stepper import Assembler, SolverConfig, StepPlan, cn_step
 
 
 class TestL2Error:
@@ -310,8 +310,8 @@ class TestRunRecord:
             asm = Assembler(mesh, quad, cfg.flux_params(), problem.f)
             hist = StateHistory(mesh.n_interior, cfg.n_steps, cfg.delta)
             hist.set_initial(interpolate(mesh, problem.u0), asm.load(0.0))
-            diags = [cn_step(hist, problem.kernel, cfg, asm)[2]
-                     for _ in range(cfg.n_steps)]
+            plan = StepPlan(hist, problem.kernel, cfg, asm)
+            diags = [cn_step(plan)[2] for _ in range(cfg.n_steps)]
             out[name] = (problem, mesh, cfg, asm, hist, diags)
         return out
 
@@ -322,7 +322,7 @@ class TestRunRecord:
         problem, mesh, cfg, asm, hist, diags = runs[name]
         if block_levels is not None:    # 151 and 21 levels: a partial last block
             monkeypatch.setattr(analysis, "_BLOCK_BYTES", 8 * mesh.n_nodes * block_levels)
-        run = analysis.build_run_output(problem, mesh, cfg, asm, hist, diags)
+        run = analysis.build_run_output(problem, mesh, asm, hist, diags)
         energies = np.array([float(u @ asm.mass.matvec(u)) for u in hist.u])
         assert np.array_equal(run.energies, energies)
         eta = run.support_threshold

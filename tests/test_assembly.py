@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -287,6 +289,21 @@ class TestInterpolate:
         mesh = build_uniform_mesh(0, 1, 4, 1)
         with pytest.warns(UserWarning, match="boundary"):
             interpolate(mesh, lambda x: np.cos(x))
+
+    @pytest.mark.parametrize("a, u0", [
+        (-1.0, lambda x: (1 - x * x) * np.log(np.abs(x))),     # -inf at x = 0
+        (0.0, lambda x: np.sin(np.pi * x) / x),                 # nan at x = 0
+    ], ids=["interior", "boundary"])
+    def test_non_finite_datum_names_its_node(self, a, u0):
+        # an interior one used to stop the march's first banded solve, and a
+        # boundary one was dropped without a warning (nan > 1e-12 is False)
+        mesh = build_uniform_mesh(a, 1, 4, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # and no numpy warning first
+            with pytest.raises(ConfigError) as err:
+                interpolate(mesh, u0)
+        assert err.value.field == "u0"
+        assert "x=0.0 (1 of 5 nodes)" in str(err.value)
 
     def test_coefficient_default(self):
         assert flux_coefficient(np.array([0.0, 2.0]),

@@ -15,9 +15,9 @@ from plapmem.errors import LinearSolveError
 from plapmem.experiments import asymptotics_problem, propagation_problem
 from plapmem.memory import KernelSpec, MemoryBlock, StateHistory, memory_equation
 from plapmem.mesh import default_quad_points, gauss_legendre
-from plapmem.stepper import (_STALL_GRACE, _STALL_RATIO, Assembler, cn_step,
-                             oracle_history, predicted_start, resolve_scheme,
-                             step_relation)
+from plapmem.stepper import (_STALL_GRACE, _STALL_RATIO, Assembler, StepPlan,
+                             cn_step, oracle_history, predicted_start,
+                             resolve_scheme, step_relation)
 
 
 def zero_f(x, t):
@@ -162,7 +162,7 @@ class TestFixedPoint:
         steady = np.linalg.solve(stiff, asm.load(0.0))
         hist = StateHistory(mesh.n_interior, cfg.n_steps, cfg.delta)
         hist.set_initial(steady, asm.load(0.0))
-        _, _, diag = cn_step(hist, problem.kernel, cfg, asm)
+        _, _, diag = cn_step(StepPlan(hist, problem.kernel, cfg, asm))
         assert diag.iterations == 1
 
     def test_linear_step_terminates_at_two_iterations(self):
@@ -173,7 +173,8 @@ class TestFixedPoint:
             cfg = SolverConfig(p=2.0, delta=0.01, n_steps=3)
             asm = make_assembler(problem, mesh, cfg)
             hist = fresh_history(problem, mesh, cfg, asm)
-            _, _, diag = cn_step(hist, problem.kernel, cfg, asm)
+            plan = StepPlan(hist, problem.kernel, cfg, asm)
+            _, _, diag = cn_step(plan)
             assert diag.iterations == 2
             assert diag.increment_u < 1e-24
             assert diag.increment_y < 1e-24
@@ -259,7 +260,8 @@ class TestMarch:
         run = march(problem, mesh, cfg)
         asm = make_assembler(problem, mesh, cfg)
         hist = fresh_history(problem, mesh, cfg, asm)
-        u1, y1, _ = cn_step(hist, problem.kernel, cfg, asm)
+        plan = StepPlan(hist, problem.kernel, cfg, asm)
+        u1, y1, _ = cn_step(plan)
         assert np.array_equal(run.u[1], u1)
         assert np.array_equal(run.y[1], y1)
 
@@ -298,6 +300,12 @@ class TestMarch:
         mesh = build_uniform_mesh(0, 1, 8, 1)
         with pytest.raises(ConfigError):
             march(problem, mesh, SolverConfig(p=3.0, delta=1e-3, n_steps=50))
+
+    def test_infinite_horizon_rejected(self):
+        # march's horizon check reads nan > inf, so 5 steps of 1e-3 "reached" it
+        with pytest.raises(ConfigError) as err:
+            manufactured_example1(3.0, 1.0, horizon=np.inf)
+        assert err.value.field == "T"
 
     def test_no_interior_dofs_rejected(self):
         problem = free_decay(2.0, 0.0, lambda x: np.zeros_like(np.asarray(x)),
@@ -392,8 +400,8 @@ class TestLeanStep:
                            scheme=scheme)
         asm = make_assembler(problem, mesh, cfg)
         hist = fresh_history(problem, mesh, cfg, asm)
-        diags = [cn_step(hist, problem.kernel, cfg, asm)[2]
-                 for _ in range(n_steps)]
+        plan = StepPlan(hist, problem.kernel, cfg, asm)
+        diags = [cn_step(plan)[2] for _ in range(n_steps)]
         if case == "p4-A-relaxed":
             # updates are relaxed after a ratio >= 0.98 from the grace on
             assert any(max(d.ratios[_STALL_GRACE - 2:-1], default=0.0) >= 0.98
@@ -625,12 +633,13 @@ class TestPredictedStart:
         cfg = SolverConfig(p=p, delta=delta, n_steps=40, tol=1e-12, scheme="N")
         asm = make_assembler(problem, mesh, cfg)
         hist = fresh_history(problem, mesh, cfg, asm)
-        early = [cn_step(hist, problem.kernel, cfg, asm)[2] for _ in range(5)]
+        plan = StepPlan(hist, problem.kernel, cfg, asm)
+        early = [cn_step(plan)[2] for _ in range(5)]
         assert [d.restarted for d in early] == [0] * 5
-        plain = copy.deepcopy(hist)
-        u, y, diag = cn_step(hist, problem.kernel, cfg, asm)
+        plain = copy.deepcopy(plan)
+        u, y, diag = cn_step(plan)
         monkeypatch.setattr(stepper, "predicted_start", lambda hist: None)
-        u_plain, y_plain, diag_plain = cn_step(plain, problem.kernel, cfg, asm)
+        u_plain, y_plain, diag_plain = cn_step(plain)
         # after the restart the step repeats the iteration from U_k exactly:
         # omega back at 1, no relaxation from a ratio seen before the restart
         assert diag.restarted > _STALL_GRACE
@@ -717,10 +726,10 @@ class TestNonlinearSolveProperties:
                            scheme=scheme)
         asm = make_assembler(problem, mesh, cfg)
         hist = fresh_history(problem, mesh, cfg, asm)
+        plan = StepPlan(hist, problem.kernel, cfg, asm)
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                diags = [cn_step(hist, problem.kernel, cfg, asm)[2]
-                         for _ in range(n_steps)]
+                diags = [cn_step(plan)[2] for _ in range(n_steps)]
             except FixedPointDivergenceError as err:
                 with pytest.raises(FixedPointDivergenceError) as again:
                     march(problem, mesh, cfg)
@@ -891,8 +900,9 @@ class TestRoundTrip:
         cfg = SolverConfig(p=3.0, delta=1e-3, n_steps=20, tol=1e-10)
         asm = make_assembler(problem, mesh, cfg)
         hist = fresh_history(problem, mesh, cfg, asm)
+        plan = StepPlan(hist, problem.kernel, cfg, asm)
         for _ in range(cfg.n_steps):
-            cn_step(hist, problem.kernel, cfg, asm)
+            cn_step(plan)
         # the exponential step stores no load, and step_residuals assembles
         # the loads it reads: a step that used a wrong load shows here
         assert np.abs(problem.f(0.5, 0.0)) > 0.0
@@ -916,7 +926,9 @@ class TestIterationOnU:
         cfg = SolverConfig(p=3.0, delta=0.01, n_steps=5)
         asm = make_assembler(problem, mesh, cfg)
         hist = fresh_history(problem, mesh, cfg, asm)
-        alpha, beta, z, _ = step_relation(hist, problem.kernel, cfg, asm)
+        plan = StepPlan(hist, problem.kernel, cfg, asm)
+        z, _ = step_relation(plan)
+        alpha, beta = plan.alpha, plan.beta
         rng = np.random.default_rng(5)
         for _ in range(5):
             u1, u2 = rng.standard_normal((2, mesh.n_interior))
@@ -940,10 +952,11 @@ class TestIterationOnU:
         cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, tol=tol, scheme=scheme)
         asm = make_assembler(problem, mesh, cfg)
         hist = fresh_history(problem, mesh, cfg, asm)
+        plan = StepPlan(hist, problem.kernel, cfg, asm)
         mass = asm.mass
         diags = []
         for k in range(n_steps):
-            _, _, diag = cn_step(hist, problem.kernel, cfg, asm)
+            _, _, diag = cn_step(plan)
             diags.append(diag)
             mem = memory_equation(oracle_history(hist, k, asm).truncated(k),
                                   problem.kernel)
@@ -991,8 +1004,9 @@ class TestIterationOnU:
                            epsilon=1e-2)
         asm = make_assembler(problem, mesh, cfg)
         hist = fresh_history(problem, mesh, cfg, asm)
+        plan = StepPlan(hist, problem.kernel, cfg, asm)
         for _ in range(cfg.n_steps):
-            cn_step(hist, problem.kernel, cfg, asm)
+            cn_step(plan)
         for k in range(cfg.n_steps):
             res_ev, res_mem = step_residuals(hist, k, problem.kernel, cfg, asm)
             assert np.max(np.abs(res_ev)) < 1e-8
@@ -1004,33 +1018,35 @@ class TestProductCounts:
     one per step (the step's right-hand side), then per iteration one for
     the right-hand side A(w)((slope-1) U - U^k) (two for Newton with
     eps > 0, none after the first for p = 2 with slope 1) and one for the
-    increment. Mass solves: one per step for a forcing that is not a
-    SeparableForcing, none for one (its profiles are solved once, in the
-    first step). Bands built: the ones the iteration assembles, plus the
-    run constants in the first step."""
+    increment; none at set-up. Mass solves: one per step for a forcing that
+    is not a SeparableForcing, none for one (its profiles are solved once,
+    with L_0, at set-up). Bands built: the ones the iteration assembles,
+    and the run constants at set-up."""
 
     @pytest.mark.parametrize("scheme, p, epsilon, per_iteration", [
         ("A", 4.0, None, 2), ("B", 2.5, None, 2), ("N", 4.0, None, 2),
         ("N", 3.0, None, 2), ("N", 4.0, 1e-2, 3),
     ])
     def test_products_per_step(self, monkeypatch, scheme, p, epsilon, per_iteration):
-        counts = self.count(monkeypatch, BandedSymMatrix, "matvec", scheme, p, epsilon)
+        setup, counts = self.count(monkeypatch, BandedSymMatrix, "matvec", scheme, p,
+                                   epsilon)
+        assert setup == 0
         assert all(calls == 1 + per_iteration * diag.iterations
                    for calls, diag in counts)
 
     def test_linear_step_takes_four(self, monkeypatch):
-        counts = self.count(monkeypatch, BandedSymMatrix, "matvec", "A", 2.0, None)
+        _, counts = self.count(monkeypatch, BandedSymMatrix, "matvec", "A", 2.0, None)
         assert [(calls, diag.iterations) for calls, diag in counts] == [(4, 2)] * 10
 
-    @pytest.mark.parametrize("forcing, solves", [
-        (SeparableForcing(), [0] * 10),
-        (SeparableForcing(((lambda x: x * (1 - x), np.cos),)), [1] + [0] * 9),
-        (None, [1] * 10),       # forced_sine's f, a plain callable
+    @pytest.mark.parametrize("forcing, solves", [      # at set-up, then per step
+        (SeparableForcing(), [0] + [0] * 10),
+        (SeparableForcing(((lambda x: x * (1 - x), np.cos),)), [1] + [0] * 10),
+        (None, [1] + [1] * 10),       # forced_sine's f, a plain callable
     ])
     def test_mass_solves_per_step(self, monkeypatch, forcing, solves):
-        counts = self.count(monkeypatch, BandedFactor, "solve", "N", 4.0, None,
-                            forcing=forcing, mass_only=True)
-        assert [calls for calls, _ in counts] == solves
+        setup, counts = self.count(monkeypatch, BandedFactor, "solve", "N", 4.0, None,
+                                   forcing=forcing, mass_only=True)
+        assert [setup] + [calls for calls, _ in counts] == solves
 
     # run constants: M and c*M, and A(0) for p = 2
     @pytest.mark.parametrize("scheme, p, epsilon, per_iteration, constants", [
@@ -1040,17 +1056,18 @@ class TestProductCounts:
     def test_bands_built_per_step(self, monkeypatch, scheme, p, epsilon,
                                   per_iteration, constants):
         # the solved system is formed in the band its iteration assembled
-        counts = self.count(monkeypatch, BandedSymMatrix, "__init__", scheme, p, epsilon)
-        assert [calls for calls, _ in counts] == [
-            (constants if k == 0 else 0) + per_iteration * diag.iterations
-            for k, (_, diag) in enumerate(counts)]
+        setup, counts = self.count(monkeypatch, BandedSymMatrix, "__init__", scheme, p,
+                                   epsilon)
+        assert setup == constants
+        assert [calls for calls, _ in counts] == [per_iteration * diag.iterations
+                                                  for _, diag in counts]
 
     @staticmethod
     def count(monkeypatch, owner, name, scheme, p, epsilon, forcing=None,
               mass_only=False):
-        """(calls of owner.name, diagnostics) of each of 10 steps; forcing
-        replaces forced_sine's f, and mass_only counts only the calls on
-        the mass factor."""
+        """The calls of owner.name in the StepPlan's set-up, and (calls,
+        diagnostics) of each of 10 steps; forcing replaces forced_sine's f,
+        and mass_only counts only the calls on the mass factor."""
         problem = forced_sine(p, 1.0, horizon=0.01)
         if forcing is not None:
             problem = dataclasses.replace(problem, f=forcing)
@@ -1068,12 +1085,43 @@ class TestProductCounts:
             return method(self, *args)
 
         monkeypatch.setattr(owner, name, counting)
-        out = []
+        plan = StepPlan(hist, problem.kernel, cfg, asm)
+        setup, out = calls[0], []
         for _ in range(cfg.n_steps):
             calls[0] = 0
-            diag = cn_step(hist, problem.kernel, cfg, asm)[2]
+            diag = cn_step(plan)[2]
             out.append((calls[0], diag))
-        return out
+        return setup, out
+
+
+class TestStepPlan:
+    def test_refuses_a_history_past_level_zero(self):
+        problem = free_decay(3.0, 1.0, sine_bump, horizon=0.02)
+        mesh = build_uniform_mesh(-1, 1, 8, 1)
+        cfg = SolverConfig(p=3.0, delta=0.01, n_steps=2)
+        asm = make_assembler(problem, mesh, cfg)
+        hist = fresh_history(problem, mesh, cfg, asm)
+        cn_step(StepPlan(hist, problem.kernel, cfg, asm))
+        with pytest.raises(ValueError, match="level 0, not 1"):
+            StepPlan(hist, problem.kernel, cfg, asm)
+
+    @pytest.mark.parametrize("p, scheme", [(2.0, "auto"), (2.5, "B")])
+    def test_factors_per_march_do_not_grow_with_steps(self, monkeypatch, p, scheme):
+        # the solved system is a run constant here, factored once like M
+        built = []
+        init = BandedFactor.__init__
+
+        def counting(self, matrix):
+            built[-1] += 1
+            init(self, matrix)
+
+        monkeypatch.setattr(BandedFactor, "__init__", counting)
+        for n_steps in (5, 50):
+            built.append(0)
+            march(forced_sine(p, 1.0, horizon=1e-3 * n_steps),
+                  build_uniform_mesh(0, 1, 8, 2),
+                  SolverConfig(p=p, delta=1e-3, n_steps=n_steps, scheme=scheme))
+        assert built == [2, 2]
 
 
 class TestNodalMemoryRelation:
@@ -1103,10 +1151,12 @@ class TestNodalMemoryRelation:
                            quadrature_mode=mode)
         asm = make_assembler(problem, mesh, cfg)
         hist = fresh_history(problem, mesh, cfg, asm)
+        plan = StepPlan(hist, kernel, cfg, asm)
         mass = asm.mass
         delta = cfg.delta
         for k in range(cfg.n_steps):
-            alpha, beta, z, v = step_relation(hist, kernel, cfg, asm)
+            z, v = step_relation(plan)
+            alpha, beta = plan.alpha, plan.beta
             ref = memory_equation(oracle_history(hist, k, asm),
                                   KernelSpec(g=kernel.g, gp=kernel.gp), mode)
             assert (alpha, beta) == (ref.alpha, ref.beta)
@@ -1117,7 +1167,7 @@ class TestNodalMemoryRelation:
             assert np.max(np.abs(z - z_ref)) <= 1e-12 * np.max(np.abs(z_ref))
             assert (np.max(np.abs(mass.matvec(v) - mv_ref))
                     <= 1e-12 * np.max(np.abs(mv_ref)))
-            cn_step(hist, kernel, cfg, asm)
+            cn_step(plan)
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_forcing_paths_agree(self, p):
