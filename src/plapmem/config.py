@@ -79,15 +79,22 @@ def validate_config(raw: dict) -> RunConfig:
     if n_steps < 1:
         raise ConfigError("N", f"must be >= 1, got {n_steps}")
 
-    # kernel: nested object, or the top-level "lambda" shorthand
+    # kernel: nested object, or the top-level "lambda" shorthand, not both
     if "kernel" in raw:
         ker = raw["kernel"]
         if not isinstance(ker, dict):
             raise ConfigError("kernel", f"expected an object, got {ker!r}")
+        unknown = set(ker) - {"type", "lambda"}
+        if unknown:
+            raise ConfigError(f"kernel.{sorted(unknown)[0]}", "unknown field")
         if ker.get("type", "exponential") != "exponential":
             raise ConfigError("kernel", f"unsupported type {ker.get('type')!r}; "
                               "only \"exponential\" is built in")
-        lam = _as_number("kernel.lambda", ker.get("lambda", 0.0))
+        if "lambda" in raw:
+            raise ConfigError("lambda", "give kernel.lambda or a top-level one, not both")
+        if "lambda" not in ker:
+            raise ConfigError("kernel.lambda", "required field is missing")
+        lam = _as_number("kernel.lambda", ker["lambda"])
     elif "lambda" in raw:
         lam = _as_number("lambda", raw["lambda"])
     else:

@@ -7,11 +7,12 @@ relation reduces to the nodal form
     alpha * Y^{k+1} + beta * U^{k+1} = z = s - M^{-1}F,
 
 alpha = 1/2 + (delta/8) g(0), beta = -(g(0)/2 + (delta/8) g'(0)), with s a
-combination of stored levels and F the loads' share. `memory_equation`
-forms it by the direct O(k) sums (`q_g`, `q_gp`, `i_f`) for any kernel,
-and these stay the oracle (`memory_residual`). For g = lam*exp(-s) the
-sums are discounted running sums, and a march carries them in a
-`MemoryBlock` at O(1) cost per step; the README derives the recursions.
+combination of stored levels and F the loads' share (alpha and beta from
+`relation_coefficients`). `memory_equation` forms s and F by the direct O(k)
+sums (`history_sum`, `i_f`) for any kernel, and these stay the oracle
+(`memory_residual`). For g = lam*exp(-s) the sums are discounted running
+sums, and a march carries them in a `MemoryBlock` at O(1) cost per step;
+the README derives the recursions.
 """
 
 import copy
@@ -91,7 +92,7 @@ def volterra_weights(k: int, delta: float):
     For k >= 1: delta/2 at t_0, delta at t_1..t_{k-1} and 3*delta/4 at t_k.
     k = 0 collapses to the two-point trapezoid over the single half
     interval [0, t_{1/2}], with delta/4 at t_0. The averaged node t_{k+1/2}
-    adds delta/8 on levels k and k+1 (see _quadrature), so the weights sum
+    adds delta/8 on levels k and k+1 (see history_sum), so the weights sum
     to t_{k+1/2} - delta/4.
     """
     if k < 0:
@@ -177,42 +178,15 @@ class StateHistory:
         return view
 
 
-@dataclass(frozen=True)
-class MemoryEquation:
-    """The relation alpha*M*Y^{k+1} + beta*M*U^{k+1} = M*state - forcing:
-    state a nodal combination of stored levels, forcing the load share F."""
-
-    alpha: float
-    beta: float
-    state: np.ndarray
-    forcing: np.ndarray
-
-
-def _quadrature(hist: StateHistory, fn, levels: np.ndarray):
-    """Trapezoid sum of fn(lag) * level over the stored levels, with the
-    averaged t_k share; and the delta/8 * fn(0) multiplier of level k+1."""
+def history_sum(hist: StateHistory, fn, fn0: float, levels: np.ndarray):
+    """Trapezoid sum of fn(lag) * level over the stored levels (y under g,
+    u under g'), with the averaged t_k share; and the delta/8 * fn0
+    multiplier of level k+1, fn0 = fn(0)."""
     weights, lags = volterra_weights(hist.k, hist.delta)
-    half = hist.delta / 8.0 * float(fn(0.0))
+    half = hist.delta / 8.0 * fn0
     acc = (weights * _kernel_values(fn, lags)) @ levels[:hist.k + 1]
     acc += half * levels[hist.k]
     return acc, half
-
-
-def q_g(hist: StateHistory, kernel: KernelSpec, mass: BandedSymMatrix):
-    """Memory quadrature applied to the y history.
-
-    Returns (explicit_part, implicit_coeff): the explicit part collects
-    every stored level including the averaged t_k share; implicit_coeff is
-    the delta/8 * g(0) multiplier of M Y^{k+1}.
-    """
-    acc, implicit = _quadrature(hist, kernel.g, hist.y)
-    return mass.matvec(acc), implicit
-
-
-def q_gp(hist: StateHistory, kernel: KernelSpec, mass: BandedSymMatrix):
-    """Same quadrature applied to the u history with the kernel derivative."""
-    acc, implicit = _quadrature(hist, kernel.gp, hist.u)
-    return mass.matvec(acc), implicit
 
 
 def i_f(hist: StateHistory, kernel: KernelSpec,
@@ -232,8 +206,8 @@ def i_f(hist: StateHistory, kernel: KernelSpec,
 
 
 def relation_coefficients(g0: float, gp0: float, delta: float):
-    """(alpha, beta) of the memory relation for g(0) = g0 and g'(0) = gp0;
-    IllPosedStepError where alpha vanishes."""
+    """(alpha, beta) of the memory relation for g(0) = g0 and g'(0) = gp0,
+    formed once per march; IllPosedStepError where alpha vanishes."""
     alpha = 0.5 + (delta / 8.0) * g0
     if abs(alpha) < 1e-12:
         raise IllPosedStepError(
@@ -243,20 +217,18 @@ def relation_coefficients(g0: float, gp0: float, delta: float):
 
 
 def memory_equation(hist: StateHistory, kernel: KernelSpec,
-                    mode: str = "consistent") -> MemoryEquation:
-    """Reduce the memory relation at step k to its unknowns-on-the-left form
-    by the direct trapezoid sums, for any kernel: every history term lands
-    in state or forcing (a load vector), and the two k+1 unknowns give the
-    scalar coefficients alpha and beta of M Y^{k+1} and M U^{k+1}."""
-    g0 = float(kernel.g(0.0))
-    alpha, beta = relation_coefficients(g0, float(kernel.gp(0.0)), hist.delta)
-    k = hist.k
+                    mode: str = "consistent"):
+    """(state, forcing) of the memory relation at step k by the direct
+    trapezoid sums, for any kernel: every history term lands in state (a
+    nodal combination of stored levels) or forcing (the loads' share F), so
+    alpha*M*Y^{k+1} + beta*M*U^{k+1} = M*state - forcing, with alpha and
+    beta those of relation_coefficients."""
+    g0, k = float(kernel.g(0.0)), hist.k
     state = (-0.5 * hist.y[k] + 0.5 * g0 * hist.u[k]
              - float(kernel.g((k + 0.5) * hist.delta)) * hist.u[0]
-             - _quadrature(hist, kernel.g, hist.y)[0]
-             + _quadrature(hist, kernel.gp, hist.u)[0])
-    return MemoryEquation(alpha=alpha, beta=beta, state=state,
-                          forcing=i_f(hist, kernel, mode))
+             - history_sum(hist, kernel.g, g0, hist.y)[0]
+             + history_sum(hist, kernel.gp, float(kernel.gp(0.0)), hist.u)[0])
+    return state, i_f(hist, kernel, mode)
 
 
 class MemoryBlock:
@@ -329,16 +301,15 @@ def memory_residual(hist: StateHistory, k: int, kernel: KernelSpec,
     if k >= hist.k:
         raise ValueError(f"step {k} not completed yet (history at {hist.k})")
     past = hist.truncated(k)
-    delta = hist.delta
-    t_half = (k + 0.5) * delta
+    t_half = (k + 0.5) * hist.delta
     g0 = float(kernel.g(0.0))
-    qg_explicit, qg_impl = q_g(past, kernel, mass)
-    qgp_explicit, qgp_impl = q_gp(past, kernel, mass)
+    qg_explicit, qg_impl = history_sum(past, kernel.g, g0, hist.y)
+    qgp_explicit, qgp_impl = history_sum(past, kernel.gp, float(kernel.gp(0.0)), hist.u)
     y_bar = 0.5 * (hist.y[k + 1] + hist.y[k])
     u_bar = 0.5 * (hist.u[k + 1] + hist.u[k])
     return (mass.matvec(y_bar)
             - g0 * mass.matvec(u_bar)
             + float(kernel.g(t_half)) * mass.matvec(hist.u[0])
-            + qg_explicit + qg_impl * mass.matvec(hist.y[k + 1])
-            - qgp_explicit - qgp_impl * mass.matvec(hist.u[k + 1])
+            + mass.matvec(qg_explicit) + qg_impl * mass.matvec(hist.y[k + 1])
+            - mass.matvec(qgp_explicit) - qgp_impl * mass.matvec(hist.u[k + 1])
             + i_f(past, kernel, mode))

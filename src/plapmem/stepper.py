@@ -236,9 +236,9 @@ def step_relation(plan: StepPlan):
     t = (k + 0.5) * delta
     if block is None:
         hist.loads[k + 1] = asm.load(t)
-        mem = memory_equation(hist, plan.kernel, plan.cfg.quadrature_mode)
-        solved = asm.mass_factor.solve(np.stack((mem.forcing, hist.loads[k + 1]), axis=1))
-        z = mem.state - solved[:, 0]
+        state, load_share = memory_equation(hist, plan.kernel, plan.cfg.quadrature_mode)
+        solved = asm.mass_factor.solve(np.stack((load_share, hist.loads[k + 1]), axis=1))
+        z = state - solved[:, 0]
         v = (2.0 * hist.u[k] + delta * hist.y[k] + (delta / plan.alpha) * z
              + 2.0 * delta * solved[:, 1])
         return z, v

@@ -39,6 +39,20 @@ class TestValidateConfig:
         raw["kernel"] = {"type": "exponential", "lambda": 2.5}
         assert validate_config(raw).kernel_lambda == 2.5
 
+    @pytest.mark.parametrize("kernel,top_level,field", [
+        ({"lamda": 5}, False, "kernel.lamda"),
+        ({}, False, "kernel.lambda"),
+        ({"type": "exponential", "lambda": 2.5}, True, "lambda"),
+    ], ids=["misspelt-key", "missing-lambda", "both-forms"])
+    def test_kernel_object_checked(self, kernel, top_level, field):
+        # each of these used to run, with lambda 0 or the kernel's value
+        raw = dict(MINIMAL, kernel=kernel)
+        if not top_level:
+            del raw["lambda"]
+        with pytest.raises(ConfigError) as err:
+            validate_config(raw)
+        assert err.value.field == field
+
     def test_low_exponent_rejected(self):
         raw = dict(MINIMAL, p=0.5)
         with pytest.raises(ConfigError, match="p"):

@@ -10,9 +10,11 @@ from plapmem import (ConfigError, IllPosedStepError, KernelSpec, SolverConfig,
                      build_uniform_mesh, exponential_kernel,
                      manufactured_example1, march)
 from plapmem.banded import BandedSymMatrix
-from plapmem.memory import (MemoryBlock, StateHistory, forcing_weights, i_f,
-                            memory_equation, memory_residual, q_g, q_gp,
-                            volterra_weights)
+from plapmem.memory import (MemoryBlock, StateHistory, forcing_weights,
+                            history_sum, i_f, memory_equation, memory_residual,
+                            relation_coefficients, volterra_weights)
+from plapmem.mesh import gauss_legendre
+from plapmem.stepper import Assembler, StepPlan
 
 
 def scalar_mass():
@@ -20,9 +22,24 @@ def scalar_mass():
     return BandedSymMatrix(np.array([[1.0]]))
 
 
-def relation_rhs(mem, mass):
+def relation_rhs(state, forcing, mass):
     """R = M*s - F of alpha*M*Y + beta*M*U = R, from the nodal form."""
-    return mass.matvec(mem.state) - mem.forcing
+    return mass.matvec(state) - forcing
+
+
+def coefficients(kernel, delta):
+    """(alpha, beta) of the kernel's memory relation."""
+    return relation_coefficients(float(kernel.g(0.0)), float(kernel.gp(0.0)), delta)
+
+
+def q_g(hist, kernel):
+    """Q_g: the history sum of the y levels under g."""
+    return history_sum(hist, kernel.g, float(kernel.g(0.0)), hist.y)
+
+
+def q_gp(hist, kernel):
+    """Q_g': the history sum of the u levels under g'."""
+    return history_sum(hist, kernel.gp, float(kernel.gp(0.0)), hist.u)
 
 
 def history_with(delta, u_levels, y_levels, loads=None, n_steps=10):
@@ -78,17 +95,19 @@ class TestForcingWeights:
 
 
 class TestQg:
+    """history_sum on y under g (scalar levels: no mass product)."""
+
     def test_zero_history_start(self):
         kernel = exponential_kernel(2.0)
         hist = history_with(0.1, [1.0], [0.0])
-        explicit, implicit = q_g(hist, kernel, scalar_mass())
+        explicit, implicit = q_g(hist, kernel)
         assert explicit == pytest.approx([0.0])
         assert implicit == pytest.approx(0.1 / 8 * 2.0)
 
     def test_null_kernel(self):
         kernel = exponential_kernel(0.0)
         hist = history_with(0.1, [1.0, 1.0], [0.0, 3.0])
-        explicit, implicit = q_g(hist, kernel, scalar_mass())
+        explicit, implicit = q_g(hist, kernel)
         assert explicit == pytest.approx([0.0])
         assert implicit == 0.0
 
@@ -97,7 +116,7 @@ class TestQg:
         delta, lam = 0.1, 1.0
         hist = history_with(delta, [0.0, 0.0, 0.0], [0.0, 1.0, 1.0])
         kernel = exponential_kernel(lam)
-        explicit, implicit = q_g(hist, kernel, scalar_mass())
+        explicit, implicit = q_g(hist, kernel)
         t_half = 2.5 * delta
         g = lambda s: lam * math.exp(-s)
         expected = (delta / 2 * g(t_half) * 0.0
@@ -109,22 +128,24 @@ class TestQg:
 
 
 class TestQgp:
+    """history_sum on u under g'."""
+
     def test_null_kernel(self):
         hist = history_with(0.1, [1.0, 2.0], [0.0, 0.0])
-        explicit, implicit = q_gp(hist, exponential_kernel(0.0), scalar_mass())
+        explicit, implicit = q_gp(hist, exponential_kernel(0.0))
         assert explicit == pytest.approx([0.0])
         assert implicit == 0.0
 
     def test_exponential_implicit_coefficient(self):
         lam, delta = 3.0, 0.05
         hist = history_with(delta, [1.0], [0.0])
-        _, implicit = q_gp(hist, exponential_kernel(lam), scalar_mass())
+        _, implicit = q_gp(hist, exponential_kernel(lam))
         assert implicit == pytest.approx(-lam * delta / 8)
 
     def test_k1_against_scripted_formula(self):
         delta, lam = 0.1, 1.0
         hist = history_with(delta, [1.0, 1.0], [0.0, 0.0])
-        explicit, _ = q_gp(hist, exponential_kernel(lam), scalar_mass())
+        explicit, _ = q_gp(hist, exponential_kernel(lam))
         gp = lambda s: -lam * math.exp(-s)
         t_half = 1.5 * delta
         expected = (delta / 2 * gp(t_half) * 1.0
@@ -164,22 +185,32 @@ class TestIf:
 class TestMemoryEquation:
     def test_null_kernel_halves(self):
         hist = history_with(0.1, [2.0, 2.0], [0.0, 3.0], loads=[1.0, 1.0, 1.0])
-        mem = memory_equation(hist, exponential_kernel(0.0))
-        assert mem.alpha == 0.5
-        assert mem.beta == 0.0
-        assert relation_rhs(mem, scalar_mass()) == pytest.approx([-0.5 * 3.0])
+        kernel = exponential_kernel(0.0)
+        alpha, beta = coefficients(kernel, 0.1)
+        assert alpha == 0.5
+        assert beta == 0.0
+        assert (relation_rhs(*memory_equation(hist, kernel), scalar_mass())
+                == pytest.approx([-0.5 * 3.0]))
 
     def test_exponential_coefficients(self):
-        hist = history_with(0.1, [1.0], [0.0], loads=[0.0, 0.0])
-        mem = memory_equation(hist, exponential_kernel(1.0))
-        assert mem.alpha == pytest.approx(0.5125, abs=1e-15)
-        assert mem.beta == pytest.approx(-0.4875, abs=1e-15)
+        alpha, beta = coefficients(exponential_kernel(1.0), 0.1)
+        assert alpha == pytest.approx(0.5125, abs=1e-15)
+        assert beta == pytest.approx(-0.4875, abs=1e-15)
 
     def test_ill_posed_alpha(self):
-        # delta * g(0) = -4 makes the diagonal coefficient vanish
-        hist = history_with(0.1, [1.0], [0.0], loads=[0.0, 0.0])
+        # delta * g(0) = -4 makes the diagonal coefficient vanish; a march
+        # without lam meets it when its StepPlan is set up
+        kernel = exponential_kernel(-40.0)
         with pytest.raises(IllPosedStepError):
-            memory_equation(hist, exponential_kernel(-40.0))
+            coefficients(kernel, 0.1)
+        mesh = build_uniform_mesh(0, 1, 4, 1)
+        cfg = SolverConfig(p=2.0, delta=0.1, n_steps=1)
+        asm = Assembler(mesh, gauss_legendre(3), cfg.flux_params(),
+                        lambda x, t: 0.0 * x)
+        hist = StateHistory(mesh.n_interior, 1, 0.1)
+        hist.set_initial(np.ones(mesh.n_interior), np.zeros(mesh.n_interior))
+        with pytest.raises(IllPosedStepError):
+            StepPlan(hist, direct(kernel), cfg, asm)
 
     def test_residual_form_consistent_with_reduction(self):
         # pick U^{k+1}, Y^{k+1} satisfying the reduced relation: the verbatim
@@ -188,9 +219,10 @@ class TestMemoryEquation:
         kernel = exponential_kernel(1.3)
         hist = history_with(delta, [1.0, 0.8], [0.0, 0.4],
                             loads=[0.7, 0.6, 0.5])
-        mem = memory_equation(hist, kernel)
+        alpha, beta = coefficients(kernel, delta)
         u_next = 0.9
-        y_next = (relation_rhs(mem, scalar_mass())[0] - mem.beta * u_next) / mem.alpha
+        y_next = (relation_rhs(*memory_equation(hist, kernel), scalar_mass())[0]
+                  - beta * u_next) / alpha
         hist.append(np.array([u_next]), np.array([y_next]))
         res = memory_residual(hist, 1, kernel, scalar_mass())
         assert abs(res[0]) < 1e-15
@@ -207,8 +239,8 @@ class TestExponentialKernel:
         kernel = KernelSpec(g=lambda s: math.exp(-s), gp=lambda s: -math.exp(-s))
         hist = history_with(0.1, [1.0, 1.0, 1.0], [0.0, 1.0, 1.0],
                             loads=[1.0, 1.0, 1.0, 1.0])
-        explicit, implicit = q_g(hist, kernel, scalar_mass())
-        vec = q_g(hist, exponential_kernel(1.0), scalar_mass())[0]
+        explicit, implicit = q_g(hist, kernel)
+        vec = q_g(hist, exponential_kernel(1.0))[0]
         assert explicit == pytest.approx(vec)
 
 
@@ -276,16 +308,17 @@ class TestRecursiveHistory:
         kernel = exponential_kernel(lam)
         block = MemoryBlock(lam, delta, mode, hist.u[0], hist.y[0], 1)
         block.rows[5:] = solved[:2]
+        alpha, beta = coefficients(kernel, delta)
+        assert (block.alpha, block.beta) == (alpha, beta)
         worst = 0.0
         for k in range(n_steps):          # k = 0 included
             past = hist.truncated(k)
             block.rows[6] = solved[k + 1]
             z, v = block.relation(np.ones(1))
             ref = memory_equation(past, direct(kernel), mode)
-            assert (block.alpha, block.beta) == (ref.alpha, ref.beta)
-            z_ref = np.linalg.solve(dense, relation_rhs(ref, mass))
+            z_ref = np.linalg.solve(dense, relation_rhs(*ref, mass))
             mv_ref = (mass.matvec(2.0 * hist.u[k] + delta * hist.y[k]
-                                  + (delta / ref.alpha) * z_ref)
+                                  + (delta / alpha) * z_ref)
                       + 2.0 * delta * hist.loads[k + 1])
             for fast, slow in ((z, z_ref), (mass.matvec(v), mv_ref)):
                 worst = max(worst, np.max(np.abs(fast - slow)) / np.max(np.abs(slow)))
@@ -319,7 +352,7 @@ class TestRecursiveHistory:
         def forbidden(*args, **kwargs):
             raise AssertionError("direct history quadrature called")
 
-        for name in ("q_g", "q_gp", "i_f", "volterra_weights", "forcing_weights"):
+        for name in ("history_sum", "i_f", "volterra_weights", "forcing_weights"):
             monkeypatch.setattr(plapmem.memory, name, forbidden)
         for mode in ("consistent", "literal"):
             problem = manufactured_example1(2.0, -1.0, horizon=0.02)
@@ -340,7 +373,7 @@ class TestRecursiveHistory:
         delta = 0.1
         u, y, loads = [1.0, 0.7, 0.4], [0.0, 0.5, 0.9], [0.3, 0.2, 0.6, 0.8]
         hist = history_with(delta, u, y, loads=loads)
-        mem = memory_equation(hist, kernel)
+        state, load_share = memory_equation(hist, kernel)
         t = 2.5 * delta
         qg = (delta / 2 * g(t) * y[0] + delta * g(t - delta) * y[1]
               + 3 * delta / 4 * g(t - 2 * delta) * y[2] + delta / 8 * g(0) * y[2])
@@ -350,8 +383,10 @@ class TestRecursiveHistory:
                    + delta * g(delta) * loads[2] + delta / 2 * g(0.0) * loads[3])
         expected = (-0.5 * y[2] + 0.5 * g(0) * u[2] - g(t) * u[0]
                     - qg + qgp - forcing)
-        assert relation_rhs(mem, scalar_mass()) == pytest.approx([expected], rel=1e-14)
-        assert mem.alpha == pytest.approx(0.5 + delta / 8 * g(0), rel=1e-15)
+        assert (relation_rhs(state, load_share, scalar_mass())
+                == pytest.approx([expected], rel=1e-14))
+        assert coefficients(kernel, delta)[0] == pytest.approx(0.5 + delta / 8 * g(0),
+                                                               rel=1e-15)
 
 
 class TestDeclaredExponential:
@@ -421,7 +456,6 @@ class TestParasiticRoot:
     def spectrum(self):
         from scipy.linalg import eigh
         from plapmem.assembly import FluxParams, assemble_mass, assemble_plap
-        from plapmem.mesh import gauss_legendre
         mesh = build_uniform_mesh(-1, 1, 10, 1)      # example 2's mesh
         quad = gauss_legendre(3)
         stiff = assemble_plap(mesh, np.zeros(mesh.n_interior), FluxParams(p=2.0), quad)

@@ -23,3 +23,20 @@ def test_workload_passes_its_oracle(name, tmp_path):
     run = march(problem, mesh, cfg)
     write_outputs(run, tmp_path, workloads.snapshot_times(workload))
     assert check.check_run(workload, lam, problem, mesh, cfg, run, tmp_path)["errors"] == []
+
+
+def test_tracer_finds_every_layer_but_the_three_retired():
+    # a refactor that moves or renames a wrapped lookup site (such as
+    # stepper.memory_equation) would otherwise hide that layer from the trace
+    import plapmem.stepper
+    import tracer
+
+    original = plapmem.stepper.memory_equation
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        assert tr.absent == ["stepper.iteration_system", "stepper.solve_block",
+                             "stepper.recover_memory_state"]
+    finally:
+        tr.restore()
+    assert plapmem.stepper.memory_equation is original

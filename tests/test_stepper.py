@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from fe_oracles import to_dense
 from plapmem import (ConfigError, FixedPointDivergenceError, IllPosedStepError,
@@ -13,7 +13,8 @@ from plapmem.banded import BandedFactor, BandedSymMatrix
 from plapmem.assembly import SeparableForcing, assemble_mass, interpolate
 from plapmem.errors import LinearSolveError
 from plapmem.experiments import asymptotics_problem, propagation_problem
-from plapmem.memory import KernelSpec, MemoryBlock, StateHistory, memory_equation
+from plapmem.memory import (KernelSpec, MemoryBlock, StateHistory, memory_equation,
+                            relation_coefficients)
 from plapmem.mesh import default_quad_points, gauss_legendre
 from plapmem.stepper import (_STALL_GRACE, _STALL_RATIO, Assembler, StepPlan,
                              cn_step, oracle_history, predicted_start,
@@ -140,9 +141,14 @@ def fresh_history(problem, mesh, cfg, asm):
     return hist
 
 
-def relation_rhs(mem, mass):
+def relation_rhs(state, forcing, mass):
     """R = M*s - F of alpha*M*Y + beta*M*U = R, from the nodal form."""
-    return mass.matvec(mem.state) - mem.forcing
+    return mass.matvec(state) - forcing
+
+
+def coefficients(kernel, delta):
+    """(alpha, beta) of the kernel's memory relation, from g(0) and g'(0)."""
+    return relation_coefficients(float(kernel.g(0.0)), float(kernel.gp(0.0)), delta)
 
 
 class TestFixedPoint:
@@ -233,12 +239,18 @@ class TestSolveBlock:
         assert np.max(np.abs(r2)) < 1e-10 * max(1, np.max(np.abs(md @ z)))
 
     def test_vanishing_alpha_guard(self):
-        # alpha = 1/2 + delta*g(0)/8 vanishes for delta*g(0) = -4
-        mass = BandedSymMatrix(np.array([[1.0]]))
-        hist = StateHistory(1, 5, 0.5)
-        hist.set_initial(np.array([1.0]), np.array([0.0]))
+        # alpha = 1/2 + delta*g(0)/8 vanishes for delta*g(0) = -4: both
+        # set-ups refuse it, the plan without lam and the block with it
+        kernel = exponential_kernel(-8.0)
         with pytest.raises(IllPosedStepError):
-            memory_equation(hist, exponential_kernel(-8.0))
+            coefficients(kernel, 0.5)
+        problem = free_decay(2.0, -8.0, sine_bump, horizon=2.5)
+        mesh = build_uniform_mesh(-1, 1, 4, 1)
+        cfg = SolverConfig(p=2.0, delta=0.5, n_steps=5)
+        asm = make_assembler(problem, mesh, cfg)
+        hist = fresh_history(problem, mesh, cfg, asm)
+        with pytest.raises(IllPosedStepError):
+            StepPlan(hist, KernelSpec(g=kernel.g, gp=kernel.gp), cfg, asm)
         with pytest.raises(IllPosedStepError):
             MemoryBlock(-8.0, 0.5, "consistent", hist.u[0], hist.y[0], 0)
 
@@ -413,11 +425,11 @@ class TestLeanStep:
             assert not any(d.relaxed for d in diags)
         mass = asm.mass
         oracle = oracle_history(hist, n_steps - 1, asm)
+        alpha, beta = coefficients(problem.kernel, delta)
         for k in range(n_steps):
-            mem = memory_equation(oracle.truncated(k), problem.kernel)
-            rhs = relation_rhs(mem, mass)
-            my = mem.alpha * mass.matvec(hist.y[k + 1])
-            mu = mem.beta * mass.matvec(hist.u[k + 1])
+            rhs = relation_rhs(*memory_equation(oracle.truncated(k), problem.kernel), mass)
+            my = alpha * mass.matvec(hist.y[k + 1])
+            mu = beta * mass.matvec(hist.u[k + 1])
             scale = max(np.max(np.abs(t)) for t in (my, mu, rhs))
             assert np.max(np.abs(my + mu - rhs)) <= 1e-12 * scale
             res_ev, res_mem = step_residuals(hist, k, problem.kernel, cfg, asm)
@@ -666,10 +678,9 @@ def plain_increments(hist, k, kernel, cfg, asm):
     Newton) maps U - G(U) to 2*delta times the evolution residual, so this
     needs neither omega nor the loop."""
     res_ev, _ = step_residuals(hist, k, kernel, cfg, asm)
-    mem = memory_equation(oracle_history(hist, k, asm).truncated(k), kernel,
-                          cfg.quadrature_mode)
+    alpha, beta = coefficients(kernel, cfg.delta)
     mass = to_dense(asm.mass)
-    matrix = (2.0 + cfg.delta * mem.beta / mem.alpha) * mass
+    matrix = (2.0 + cfg.delta * beta / alpha) * mass
     u_mid = 0.5 * (hist.u[k + 1] + hist.u[k])
     if cfg.scheme == "A":
         matrix += cfg.delta * to_dense(asm.plap(u_mid))
@@ -677,7 +688,7 @@ def plain_increments(hist, k, kernel, cfg, asm):
         matrix += cfg.delta * to_dense(asm.plap(u_mid, tangent=True)[1])
     du = np.linalg.solve(matrix, 2.0 * cfg.delta * res_ev)
     inc_u = du @ mass @ du
-    return inc_u, (mem.beta / mem.alpha) ** 2 * inc_u
+    return inc_u, (beta / alpha) ** 2 * inc_u
 
 
 PROPERTY_CASES = dict(p=st.floats(1.0, 6.0, exclude_min=True),
@@ -820,6 +831,37 @@ class TestSchemeEquivalence:
                             for k in range(21))
                 assert worst < 1e-8, (p, other)
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(p=st.floats(1.5, 5.0), lam=st.floats(-5.0, 5.0), r=st.integers(1, 2),
+           m=st.integers(4, 10), delta=st.floats(1e-4, 5e-3),
+           n_steps=st.integers(10, 20))
+    def test_schemes_agree_on_random_problems(self, p, lam, r, m, delta, n_steps):
+        # every scheme p allows, each to its fixed point; an example where
+        # fewer than two complete is discarded (A and B stop at max_iter or
+        # overflow for some p > 2: 109 of 1000 uniform draws, and 1 of the
+        # 26 derandomized draws here). Over the 891 kept uniform draws the
+        # largest M-norm gap between two schemes at any level was 9.9e-10,
+        # with squared increments below 1e-20 at every accepted step.
+        problem = forced_sine(p, lam, horizon=delta * n_steps)
+        mesh = build_uniform_mesh(0, 1, m, r)
+        runs = {}
+        for scheme in ("B", "N") if 2.0 < p < 3.0 else ("A", "B", "N"):
+            cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, tol=1e-20,
+                               max_iter=300, scheme=scheme)
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    runs[scheme] = march(problem, mesh, cfg)
+            except (FixedPointDivergenceError, LinearSolveError):
+                pass
+        event(f"completed: {' '.join(runs) or 'none'}")
+        assume(len(runs) >= 2)
+        mass = assemble_mass(mesh, gauss_legendre(r + 2))
+        first, *others = runs.values()
+        for other in others:
+            worst = max(mass_norm(first.u[k] - other.u[k], mass)
+                        for k in range(n_steps + 1))
+            assert worst < 1e-8
+
 
 class TestEnergyDissipation:
     def test_exact_identity_linear_case(self):
@@ -954,16 +996,16 @@ class TestIterationOnU:
         hist = fresh_history(problem, mesh, cfg, asm)
         plan = StepPlan(hist, problem.kernel, cfg, asm)
         mass = asm.mass
+        alpha, beta = coefficients(problem.kernel, delta)
         diags = []
         for k in range(n_steps):
             _, _, diag = cn_step(plan)
             diags.append(diag)
-            mem = memory_equation(oracle_history(hist, k, asm).truncated(k),
-                                  problem.kernel)
-            rhs = relation_rhs(mem, mass)
-            assert diag.increment_y == (mem.beta / mem.alpha) ** 2 * diag.increment_u
-            my = mem.alpha * mass.matvec(hist.y[k + 1])
-            mu = mem.beta * mass.matvec(hist.u[k + 1])
+            rhs = relation_rhs(*memory_equation(oracle_history(hist, k, asm).truncated(k),
+                                                problem.kernel), mass)
+            assert diag.increment_y == (beta / alpha) ** 2 * diag.increment_u
+            my = alpha * mass.matvec(hist.y[k + 1])
+            mu = beta * mass.matvec(hist.u[k + 1])
             scale = max(np.max(np.abs(t)) for t in (my, mu, rhs))
             assert np.max(np.abs(my + mu - rhs)) <= 1e-12 * scale
         if case == "p4-A-relaxed":
@@ -1123,6 +1165,24 @@ class TestStepPlan:
                   SolverConfig(p=p, delta=1e-3, n_steps=n_steps, scheme=scheme))
         assert built == [2, 2]
 
+    def test_kernel_at_lag_zero_once_per_step(self):
+        # without lam, g(0) and g'(0) are read once at set-up (alpha, beta)
+        # and once per step by the direct sums
+        calls = {"g": 0, "gp": 0}
+
+        def counted(name, sign):
+            def fn(s):
+                if np.ndim(s) == 0 and s == 0.0:
+                    calls[name] += 1
+                return sign * 2.0 * np.exp(-np.asarray(s, dtype=float))
+            return fn
+
+        kernel = KernelSpec(g=counted("g", 1.0), gp=counted("gp", -1.0))
+        problem = dataclasses.replace(forced_sine(3.0, 2.0, horizon=0.05), kernel=kernel)
+        march(problem, build_uniform_mesh(0, 1, 6, 1),
+              SolverConfig(p=3.0, delta=0.01, n_steps=5))
+        assert calls == {"g": 6, "gp": 6}
+
 
 class TestNodalMemoryRelation:
     """step_relation's z and M*v against the dense reduction they replace:
@@ -1159,8 +1219,8 @@ class TestNodalMemoryRelation:
             alpha, beta = plan.alpha, plan.beta
             ref = memory_equation(oracle_history(hist, k, asm),
                                   KernelSpec(g=kernel.g, gp=kernel.gp), mode)
-            assert (alpha, beta) == (ref.alpha, ref.beta)
-            z_ref = np.linalg.solve(to_dense(mass), relation_rhs(ref, mass))
+            assert (alpha, beta) == coefficients(kernel, delta)
+            z_ref = np.linalg.solve(to_dense(mass), relation_rhs(*ref, mass))
             mv_ref = (mass.matvec(2.0 * hist.u[k] + delta * hist.y[k]
                                   + (delta / alpha) * z_ref)
                       + 2.0 * delta * asm.load((k + 0.5) * delta))
