@@ -4,12 +4,46 @@ A factor is the banded Cholesky factor when the matrix is positive
 definite and falls back to a banded LU with partial pivoting otherwise;
 which one is used follows from the factorization itself, not from an
 option. Either is factored once and reused by every solve.
+
+The four LAPACK routines used (dpbtrf, dpbtrs, dgbtrf, dgbtrs) come from
+scipy's f2py extension `scipy/linalg/_flapack`, loaded by its file path:
+that skips `scipy.linalg`'s package init, most of the cost of importing
+this package. If the file is missing or fails to load, they come from
+`scipy.linalg.lapack` instead, which hands out the same routine objects.
 """
 
+import importlib.util
+import os
+from importlib.machinery import EXTENSION_SUFFIXES
+
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 
 from .errors import LinearSolveError
+
+
+def _flapack():
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is not None and scipy.submodule_search_locations:
+        folder = os.path.join(scipy.submodule_search_locations[0], "linalg")
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "_flapack" + suffix)
+            if not os.path.isfile(path):
+                continue
+            # under scipy's own name, so a later `import scipy.linalg` reuses it
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            try:
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+            except (ImportError, OSError):
+                break
+            return module
+    from scipy.linalg import lapack
+    return lapack
+
+
+_lapack = _flapack()
+dgbtrf, dgbtrs = _lapack.dgbtrf, _lapack.dgbtrs
+dpbtrf, dpbtrs = _lapack.dpbtrf, _lapack.dpbtrs
 
 
 class BandedSymMatrix:

@@ -141,15 +141,20 @@ class StateHistory:
     (stepper.StepPlan carries it) and leaves loads[1:] at zero, so u and y
     are the only rows a march fills; a step with any other kernel writes
     its load row, and an oracle fills its own (see stepper.oracle_history).
+    A horizon too long to allocate is a ConfigError on N.
     """
 
     def __init__(self, n_dofs: int, n_steps: int, delta: float):
         self.n_dofs = int(n_dofs)
         self.n_steps = int(n_steps)
         self.delta = float(delta)
-        self.u = np.zeros((self.n_steps + 1, self.n_dofs))
-        self.y = np.zeros((self.n_steps + 1, self.n_dofs))
-        self.loads = np.zeros((self.n_steps + 2, self.n_dofs))
+        try:
+            self.u = np.zeros((self.n_steps + 1, self.n_dofs))
+            self.y = np.zeros((self.n_steps + 1, self.n_dofs))
+            self.loads = np.zeros((self.n_steps + 2, self.n_dofs))
+        except (ValueError, MemoryError) as exc:
+            raise ConfigError("N", "cannot allocate a history of shape "
+                              f"({self.n_steps + 1:.6g}, {self.n_dofs}): {exc}") from exc
         self.k = 0
 
     def set_initial(self, u0: np.ndarray, load0: np.ndarray):

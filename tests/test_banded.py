@@ -1,9 +1,17 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fe_oracles import to_dense
 from plapmem import LinearSolveError
 from plapmem.banded import BandedSymMatrix
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def random_banded(n, bw, seed=0, definite=True):
@@ -150,3 +158,73 @@ class TestBandedSymMatrix:
         for bad in (np.nan, np.inf):
             with pytest.raises(LinearSolveError):
                 factor.solve(np.array([1.0, bad, 1.0]))
+
+
+
+# Run in a new interpreter after a prelude: factors the saved definite and
+# indefinite bands, saves their solves for a vector and a 3-column right-hand
+# side, and reports where the routines came from, which of scipy.linalg,
+# numpy.f2py and numpy.testing `import plapmem` loaded, and whether a later
+# scipy.linalg.lapack Cholesky solve of the definite band is bitwise the same.
+FRESH_SOLVES = """
+import json
+import sys
+
+import numpy as np
+import plapmem
+from plapmem.banded import BandedSymMatrix
+
+loaded = sorted(set(sys.modules) & {"scipy.linalg", "numpy.f2py", "numpy.testing"})
+given = np.load(sys.argv[1])
+solves = {}
+for band in ("definite", "indefinite"):
+    factor = BandedSymMatrix(given[band]).factor()
+    for rhs in ("vector", "block"):
+        solves[f"{band}-{rhs}"] = factor.solve(given[rhs])
+np.savez(sys.argv[2], **solves)
+
+from scipy.linalg import lapack
+chol, _ = lapack.dpbtrf(given["definite"], lower=1)
+x, _ = lapack.dpbtrs(chol, given["vector"], lower=1)
+print(json.dumps({"routines": plapmem.banded._lapack.__name__, "loaded": loaded,
+                  "same": bool(np.array_equal(x, solves["definite-vector"]))}))
+"""
+
+
+def fresh_solves(tmp_path, name, prelude=""):
+    """(solves, report) of FRESH_SOLVES run after `prelude` in a new process."""
+    bands = {"definite": random_banded(15, 4, seed=4),
+             "indefinite": random_banded(15, 4, seed=4, definite=False)}
+    assert bands["definite"].factor()._lu is None
+    assert bands["indefinite"].factor()._lu is not None
+    rng = np.random.default_rng(8)
+    given, out = tmp_path / "given.npz", tmp_path / f"{name}.npz"
+    np.savez(given, vector=rng.standard_normal(15), block=rng.standard_normal((15, 3)),
+             **{band: mat.data for band, mat in bands.items()})
+    done = subprocess.run(
+        [sys.executable, "-c", prelude + FRESH_SOLVES, str(given), str(out)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+        timeout=120, check=True)
+    with np.load(out) as solves:
+        return dict(solves), json.loads(done.stdout)
+
+
+class TestLapackLoader:
+    def test_import_leaves_scipy_linalg_unloaded(self, tmp_path):
+        _, report = fresh_solves(tmp_path, "direct")
+        assert report == {"routines": "scipy.linalg._flapack", "loaded": [], "same": True}
+
+    def test_fallback_gives_the_same_solves(self, tmp_path):
+        direct, _ = fresh_solves(tmp_path, "direct")
+        # no extension suffix: the file lookup finds nothing, and the
+        # routines come from scipy.linalg.lapack
+        fallback, report = fresh_solves(
+            tmp_path, "fallback",
+            "import importlib.machinery\nimportlib.machinery.EXTENSION_SUFFIXES.clear()\n")
+        assert report["routines"] == "scipy.linalg.lapack"
+        assert "scipy.linalg" in report["loaded"] and report["same"]
+        assert sorted(direct) == sorted(fallback) == [
+            "definite-block", "definite-vector", "indefinite-block", "indefinite-vector"]
+        for key in direct:
+            assert direct[key].shape == ((15, 3) if key.endswith("block") else (15,))
+            assert np.array_equal(direct[key], fallback[key])

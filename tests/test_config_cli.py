@@ -223,6 +223,13 @@ class TestCliExitCodes:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "forcing" in err[0] and "t=0.0" in err[0] and "x=0.5" in err[0]
 
+    def test_unallocatable_history_is_2(self, tmp_path, capsys):
+        # valid as a config; the history's shape is refused, nothing allocated
+        assert run_cli(tmp_path, dict(MINIMAL, N=10**300)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: N: ")
+        assert "shape (1e+300, 9)" in err[0]
+
     def test_manufactured_domain_pinned(self, tmp_path, capsys):
         assert run_cli(tmp_path, dict(MINIMAL, domain=[-1, 1])) == 2
         assert "domain" in capsys.readouterr().err

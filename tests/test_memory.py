@@ -257,6 +257,17 @@ class TestStateHistory:
         with pytest.raises(ValueError):
             hist.append(np.ones(2), np.ones(2))
 
+    def test_out_of_memory_is_config_error(self, monkeypatch):
+        def out_of_memory(shape, *args, **kwargs):
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+        monkeypatch.setattr(plapmem.memory.np, "zeros", out_of_memory)
+        with pytest.raises(ConfigError) as err:
+            StateHistory(1000, 10**8, 1e-8)
+        assert err.value.field == "N"
+        assert "shape (1e+08, 1000)" in str(err.value)
+        assert isinstance(err.value.__cause__, MemoryError)
+
     def test_truncated_view_shares_arrays(self):
         hist = StateHistory(2, 3, 0.1)
         hist.set_initial(np.zeros(2), np.zeros(2))

@@ -319,6 +319,17 @@ class TestMarch:
             manufactured_example1(3.0, 1.0, horizon=np.inf)
         assert err.value.field == "T"
 
+    def test_unallocatable_history_rejected(self):
+        # N = 10**300 passes every other check; numpy refuses the history's
+        # shape before allocating anything
+        n_steps = 10**300
+        problem = manufactured_example1(3.0, 1.0, horizon=1.0)
+        mesh = build_uniform_mesh(0, 1, 4, 1)
+        with pytest.raises(ConfigError) as err:
+            march(problem, mesh, SolverConfig(p=3.0, delta=1.0 / n_steps, n_steps=n_steps))
+        assert err.value.field == "N"
+        assert "shape (1e+300, 3)" in str(err.value)
+
     def test_no_interior_dofs_rejected(self):
         problem = free_decay(2.0, 0.0, lambda x: np.zeros_like(np.asarray(x)),
                              a=0.0, b=1.0, horizon=0.1)
