@@ -6,6 +6,7 @@ values identically zero.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -30,8 +31,11 @@ class FluxParams:
     def __post_init__(self):
         if not np.isfinite(self.p) or self.p <= 1.0:
             raise ConfigError("p", f"exponent must satisfy p > 1, got {self.p}")
-        if not np.isfinite(self.epsilon) or self.epsilon < 0.0:
-            raise ConfigError("epsilon", f"must be >= 0, got {self.epsilon}")
+        # eps ** 2 is finite exactly up to this bound (past it a float's **
+        # raises OverflowError); unlike eps * eps, comparing warns for no type
+        if not 0.0 <= self.epsilon <= math.sqrt(sys.float_info.max):
+            raise ConfigError("epsilon", f"must be >= 0 with a finite square, "
+                              f"got {self.epsilon}")
         if self.p < 2.0 and self.epsilon == 0.0:
             raise ConfigError("epsilon",
                               f"p = {self.p} < 2 is singular at zero gradient; "
@@ -45,18 +49,16 @@ def default_epsilon(p: float) -> float:
 
 def flux(xi, params: FluxParams):
     """The scalar flux a(xi); odd, equals |xi|^(p-2) xi when epsilon = 0."""
-    xi = np.asarray(xi, dtype=float)
-    if params.p == 2.0:
-        return xi if xi.ndim else float(xi)
-    out = np.power(xi * xi + params.epsilon ** 2, (params.p - 2.0) / 2.0) * xi
+    out = flux_coefficient(xi, params) * np.asarray(xi, dtype=float)
     return out if out.ndim else float(out)
 
 
 def flux_coefficient(xi, params: FluxParams):
-    """Diffusion coefficient (xi^2 + eps^2)^((p-2)/2) seen by the Galerkin matrix."""
+    """Diffusion coefficient (xi^2 + eps^2)^((p-2)/2) seen by the Galerkin matrix.
+
+    At p = 2 the power is x**0.0, exactly 1.0 for every x (0, inf and NaN too).
+    """
     xi = np.asarray(xi, dtype=float)
-    if params.p == 2.0:
-        return np.ones_like(xi)
     return np.power(xi * xi + params.epsilon ** 2, (params.p - 2.0) / 2.0)
 
 
@@ -110,6 +112,19 @@ class ElementTables:
                                          + quad.points[None, :])     # (m, q)
 
 
+def _sample(fn, x: np.ndarray, field: str, message: str) -> np.ndarray:
+    """fn(x), a user callable, broadcast to the shape of x. A non-finite
+    value is a ConfigError on field, whose message is formatted with x, the
+    first point where it occurs, and count, "<bad> of <all>"."""
+    with np.errstate(all="ignore"):     # a non-finite value is reported below
+        vals = np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
+    if not np.all(np.isfinite(vals)):
+        bad = x[~np.isfinite(vals)]
+        raise ConfigError(field, message.format(x=float(bad[0]),
+                                                count=f"{bad.size} of {x.size}"))
+    return vals
+
+
 def assemble_mass(mesh: Mesh1D, quad: QuadratureRule, *,
                   tables: Optional[ElementTables] = None) -> BandedSymMatrix:
     """Mass matrix of the Lagrange basis on the interior dofs.
@@ -160,19 +175,13 @@ def assemble_load(mesh: Mesh1D, f, t: float, quad: QuadratureRule, *,
                   tables: Optional[ElementTables] = None) -> np.ndarray:
     """Interior load vector of integrals f(., t) * phi_i."""
     tables = tables or ElementTables(mesh, quad)
-    x = tables.points
-    with np.errstate(all="ignore"):     # a non-finite value is reported below
-        fv = np.broadcast_to(np.asarray(f(x, t), dtype=float), x.shape)
-    if not np.all(np.isfinite(fv)):
-        bad = x[~np.isfinite(fv)]
-        raise ConfigError("forcing", f"non-finite values at t={t}, x={float(bad[0])} "
-                          f"({bad.size} of {x.size} quadrature points); "
-                          "the forcing is singular there")
+    fv = _sample(lambda x: f(x, t), tables.points, "forcing",
+                 f"non-finite values at t={t}, x={{x}} ({{count}} quadrature points); "
+                 "the forcing is singular there")
     contrib = fv @ tables.weighted_values                       # (m, r+1)
-    out = np.zeros(mesh.n_nodes)
-    for a in range(mesh.r + 1):      # contiguous numbering: stride-r slices
-        out[a::mesh.r][:mesh.m] += contrib[:, a]
-    return out[1:-1]
+    # a node two elements share gets a sum of two floats, the same in either order
+    return np.bincount(tables.dofs.ravel(), weights=contrib.ravel(),
+                       minlength=mesh.n_nodes)[1:-1]
 
 
 @dataclass(frozen=True)
@@ -212,13 +221,8 @@ def interpolate(mesh: Mesh1D, u0) -> np.ndarray:
     truncated silently by the Dirichlet elimination, so a warning is
     emitted when they exceed roundoff size.
     """
-    with np.errstate(all="ignore"):     # a non-finite value is reported below
-        vals = np.broadcast_to(np.asarray(u0(mesh.nodes), dtype=float),
-                               mesh.nodes.shape)
-    if not np.all(np.isfinite(vals)):
-        bad = mesh.nodes[~np.isfinite(vals)]
-        raise ConfigError("u0", f"non-finite initial datum at x={float(bad[0])} "
-                          f"({bad.size} of {vals.size} nodes)")
+    vals = _sample(u0, mesh.nodes, "u0",
+                   "non-finite initial datum at x={x} ({count} nodes)")
     bmax = max(abs(vals[0]), abs(vals[-1]))
     if bmax > 1e-12:
         warnings.warn(f"initial datum is {bmax:.3e} at a boundary; "

@@ -1,6 +1,7 @@
 """JSON run configuration: parsing, validation and the resolved echo."""
 
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from typing import List
 
@@ -36,14 +37,16 @@ def _require(raw: dict, key: str):
 
 
 def _as_number(key, value, *, integer=False):
+    """A JSON number (an int or float, not a bool) as a finite float, or as
+    an int with integer=True; the one number rule of a config."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(key, f"expected a number, got {value!r}")
+    # before int() or float(): JSON admits NaN, Infinity and ints past 1e308
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(key, "must be finite")
     if integer and int(value) != value:
         raise ConfigError(key, f"expected an integer, got {value!r}")
-    value = int(value) if integer else float(value)
-    if value != value or value in (float("inf"), float("-inf")):
-        raise ConfigError(key, "must be finite")
-    return value
+    return int(value) if integer else float(value)
 
 
 def validate_config(raw: dict) -> RunConfig:
@@ -63,11 +66,9 @@ def validate_config(raw: dict) -> RunConfig:
     dom = _require(raw, "domain")
     if isinstance(dom, dict):
         dom = [dom.get("a"), dom.get("b")]
-    if (not isinstance(dom, (list, tuple)) or len(dom) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   for v in dom)):
+    if not isinstance(dom, (list, tuple)) or len(dom) != 2:
         raise ConfigError("domain", f"expected [a, b], got {dom!r}")
-    a, b = float(dom[0]), float(dom[1])
+    a, b = (_as_number("domain", v) for v in dom)
 
     T = _as_number("T", _require(raw, "T"))
     if not T > 0.0:
@@ -121,11 +122,9 @@ def validate_config(raw: dict) -> RunConfig:
     snaps = raw.get("snapshot_times")
     if snaps is None:
         snaps = [0.0, T / 2.0, T]
-    if (not isinstance(snaps, list)
-            or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   for v in snaps)):
+    if not isinstance(snaps, list):
         raise ConfigError("snapshot_times", f"expected a list of times, got {snaps!r}")
-    snaps = [float(v) for v in snaps]
+    snaps = [_as_number("snapshot_times", v) for v in snaps]
     if any(not 0.0 <= v <= T for v in snaps):
         raise ConfigError("snapshot_times", f"times must lie in [0, {T}]")
 

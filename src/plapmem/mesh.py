@@ -76,27 +76,24 @@ class ReferenceBasis:
         if order not in (0, 1):
             raise ValueError(f"order must be 0 or 1, got {order}")
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        n = self.degree + 1
         xn = self.nodes
-        out = np.zeros((len(xi), n))
-        for i in range(n):
+
+        def product(i, skip, scale):
+            # scale * prod over k not in {i, skip} of (xi - x_k) / (x_i - x_k)
+            prod = np.full_like(xi, scale)
+            for k, xk in enumerate(xn):
+                if k != i and k != skip:
+                    prod *= (xi - xk) / (xn[i] - xk)
+            return prod
+
+        out = np.zeros((len(xi), len(xn)))
+        for i in range(len(xn)):
             if order == 0:
-                prod = np.ones_like(xi)
-                for j in range(n):
-                    if j != i:
-                        prod *= (xi - xn[j]) / (xn[i] - xn[j])
-                out[:, i] = prod
+                out[:, i] = product(i, i, 1.0)
             else:
-                acc = np.zeros_like(xi)
-                for j in range(n):
-                    if j == i:
-                        continue
-                    prod = np.ones_like(xi) / (xn[i] - xn[j])
-                    for k in range(n):
-                        if k != i and k != j:
-                            prod *= (xi - xn[k]) / (xn[i] - xn[k])
-                    acc += prod
-                out[:, i] = acc
+                for j in range(len(xn)):     # phi_i' = sum over j != i, ascending
+                    if j != i:
+                        out[:, i] += product(i, j, 1.0 / (xn[i] - xn[j]))
         return out
 
 
@@ -119,8 +116,13 @@ class Mesh1D:
         self.h = (self.b - self.a) / self.m
         self.n_nodes = self.m * self.r + 1
         self.n_interior = self.n_nodes - 2
-        # equispaced within each element == globally equispaced for uniform h
-        self.nodes = np.linspace(self.a, self.b, self.n_nodes)
+        # equispaced within each element == globally equispaced for uniform h;
+        # past its size limit linspace raises ValueError, and IndexError for
+        # counts near 2**63
+        try:
+            self.nodes = np.linspace(self.a, self.b, self.n_nodes)
+        except (ValueError, IndexError, MemoryError) as exc:
+            raise ConfigError("m", f"cannot allocate {self.n_nodes} nodes: {exc}") from exc
 
     def element_dofs(self) -> np.ndarray:
         """(m, r+1) array: global node indices per element."""
@@ -153,18 +155,15 @@ def full_coefficients(mesh: Mesh1D, coeffs: np.ndarray) -> np.ndarray:
                      f"mesh with {mesh.n_nodes} nodes / {mesh.n_interior} interior dofs")
 
 
-def eval_on_elements(mesh: Mesh1D, coeffs: np.ndarray, ref_points: np.ndarray,
-                     order: int = 0):
+def eval_on_elements(mesh: Mesh1D, coeffs: np.ndarray, ref_points: np.ndarray):
     """Evaluate on every element at the given reference points.
 
     Returns (x, values) with shape (m, len(ref_points)) each; the fast path
     for quadrature-resolution sampling and error integrals.
     """
     full = full_coefficients(mesh, coeffs)
-    tab = mesh.basis.tabulate(ref_points, order)        # (q, r+1)
+    tab = mesh.basis.tabulate(ref_points)               # (q, r+1)
     local = full[mesh.element_dofs()]                   # (m, r+1)
     vals = local @ tab.T                                # (m, q)
-    if order == 1:
-        vals = vals / mesh.h
     x = mesh.a + mesh.h * (np.arange(mesh.m)[:, None] + ref_points[None, :])
     return x, vals

@@ -1,3 +1,5 @@
+import math
+import sys
 import warnings
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fe_oracles import eval_fe, to_dense
-from plapmem import ConfigError, build_uniform_mesh
+from plapmem import ConfigError, SolverConfig, build_uniform_mesh
 from plapmem import manufactured_example1
 from plapmem.assembly import (ElementTables, FluxParams, SeparableForcing,
                               assemble_load, assemble_mass, assemble_plap,
@@ -48,6 +50,32 @@ class TestFlux:
             FluxParams(p=1.5, epsilon=0.0)
         with pytest.raises(ConfigError):
             FluxParams(p=2.0, epsilon=-1.0)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_epsilon_with_overflowing_square_rejected(self, p):
+        # a float's ** raises OverflowError for eps above about 1.34e154: an
+        # untyped crash at the first assembly, not a rejected config
+        largest = math.sqrt(sys.float_info.max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no overflow warning first
+            for make in (lambda eps: FluxParams(p=p, epsilon=eps),
+                         lambda eps: SolverConfig(p=p, delta=0.1, n_steps=1,
+                                                  epsilon=eps)):
+                for eps in (1e160, np.float64(1e160), math.nextafter(largest, 1e155)):
+                    with pytest.raises(ConfigError) as err:
+                        make(eps)
+                    assert err.value.field == "epsilon"
+        assert flux(1.0, FluxParams(p=p, epsilon=largest)) > 0.0
+
+    def test_linear_case_has_no_special_path(self):
+        # the general power is x**0.0 = 1.0 exactly, so a(xi) = xi bitwise,
+        # signed zeros, infinities and NaN included
+        params = FluxParams(p=2.0, epsilon=0.5)
+        xs = np.array([-0.0, 0.0, -np.inf, np.inf, np.nan, 1e-300, -7.25])
+        with np.errstate(all="ignore"):
+            assert flux(xs, params).tobytes() == xs.tobytes()
+            assert np.all(flux_coefficient(xs, params) == 1.0)
+        assert flux_coefficient(3.0, params) == 1.0
 
 
 class TestFluxInequalities:

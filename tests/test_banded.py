@@ -159,6 +159,21 @@ class TestBandedSymMatrix:
             with pytest.raises(LinearSolveError):
                 factor.solve(np.array([1.0, bad, 1.0]))
 
+    @pytest.mark.parametrize("definite", [True, False], ids=["cholesky", "lu"])
+    def test_nonfinite_rhs_named_as_input(self, definite):
+        # not as a singular system, which is what the solve would report
+        factor = random_banded(5, 2, seed=3, definite=definite).factor()
+        with pytest.raises(LinearSolveError, match="non-finite entries in banded system"):
+            factor.solve(np.array([1.0, np.nan, 1.0, 1.0, 1.0]))
+
+    def test_overflowing_solve_reported_singular(self):
+        # finite inputs: the Cholesky factor of [[1e-308]] is 1e-154, and
+        # 10 / 1e-154 / 1e-154 overflows to inf
+        factor = BandedSymMatrix(np.array([[1e-308]])).factor()
+        with pytest.raises(LinearSolveError,
+                           match=r"produced non-finite values \(singular system\)"):
+            factor.solve(np.array([10.0]))
+
 
 
 # Run in a new interpreter after a prelude: factors the saved definite and

@@ -13,6 +13,7 @@ from plapmem.experiments import asymptotics_problem
 
 MINIMAL = {"p": 3, "r": 1, "m": 10, "N": 100, "T": 0.1, "lambda": 1,
            "domain": [0, 1]}
+NO_LAMBDA = {key: value for key, value in MINIMAL.items() if key != "lambda"}
 
 
 def write_json(tmp_path, payload, name="config.json"):
@@ -95,6 +96,44 @@ class TestValidateConfig:
         with pytest.raises(ConfigError) as err:
             validate_config(dict(MINIMAL, **overrides))
         assert err.value.field == field
+
+    @pytest.mark.parametrize("raw,field", [
+        (dict(MINIMAL, T="0.1"), "T"),
+        (dict(MINIMAL, N=True), "N"),
+        (dict(MINIMAL, m=2.5), "m"),
+        (dict(MINIMAL, p=json.loads("NaN")), "p"),
+        ([MINIMAL], "config"),
+        (dict(MINIMAL, domain=[0]), "domain"),
+        (dict(MINIMAL, domain=[0, True]), "domain"),
+        (dict(NO_LAMBDA, kernel=2.5), "kernel"),
+        (dict(NO_LAMBDA, kernel={"type": "power", "lambda": 1}), "kernel"),
+        (NO_LAMBDA, "kernel"),
+        (dict(MINIMAL, snapshot_times=0.05), "snapshot_times"),
+        (dict(MINIMAL, snapshot_times=[0.0, "0.05"]), "snapshot_times"),
+        (dict(MINIMAL, snapshot_times=[True]), "snapshot_times"),
+        (dict(MINIMAL, output_dir=""), "output_dir"),
+        (dict(MINIMAL, output_dir=3), "output_dir"),
+    ], ids=["string-number", "bool-number", "fractional-integer", "nan",
+            "top-level-list", "short-domain", "bool-in-domain", "kernel-number",
+            "kernel-type", "no-kernel", "snapshots-number", "string-snapshot",
+            "bool-snapshot", "empty-output-dir", "number-output-dir"])
+    def test_json_shape_errors_name_the_field(self, raw, field):
+        with pytest.raises(ConfigError) as err:
+            validate_config(raw)
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("field,literal", [
+        ("m", "NaN"), ("N", "Infinity"), ("r", "-Infinity"),
+        ("T", "1" + "0" * 400), ("lambda", "-1" + "0" * 400),
+        ("domain", "[0, 1" + "0" * 400 + "]"), ("snapshot_times", "[0, NaN]"),
+    ], ids=["m-nan", "N-infinity", "r-minus-infinity", "T-int-past-1e308",
+            "lambda-int-past-minus-1e308", "domain-int-past-1e308", "snapshot-nan"])
+    def test_number_beyond_float_range_named(self, field, literal):
+        # JSON admits these; int() or float() of them used to raise untyped
+        with pytest.raises(ConfigError) as err:
+            validate_config(dict(MINIMAL, **{field: json.loads(literal)}))
+        assert err.value.field == field
+        assert str(err.value) == f"{field}: must be finite"
 
     def test_singular_range_needs_regularization(self):
         raw = dict(MINIMAL, p=1.5, epsilon=0.0)
@@ -229,6 +268,20 @@ class TestCliExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: N: ")
         assert "shape (1e+300, 9)" in err[0]
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"epsilon": 1e160}, "epsilon"),
+        ({"m": 2**62}, "m"),
+        ({"m": 2**62, "r": 2}, "m"),
+        ({"N": float("inf")}, "N"),
+        ({"T": 10**400}, "T"),
+    ], ids=["epsilon-squared-overflows", "m-too-big", "m-r-too-big", "N-infinite",
+            "T-past-float-range"])
+    def test_unrepresentable_value_is_2(self, tmp_path, capsys, overrides, field):
+        # each used to end in a traceback and exit 1; nothing is allocated
+        assert run_cli(tmp_path, dict(MINIMAL, **overrides)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {field}: ")
 
     def test_manufactured_domain_pinned(self, tmp_path, capsys):
         assert run_cli(tmp_path, dict(MINIMAL, domain=[-1, 1])) == 2

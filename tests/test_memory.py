@@ -227,6 +227,13 @@ class TestMemoryEquation:
         res = memory_residual(hist, 1, kernel, scalar_mass())
         assert abs(res[0]) < 1e-15
 
+    def test_residual_of_an_uncompleted_step_rejected(self):
+        hist = history_with(0.05, [1.0, 0.8], [0.0, 0.4])
+        for k in (1, 2):
+            with pytest.raises(ValueError, match=f"step {k} not completed yet "
+                                                 r"\(history at 1\)"):
+                memory_residual(hist, k, exponential_kernel(1.3), scalar_mass())
+
 
 class TestExponentialKernel:
     def test_derivative_identity(self):

@@ -27,6 +27,30 @@ class TestBuildUniformMesh:
         with pytest.raises(ConfigError):
             build_uniform_mesh(*args)
 
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_unallocatable_node_count_rejected(self, r):
+        # numpy refuses 2**62 r + 1 nodes before allocating, with a ValueError
+        # (r = 1) or an IndexError (r = 2)
+        with pytest.raises(ConfigError) as err:
+            build_uniform_mesh(0, 1, 2**62, r)
+        assert err.value.field == "m"
+        assert f"{2**62 * r + 1} nodes" in str(err.value)
+
+    def test_out_of_memory_is_config_error(self, monkeypatch):
+        linspace = np.linspace
+
+        def out_of_memory(start, stop, num, *args, **kwargs):
+            if num > 1000:
+                raise MemoryError(f"Unable to allocate an array with shape ({num},)")
+            return linspace(start, stop, num, *args, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", out_of_memory)
+        with pytest.raises(ConfigError) as err:
+            build_uniform_mesh(0, 1, 10**6, 1)
+        assert err.value.field == "m"
+        assert "1000001 nodes" in str(err.value)
+        assert isinstance(err.value.__cause__, MemoryError)
+
     def test_element_dofs_contiguous(self):
         mesh = build_uniform_mesh(0, 1, 5, 3)
         dofs = mesh.element_dofs()
@@ -90,6 +114,18 @@ class TestReferenceBasis:
         basis = ReferenceBasis(r)
         assert np.max(np.abs(basis.tabulate(xi, 0).sum(axis=1) - 1)) < 1e-12
         assert np.max(np.abs(basis.tabulate(xi, 1).sum(axis=1))) < 1e-10
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_tables_reproduce_monomials(self, r):
+        # an oracle independent of the basis: the interpolant of x^j, j <= r,
+        # is x^j itself, so the tables map its nodal values to x^j and j x^(j-1)
+        xi = np.random.default_rng(r).uniform(0, 1, size=50)
+        basis = ReferenceBasis(r)
+        values, derivs = basis.tabulate(xi, 0), basis.tabulate(xi, 1)
+        for j in range(r + 1):
+            nodal = basis.nodes ** j
+            assert np.max(np.abs(values @ nodal - xi ** j)) < 1e-11
+            assert np.max(np.abs(derivs @ nodal - j * xi ** max(j - 1, 0))) < 1e-11
 
     def test_basis_eval_hat(self):
         basis = ReferenceBasis(1)

@@ -966,6 +966,19 @@ class TestRoundTrip:
             assert np.max(np.abs(res_ev)) < bound
             assert np.max(np.abs(res_mem)) < 1e-10
 
+    def test_residuals_of_an_uncompleted_step_rejected(self):
+        problem = manufactured_example1(3.0, 1.0, horizon=0.002)
+        mesh = build_uniform_mesh(0, 1, 4, 1)
+        cfg = SolverConfig(p=3.0, delta=1e-3, n_steps=2)
+        asm = make_assembler(problem, mesh, cfg)
+        hist = fresh_history(problem, mesh, cfg, asm)
+        cn_step(StepPlan(hist, problem.kernel, cfg, asm))
+        step_residuals(hist, 0, problem.kernel, cfg, asm)
+        for k in (1, 2):
+            with pytest.raises(ValueError, match=f"step {k} not completed yet "
+                                                 r"\(history at 1\)"):
+                step_residuals(hist, k, problem.kernel, cfg, asm)
+
 
 class TestIterationOnU:
     """The step iterates on U alone: Y's increment follows from U's through
