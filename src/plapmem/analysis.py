@@ -11,8 +11,8 @@ import numpy as np
 from .assembly import SeparableForcing, assemble_mass
 from .errors import ConfigError
 from .memory import KernelSpec, StateHistory, exponential_kernel
-from .mesh import (Mesh1D, QuadratureRule, default_quad_points, eval_on_elements,
-                   full_coefficients, gauss_legendre)
+from .mesh import (Mesh1D, default_quad_points, eval_on_elements, full_coefficients,
+                   gauss_legendre)
 
 
 @dataclass(frozen=True)
@@ -64,28 +64,21 @@ class RunOutput:
     errors: Optional[dict] = None
     support_threshold: float = 0.0
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.times) - 1
 
-
-def l2_error(mesh: Mesh1D, coeffs: np.ndarray, exact: Callable,
-             quad: Optional[QuadratureRule] = None) -> float:
-    """L2 norm of (u_h - exact) by per-element Gauss quadrature."""
-    if quad is None:
-        quad = gauss_legendre(min(mesh.r + 3, 16))
+def l2_error(mesh: Mesh1D, coeffs: np.ndarray, exact: Callable) -> float:
+    """L2 norm of (u_h - exact) by per-element (r + 3)-point Gauss quadrature."""
+    quad = gauss_legendre(mesh.r + 3)
     x, vals = eval_on_elements(mesh, coeffs, quad.points)
     diff = vals - exact(x)
     total = mesh.h * float(np.einsum("q,mq->", quad.weights, diff * diff))
     return float(np.sqrt(total))
 
 
-def energy(mesh: Mesh1D, coeffs: np.ndarray,
-           mass=None) -> float:
-    """Squared L2 norm of the finite-element function, U^T M U."""
+def energy(mesh: Mesh1D, coeffs: np.ndarray) -> float:
+    """Squared L2 norm of the finite-element function, U^T M U, with the
+    mass matrix of the default quadrature (mass_norm takes a caller's)."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if mass is None:
-        mass = assemble_mass(mesh, gauss_legendre(default_quad_points(mesh.r)))
+    mass = assemble_mass(mesh, gauss_legendre(default_quad_points(mesh.r)))
     return float(coeffs @ mass.matvec(coeffs))
 
 

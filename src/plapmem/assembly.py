@@ -103,7 +103,7 @@ class ElementTables:
         self.derivs = mesh.basis.tabulate(quad.points, order=1)      # (q, r+1)
         # (q, (r+1)^2): w_q phi_a'(xi_q) phi_b'(xi_q) / h, (a, b) flattened
         self.grad_products = np.einsum("q,qa,qb->qab", quad.weights, self.derivs,
-                                       self.derivs).reshape(quad.npoints, -1) / mesh.h
+                                       self.derivs).reshape(len(quad.weights), -1) / mesh.h
         # (q, r+1): h w_q phi_a(xi_q)
         self.weighted_values = mesh.h * quad.weights[:, None] * self.values
         self.dofs = mesh.element_dofs()                              # (m, r+1)
@@ -113,11 +113,17 @@ class ElementTables:
 
 
 def _sample(fn, x: np.ndarray, field: str, message: str) -> np.ndarray:
-    """fn(x), a user callable, broadcast to the shape of x. A non-finite
-    value is a ConfigError on field, whose message is formatted with x, the
-    first point where it occurs, and count, "<bad> of <all>"."""
+    """fn(x), a user callable, broadcast to the shape of x. A result of a
+    shape that does not broadcast is a ConfigError on field, and so is a
+    non-finite value, with message formatted with x, the first point where
+    it occurs, and count, "<bad> of <all>"."""
     with np.errstate(all="ignore"):     # a non-finite value is reported below
-        vals = np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
+        vals = np.asarray(fn(x), dtype=float)
+    try:
+        vals = np.broadcast_to(vals, x.shape)
+    except ValueError:
+        raise ConfigError(field, f"returned an array of shape {vals.shape}, which "
+                          f"does not broadcast to the {x.shape} points") from None
     if not np.all(np.isfinite(vals)):
         bad = x[~np.isfinite(vals)]
         raise ConfigError(field, message.format(x=float(bad[0]),

@@ -60,12 +60,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    overrides = {}
-    if args.p is not None:
-        overrides["p"] = args.p
-    if args.lam is not None:
-        overrides["lambda"] = args.lam
-    run_example(args.id, overrides=overrides, out_dir=args.out)
+    run_example(args.id, overrides={"p": args.p, "lambda": args.lam}, out_dir=args.out)
     print(f"example {args.id} outputs written under "
           f"{Path(args.out) / f'example{args.id}'}")
     return EXIT_OK

@@ -92,15 +92,6 @@ def write_outputs(run: RunOutput, out_dir, snapshot_times=None) -> dict:
     return paths
 
 
-def _solve_manufactured(p, lam, m, r, delta, horizon=0.1):
-    problem = manufactured_example1(p, lam, horizon=horizon)
-    mesh = build_uniform_mesh(0.0, 1.0, m, r)
-    n_steps = round(horizon / delta)
-    cfg = SolverConfig(p=p, delta=horizon / n_steps, n_steps=n_steps, tol=1e-12,
-                       max_iter=500)
-    return march(problem, mesh, cfg)
-
-
 def run_example1(out_dir, p_values=(3.0, 4.0), lam=1.0) -> Path:
     """Convergence study: h-sweep for r = 1..3 and a time-step sweep at r = 4.
 
@@ -121,7 +112,11 @@ def run_example1(out_dir, p_values=(3.0, 4.0), lam=1.0) -> Path:
     for axis, cases in series:
         heads, err_u, err_y = [], [], []
         for p, r, m, delta, subdir in cases:
-            run = _solve_manufactured(p, lam, m, r, delta, horizon=horizon)
+            n_steps = round(horizon / delta)
+            cfg = SolverConfig(p=p, delta=horizon / n_steps, n_steps=n_steps, tol=1e-12,
+                               max_iter=500)
+            run = march(manufactured_example1(p, lam, horizon=horizon),
+                        build_uniform_mesh(0.0, 1.0, m, r), cfg)
             write_outputs(run, out / subdir)
             heads.append((p, r, 1.0 / m, delta))
             err_u.append(run.errors["u"])
@@ -199,16 +194,16 @@ def propagation_problem(p: float, lam: float, sharpness: int, scale: float,
                        f=SeparableForcing())
 
 
-def run_example3(out_dir, p=3.0, lam_values=(0.0, 1.0, -1.0), horizon=0.5):
+def run_example3(out_dir, p=3.0, lam_values=(0.0, 1.0, -1.0)):
     """Finite propagation speed: quadratic-edge datum, dead zone shrinks."""
-    cells = [(f"lambda{_fmt(lam)}", propagation_problem(p, lam, 2, 10.0, horizon))
+    cells = [(f"lambda{_fmt(lam)}", propagation_problem(p, lam, 2, 10.0, 0.5))
              for lam in lam_values]
     return _sweep(out_dir, cells, m=100, n_snapshots=6)
 
 
-def run_example4(out_dir, p=3.0, lam_values=(0.0, -5.0), horizon=0.5):
+def run_example4(out_dir, p=3.0, lam_values=(0.0, -5.0)):
     """Waiting time: degree-7 edges keep the dead-zone boundary pinned."""
-    cells = [(f"lambda{_fmt(lam)}", propagation_problem(p, lam, 7, 100.0, horizon))
+    cells = [(f"lambda{_fmt(lam)}", propagation_problem(p, lam, 7, 100.0, 0.5))
              for lam in lam_values]
     return _sweep(out_dir, cells, m=100, n_snapshots=6)
 
@@ -223,8 +218,9 @@ _RUNNERS = {1: (run_example1, "p_values", "lam"),
 def run_example(example_id: int, overrides=None, out_dir="out"):
     """Dispatch one of the four built-in studies with optional overrides.
 
-    overrides may carry "p" and "lambda"; each restricts the corresponding
-    sweep to the single given value. The sweep defaults are the runners'.
+    overrides may carry "p" and "lambda"; each that is not None restricts
+    the corresponding sweep to the single given value. The sweep defaults
+    are the runners'.
     """
     if example_id not in _RUNNERS:
         raise ConfigError("example", f"must be 1, 2, 3 or 4, got {example_id}")

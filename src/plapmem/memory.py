@@ -86,6 +86,16 @@ def _kernel_values(fn, lags: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _finite(name: str, values, lags):
+    """values, the kernel function name sampled at lags (of the same shape);
+    a ConfigError on the kernel at the first lag where one is not finite."""
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        lag, value = np.asarray(lags)[bad][0], np.asarray(values)[bad][0]
+        raise ConfigError("kernel", f"{name}({lag:g}) = {value}, not a finite value")
+    return values
+
+
 def volterra_weights(k: int, delta: float):
     """Weights/lags of the memory quadrature over the stored levels t_0..t_k.
 
@@ -189,7 +199,8 @@ def history_sum(hist: StateHistory, fn, fn0: float, levels: np.ndarray):
     multiplier of level k+1, fn0 = fn(0)."""
     weights, lags = volterra_weights(hist.k, hist.delta)
     half = hist.delta / 8.0 * fn0
-    acc = (weights * _kernel_values(fn, lags)) @ levels[:hist.k + 1]
+    name = "g" if levels is hist.y else "g'"      # for the error on a non-finite fn
+    acc = (weights * _finite(name, _kernel_values(fn, lags), lags)) @ levels[:hist.k + 1]
     acc += half * levels[hist.k]
     return acc, half
 
@@ -203,7 +214,7 @@ def i_f(hist: StateHistory, kernel: KernelSpec,
     """
     check_mode(mode)
     weights, lags = forcing_weights(hist.k, hist.delta)
-    coeffs = weights * _kernel_values(kernel.g, lags)
+    coeffs = weights * _finite("g", _kernel_values(kernel.g, lags), lags)
     out = coeffs @ hist.loads[:hist.k + 2]
     if mode == "literal":
         out = out + hist.delta * float(kernel.g(0.0)) * hist.loads[hist.k + 1]
@@ -213,6 +224,8 @@ def i_f(hist: StateHistory, kernel: KernelSpec,
 def relation_coefficients(g0: float, gp0: float, delta: float):
     """(alpha, beta) of the memory relation for g(0) = g0 and g'(0) = gp0,
     formed once per march; IllPosedStepError where alpha vanishes."""
+    _finite("g", g0, 0.0)
+    _finite("g'", gp0, 0.0)
     alpha = 0.5 + (delta / 8.0) * g0
     if abs(alpha) < 1e-12:
         raise IllPosedStepError(
@@ -229,8 +242,9 @@ def memory_equation(hist: StateHistory, kernel: KernelSpec,
     alpha*M*Y^{k+1} + beta*M*U^{k+1} = M*state - forcing, with alpha and
     beta those of relation_coefficients."""
     g0, k = float(kernel.g(0.0)), hist.k
+    t_half = (k + 0.5) * hist.delta
     state = (-0.5 * hist.y[k] + 0.5 * g0 * hist.u[k]
-             - float(kernel.g((k + 0.5) * hist.delta)) * hist.u[0]
+             - _finite("g", float(kernel.g(t_half)), t_half) * hist.u[0]
              - history_sum(hist, kernel.g, g0, hist.y)[0]
              + history_sum(hist, kernel.gp, float(kernel.gp(0.0)), hist.u)[0])
     return state, i_f(hist, kernel, mode)

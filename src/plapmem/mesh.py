@@ -25,10 +25,6 @@ class QuadratureRule:
     points: np.ndarray
     weights: np.ndarray
 
-    @property
-    def npoints(self) -> int:
-        return len(self.points)
-
 
 def is_count(value) -> bool:
     """True for an int or numpy integer that is not a bool."""

@@ -289,7 +289,9 @@ def cn_step(plan: StepPlan):
     iteration _STALL_GRACE on, an increment ratio >= _STALL_RATIO relaxes
     the later updates, u + omega*(u_next - u) with omega /= 1 + sqrt(ratio);
     tol bounds the plain map's increment whatever omega is. An iterate that
-    overflows ends the step with FixedPointDivergenceError.
+    overflows ends the step with FixedPointDivergenceError; a failed solve,
+    or an accepted U whose Y is not finite, with a LinearSolveError naming
+    the step and the iteration.
     """
     hist, cfg, asm, factor, slope = plan.hist, plan.cfg, plan.asm, plan.factor, plan.slope
     k, delta, alpha, beta = hist.k, cfg.delta, plan.alpha, plan.beta
@@ -329,7 +331,7 @@ def cn_step(plan: StepPlan):
             # divergence only if an iterate grew until the system overflowed
             if (iteration == 1 or np.isfinite(rhs).all()
                     and np.isfinite(lhs_stiff.data).all()):
-                raise
+                raise type(exc)(f"step {k}, iteration {iteration}: {exc}") from exc
             overflow = exc
             break
         du = u_next - u_it      # the plain map's increment, compared with tol
@@ -344,6 +346,9 @@ def cn_step(plan: StepPlan):
         u_it = u_it + omega * du if relaxed else u_next
         if inc_u < cfg.tol and inc_y < cfg.tol:
             y_new = (z - beta * u_it) / alpha
+            if not np.isfinite(y_new).all():
+                raise LinearSolveError(f"step {k}, iteration {iteration}: the memory "
+                                       "relation gives a non-finite Y")
             hist.append(u_it, y_new)
             if plan.block is not None:
                 plan.block.accept(u_it, y_new)

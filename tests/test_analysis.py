@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
@@ -152,6 +154,11 @@ class TestWaitingTime:
         run = fake_run(mesh, [(-0.5, 0.5), (-0.5, 0.5), None])
         assert waiting_time(run) == pytest.approx(0.2)
 
+    def test_no_dead_zone_at_start(self):
+        mesh = build_uniform_mesh(-1, 1, 100, 1)
+        run = fake_run(mesh, [None, (-0.5, 0.5)])
+        assert waiting_time(run) is None
+
 
 class TestExtrema:
     def test_zero_trajectory(self):
@@ -272,6 +279,11 @@ class TestManufacturedProblem:
     def test_invalid_exponent(self):
         with pytest.raises(ConfigError):
             manufactured_example1(0.5, 1.0)
+
+    def test_empty_domain_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(manufactured_example1(3.0, 1.0), b=0.0)
+        assert err.value.field == "domain"
 
 
 def walked_support_gap(mesh, coeffs, eta):

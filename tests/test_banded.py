@@ -137,6 +137,11 @@ class TestBandedSymMatrix:
         dense = to_dense(random_banded(7, 3, seed=9))
         assert np.allclose(dense, dense.T)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 4)])
+    def test_storage_must_be_2d(self, shape):
+        with pytest.raises(ValueError, match="must be 2-D"):
+            BandedSymMatrix(np.ones(shape))
+
     def test_singular_raises(self):
         mat = BandedSymMatrix(np.zeros((2, 4)))
         with pytest.raises(LinearSolveError):

@@ -329,6 +329,15 @@ class TestCliExitCodes:
         payload = dict(MINIMAL, N=2, T=0.2, **{"lambda": -40})
         assert run_cli(tmp_path, payload) == 4
 
+    def test_overflowing_memory_relation_names_its_step(self, tmp_path, capsys):
+        # lambda times the manufactured forcing overflows the load share of
+        # step 0's memory relation; the next step's solve used to fail
+        # without naming a step
+        payload = dict(MINIMAL, m=4, r=1, T=0.01, N=5, **{"lambda": 1e300})
+        assert run_cli(tmp_path, payload) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: step 0, ")
+
     def test_io_failure_is_5(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not a directory", encoding="utf-8")

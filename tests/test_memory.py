@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from fe_oracles import to_dense
 from plapmem import (ConfigError, IllPosedStepError, KernelSpec, SolverConfig,
                      build_uniform_mesh, exponential_kernel,
                      manufactured_example1, march)
+from plapmem.assembly import SeparableForcing
 from plapmem.banded import BandedSymMatrix
 from plapmem.memory import (MemoryBlock, StateHistory, forcing_weights,
                             history_sum, i_f, memory_equation, memory_residual,
@@ -445,6 +447,37 @@ class TestDeclaredExponential:
         ref = march(problem, mesh, cfg)
         assert np.array_equal(fast.u, ref.u)
         assert np.array_equal(fast.y, ref.y)
+
+
+def decay(sign, nan_past=None, at_zero=None):
+    """sign*exp(-s), with nan beyond lag nan_past and at_zero at lag 0."""
+    def fn(s):
+        s = np.asarray(s, dtype=float)
+        out = sign * np.exp(-s)
+        if nan_past is not None:
+            out = np.where(s > nan_past, np.nan, out)
+        return out if at_zero is None else np.where(s == 0.0, at_zero, out)
+    return fn
+
+
+class TestNonFiniteKernel:
+    """A kernel without lam that is not finite where the march samples it
+    is a ConfigError on the kernel, not a failed banded solve later."""
+
+    @pytest.mark.parametrize("g, gp, message", [
+        (decay(1.0, at_zero=np.nan), decay(-1.0), "g(0) = nan"),
+        (decay(1.0, nan_past=0.004), decay(-1.0), "g(0.0045) = nan"),
+        (decay(1.0, at_zero=np.inf), decay(-1.0), "g(0) = inf"),
+        (decay(1.0), decay(-1.0, nan_past=0.004), "g'(0.0045) = nan"),
+    ], ids=["g0-nan", "g-nan-late", "g0-inf", "gp-nan-late"])
+    def test_rejected_naming_function_and_lag(self, g, gp, message):
+        problem = dataclasses.replace(manufactured_example1(3.0, 1.0, horizon=0.01),
+                                      kernel=KernelSpec(g=g, gp=gp),
+                                      f=SeparableForcing())
+        with pytest.raises(ConfigError, match=re.escape(message)) as err:
+            march(problem, build_uniform_mesh(0, 1, 4, 1),
+                  SolverConfig(p=3.0, delta=1e-3, n_steps=10))
+        assert err.value.field == "kernel"
 
 
 class TestParasiticRoot:

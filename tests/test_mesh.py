@@ -3,7 +3,7 @@ import pytest
 
 from fe_oracles import basis_eval, eval_fe
 from plapmem import ConfigError, build_uniform_mesh
-from plapmem.mesh import ReferenceBasis, eval_on_elements, gauss_legendre
+from plapmem.mesh import ReferenceBasis, eval_on_elements, full_coefficients, gauss_legendre
 
 
 class TestBuildUniformMesh:
@@ -142,6 +142,11 @@ class TestReferenceBasis:
         with pytest.raises(ValueError):
             basis_eval(basis, 0, 1.5, 0)
 
+    @pytest.mark.parametrize("order", [-1, 2])
+    def test_tabulate_order_out_of_range(self, order):
+        with pytest.raises(ValueError, match="order must be 0 or 1"):
+            ReferenceBasis(2).tabulate(np.array([0.5]), order)
+
     def test_degree_bounds(self):
         with pytest.raises(ConfigError):
             ReferenceBasis(0)
@@ -187,6 +192,12 @@ class TestEvalFe:
         interior = np.ones(mesh.n_interior)
         assert eval_fe(mesh, interior, 0.5) == pytest.approx(1.0)
         assert eval_fe(mesh, interior, 0.0) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("length", [4, 6])
+    def test_coefficients_of_another_mesh_rejected(self, length):
+        # 5 nodes, 3 of them interior
+        with pytest.raises(ValueError, match="does not match"):
+            full_coefficients(build_uniform_mesh(0, 1, 4, 1), np.zeros(length))
 
     def test_eval_on_elements_matches_pointwise(self):
         mesh = build_uniform_mesh(0, 2, 6, 2)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -336,6 +337,43 @@ class TestMarch:
         mesh = build_uniform_mesh(0, 1, 1, 1)
         with pytest.raises(ConfigError):
             march(problem, mesh, SolverConfig(p=2.0, delta=0.01, n_steps=10))
+
+    @pytest.mark.parametrize("u0, f, field, shape, points", [
+        (lambda x: np.ones(3), zero_f, "u0", (3,), (5,)),
+        (None, lambda x, t: np.ones(5), "forcing", (5,), (4, 3)),
+        (None, SeparableForcing(((lambda x: np.ones(5), np.cos),)), "forcing",
+         (5,), (4, 3)),
+    ], ids=["u0", "callable-f", "separable-f"])
+    def test_result_that_does_not_broadcast_rejected(self, u0, f, field, shape, points):
+        # m = 4, r = 1: 5 nodes, and 3 quadrature points on each of 4 elements
+        problem = ProblemSpec(a=0.0, b=1.0, horizon=0.02, p=3.0,
+                              kernel=exponential_kernel(1.0),
+                              u0=u0 or (lambda x: x * (1 - x)), f=f)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"shape {shape}, which does not broadcast to the {points} points")) as err:
+            march(problem, build_uniform_mesh(0, 1, 4, 1),
+                  SolverConfig(p=3.0, delta=0.01, n_steps=2))
+        assert err.value.field == field
+
+    def test_failed_solve_names_its_step(self, monkeypatch):
+        # scheme A at p = 3 solves each iteration's assembled band
+        problem = free_decay(3.0, 1.0, sine_bump, horizon=0.05)
+        mesh = build_uniform_mesh(-1, 1, 8, 1)
+        cfg = SolverConfig(p=3.0, delta=0.01, n_steps=5, scheme="A")
+        fail_at = march(problem, mesh, cfg).diagnostics[0].iterations + 2
+        solve = BandedSymMatrix.solve
+        calls = []
+
+        def fail_once(self, rhs):
+            calls.append(1)
+            if len(calls) == fail_at:
+                raise LinearSolveError("injected failure")
+            return solve(self, rhs)
+
+        monkeypatch.setattr(BandedSymMatrix, "solve", fail_once)
+        with pytest.raises(LinearSolveError) as err:
+            march(problem, mesh, cfg)
+        assert str(err.value) == "step 1, iteration 2: injected failure"
 
 
 class CountingTerm:

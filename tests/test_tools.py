@@ -7,6 +7,7 @@ sys.path.insert(0, str(ROOT / "tools"))
 
 import bench_record  # noqa: E402
 import sample_runs  # noqa: E402
+import src_lines  # noqa: E402
 
 
 def test_sampler_against_its_own_checkout(capsys):
@@ -68,3 +69,38 @@ def test_bench_record_of_one_pair(tmp_path, capsys):
     assert "run_norm_s: parent 0.2 (0.2-0.2), change 0.18" in capsys.readouterr().out
     # an unpaired report is refused
     assert bench_record.main(["--out", str(out), f"change:{paths['change']}"]) == 2
+
+
+FIXTURE = '''"""Module docstring,
+
+over three lines."""
+import os  # a trailing comment: code
+
+# a comment line
+
+
+class Thing:
+    """One-line class docstring."""
+
+    def method(self):
+        """Two lines
+        of docstring."""
+        text = """a string
+that is not a docstring"""
+        return text    # code
+'''
+
+
+def test_src_lines_of_a_fixture(tmp_path, capsys):
+    assert src_lines.count_lines(FIXTURE) == {"code": 6, "docstring": 6,
+                                              "comment": 1, "blank": 4}
+    (tmp_path / "mod.py").write_text(FIXTURE, encoding="utf-8")
+    assert src_lines.main([str(tmp_path)]) == 0
+    total = capsys.readouterr().out.splitlines()[-1].split()
+    assert total == ["total", "6", "6", "1", "4", "17"]
+
+
+def test_src_lines_categories_add_up_to_wc():
+    for path in (ROOT / "src" / "plapmem").glob("*.py"):
+        source = path.read_text(encoding="utf-8")
+        assert sum(src_lines.count_lines(source).values()) == source.count("\n")
