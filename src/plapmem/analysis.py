@@ -2,13 +2,13 @@
 manufactured verification problem.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .assembly import SeparableForcing, assemble_mass
+from .assembly import SeparableForcing, _sample, assemble_mass
 from .errors import ConfigError
 from .memory import KernelSpec, StateHistory, exponential_kernel
 from .mesh import (Mesh1D, default_quad_points, eval_on_elements, full_coefficients,
@@ -51,6 +51,9 @@ class RunOutput:
     The u/y arrays hold the interior coefficient vectors for every time
     level (shape (N+1, n_interior)); support entries are (left, right)
     node coordinates of the around-zero dead zone or None once it closes.
+    errors holds the finite L2 errors at T of the fields with an exact
+    solution; skipped_errors names each such field whose error was not
+    computed, with the reason.
     """
 
     mesh: Mesh1D
@@ -63,13 +66,20 @@ class RunOutput:
     problem: Optional[ProblemSpec] = None
     errors: Optional[dict] = None
     support_threshold: float = 0.0
+    skipped_errors: dict = field(default_factory=dict)
 
 
 def l2_error(mesh: Mesh1D, coeffs: np.ndarray, exact: Callable) -> float:
-    """L2 norm of (u_h - exact) by per-element (r + 3)-point Gauss quadrature."""
+    """L2 norm of (u_h - exact) by per-element (r + 3)-point Gauss quadrature.
+
+    An exact solution that is not finite at a quadrature point, where the
+    rule cannot measure the error, is a ConfigError on `exact` naming the
+    first such point.
+    """
     quad = gauss_legendre(mesh.r + 3)
     x, vals = eval_on_elements(mesh, coeffs, quad.points)
-    diff = vals - exact(x)
+    diff = vals - _sample(exact, x, "exact",
+                          "non-finite values at x={x}, {count} quadrature points")
     total = mesh.h * float(np.einsum("q,mq->", quad.weights, diff * diff))
     return float(np.sqrt(total))
 
@@ -192,18 +202,22 @@ def build_run_output(problem: ProblemSpec, mesh: Mesh1D, asm, hist: StateHistory
         energies[lo:lo + len(levels)] = [u @ mu for u, mu in zip(levels, mass.matvec(levels))]
         support += (support_series(mesh, levels, eta) if eta > 0.0
                     else [None] * len(levels))
-    errors = None
+    errors, skipped = None, {}
     if problem.exact_u is not None:
-        horizon = problem.horizon
-        errors = {"u": l2_error(mesh, hist.u[-1],
-                                lambda x: problem.exact_u(x, horizon))}
-        if problem.exact_y is not None:
-            errors["y"] = l2_error(mesh, hist.y[-1],
-                                   lambda x: problem.exact_y(x, horizon))
+        errors = {}
+        for name, exact, coeffs in (("u", problem.exact_u, hist.u[-1]),
+                                    ("y", problem.exact_y, hist.y[-1])):
+            if exact is None:
+                continue
+            try:
+                errors[name] = l2_error(mesh, coeffs,
+                                        lambda x: exact(x, problem.horizon))
+            except ConfigError as exc:
+                skipped[name] = str(exc)
     return RunOutput(mesh=mesh, times=hist.times, u=hist.u, y=hist.y,
                      energies=energies, support=support,
                      diagnostics=list(diagnostics), problem=problem,
-                     errors=errors, support_threshold=eta)
+                     errors=errors, support_threshold=eta, skipped_errors=skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,21 @@
 """Symmetric banded matrices with reusable banded factors.
 
-A factor is the banded Cholesky factor when the matrix is positive
-definite and falls back to a banded LU with partial pivoting otherwise;
+A factor is a symmetric positive definite factorization when the matrix
+is one and falls back to a banded LU with partial pivoting otherwise;
 which one is used follows from the factorization itself, not from an
 option. Either is factored once and reused by every solve.
 
-The four LAPACK routines used (dpbtrf, dpbtrs, dgbtrf, dgbtrs) come from
-scipy's f2py extension `scipy/linalg/_flapack`, loaded by its file path:
-that skips `scipy.linalg`'s package init, most of the cost of importing
-this package. If the file is missing or fails to load, they come from
+The band's width picks the definite routines. A tridiagonal band
+(bandwidth 1, n >= 2, what linear elements give) takes the LDL^T pair
+dpttrf/dpttrs; every other band (bandwidth 0 or >= 2, and n = 1) takes
+the banded Cholesky pair dpbtrf/dpbtrs, whose BLAS call per column costs
+more than the arithmetic at bandwidth 1. Every indefinite band takes
+dgbtrf/dgbtrs.
+
+These six LAPACK routines come from scipy's f2py extension
+`scipy/linalg/_flapack`, loaded by its file path: that skips
+`scipy.linalg`'s package init, most of the cost of importing this
+package. If the file is missing or fails to load, they come from
 `scipy.linalg.lapack` instead, which hands out the same routine objects.
 """
 
@@ -44,6 +51,7 @@ def _flapack():
 _lapack = _flapack()
 dgbtrf, dgbtrs = _lapack.dgbtrf, _lapack.dgbtrs
 dpbtrf, dpbtrs = _lapack.dpbtrf, _lapack.dpbtrs
+dpttrf, dpttrs = _lapack.dpttrf, _lapack.dpttrs
 
 
 class BandedSymMatrix:
@@ -96,45 +104,55 @@ class BandedSymMatrix:
 class BandedFactor:
     """Factorization of a BandedSymMatrix, reusable across right-hand sides.
 
-    Holds the banded Cholesky factor when the matrix is positive definite,
-    and otherwise (an indefinite matrix) its banded LU factors with partial
-    pivoting; a singular matrix raises LinearSolveError here.
+    Holds, for a positive definite matrix, its LDL^T factors (d, e) when it
+    is tridiagonal and its banded Cholesky factor otherwise; for an
+    indefinite matrix, its banded LU factors with partial pivoting. A
+    singular matrix raises LinearSolveError here, and so does a non-finite
+    entry: +inf on the last diagonal entry would give a finite but wrong
+    solution, so it cannot be left to the solution's test.
     """
 
     def __init__(self, matrix: BandedSymMatrix):
-        _require_finite(matrix.data)
+        data = matrix.data
+        _require_finite(data)
+        n = matrix.n
+        self._ldl = self._chol = None
         # LAPACK's own routines: the scipy wrappers around them cost several
         # times the factorization itself at the small sizes solved per step
-        chol, info = dpbtrf(matrix.data, lower=1)
+        if matrix.bandwidth == 1 and n >= 2:
+            d, e, info = dpttrf(data[0], data[1, :n - 1])
+            self._ldl = d, e
+        else:
+            self._chol, info = dpbtrf(data, lower=1)
         if info < 0:
-            raise LinearSolveError(f"banded Cholesky rejected argument {-info}")
-        self._chol = chol if info == 0 else None
+            raise LinearSolveError(f"banded factorization rejected argument {-info}")
         self._lu = None if info == 0 else _lu_factor(matrix)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
-        _require_finite(rhs)
-        if self._chol is None:
+        if self._lu is not None:
             bw, lu, piv = self._lu
             x, info = dgbtrs(lu, bw, bw, rhs, piv)
+        elif self._ldl is not None:
+            x, info = dpttrs(*self._ldl, rhs)
         else:
             x, info = dpbtrs(self._chol, rhs, lower=1)
         if info != 0:
             raise LinearSolveError(f"banded solve failed (info {info})")
-        return _finite_solution(x)
+        # One sweep, of the solution. A non-finite entry of rhs always
+        # reaches it: every substitution divides by a finite nonzero pivot,
+        # so inf stays inf or becomes NaN (inf - inf, and 0 * inf in a later
+        # row). Only a failed solve looks at rhs, to name the cause.
+        if not np.isfinite(x).all():
+            _require_finite(rhs)
+            raise LinearSolveError("banded solve produced non-finite values "
+                                   "(singular system)")
+        return x
 
 
-def _require_finite(*arrays) -> None:
-    for a in arrays:
-        if not np.isfinite(a).all():
-            raise LinearSolveError("non-finite entries in banded system")
-
-
-def _finite_solution(x: np.ndarray) -> np.ndarray:
-    if not np.isfinite(x).all():
-        raise LinearSolveError("banded solve produced non-finite values "
-                               "(singular system)")
-    return x
+def _require_finite(data: np.ndarray) -> None:
+    if not np.isfinite(data).all():
+        raise LinearSolveError("non-finite entries in banded system")
 
 
 def _lu_factor(matrix: BandedSymMatrix):

@@ -52,9 +52,10 @@ def _cmd_solve(args) -> int:
     print(f"solved {cfg.solver.n_steps} steps on m={cfg.m}, r={cfg.r} "
           f"({sum(iters)} fixed-point iterations, at most {max(iters)} per step; "
           f"relaxed steps: {relaxed})")
-    if run.errors:
-        print(f"L2 error at T={cfg.T}: u {run.errors['u']:.6e}, "
-              f"y {run.errors['y']:.6e}")
+    if run.errors is not None:
+        measured = [f"{name} {err:.6e}" for name, err in run.errors.items()]
+        skipped = [f"{name} not computed ({why})" for name, why in run.skipped_errors.items()]
+        print(f"L2 error at T={cfg.T}: " + ", ".join(measured + skipped))
     print(f"outputs written to {out}")
     return EXIT_OK
 

@@ -6,7 +6,7 @@ from scipy.integrate import quad as scipy_quad
 
 from plapmem import (ConfigError, RunOutput, build_uniform_mesh,
                      convergence_orders, energy, extrema_series, fit_order,
-                     l2_error, manufactured_example1, support_gap,
+                     l2_error, manufactured_example1, march, support_gap,
                      waiting_time)
 from plapmem import analysis
 from plapmem.analysis import plap_of_bump
@@ -40,6 +40,25 @@ class TestL2Error:
             nodal = np.sin(np.pi * mesh.nodes)
             errs.append(l2_error(mesh, nodal, lambda x: np.sin(np.pi * x)))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nonfinite_exact_value_rejected(self):
+        # 5 Gauss points on each of 3 elements: the middle one of the middle
+        # element is x = 1/2, where |x - 1/2|^(-0.3) divides by zero
+        mesh = build_uniform_mesh(0, 1, 3, 2)
+        with pytest.raises(ConfigError, match=r"^exact: non-finite values at x=0\.5, "
+                                              r"1 of 15 quadrature points$"):
+            l2_error(mesh, np.zeros(mesh.n_interior), lambda x: np.abs(x - 0.5) ** -0.3)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_run_keeps_only_finite_errors(self):
+        # p < 2: the exact y of the manufactured problem is unbounded at x = 1/2
+        problem = manufactured_example1(1.7, 1.0, horizon=0.01)
+        run = march(problem, build_uniform_mesh(0, 1, 3, 2),
+                    SolverConfig(p=1.7, delta=1e-3, n_steps=10))
+        assert list(run.errors) == ["u"] and np.isfinite(run.errors["u"])
+        assert run.skipped_errors == {
+            "y": "exact: non-finite values at x=0.5, 1 of 15 quadrature points"}
 
 
 class TestEnergy:

@@ -56,17 +56,28 @@ class TestBandedSymMatrix:
         pytest.param(15, 4, True, id="15-4"),
         pytest.param(39, 1, True, id="39-1"),
         pytest.param(40, 4, True, id="40-4"),
+        # tridiagonal bands with n >= 2 take LDL^T (dpttrf)
+        pytest.param(2, 1, True, id="2-1"),
+        pytest.param(3, 1, True, id="3-1"),
+        pytest.param(255, 1, True, id="255-1"),
         # indefinite bands take the banded LU fallback
         pytest.param(6, 1, False, id="indefinite-6-1"),
         pytest.param(15, 4, False, id="indefinite-15-4"),
+        pytest.param(2, 1, False, id="indefinite-2-1"),
+        pytest.param(3, 1, False, id="indefinite-3-1"),
+        pytest.param(255, 1, False, id="indefinite-255-1"),
     ])
     def test_solve_matches_dense(self, n, bw, definite):
         mat = random_banded(n, bw, seed=3 * n + bw, definite=definite)
         factor = mat.factor()
         assert (factor._lu is None) == definite
+        # the width picks the definite routine: LDL^T for a tridiagonal band
+        assert (factor._ldl is not None) == (bw == 1 and n >= 2)
         rng = np.random.default_rng(1)
-        for rhs in rng.standard_normal((2, n)):    # one factor, reused
+        # one factor, reused: two vectors and an (n, 3) block
+        for rhs in (*rng.standard_normal((2, n)), rng.standard_normal((n, 3))):
             x = factor.solve(rhs)
+            assert x.shape == rhs.shape
             assert np.allclose(to_dense(mat) @ x, rhs, atol=1e-11)
             assert np.array_equal(x, mat.solve(rhs))
 
@@ -76,7 +87,7 @@ class TestBandedSymMatrix:
         mat = random_banded(n, bw, seed=5 * n + bw)
         rhs = np.random.default_rng(n).standard_normal(n)
         expected = mat.factor().solve(rhs)
-        calls = {"dpbtrf": 0, "dgbtrf": 0}
+        calls = {"dpttrf": 0, "dpbtrf": 0, "dgbtrf": 0}
 
         def counting(name):
             original = getattr(banded, name)
@@ -89,8 +100,9 @@ class TestBandedSymMatrix:
         for name in calls:
             monkeypatch.setattr(banded, name, counting(name))
         assert np.array_equal(mat.solve(rhs), expected)
-        # a definite band is factored once, by Cholesky, with no LU
-        assert calls == {"dpbtrf": 1, "dgbtrf": 0}
+        # a definite band is factored once, with no LU: by LDL^T when it
+        # is tridiagonal, by banded Cholesky otherwise
+        assert calls == {"dpttrf": int(bw == 1), "dpbtrf": int(bw != 1), "dgbtrf": 0}
 
     def test_lu_is_factored_once(self, monkeypatch):
         import plapmem.banded as banded
@@ -163,13 +175,31 @@ class TestBandedSymMatrix:
         for bad in (np.nan, np.inf):
             with pytest.raises(LinearSolveError):
                 factor.solve(np.array([1.0, bad, 1.0]))
-
-    @pytest.mark.parametrize("definite", [True, False], ids=["cholesky", "lu"])
-    def test_nonfinite_rhs_named_as_input(self, definite):
-        # not as a singular system, which is what the solve would report
-        factor = random_banded(5, 2, seed=3, definite=definite).factor()
+        # +inf on the last diagonal entry: LDL^T would end in d[-1] = inf and
+        # a finite but wrong solution, so the factorization itself refuses it
+        data = random_banded(5, 1).data
+        data[0, -1] = np.inf
         with pytest.raises(LinearSolveError, match="non-finite entries in banded system"):
-            factor.solve(np.array([1.0, np.nan, 1.0, 1.0, 1.0]))
+            BandedSymMatrix(data).factor()
+
+    @pytest.mark.parametrize("definite,bw,bad,where", [
+        pytest.param(True, 2, np.nan, 1, id="cholesky"),
+        pytest.param(False, 2, np.nan, 1, id="lu"),
+    ] + [
+        pytest.param(definite, bw, bad, where, id=f"{kind}-bw{bw}-{name}-{place}")
+        for definite, kind in ((True, "definite"), (False, "indefinite"))
+        for bw in (1, 2)
+        for bad, name in ((np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"))
+        for where, place in ((0, "first"), (2, "middle"), (4, "last"))
+    ])
+    def test_nonfinite_rhs_named_as_input(self, definite, bw, bad, where):
+        # not as a singular system, which is what the solve would report
+        factor = random_banded(5, bw, seed=3, definite=definite).factor()
+        assert (factor._lu is None) == definite
+        rhs = np.ones(5)
+        rhs[where] = bad
+        with pytest.raises(LinearSolveError, match="non-finite entries in banded system"):
+            factor.solve(rhs)
 
     def test_overflowing_solve_reported_singular(self):
         # finite inputs: the Cholesky factor of [[1e-308]] is 1e-154, and
@@ -181,11 +211,12 @@ class TestBandedSymMatrix:
 
 
 
-# Run in a new interpreter after a prelude: factors the saved definite and
-# indefinite bands, saves their solves for a vector and a 3-column right-hand
-# side, and reports where the routines came from, which of scipy.linalg,
-# numpy.f2py and numpy.testing `import plapmem` loaded, and whether a later
-# scipy.linalg.lapack Cholesky solve of the definite band is bitwise the same.
+# Run in a new interpreter after a prelude: factors the saved definite,
+# indefinite and tridiagonal bands, saves their solves for a vector and a
+# 3-column right-hand side, and reports where the routines came from, which
+# of scipy.linalg, numpy.f2py and numpy.testing `import plapmem` loaded, and
+# whether a later scipy.linalg.lapack Cholesky solve of the definite band is
+# bitwise the same.
 FRESH_SOLVES = """
 import json
 import sys
@@ -197,7 +228,7 @@ from plapmem.banded import BandedSymMatrix
 loaded = sorted(set(sys.modules) & {"scipy.linalg", "numpy.f2py", "numpy.testing"})
 given = np.load(sys.argv[1])
 solves = {}
-for band in ("definite", "indefinite"):
+for band in ("definite", "indefinite", "tridiagonal"):
     factor = BandedSymMatrix(given[band]).factor()
     for rhs in ("vector", "block"):
         solves[f"{band}-{rhs}"] = factor.solve(given[rhs])
@@ -214,9 +245,11 @@ print(json.dumps({"routines": plapmem.banded._lapack.__name__, "loaded": loaded,
 def fresh_solves(tmp_path, name, prelude=""):
     """(solves, report) of FRESH_SOLVES run after `prelude` in a new process."""
     bands = {"definite": random_banded(15, 4, seed=4),
-             "indefinite": random_banded(15, 4, seed=4, definite=False)}
+             "indefinite": random_banded(15, 4, seed=4, definite=False),
+             "tridiagonal": random_banded(15, 1, seed=4)}
     assert bands["definite"].factor()._lu is None
     assert bands["indefinite"].factor()._lu is not None
+    assert bands["tridiagonal"].factor()._ldl is not None
     rng = np.random.default_rng(8)
     given, out = tmp_path / "given.npz", tmp_path / f"{name}.npz"
     np.savez(given, vector=rng.standard_normal(15), block=rng.standard_normal((15, 3)),
@@ -244,7 +277,8 @@ class TestLapackLoader:
         assert report["routines"] == "scipy.linalg.lapack"
         assert "scipy.linalg" in report["loaded"] and report["same"]
         assert sorted(direct) == sorted(fallback) == [
-            "definite-block", "definite-vector", "indefinite-block", "indefinite-vector"]
+            "definite-block", "definite-vector", "indefinite-block", "indefinite-vector",
+            "tridiagonal-block", "tridiagonal-vector"]
         for key in direct:
             assert direct[key].shape == ((15, 3) if key.endswith("block") else (15,))
             assert np.array_equal(direct[key], fallback[key])

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -261,6 +262,22 @@ class TestCliExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "forcing" in err[0] and "t=0.0" in err[0] and "x=0.5" in err[0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_unmeasurable_error_said_not_computed(self, tmp_path, capsys):
+        # for p < 2 the exact y has |w'|^(p-2), unbounded at x = 1/2, a point
+        # of l2_error's 5-point rule on the r = 2, m = 3 mesh: the y error is
+        # reported as not computed, with no inf and no RuntimeWarning
+        payload = {"domain": [0, 1], "p": 1.7, "lambda": 1.0, "T": 0.01, "r": 2,
+                   "m": 3, "N": 10}
+        assert run_cli(tmp_path, payload) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        [line] = [line for line in captured.out.splitlines() if "L2 error" in line]
+        assert re.search(r"\b(inf|nan)\b", line) is None
+        assert re.fullmatch(r"L2 error at T=0\.01: u \S+e-\d+, y not computed \(exact: "
+                            r"non-finite values at x=0\.5, 1 of 15 quadrature points\)",
+                            line)
 
     def test_unallocatable_history_is_2(self, tmp_path, capsys):
         # valid as a config; the history's shape is refused, nothing allocated
