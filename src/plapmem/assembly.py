@@ -131,6 +131,19 @@ def _sample(fn, x: np.ndarray, field: str, message: str) -> np.ndarray:
     return vals
 
 
+def _pointwise(fn, points: np.ndarray) -> np.ndarray:
+    """fn at every entry of points, a user callable: one call on the array
+    where it gives one value per point, else one call per point (fn raises
+    on an array, or returns the wrong shape)."""
+    try:
+        vals = np.asarray(fn(points), dtype=float)
+    except (TypeError, ValueError):
+        vals = None
+    if vals is None or vals.shape != points.shape:
+        vals = np.array([float(fn(s)) for s in points.flat]).reshape(points.shape)
+    return vals
+
+
 def assemble_mass(mesh: Mesh1D, quad: QuadratureRule, *,
                   tables: Optional[ElementTables] = None) -> BandedSymMatrix:
     """Mass matrix of the Lagrange basis on the interior dofs.
@@ -196,9 +209,9 @@ class SeparableForcing:
 
     terms holds the (space, time) pairs; with none, f = 0. It is itself the
     callable f, for scalar or array x. The stepping loop integrates each
-    space profile once per run and combines the integrals with the time
-    coefficients (stepper.Assembler.load), instead of assembling f anew at
-    every step.
+    space profile once per run and evaluates the time coefficients at all
+    half-step times once per run (stepper.StepPlan), instead of assembling
+    f anew at every step.
     """
 
     terms: tuple = ()
@@ -210,14 +223,24 @@ class SeparableForcing:
             out = out + space(x) * time(t)
         return out if out.ndim else float(out)
 
-    def coefficients(self, t: float) -> np.ndarray:
-        """The time coefficients at t, one per term."""
-        coeffs = [float(time(t)) for _, time in self.terms]
-        for term, value in enumerate(coeffs):
-            if not math.isfinite(value):
-                raise ConfigError("forcing", f"non-finite time coefficient at t={t} "
-                                  f"(term {term}); the forcing is singular there")
-        return np.array(coeffs)
+    def coefficients(self, t) -> np.ndarray:
+        """The time coefficients at t, one per term: shape (terms,) for a
+        scalar t, (len(t), terms) for an array of times. Each time_i is
+        called once on the array, or once per time if it cannot take one
+        (see _pointwise); a non-finite coefficient is a ConfigError naming
+        the first t where one occurs."""
+        times = np.asarray(t, dtype=float)
+        table = np.empty(times.shape + (len(self.terms),))
+        with np.errstate(all="ignore"):     # a non-finite value is reported below
+            for term, (_, time) in enumerate(self.terms):
+                table[..., term] = _pointwise(time, times)
+        bad = np.argwhere(~np.isfinite(np.atleast_2d(table)))     # (time, term) pairs
+        if len(bad):
+            row, term = bad[0]
+            raise ConfigError("forcing", f"non-finite time coefficient at "
+                              f"t={float(times.flat[row])} (term {term}); the "
+                              "forcing is singular there")
+        return table
 
 
 def interpolate(mesh: Mesh1D, u0) -> np.ndarray:

@@ -22,6 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .assembly import _pointwise
 from .banded import BandedSymMatrix
 from .errors import ConfigError, IllPosedStepError
 
@@ -56,7 +57,7 @@ class KernelSpec:
             return
         expected = self.lam * np.exp(-_LAM_CHECK_LAGS)
         for name, fn, sign in (("g", self.g, 1.0), ("gp", self.gp, -1.0)):
-            dev = np.max(np.abs(_kernel_values(fn, _LAM_CHECK_LAGS) - sign * expected))
+            dev = np.max(np.abs(_pointwise(fn, _LAM_CHECK_LAGS) - sign * expected))
             if not dev <= 1e-12 * abs(self.lam):
                 raise ConfigError("kernel", f"lam = {self.lam} declares "
                                   f"{name} = {sign * self.lam:g}*exp(-s), but {name} "
@@ -73,17 +74,6 @@ def exponential_kernel(lam: float) -> KernelSpec:
         return -lam * np.exp(-np.asarray(s, dtype=float))
 
     return KernelSpec(g=g, gp=gp, lam=float(lam))
-
-
-def _kernel_values(fn, lags: np.ndarray) -> np.ndarray:
-    """Evaluate a kernel callable on an array, tolerating scalar-only ones."""
-    try:
-        vals = np.asarray(fn(lags), dtype=float)
-    except (TypeError, ValueError):
-        vals = None
-    if vals is None or vals.shape != lags.shape:
-        vals = np.array([float(fn(s)) for s in lags])
-    return vals
 
 
 def _finite(name: str, values, lags):
@@ -200,7 +190,7 @@ def history_sum(hist: StateHistory, fn, fn0: float, levels: np.ndarray):
     weights, lags = volterra_weights(hist.k, hist.delta)
     half = hist.delta / 8.0 * fn0
     name = "g" if levels is hist.y else "g'"      # for the error on a non-finite fn
-    acc = (weights * _finite(name, _kernel_values(fn, lags), lags)) @ levels[:hist.k + 1]
+    acc = (weights * _finite(name, _pointwise(fn, lags), lags)) @ levels[:hist.k + 1]
     acc += half * levels[hist.k]
     return acc, half
 
@@ -214,7 +204,7 @@ def i_f(hist: StateHistory, kernel: KernelSpec,
     """
     check_mode(mode)
     weights, lags = forcing_weights(hist.k, hist.delta)
-    coeffs = weights * _finite("g", _kernel_values(kernel.g, lags), lags)
+    coeffs = weights * _finite("g", _pointwise(kernel.g, lags), lags)
     out = coeffs @ hist.loads[:hist.k + 2]
     if mode == "literal":
         out = out + hist.delta * float(kernel.g(0.0)) * hist.loads[hist.k + 1]

@@ -23,16 +23,18 @@ right-hand side b + delta*(K_T U - A(w)(U + U^k)). All three share the
 same fixed point, and Y is formed once, from the accepted U.
 
 Per run, a StepPlan forms alpha, beta, the slope and the scheme's flags,
-c*M, the factored system where it cannot change (p = 2, slope 0), and for
-an exponential kernel the memory block (see memory), with M^{-1}L_0 and a
-SeparableForcing's profile loads in one mass solve. Per step: one small
-dense product of that block, or for any other kernel the direct history
-sums; one banded product, M*v; one mass solve for a forcing that is not a
+c*M, the factored system where it cannot change (p = 2, slope 0), a
+SeparableForcing's time coefficients at every half-step time, and for an
+exponential kernel the memory block (see memory), with M^{-1}L_0 and the
+forcing's profile loads in one mass solve. Per step: one small dense
+product of that block, or for any other kernel the direct history sums;
+one banded product, M*v; one mass solve for a forcing that is not a
 SeparableForcing or a kernel that is not exponential. Per iteration: one
 p-Laplacian assembly (two bands for Newton with eps > 0, none for p = 2),
-one product for the right-hand side (two for Newton with eps > 0, none
-after the first for p = 2 with slope 1), one banded solve and one product
-for U's squared M-norm increment.
+one product for the right-hand side (two for Newton with eps > 0) and one
+banded solve, and one product for U's squared M-norm increment. For p = 2
+with slope 1 the first solve is the step's exact solution, so the later
+iterations form no right-hand side and solve nothing.
 """
 
 import math
@@ -186,8 +188,10 @@ class StepPlan:
     """What every step of a march shares, set up once at level 0 of the
     history it advances: alpha, beta, the slope and the scheme's flags;
     system = c*M, plus delta*slope*A(0) and factored where it cannot change
-    (p = 2, slope 0; else factor is None); for g = lam*exp(-s) the
-    MemoryBlock, with M^{-1}L_0 and any profile loads solved into it."""
+    (p = 2, slope 0; else factor is None); for a SeparableForcing, its time
+    coefficients at t_{k+1/2} = (k + 1/2)*delta, row k for step k (else
+    None); for g = lam*exp(-s) the MemoryBlock, with M^{-1}L_0 and any
+    profile loads solved into it."""
 
     def __init__(self, hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
                  asm: Assembler):
@@ -196,6 +200,8 @@ class StepPlan:
         self.hist, self.kernel, self.cfg, self.asm = hist, kernel, cfg, asm
         delta, p, forcing = cfg.delta, asm.params.p, asm.load_fn
         separable = isinstance(forcing, SeparableForcing)
+        self.coefficients = forcing.coefficients(
+            (np.arange(hist.n_steps) + 0.5) * delta) if separable else None
         self.block = block = None if kernel.lam is None else MemoryBlock(
             kernel.lam, delta, cfg.quadrature_mode, hist.u[0], hist.y[0],
             len(forcing.terms) if separable else 1)
@@ -212,6 +218,8 @@ class StepPlan:
         self.y_gain = (self.beta / self.alpha) ** 2   # dY = -(beta/alpha) dU
         self.linear = p == 2.0      # diffusion matrix independent of the state
         self.slope = {"A": 1.0, "B": 0.0, "N": p - 1.0}[cfg.scheme]
+        # the map U -> U_next does not depend on U: one solve is the step
+        self.one_solve = self.linear and self.slope == 1.0
         self.predict = cfg.scheme == "N" and not self.linear
         # only Newton with eps > 0 solves with a band other than slope*A(w): K_T
         self.tangent = self.predict and asm.params.epsilon != 0.0
@@ -229,23 +237,26 @@ def step_relation(plan: StepPlan):
     memory relation, and M*v the U-block's right-hand side less its diffusion
     term. An exponential kernel takes both from the plan's MemoryBlock, into
     which it solves the load of an f that is not a SeparableForcing; any
-    other stores L_{k+1/2} in hist.loads and takes one mass solve.
+    other stores L_{k+1/2} in hist.loads and takes one mass solve. A
+    SeparableForcing's load is row k of the plan's coefficients times its
+    profiles.
     """
-    hist, asm, block, forcing = plan.hist, plan.asm, plan.block, plan.asm.load_fn
+    hist, asm, block, coefficients = plan.hist, plan.asm, plan.block, plan.coefficients
     k, delta = hist.k, plan.cfg.delta
     t = (k + 0.5) * delta
     if block is None:
-        hist.loads[k + 1] = asm.load(t)
+        hist.loads[k + 1] = (asm.load(t) if coefficients is None
+                             else coefficients[k] @ asm.profiles(t))
         state, load_share = memory_equation(hist, plan.kernel, plan.cfg.quadrature_mode)
         solved = asm.mass_factor.solve(np.stack((load_share, hist.loads[k + 1]), axis=1))
         z = state - solved[:, 0]
         v = (2.0 * hist.u[k] + delta * hist.y[k] + (delta / plan.alpha) * z
              + 2.0 * delta * solved[:, 1])
         return z, v
-    if not isinstance(forcing, SeparableForcing):
+    if coefficients is None:
         block.rows[6] = asm.mass_factor.solve(asm.load(t))
         return block.relation(np.ones(1))
-    return block.relation(forcing.coefficients(t) if forcing.terms else None)
+    return block.relation(coefficients[k])
 
 
 def _extrapolate(u: np.ndarray, k: int) -> np.ndarray:
@@ -288,7 +299,10 @@ def cn_step(plan: StepPlan):
     iteration from it stalls; every other iteration starts from U^k. From
     iteration _STALL_GRACE on, an increment ratio >= _STALL_RATIO relaxes
     the later updates, u + omega*(u_next - u) with omega /= 1 + sqrt(ratio);
-    tol bounds the plain map's increment whatever omega is. An iterate that
+    tol bounds the plain map's increment whatever omega is. Where the map
+    does not depend on the iterate (plan.one_solve: p = 2, slope 1), the
+    later iterations keep the first one's u_next: no right-hand side, no
+    solve, and the same increments and diagnostics. An iterate that
     overflows ends the step with FixedPointDivergenceError; a failed solve,
     or an accepted U whose Y is not finite, with a LinearSolveError naming
     the step and the iteration.
@@ -311,29 +325,29 @@ def cn_step(plan: StepPlan):
     omega = 1.0
     overflow = None
     for iteration in range(1, cfg.max_iter + 1):
-        if plan.tangent:
-            a_mid, lhs_stiff = asm.plap(0.5 * (u_it + u_prev), tangent=True)
-            rhs = rhs_step + delta * (lhs_stiff.matvec(u_it)
-                                      - a_mid.matvec(u_it + u_prev))
-        else:
-            if not plan.linear:
-                a_mid = lhs_stiff = asm.plap(0.5 * (u_it + u_prev))
-            if iteration == 1 or not (plan.linear and slope == 1.0):  # else rhs is unchanged
+        if iteration == 1 or not plan.one_solve:    # else u_next is the same
+            if plan.tangent:
+                a_mid, lhs_stiff = asm.plap(0.5 * (u_it + u_prev), tangent=True)
+                rhs = rhs_step + delta * (lhs_stiff.matvec(u_it)
+                                          - a_mid.matvec(u_it + u_prev))
+            else:
+                if not plan.linear:
+                    a_mid = lhs_stiff = asm.plap(0.5 * (u_it + u_prev))
                 rhs = rhs_step + delta * a_mid.matvec((slope - 1.0) * u_it - u_prev)
-        try:
-            if factor is not None:
-                u_next = factor.solve(rhs)
-            else:       # the system, in the band this iteration assembled
-                lhs_stiff.data *= plan.stiff_coef
-                lhs_stiff.data += plan.system.data
-                u_next = lhs_stiff.solve(rhs)
-        except LinearSolveError as exc:
-            # divergence only if an iterate grew until the system overflowed
-            if (iteration == 1 or np.isfinite(rhs).all()
-                    and np.isfinite(lhs_stiff.data).all()):
-                raise type(exc)(f"step {k}, iteration {iteration}: {exc}") from exc
-            overflow = exc
-            break
+            try:
+                if factor is not None:
+                    u_next = factor.solve(rhs)
+                else:       # the system, in the band this iteration assembled
+                    lhs_stiff.data *= plan.stiff_coef
+                    lhs_stiff.data += plan.system.data
+                    u_next = lhs_stiff.solve(rhs)
+            except LinearSolveError as exc:
+                # divergence only if an iterate grew until the system overflowed
+                if (iteration == 1 or np.isfinite(rhs).all()
+                        and np.isfinite(lhs_stiff.data).all()):
+                    raise type(exc)(f"step {k}, iteration {iteration}: {exc}") from exc
+                overflow = exc
+                break
         du = u_next - u_it      # the plain map's increment, compared with tol
         inc_u = float(du @ mass.matvec(du))
         inc_y = plan.y_gain * inc_u

@@ -279,6 +279,21 @@ class TestCliExitCodes:
                             r"non-finite values at x=0\.5, 1 of 15 quadrature points\)",
                             line)
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_error_said_not_computed(self, tmp_path, capsys):
+        # for p <= 1.5 the exact y is not square-integrable, on any mesh: at
+        # m = 4 no point of the error rule is x = 1/2, and a quadrature
+        # would print a finite y error that grows under refinement
+        payload = {"domain": [0, 1], "p": 1.3, "lambda": 1.0, "T": 0.01, "r": 1,
+                   "m": 4, "N": 10}
+        assert run_cli(tmp_path, payload) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        [line] = [line for line in captured.out.splitlines() if "L2 error" in line]
+        assert re.fullmatch(r"L2 error at T=0\.01: u \S+e-\d+, y not computed \(exact: "
+                            r"y is not square-integrable at p = 1\.3 <= 1\.5, .*: the "
+                            r"L2 error is infinite\)", line)
+
     def test_unallocatable_history_is_2(self, tmp_path, capsys):
         # valid as a config; the history's shape is refused, nothing allocated
         assert run_cli(tmp_path, dict(MINIMAL, N=10**300)) == 2

@@ -30,6 +30,13 @@ class TestRunExample:
                       if row[1] == str(r) and row[6]]
             assert orders[-1] == pytest.approx(r + 1, abs=0.35)
 
+    def test_convergence_study_leaves_infinite_error_empty(self, tmp_path):
+        # at p = 1.3 the exact y is not square-integrable: no y error, no order
+        table = run_example(1, overrides={"p": 1.3}, out_dir=tmp_path)
+        rows = [line.split(",") for line in table.read_text().splitlines()[1:]]
+        assert len(rows) == 16
+        assert all(row[5] == row[7] == "" and float(row[4]) > 0.0 for row in rows)
+
     def test_asymptotics_single_case(self, tmp_path):
         runs = run_example(2, overrides={"p": 2.0, "lambda": -1.0},
                            out_dir=tmp_path)

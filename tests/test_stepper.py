@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from fe_oracles import to_dense
+from plapmem import stepper
 from plapmem import (ConfigError, FixedPointDivergenceError, IllPosedStepError,
                      ProblemSpec, SolverConfig, build_uniform_mesh,
                      exponential_kernel, manufactured_example1, march,
@@ -396,6 +398,20 @@ def sine_01(x):
     return np.sin(np.pi * np.asarray(x, dtype=float))
 
 
+def separable_case(time, declared=True):
+    """(problem, mesh, cfg) of a 20-step p = 2 run forced by x(1-x) time(t);
+    the kernel 2 exp(-s), declared with its lam (the memory block) or not
+    (the direct sums)."""
+    kernel = exponential_kernel(2.0)
+    if not declared:
+        kernel = KernelSpec(g=kernel.g, gp=kernel.gp)
+    problem = ProblemSpec(a=0.0, b=1.0, horizon=0.2, p=2.0, kernel=kernel,
+                          u0=sine_01,
+                          f=SeparableForcing(((lambda x: x * (1 - x), time),)))
+    return problem, build_uniform_mesh(0, 1, 6, 2), SolverConfig(p=2.0, delta=0.01,
+                                                                  n_steps=20)
+
+
 class TestSeparableLoad:
     def test_profiles_integrated_once_per_run(self):
         terms = [CountingTerm(lambda x: x * (1 - x), np.cos),
@@ -409,7 +425,7 @@ class TestSeparableLoad:
               SolverConfig(p=3.0, delta=0.01, n_steps=n_steps))
         for term in terms:
             assert term.space_calls == 1
-            assert term.time_calls == n_steps + 1
+            assert term.time_calls == 2     # the t = 0 load, then all half steps
 
     def test_package_problems_declare_separable_forcing(self):
         # a plain callable would silently fall back to per-step assembly
@@ -430,6 +446,45 @@ class TestSeparableLoad:
             march(problem, build_uniform_mesh(0, 1, 6, 1),
                   SolverConfig(p=2.0, delta=0.01, n_steps=5))
         assert err.value.field == "forcing"
+
+    @pytest.mark.parametrize("declared", [True, False])
+    @pytest.mark.parametrize("time", [
+        math.cos, lambda t: math.cos(t) if t >= 0.0 else math.nan,
+    ], ids=["math.cos", "scalar-only-branch"])
+    def test_scalar_time_function_matches_array_one(self, declared, time):
+        # a time function that cannot take an array is called per time, and
+        # gives the march np.cos gives, bit for bit
+        runs = [march(*separable_case(fn, declared)) for fn in (np.cos, time)]
+        for name in ("u", "y", "energies"):
+            assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
+        assert runs[0].diagnostics == runs[1].diagnostics
+
+    def test_constant_time_function_broadcasts(self):
+        runs = [march(*separable_case(fn))
+                for fn in (lambda t: 2.0, lambda t: np.full(np.shape(t), 2.0))]
+        assert np.array_equal(runs[0].u, runs[1].u)
+        forcing = SeparableForcing(((np.sin, lambda t: 2.0), (np.sin, np.cos)))
+        table = forcing.coefficients(np.array([0.5, 1.5, 2.5]))
+        assert table.shape == (3, 2) and np.all(table[:, 0] == 2.0)
+        assert np.array_equal(table[:, 1], np.cos([0.5, 1.5, 2.5]))
+        assert np.array_equal(forcing.coefficients(1.5), table[1])
+
+    @pytest.mark.filterwarnings("error")
+    def test_nonfinite_time_coefficient_found_before_any_step(self, monkeypatch):
+        # exp(1e3 t) overflows past t = 0.7098: first at the half step
+        # t = 0.7105 of a 1000-step run, with no step taken and no warning
+        steps = []
+        monkeypatch.setattr(stepper, "cn_step",
+                            lambda plan: steps.append(plan) or cn_step(plan))
+        forcing = SeparableForcing(((sine_01, np.cos),
+                                    (sine_01, lambda t: np.exp(1e3 * np.asarray(t)))))
+        problem = ProblemSpec(a=0.0, b=1.0, horizon=1.0, p=2.0,
+                              kernel=exponential_kernel(1.0), u0=sine_01, f=forcing)
+        with pytest.raises(ConfigError, match=r"^forcing: non-finite time coefficient "
+                                              r"at t=0\.7105 \(term 1\); ") as err:
+            march(problem, build_uniform_mesh(0, 1, 6, 1),
+                  SolverConfig(p=2.0, delta=1e-3, n_steps=1000))
+        assert err.value.field == "forcing" and steps == []
 
 
 class TestLeanStep:
@@ -1122,10 +1177,12 @@ class TestProductCounts:
     one per step (the step's right-hand side), then per iteration one for
     the right-hand side A(w)((slope-1) U - U^k) (two for Newton with
     eps > 0, none after the first for p = 2 with slope 1) and one for the
-    increment; none at set-up. Mass solves: one per step for a forcing that
-    is not a SeparableForcing, none for one (its profiles are solved once,
-    with L_0, at set-up). Bands built: the ones the iteration assembles,
-    and the run constants at set-up."""
+    increment; none at set-up. Solves with the step's system: one per
+    iteration, and one per step for p = 2 with slope 1, whose first solve
+    is the step. Mass solves: one per step for a forcing that is not a
+    SeparableForcing, none for one (its profiles are solved once, with L_0,
+    at set-up). Bands built: the ones the iteration assembles, and the run
+    constants at set-up."""
 
     @pytest.mark.parametrize("scheme, p, epsilon, per_iteration", [
         ("A", 4.0, None, 2), ("B", 2.5, None, 2), ("N", 4.0, None, 2),
@@ -1141,6 +1198,22 @@ class TestProductCounts:
     def test_linear_step_takes_four(self, monkeypatch):
         _, counts = self.count(monkeypatch, BandedSymMatrix, "matvec", "A", 2.0, None)
         assert [(calls, diag.iterations) for calls, diag in counts] == [(4, 2)] * 10
+
+    @pytest.mark.parametrize("scheme, p, one_solve", [
+        ("A", 2.0, True), ("N", 2.0, True), ("B", 2.0, False), ("N", 4.0, False),
+        ("N", 3.0, False), ("A", 4.0, False),
+    ])
+    def test_system_solves_per_step(self, monkeypatch, scheme, p, one_solve):
+        # a SeparableForcing takes no mass solve per step: every solve
+        # counted is one with the step's system
+        _, counts = self.count(monkeypatch, BandedFactor, "solve", scheme, p, None,
+                               forcing=SeparableForcing(((lambda x: x * (1 - x),
+                                                          np.cos),)))
+        if one_solve:
+            assert [(calls, diag.iterations) for calls, diag in counts] == [(1, 2)] * 10
+        else:
+            assert all(calls == diag.iterations for calls, diag in counts)
+            assert max(diag.iterations for _, diag in counts) >= 2
 
     @pytest.mark.parametrize("forcing, solves", [      # at set-up, then per step
         (SeparableForcing(), [0] + [0] * 10),

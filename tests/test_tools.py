@@ -6,6 +6,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
 import bench_record  # noqa: E402
+import same_outputs  # noqa: E402
 import sample_runs  # noqa: E402
 import src_lines  # noqa: E402
 
@@ -25,6 +26,22 @@ def test_sampler_against_its_own_checkout(capsys):
         done = counts[0]
         assert lines[4] == (f"final level over the {done} runs both completed: "
                             "largest relative difference 0 in u, 0 in y")
+
+
+def test_same_outputs_against_its_own_checkout(capsys):
+    # example 3's 12 files, the solve's 5 and the stdout of 3 commands
+    assert same_outputs.main(["--against", str(ROOT), "--examples", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"20 outputs here, 20 in {ROOT}: 0 differ"]
+
+
+def test_same_outputs_reports_first_differing_byte():
+    ours = {"a.csv": b"t,u\n0.0,1.5\n", "b stdout": b"ok\n", "c.csv": b"x"}
+    theirs = {"a.csv": b"t,u\n0.0,1.25\n", "b stdout": b"ok\n", "d.csv": b"x"}
+    assert same_outputs.compare(ours, theirs, "other") == [
+        "differs: a.csv, first at byte 10", "only in this checkout: c.csv",
+        "only in other: d.csv"]
+    assert same_outputs.first_difference(b"abc", b"abcd") == 3
 
 
 def test_problems_cover_the_stated_ranges():
