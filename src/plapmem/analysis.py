@@ -98,25 +98,33 @@ def mass_norm(coeffs: np.ndarray, mass) -> float:
     return float(np.sqrt(coeffs @ mass.matvec(coeffs)))
 
 
-def convergence_orders(errors, steps) -> np.ndarray:
-    """Pairwise observed orders log(e_i/e_{i+1}) / log(s_i/s_{i+1})."""
+def _refinement(errors, steps):
+    """errors and steps as float arrays, or a ValueError: they must be
+    1-D lists of one length >= 2 of positive finite values, the steps
+    strictly decreasing."""
     errors = np.asarray(errors, dtype=float)
     steps = np.asarray(steps, dtype=float)
-    if errors.shape != steps.shape or len(errors) < 2:
+    if errors.ndim != 1 or errors.shape != steps.shape or len(errors) < 2:
         raise ValueError("need matching error/step lists of length >= 2")
-    if np.any(errors <= 0.0):
-        raise ValueError("errors must be strictly positive")
+    for name, values in (("errors", errors), ("steps", steps)):
+        if not np.all((values > 0.0) & (values < np.inf)):
+            raise ValueError(f"{name} must be strictly positive and finite")
     if np.any(np.diff(steps) >= 0.0):
         raise ValueError("steps must be strictly decreasing")
+    return errors, steps
+
+
+def convergence_orders(errors, steps) -> np.ndarray:
+    """Pairwise observed orders log(e_i/e_{i+1}) / log(s_i/s_{i+1})."""
+    errors, steps = _refinement(errors, steps)
     return np.log(errors[:-1] / errors[1:]) / np.log(steps[:-1] / steps[1:])
 
 
 def fit_order(errors, steps) -> float:
-    """Least-squares slope of log(error) against log(step)."""
-    errors = np.asarray(errors, dtype=float)
-    steps = np.asarray(steps, dtype=float)
-    slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
-    return float(slope)
+    """Least-squares slope of log(error) against log(step); the same
+    inputs as convergence_orders."""
+    errors, steps = _refinement(errors, steps)
+    return float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
 
 
 def support_gap(mesh: Mesh1D, coeffs: np.ndarray, eta: float):

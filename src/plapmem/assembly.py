@@ -65,10 +65,10 @@ def flux_coefficient(xi, params: FluxParams):
 def _band_slots(mesh: Mesh1D):
     """Flat band slot of every element-local (a, b) pair, and the band shape.
 
-    Band storage is (r+1, n) with n the interior node count; slot d*n + i
-    holds A[i, i+d]. Lower-triangle pairs and pairs that touch a boundary
-    node go to one extra dump slot, (r+1)*n, which the scatter drops; the
-    trailing entries get nothing.
+    Band storage is (r+1, n) with n the interior node count, column-major:
+    slot i*(r+1) + d holds A[i, i+d]. Lower-triangle pairs and pairs that
+    touch a boundary node go to one extra dump slot, (r+1)*n, which the
+    scatter drops; the trailing entries get nothing.
     """
     r = mesh.r
     dofs = mesh.element_dofs() - 1                          # interior numbering
@@ -76,17 +76,17 @@ def _band_slots(mesh: Mesh1D):
     cols = np.tile(dofs, (1, r + 1)).ravel()                # node of b
     n = mesh.n_interior
     keep = (cols >= rows) & (rows >= 0) & (cols < n)
-    return np.where(keep, (cols - rows) * n + rows, (r + 1) * n), (r + 1, n)
+    return np.where(keep, rows * (r + 1) + cols - rows, (r + 1) * n), (r + 1, n)
 
 
 def _scatter(slots: np.ndarray, local: np.ndarray, shape) -> BandedSymMatrix:
     """Sum element-local blocks, flattened in the order of slots, into
-    band storage of the given shape. A slot receives at most two
-    contributions (the diagonal at a node two elements share), and a sum
-    of two floats does not depend on their order."""
-    size = shape[0] * shape[1]
-    band = np.bincount(slots, weights=local.ravel(), minlength=size + 1)
-    return BandedSymMatrix(band[:size].reshape(shape))
+    column-major band storage of the given shape. A slot receives at most
+    two contributions (the diagonal at a node two elements share), and a
+    sum of two floats does not depend on their order."""
+    rows, n = shape
+    band = np.bincount(slots, weights=local.ravel(), minlength=rows * n + 1)
+    return BandedSymMatrix(band[:rows * n].reshape(n, rows).T)
 
 
 class ElementTables:

@@ -10,13 +10,18 @@ The band's width picks the definite routines. A tridiagonal band
 dpttrf/dpttrs; every other band (bandwidth 0 or >= 2, and n = 1) takes
 the banded Cholesky pair dpbtrf/dpbtrs, whose BLAS call per column costs
 more than the arithmetic at bandwidth 1. Every indefinite band takes
-dgbtrf/dgbtrs.
+dgbtrf/dgbtrs. A product is one call of the Level-2 BLAS dsbmv.
 
-These six LAPACK routines come from scipy's f2py extension
-`scipy/linalg/_flapack`, loaded by its file path: that skips
-`scipy.linalg`'s package init, most of the cost of importing this
-package. If the file is missing or fails to load, they come from
-`scipy.linalg.lapack` instead, which hands out the same routine objects.
+Seven routines, from two of scipy's f2py extensions: the six LAPACK ones
+from `scipy/linalg/_flapack` and dsbmv from `scipy/linalg/_fblas`, each
+loaded by its file path: that skips `scipy.linalg`'s package init, most of
+the cost of importing this package. If a file is missing or fails to
+load, its routines come from `scipy.linalg.lapack` or `scipy.linalg.blas`
+instead, which hand out the same routine objects.
+
+The bands the solver builds are stored column-major (Fortran order), the
+layout BLAS and LAPACK read: f2py hands them to dsbmv as they are, and
+copies them for a factorization without transposing.
 """
 
 import importlib.util
@@ -28,30 +33,34 @@ import numpy as np
 from .errors import LinearSolveError
 
 
-def _flapack():
+def _scipy_linalg(extension: str, fallback: str):
+    """scipy.linalg's f2py extension module, loaded from its file, else the
+    module scipy.linalg.<fallback>."""
     scipy = importlib.util.find_spec("scipy")
     if scipy is not None and scipy.submodule_search_locations:
         folder = os.path.join(scipy.submodule_search_locations[0], "linalg")
         for suffix in EXTENSION_SUFFIXES:
-            path = os.path.join(folder, "_flapack" + suffix)
+            path = os.path.join(folder, extension + suffix)
             if not os.path.isfile(path):
                 continue
             # under scipy's own name, so a later `import scipy.linalg` reuses it
-            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            spec = importlib.util.spec_from_file_location("scipy.linalg." + extension,
+                                                          path)
             try:
                 module = importlib.util.module_from_spec(spec)
                 spec.loader.exec_module(module)
             except (ImportError, OSError):
                 break
             return module
-    from scipy.linalg import lapack
-    return lapack
+    return importlib.import_module("scipy.linalg." + fallback)
 
 
-_lapack = _flapack()
+_lapack = _scipy_linalg("_flapack", "lapack")
+_blas = _scipy_linalg("_fblas", "blas")
 dgbtrf, dgbtrs = _lapack.dgbtrf, _lapack.dgbtrs
 dpbtrf, dpbtrs = _lapack.dpbtrf, _lapack.dpbtrs
 dpttrf, dpttrs = _lapack.dpttrf, _lapack.dpttrs
+dsbmv = _blas.dsbmv
 
 
 class BandedSymMatrix:
@@ -59,11 +68,14 @@ class BandedSymMatrix:
 
     Row d holds the d-th superdiagonal in its leading n-d entries; the
     trailing entries of each row are kept at zero. By symmetry this is also
-    LAPACK's lower band layout (data[d, i] = A[i+d, i]), so the Cholesky
-    factorization reads it without a repack. Matrices the solver keeps
-    (mass, stiffness, system matrices) are never written to; a band it has
-    just assembled for one iteration may be turned into that iteration's
-    system matrix in place.
+    LAPACK's and BLAS's lower band layout (data[d, i] = A[i+d, i]), so the
+    Cholesky factorization and the product read it without a repack. The
+    bands the solver assembles are column-major (each column of data, the
+    band entries of one node, contiguous); a row-major one gives the same
+    results, through a copy f2py makes at every call. Matrices the solver
+    keeps (mass, stiffness, system matrices) are never written to; a band it
+    has just assembled for one iteration may be turned into that
+    iteration's system matrix in place.
     """
 
     def __init__(self, data: np.ndarray):
@@ -81,17 +93,20 @@ class BandedSymMatrix:
         return self.data.shape[0] - 1
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A x for one vector, or row by row for a block of shape (levels, n);
-        each row of a block gets bitwise the product of that row alone."""
+        """A x for one vector, by dsbmv, or row by row for a block of shape
+        (levels, n); each row of a block gets bitwise the product of that
+        row alone. A last axis of another length than n is a ValueError
+        (dsbmv would read the first n entries of a longer one)."""
         x = np.asarray(x, dtype=float)
-        data = self.data
-        rows, n = data.shape
-        y = data[0] * x
-        for d in range(1, min(rows, n)):
-            band = data[d, :n - d]
-            y[..., :n - d] += band * x[..., d:]
-            y[..., d:] += band * x[..., :n - d]
-        return y
+        n = self.n
+        if x.shape[-1:] != (n,):
+            raise ValueError(f"cannot multiply a band of n = {n} with an "
+                             f"array of shape {x.shape}")
+        k = min(self.bandwidth, n - 1)
+        if x.ndim == 1:
+            return dsbmv(k, 1.0, self.data, x, lower=1)
+        rows = [dsbmv(k, 1.0, self.data, row, lower=1) for row in x.reshape(-1, n)]
+        return np.array(rows).reshape(x.shape)
 
     def factor(self) -> "BandedFactor":
         return BandedFactor(self)

@@ -34,7 +34,9 @@ p-Laplacian assembly (two bands for Newton with eps > 0, none for p = 2),
 one product for the right-hand side (two for Newton with eps > 0) and one
 banded solve, and one product for U's squared M-norm increment. For p = 2
 with slope 1 the first solve is the step's exact solution, so the later
-iterations form no right-hand side and solve nothing.
+iterations form no right-hand side, solve nothing and take no product:
+their increment is exactly 0. Such a step, done in two iterations, makes
+three products: M*v and the first iteration's two.
 """
 
 import math
@@ -302,10 +304,13 @@ def cn_step(plan: StepPlan):
     tol bounds the plain map's increment whatever omega is. Where the map
     does not depend on the iterate (plan.one_solve: p = 2, slope 1), the
     later iterations keep the first one's u_next: no right-hand side, no
-    solve, and the same increments and diagnostics. An iterate that
-    overflows ends the step with FixedPointDivergenceError; a failed solve,
-    or an accepted U whose Y is not finite, with a LinearSolveError naming
-    the step and the iteration.
+    solve, and an increment of exactly 0 recorded without its product, as
+    u_next - u_next would give it. Banded products: one per step for the
+    right-hand side, and in each iteration that solves, one for the
+    right-hand side (two for Newton with eps > 0) and one for the
+    increment. An iterate that overflows ends the step with
+    FixedPointDivergenceError; a failed solve, or an accepted U whose Y is
+    not finite, with a LinearSolveError naming the step and the iteration.
     """
     hist, cfg, asm, factor, slope = plan.hist, plan.cfg, plan.asm, plan.factor, plan.slope
     k, delta, alpha, beta = hist.k, cfg.delta, plan.alpha, plan.beta
@@ -348,8 +353,10 @@ def cn_step(plan: StepPlan):
                     raise type(exc)(f"step {k}, iteration {iteration}: {exc}") from exc
                 overflow = exc
                 break
-        du = u_next - u_it      # the plain map's increment, compared with tol
-        inc_u = float(du @ mass.matvec(du))
+            du = u_next - u_it      # the plain map's increment, compared with tol
+            inc_u = float(du @ mass.matvec(du))
+        else:       # u_it is the first iteration's u_next
+            inc_u = 0.0
         inc_y = plan.y_gain * inc_u
         total = omega * omega * (inc_u + inc_y)     # those of the steps taken
         if not math.isfinite(total):

@@ -107,13 +107,25 @@ class TestConvergenceOrders:
         assert convergence_orders(errs, steps) == pytest.approx([q, q, q])
         assert fit_order(errs, steps) == pytest.approx(q)
 
-    def test_invalid_inputs(self):
+    @pytest.mark.parametrize("estimate", [convergence_orders, fit_order])
+    @pytest.mark.parametrize("errors, steps", [
+        pytest.param([1e-2, 0.0], [0.2, 0.1], id="zero-error"),
+        pytest.param([1e-2, -1e-3], [0.2, 0.1], id="negative-error"),
+        pytest.param([1e-2, np.nan], [0.2, 0.1], id="nan-error"),
+        pytest.param([np.inf, 1e-3], [0.2, 0.1], id="inf-error"),
+        pytest.param([1e-2, 1e-3], [0.1, 0.2], id="increasing-steps"),
+        pytest.param([1e-2, 1e-3], [0.1, 0.1], id="equal-steps"),
+        pytest.param([1e-2, 1e-3], [0.1, np.nan], id="nan-step"),
+        pytest.param([1e-2, 1e-3], [np.inf, 0.1], id="inf-step"),
+        pytest.param([1e-2, 1e-3], [0.1, 0.0], id="zero-step"),
+        pytest.param([1e-2, 1e-3], [0.1, -0.1], id="negative-step"),
+        pytest.param([1e-2], [0.1], id="one-point"),
+        pytest.param([1e-2, 1e-3, 1e-4], [0.2, 0.1], id="mismatched-lengths"),
+        pytest.param([[1e-2, 1e-3]], [[0.2, 0.1]], id="2-d"),
+    ])
+    def test_invalid_inputs(self, estimate, errors, steps):
         with pytest.raises(ValueError):
-            convergence_orders([1e-2, 0.0], [0.2, 0.1])
-        with pytest.raises(ValueError):
-            convergence_orders([1e-2, 1e-3], [0.1, 0.2])
-        with pytest.raises(ValueError):
-            convergence_orders([1e-2], [0.1])
+            estimate(errors, steps)
 
 
 class TestSupportGap:

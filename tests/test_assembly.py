@@ -13,8 +13,9 @@ from plapmem.assembly import (ElementTables, FluxParams, SeparableForcing,
                               assemble_load, assemble_mass, assemble_plap,
                               default_epsilon, flux, flux_coefficient,
                               interpolate)
+from plapmem.memory import StateHistory
 from plapmem.mesh import default_quad_points, full_coefficients, gauss_legendre
-from plapmem.stepper import Assembler
+from plapmem.stepper import Assembler, StepPlan
 
 
 @pytest.fixture
@@ -459,3 +460,35 @@ class TestTangent:
         bound = dense_scatter(mesh, local.reshape(m, r + 1, r + 1))[1:-1, 1:-1]
         scale = np.max(np.abs(k_t))
         assert np.all(np.abs(fd - k_t) <= bound + 1e-7 * scale)
+
+
+class TestColumnMajorBands:
+    """Every band the solver builds is column-major, the layout BLAS and
+    LAPACK read: the assembled ones, and the step's system, which
+    elementwise arithmetic on them keeps in their order."""
+
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_assembled_bands(self, r):
+        mesh = build_uniform_mesh(0, 1, 6, r)
+        quad = gauss_legendre(r + 2)
+        tables = ElementTables(mesh, quad)
+        w = np.random.default_rng(r).standard_normal(mesh.n_interior)
+        bands = [assemble_mass(mesh, quad, tables=tables),
+                 assemble_plap(mesh, w, FluxParams(p=3.0), quad, tables=tables)]
+        for eps in (0.0, 1e-2):         # K_T = (p-1) A, and K_T assembled
+            bands += assemble_plap(mesh, w, FluxParams(p=3.0, epsilon=eps), quad,
+                                   tables=tables, tangent=True)
+        for band in bands:
+            assert band.data.shape == (r + 1, mesh.n_interior)
+            assert band.data.flags.f_contiguous
+
+    @pytest.mark.parametrize("p, scheme", [(2.0, "A"), (2.0, "B"), (4.0, "N")])
+    def test_step_system(self, p, scheme):
+        problem = manufactured_example1(p, 1.0, horizon=0.01)
+        mesh = build_uniform_mesh(0, 1, 6, 2)
+        cfg = SolverConfig(p=p, delta=1e-3, n_steps=10, scheme=scheme)
+        quad = gauss_legendre(default_quad_points(mesh.r, cfg.quad_points))
+        asm = Assembler(mesh, quad, cfg.flux_params(), problem.f)
+        hist = StateHistory(mesh.n_interior, cfg.n_steps, cfg.delta)
+        hist.set_initial(interpolate(mesh, problem.u0), asm.load(0.0))
+        assert StepPlan(hist, problem.kernel, cfg, asm).system.data.flags.f_contiguous

@@ -32,12 +32,48 @@ def random_banded(n, bw, seed=0, definite=True):
 
 
 class TestBandedSymMatrix:
-    @pytest.mark.parametrize("n,bw", [(1, 0), (1, 2), (5, 1), (8, 3), (12, 4)])
+    # the last three are the workloads' shapes (r = 1 at m = 40 and 256,
+    # r = 4 at m = 256)
+    @pytest.mark.parametrize("n,bw", [(1, 0), (1, 2), (5, 1), (8, 3), (12, 4),
+                                      (39, 1), (255, 1), (1023, 4)])
     def test_matvec_matches_dense(self, n, bw):
         mat = random_banded(n, bw, seed=n + bw)
         rng = np.random.default_rng(42)
         x = rng.standard_normal(n)
         assert np.allclose(mat.matvec(x), to_dense(mat) @ x, atol=1e-13)
+
+    @pytest.mark.parametrize("n,bw", [(1, 0), (1, 2), (5, 1), (12, 4), (39, 1)])
+    def test_row_major_band_gives_the_same_product(self, n, bw):
+        rows = random_banded(n, bw, seed=n + bw)
+        columns = BandedSymMatrix(np.asfortranarray(rows.data))
+        assert rows.data.flags.c_contiguous and columns.data.flags.f_contiguous
+        rng = np.random.default_rng(n)
+        for x in (rng.standard_normal(n), rng.standard_normal((4, n))):
+            assert np.array_equal(rows.matvec(x), columns.matvec(x))
+
+    @pytest.mark.parametrize("shape", [(4,), (6,), (3, 6), (), (5, 1)])
+    def test_matvec_of_another_length_rejected(self, shape):
+        with pytest.raises(ValueError, match="cannot multiply a band of n = 5"):
+            random_banded(5, 2).matvec(np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n,bw,where", [(12, 4, 0), (12, 4, 6), (12, 4, 11),
+                                            (9, 1, 4), (9, 2, 8)])
+    def test_nonfinite_entry_of_x_reaches_the_rows_it_touches(self, n, bw, where, bad):
+        x = np.random.default_rng(n).standard_normal(n)
+        x[where] = bad
+        product = random_banded(n, bw, seed=n + bw).matvec(x)
+        touched = np.abs(np.arange(n) - where) <= bw
+        assert np.array_equal(~np.isfinite(product), touched)
+
+    @pytest.mark.parametrize("d,i", [(0, 0), (0, 5), (1, 3), (2, 7)])
+    def test_inf_in_the_band_times_zero_is_nan(self, d, i):
+        # A[i, i+d] = A[i+d, i] = inf, x = 0: rows i and i+d get inf * 0
+        data = np.asfortranarray(random_banded(10, 2, seed=1).data)
+        data[d, i] = np.inf
+        product = BandedSymMatrix(data).matvec(np.zeros(10))
+        assert np.array_equal(np.flatnonzero(np.isnan(product)), sorted({i, i + d}))
+        assert not np.delete(product, [i, i + d]).any()
 
     @pytest.mark.parametrize("n,bw", [(1, 0), (1, 2), (5, 1), (12, 4)])
     def test_matvec_of_a_block_is_row_by_row(self, n, bw):
@@ -213,10 +249,11 @@ class TestBandedSymMatrix:
 
 # Run in a new interpreter after a prelude: factors the saved definite,
 # indefinite and tridiagonal bands, saves their solves for a vector and a
-# 3-column right-hand side, and reports where the routines came from, which
-# of scipy.linalg, numpy.f2py and numpy.testing `import plapmem` loaded, and
-# whether a later scipy.linalg.lapack Cholesky solve of the definite band is
-# bitwise the same.
+# 3-column right-hand side and their products with the vector and with the
+# 3-row block, and reports where the routines came from, which of
+# scipy.linalg, numpy.f2py and numpy.testing `import plapmem` loaded, and
+# whether a later scipy.linalg.lapack Cholesky solve and scipy.linalg.blas
+# product of the definite band are bitwise the same.
 FRESH_SOLVES = """
 import json
 import sys
@@ -229,16 +266,22 @@ loaded = sorted(set(sys.modules) & {"scipy.linalg", "numpy.f2py", "numpy.testing
 given = np.load(sys.argv[1])
 solves = {}
 for band in ("definite", "indefinite", "tridiagonal"):
-    factor = BandedSymMatrix(given[band]).factor()
+    matrix = BandedSymMatrix(np.asfortranarray(given[band]))
+    factor = matrix.factor()
     for rhs in ("vector", "block"):
         solves[f"{band}-{rhs}"] = factor.solve(given[rhs])
+        solves[f"{band}-{rhs}-product"] = matrix.matvec(given[rhs].T)
 np.savez(sys.argv[2], **solves)
 
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 chol, _ = lapack.dpbtrf(given["definite"], lower=1)
 x, _ = lapack.dpbtrs(chol, given["vector"], lower=1)
-print(json.dumps({"routines": plapmem.banded._lapack.__name__, "loaded": loaded,
-                  "same": bool(np.array_equal(x, solves["definite-vector"]))}))
+y = blas.dsbmv(4, 1.0, given["definite"], given["vector"], lower=1)
+print(json.dumps({"routines": [plapmem.banded._lapack.__name__,
+                               plapmem.banded._blas.__name__],
+                  "loaded": loaded,
+                  "same": bool(np.array_equal(x, solves["definite-vector"])
+                               and np.array_equal(y, solves["definite-vector-product"]))}))
 """
 
 
@@ -265,20 +308,22 @@ def fresh_solves(tmp_path, name, prelude=""):
 class TestLapackLoader:
     def test_import_leaves_scipy_linalg_unloaded(self, tmp_path):
         _, report = fresh_solves(tmp_path, "direct")
-        assert report == {"routines": "scipy.linalg._flapack", "loaded": [], "same": True}
+        assert report == {"routines": ["scipy.linalg._flapack", "scipy.linalg._fblas"],
+                          "loaded": [], "same": True}
 
     def test_fallback_gives_the_same_solves(self, tmp_path):
         direct, _ = fresh_solves(tmp_path, "direct")
         # no extension suffix: the file lookup finds nothing, and the
-        # routines come from scipy.linalg.lapack
+        # routines come from scipy.linalg.lapack and scipy.linalg.blas
         fallback, report = fresh_solves(
             tmp_path, "fallback",
             "import importlib.machinery\nimportlib.machinery.EXTENSION_SUFFIXES.clear()\n")
-        assert report["routines"] == "scipy.linalg.lapack"
+        assert report["routines"] == ["scipy.linalg.lapack", "scipy.linalg.blas"]
         assert "scipy.linalg" in report["loaded"] and report["same"]
-        assert sorted(direct) == sorted(fallback) == [
-            "definite-block", "definite-vector", "indefinite-block", "indefinite-vector",
-            "tridiagonal-block", "tridiagonal-vector"]
-        for key in direct:
-            assert direct[key].shape == ((15, 3) if key.endswith("block") else (15,))
-            assert np.array_equal(direct[key], fallback[key])
+        assert sorted(direct) == sorted(fallback) == sorted(
+            f"{band}-{rhs}{kind}" for band in ("definite", "indefinite", "tridiagonal")
+            for rhs in ("block", "vector") for kind in ("", "-product"))
+        shapes = {"block": (15, 3), "block-product": (3, 15)}     # else (15,)
+        for key, value in direct.items():
+            assert value.shape == shapes.get(key.split("-", 1)[1], (15,))
+            assert np.array_equal(value, fallback[key])

@@ -1176,13 +1176,14 @@ class TestProductCounts:
     """Work per step of a hand-driven loop. Banded matrix-vector products:
     one per step (the step's right-hand side), then per iteration one for
     the right-hand side A(w)((slope-1) U - U^k) (two for Newton with
-    eps > 0, none after the first for p = 2 with slope 1) and one for the
-    increment; none at set-up. Solves with the step's system: one per
-    iteration, and one per step for p = 2 with slope 1, whose first solve
-    is the step. Mass solves: one per step for a forcing that is not a
-    SeparableForcing, none for one (its profiles are solved once, with L_0,
-    at set-up). Bands built: the ones the iteration assembles, and the run
-    constants at set-up."""
+    eps > 0) and one for the increment; none at set-up, and none after the
+    first iteration for p = 2 with slope 1, whose later increments are
+    exactly 0. Solves with the step's system: one per iteration, and one
+    per step for p = 2 with slope 1, whose first solve is the step. Mass
+    solves: one per step for a forcing that is not a SeparableForcing, none
+    for one (its profiles are solved once, with L_0, at set-up). Bands
+    built: the ones the iteration assembles, and the run constants at
+    set-up."""
 
     @pytest.mark.parametrize("scheme, p, epsilon, per_iteration", [
         ("A", 4.0, None, 2), ("B", 2.5, None, 2), ("N", 4.0, None, 2),
@@ -1195,9 +1196,9 @@ class TestProductCounts:
         assert all(calls == 1 + per_iteration * diag.iterations
                    for calls, diag in counts)
 
-    def test_linear_step_takes_four(self, monkeypatch):
+    def test_linear_step_takes_three(self, monkeypatch):
         _, counts = self.count(monkeypatch, BandedSymMatrix, "matvec", "A", 2.0, None)
-        assert [(calls, diag.iterations) for calls, diag in counts] == [(4, 2)] * 10
+        assert [(calls, diag.iterations) for calls, diag in counts] == [(3, 2)] * 10
 
     @pytest.mark.parametrize("scheme, p, one_solve", [
         ("A", 2.0, True), ("N", 2.0, True), ("B", 2.0, False), ("N", 4.0, False),

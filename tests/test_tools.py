@@ -39,9 +39,31 @@ def test_same_outputs_reports_first_differing_byte():
     ours = {"a.csv": b"t,u\n0.0,1.5\n", "b stdout": b"ok\n", "c.csv": b"x"}
     theirs = {"a.csv": b"t,u\n0.0,1.25\n", "b stdout": b"ok\n", "d.csv": b"x"}
     assert same_outputs.compare(ours, theirs, "other") == [
-        "differs: a.csv, first at byte 10", "only in this checkout: c.csv",
-        "only in other: d.csv"]
+        "differs: a.csv, first at byte 10",
+        "  largest relative difference t 0, u 0.17",
+        "only in this checkout: c.csv", "only in other: d.csv"]
     assert same_outputs.first_difference(b"abc", b"abcd") == 3
+
+
+def test_same_outputs_says_how_much_a_csv_differs():
+    ours = {"d.csv": b"k,iterations,inc,u,gap\n0,2,1e-20,1.0,\n1,3,2e-20,-0.5,0.25\n",
+            "e.csv": b"k,u\n0,1.0\n", "f.txt": b"1.0\n"}
+    theirs = {"d.csv": b"k,iterations,inc,u,gap\n0,2,3e-20,1.0,\n1,3,2e-20,-0.5,0.5\n",
+              "e.csv": b"k,u\n0,1.0\n1,2.0\n", "f.txt": b"1.5\n"}
+    assert same_outputs.compare(ours, theirs, "other") == [
+        "differs: d.csv, first at byte 27",
+        # 2e-20 of at most 3e-20 in inc, 0.25 of at most 0.5 in gap
+        "  integer columns identical; "
+        "largest relative difference inc 0.67, u 0, gap 0.5",
+        "differs: e.csv, first at byte 10", "  columns or rows differ",
+        "differs: f.txt, first at byte 2"]
+    # an integer column that differs is named; a field missing on one side,
+    # or not finite, is an infinite difference
+    assert same_outputs.csv_difference(
+        b"k,n,x,y\n0,1,0.5,nan\n1,2,,1.0\n", b"k,n,x,y\n0,1,0.5,1.0\n1,4,1.0,1.0\n"
+    ) == "integer columns differ: n; largest relative difference x inf, y inf"
+    assert same_outputs.csv_difference(b"t,gap\n0.0,\n", b"t,gap\n0.0,nan\n") == (
+        "largest relative difference t 0, gap inf")
 
 
 def test_problems_cover_the_stated_ranges():

@@ -13,13 +13,19 @@ own, so that printed paths are the same on both sides. Every written file
 (the solve's config echo included) and the stdout and exit status of every
 command are then compared byte for byte: an output of one side only, or
 one whose bytes differ, is reported, the latter with its first differing
-byte. The exit status is 0 when everything is identical and 1 otherwise.
+byte. A differing CSV file gets a second line that says how much it
+differs: whether its integer columns are identical, and for each float
+column the largest difference between the two sides relative to the
+largest magnitude in that column. The exit status is 0 when everything is
+identical and 1 otherwise.
 """
 
 import argparse
 import contextlib
+import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -80,6 +86,57 @@ def first_difference(a: bytes, b: bytes) -> int:
     return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
+def number(field: str):
+    """A CSV field as int, else finite float, else None (empty, not finite or
+    not a number)."""
+    for parse in (int, float):
+        try:
+            value = parse(field)
+        except ValueError:
+            continue
+        return value if math.isfinite(value) else None
+    return None
+
+
+def relative_difference(ours, theirs) -> float:
+    """The largest |a - b| over a float column's differing rows, over the
+    largest |a| or |b| in the column; inf where one of two differing
+    fields is not a finite number."""
+    scale = max((abs(v) for v in map(number, ours + theirs) if v is not None),
+                default=0.0)
+    largest = 0.0
+    for x, y in zip(ours, theirs):
+        if x != y:
+            a, b = number(x), number(y)
+            largest = max(largest, math.inf if a is None or b is None else abs(a - b))
+    return largest / scale if scale else largest
+
+
+def csv_difference(ours: bytes, theirs: bytes) -> str:
+    """How two versions of one CSV file differ, on one line: whether the
+    integer columns are identical, and each float column's
+    relative_difference."""
+    (head, *rows), (other_head, *other_rows) = (
+        list(csv.reader(io.StringIO(data.decode()))) or [[]] for data in (ours, theirs))
+    if (head != other_head or len(rows) != len(other_rows)
+            or {len(row) for row in rows + other_rows} - {len(head)}):
+        return "columns or rows differ"
+    integers, floats = {}, []
+    for name, a, b in zip(head, zip(*rows), zip(*other_rows)):
+        if all(isinstance(number(field), int) for field in a + b if field):
+            integers[name] = a == b
+        else:
+            floats.append(f"{name} {relative_difference(a, b):.2g}")
+    parts = []
+    if integers:
+        differing = [name for name, same in integers.items() if not same]
+        parts.append("integer columns " + (f"differ: {', '.join(differing)}"
+                                           if differing else "identical"))
+    if floats:
+        parts.append("largest relative difference " + ", ".join(floats))
+    return "; ".join(parts)
+
+
 def compare(ours, theirs, against):
     """The report lines of every difference between two runs' outputs."""
     lines = []
@@ -91,6 +148,8 @@ def compare(ours, theirs, against):
         elif ours[name] != theirs[name]:
             lines.append(f"differs: {name}, first at byte "
                          f"{first_difference(ours[name], theirs[name])}")
+            if name.endswith(".csv"):
+                lines.append(f"  {csv_difference(ours[name], theirs[name])}")
     return lines
 
 
@@ -111,12 +170,13 @@ def main(argv=None):
         parser.error("--against is required")
     ours = outputs(ROOT / "src", args.examples)
     theirs = outputs(args.against / "src", args.examples)
-    differences = compare(ours, theirs, args.against)
-    for line in differences:
+    for line in compare(ours, theirs, args.against):
         print(line)
+    differing = sum(ours.get(name) != theirs.get(name)
+                    for name in ours.keys() | theirs.keys())
     print(f"{len(ours)} outputs here, {len(theirs)} in {args.against}: "
-          f"{len(differences)} differ")
-    return 1 if differences else 0
+          f"{differing} differ")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
