@@ -148,10 +148,10 @@ def support_series(mesh: Mesh1D, levels: np.ndarray, eta: float) -> list:
     # side, the centre included: argmin finds the first node at or above eta
     left = np.argmin(np.hstack([below[:, center::-1], stop]), axis=1)
     right = np.argmin(np.hstack([below[:, center:], stop]), axis=1)
-    nodes = mesh.nodes
-    return [(float(nodes[center - n_left + 1]), float(nodes[center + n_right - 1]))
-            if n_left else None
-            for n_left, n_right in zip(left.tolist(), right.tolist())]
+    found = left > 0
+    gaps = zip(mesh.nodes[center + 1 - left[found]].tolist(),
+               mesh.nodes[center - 1 + right[found]].tolist())
+    return [next(gaps) if n_left else None for n_left in left.tolist()]
 
 
 def default_support_threshold(u0_coeffs: np.ndarray) -> float:
@@ -186,9 +186,10 @@ def waiting_time(run: RunOutput) -> Optional[float]:
     return None
 
 
-#: build_run_output takes the levels in blocks of about this many bytes of
-#: floats. The temporaries add to the run's peak RSS: on a 1201-level,
-#: 41-node run, 0.26 MB at this size and 0.63 MB at four times it.
+#: build_run_output takes the support series in blocks of about this many
+#: bytes of floats. The blocks' temporaries add to the run's peak RSS: on a
+#: 1201-level, 41-node run, build_run_output peaks at 0.15 MB of
+#: allocations at this size and at 0.52 MB at four times it.
 _BLOCK_BYTES = 64 * 1024
 
 
@@ -196,18 +197,22 @@ def build_run_output(problem: ProblemSpec, mesh: Mesh1D, asm, hist: StateHistory
                      diagnostics: list) -> RunOutput:
     """Assemble the output record from a completed history.
 
-    The energies and the support series are computed in blocks of levels:
-    one mass product and one support pass per block.
+    The energies U^T M U of all levels are one band quadratic form, a
+    row-wise sum per diagonal of the mass band with no mass product; the
+    support series is one pass per block of levels.
     """
-    mass = asm.mass
-    eta = default_support_threshold(hist.u[0])
-    n_levels = len(hist.u)
-    energies = np.empty(n_levels)
+    data, u = asm.mass.data, hist.u
+    n = u.shape[1]
+    # M_ii u_i^2 + 2 M_i,i+d u_i u_i+d summed per level: einsum's
+    # three-operand loop forms no (levels, n) temporary
+    energies = np.einsum("ij,j,ij->i", u, data[0], u)
+    for d in range(1, min(len(data), n)):
+        energies += 2.0 * np.einsum("ij,j,ij->i", u[:, :n - d], data[d, :n - d], u[:, d:])
+    eta = default_support_threshold(u[0])
     support = []
     block = max(1, _BLOCK_BYTES // (8 * mesh.n_nodes))
-    for lo in range(0, n_levels, block):
-        levels = hist.u[lo:lo + block]
-        energies[lo:lo + len(levels)] = [u @ mu for u, mu in zip(levels, mass.matvec(levels))]
+    for lo in range(0, len(u), block):
+        levels = u[lo:lo + block]
         support += (support_series(mesh, levels, eta) if eta > 0.0
                     else [None] * len(levels))
     errors, skipped = None, {}

@@ -83,6 +83,9 @@ class BandedSymMatrix:
         if data.ndim != 2:
             raise ValueError("band storage must be 2-D (bandwidth+1, n)")
         self.data = data
+        # the diagonals that fit n, which the product and the LU factor
+        # read; data is only ever written in place, its shape unchanged
+        self._k = min(data.shape[0] - 1, data.shape[1] - 1)
 
     @property
     def n(self) -> int:
@@ -93,20 +96,13 @@ class BandedSymMatrix:
         return self.data.shape[0] - 1
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A x for one vector, by dsbmv, or row by row for a block of shape
-        (levels, n); each row of a block gets bitwise the product of that
-        row alone. A last axis of another length than n is a ValueError
-        (dsbmv would read the first n entries of a longer one)."""
+        """A x for one vector x of shape (n,), by dsbmv; any other shape is
+        a ValueError (dsbmv would read the first n entries of a longer one)."""
         x = np.asarray(x, dtype=float)
-        n = self.n
-        if x.shape[-1:] != (n,):
-            raise ValueError(f"cannot multiply a band of n = {n} with an "
+        if x.shape != self.data.shape[1:]:
+            raise ValueError(f"cannot multiply a band of n = {self.n} with an "
                              f"array of shape {x.shape}")
-        k = min(self.bandwidth, n - 1)
-        if x.ndim == 1:
-            return dsbmv(k, 1.0, self.data, x, lower=1)
-        rows = [dsbmv(k, 1.0, self.data, row, lower=1) for row in x.reshape(-1, n)]
-        return np.array(rows).reshape(x.shape)
+        return dsbmv(self._k, 1.0, self.data, x, lower=1)
 
     def factor(self) -> "BandedFactor":
         return BandedFactor(self)
@@ -174,8 +170,7 @@ def _lu_factor(matrix: BandedSymMatrix):
     """(bw, lu, piv): LAPACK dgbtrf of the full band, bw the bandwidth that
     fits n; upper diagonal d sits in row 2*bw - d, lower diagonal d in row
     2*bw + d, and the top bw rows are dgbtrf's fill-in space."""
-    n = matrix.n
-    bw = min(matrix.bandwidth, n - 1)
+    n, bw = matrix.n, matrix._k
     ab = np.zeros((3 * bw + 1, n))
     for d in range(bw + 1):
         band = matrix.data[d, :n - d]

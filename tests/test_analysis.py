@@ -1,16 +1,18 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+from fe_oracles import to_dense
 from plapmem import (ConfigError, RunOutput, build_uniform_mesh,
                      convergence_orders, energy, extrema_series, fit_order,
                      l2_error, manufactured_example1, march, support_gap,
                      waiting_time)
 from plapmem import analysis
 from plapmem.analysis import plap_of_bump
-from plapmem.assembly import interpolate
+from plapmem.assembly import assemble_mass, interpolate
 from plapmem.experiments import _front_profile, asymptotics_problem, propagation_problem
 from plapmem.memory import StateHistory
 from plapmem.mesh import default_quad_points, full_coefficients, gauss_legendre
@@ -147,6 +149,10 @@ class TestSupportGap:
         mesh = build_uniform_mesh(-1, 1, 10, 1)
         ones = np.ones(mesh.n_interior)
         assert support_gap(mesh, ones, 1e-8) is None
+
+    def test_supported_centre_at_the_last_node_gives_none(self):
+        mesh = build_uniform_mesh(-1, 0, 4, 1)
+        assert support_gap(mesh, np.ones(mesh.n_nodes), 1e-8) is None
 
     def test_threshold_must_be_positive(self):
         mesh = build_uniform_mesh(-1, 1, 10, 1)
@@ -366,11 +372,29 @@ class TestRunRecord:
         if block_levels is not None:    # 151 and 21 levels: a partial last block
             monkeypatch.setattr(analysis, "_BLOCK_BYTES", 8 * mesh.n_nodes * block_levels)
         run = analysis.build_run_output(problem, mesh, asm, hist, diags)
+        # the band form rounds differently from a product and a dot per level
         energies = np.array([float(u @ asm.mass.matvec(u)) for u in hist.u])
-        assert np.array_equal(run.energies, energies)
+        assert np.allclose(run.energies, energies, rtol=1e-13, atol=0.0)
         eta = run.support_threshold
         assert run.support == [walked_support_gap(mesh, u, eta) for u in hist.u]
         assert None in run.support
         assert any(gap is not None for gap in run.support)
         if name == "front":
             assert len({gap for gap in run.support if gap is not None}) > 2
+
+    # bandwidths 1-4; m = 1 gives n = 1 under a bandwidth-2 band and n = 3
+    # under a bandwidth-4 one, where fewer diagonals than the band's fit n
+    @pytest.mark.parametrize("m,r", [(5, 1), (4, 2), (3, 3), (2, 4), (1, 2), (1, 4)])
+    def test_energies_match_dense_form(self, monkeypatch, m, r):
+        mesh = build_uniform_mesh(-1, 1, m, r)
+        mass = assemble_mass(mesh, gauss_legendre(default_quad_points(r)))
+        u = np.random.default_rng(10 * m + r).standard_normal((7, mesh.n_interior))
+        # 3 levels per block: 7 levels end in a partial block
+        monkeypatch.setattr(analysis, "_BLOCK_BYTES", 8 * mesh.n_nodes * 3)
+        hist = SimpleNamespace(u=u, y=u, times=np.arange(7.0))
+        run = analysis.build_run_output(asymptotics_problem(2.0, 0.0), mesh,
+                                        SimpleNamespace(mass=mass), hist, [])
+        dense = np.einsum("ij,jk,ik->i", u, to_dense(mass), u)
+        assert np.allclose(run.energies, dense, rtol=1e-13, atol=0.0)
+        assert run.support == [walked_support_gap(mesh, v, run.support_threshold)
+                               for v in u]
