@@ -8,17 +8,19 @@ relation reduces to the nodal form
 
 alpha = 1/2 + (delta/8) g(0), beta = -(g(0)/2 + (delta/8) g'(0)), with s a
 combination of stored levels and F the loads' share (alpha and beta from
-`relation_coefficients`). `memory_equation` forms s and F by the direct O(k)
-sums (`history_sum`, `i_f`) for any kernel, and these stay the oracle
-(`memory_residual`). For g = lam*exp(-s) the sums are discounted running
-sums, and a march carries them in a `MemoryBlock` at O(1) cost per step;
-the README derives the recursions.
+`relation_coefficients`). The kernel is g = lam*exp(-s), so the sums are
+discounted running sums, and a march carries them in a `MemoryBlock` at
+O(1) cost per step; the README derives the recursions. The direct O(k)
+sums (`history_sum`, `i_f`) take any kernel with g and gp and stay as the
+oracle (`memory_residual`).
 """
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -27,9 +29,6 @@ from .banded import BandedSymMatrix
 from .errors import ConfigError, IllPosedStepError
 
 QUADRATURE_MODES = ("consistent", "literal")
-
-#: Lags at which a declared exponential kernel is checked against its lam.
-_LAM_CHECK_LAGS = np.array([0.0, 0.5, 1.0, 4.0])
 
 
 def check_mode(mode: str):
@@ -41,49 +40,31 @@ def check_mode(mode: str):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Memory kernel g and its derivative gp as functions of the time lag.
+    """The memory kernel g(s) = lam*exp(-s) of the time lag s.
 
-    lam, when set, declares g = lam*exp(-s) and selects the carried
-    MemoryBlock; it is checked against g and gp at a few lags, so a
-    kernel that is not that exponential cannot take it by mistake.
+    lam must be a finite real number, not a bool; anything else is a
+    ConfigError on the kernel. g and gp = g' = -g take a lag or an array.
     """
 
-    g: Callable
-    gp: Callable
-    lam: Optional[float] = None
+    lam: float
 
     def __post_init__(self):
-        if self.lam is None:
-            return
-        expected = self.lam * np.exp(-_LAM_CHECK_LAGS)
-        for name, fn, sign in (("g", self.g, 1.0), ("gp", self.gp, -1.0)):
-            dev = np.max(np.abs(_pointwise(fn, _LAM_CHECK_LAGS) - sign * expected))
-            if not dev <= 1e-12 * abs(self.lam):
-                raise ConfigError("kernel", f"lam = {self.lam} declares "
-                                  f"{name} = {sign * self.lam:g}*exp(-s), but {name} "
-                                  f"deviates from it by {dev:.3e}")
+        lam = self.lam
+        if (isinstance(lam, bool) or not isinstance(lam, numbers.Real)
+                or not math.isfinite(lam)):
+            raise ConfigError("kernel", f"lam must be a finite real number, got {lam!r}")
+        object.__setattr__(self, "lam", float(lam))
+
+    def g(self, s):
+        return self.lam * np.exp(-np.asarray(s, dtype=float))
+
+    def gp(self, s):
+        return -self.g(s)
 
 
 def exponential_kernel(lam: float) -> KernelSpec:
-    """The built-in family lam * exp(-s); its derivative is its negative."""
-
-    def g(s):
-        return lam * np.exp(-np.asarray(s, dtype=float))
-
-    def gp(s):
-        return -lam * np.exp(-np.asarray(s, dtype=float))
-
-    return KernelSpec(g=g, gp=gp, lam=float(lam))
-
-
-def _finite(name: str, values, lags):
-    """values, the kernel function name sampled at lags (of the same shape);
-    a ConfigError on the kernel at the first lag where one is not finite."""
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        lag, value = np.asarray(lags)[bad][0], np.asarray(values)[bad][0]
-        raise ConfigError("kernel", f"{name}({lag:g}) = {value}, not a finite value")
-    return values
+    """The kernel lam * exp(-s)."""
+    return KernelSpec(lam)
 
 
 def volterra_weights(k: int, delta: float):
@@ -132,16 +113,12 @@ def forcing_weights(k: int, delta: float):
 
 
 class StateHistory:
-    """Dense record of one march: coefficient vectors and half-step loads.
+    """Dense record of one march: the coefficient vectors u and y.
 
     Arrays are preallocated for the full horizon; `k` always points at the
-    newest completed level. loads[0] holds the load at t = 0 and
-    loads[1 + j] the load at t_{j+1/2}, which the direct quadratures read.
-    With an exponential kernel a step reads the march's `MemoryBlock`
-    (stepper.StepPlan carries it) and leaves loads[1:] at zero, so u and y
-    are the only rows a march fills; a step with any other kernel writes
-    its load row, and an oracle fills its own (see stepper.oracle_history).
-    A horizon too long to allocate is a ConfigError on N.
+    newest completed level. A step reads the march's `MemoryBlock`
+    (stepper.StepPlan carries it), so u and y are the only rows a march
+    fills. A horizon too long to allocate is a ConfigError on N.
     """
 
     def __init__(self, n_dofs: int, n_steps: int, delta: float):
@@ -151,17 +128,24 @@ class StateHistory:
         try:
             self.u = np.zeros((self.n_steps + 1, self.n_dofs))
             self.y = np.zeros((self.n_steps + 1, self.n_dofs))
-            self.loads = np.zeros((self.n_steps + 2, self.n_dofs))
         except (ValueError, MemoryError) as exc:
             raise ConfigError("N", "cannot allocate a history of shape "
                               f"({self.n_steps + 1:.6g}, {self.n_dofs}): {exc}") from exc
         self.k = 0
 
-    def set_initial(self, u0: np.ndarray, load0: np.ndarray):
+    def set_initial(self, u0: np.ndarray):
         self.u[0] = u0
         self.y[0] = 0.0          # the memory term vanishes at t = 0
-        self.loads[0] = load0
         self.k = 0
+
+    @cached_property
+    def loads(self) -> np.ndarray:
+        """The half-step loads the direct quadratures read: loads[0] the
+        load at t = 0 and loads[1 + j] that at t_{j+1/2}, all zero until an
+        oracle fills them (see stepper.oracle_history). Allocated at the
+        first access, which no march makes; a view taken by `truncated`
+        before that access allocates loads of its own."""
+        return np.zeros((self.n_steps + 2, self.n_dofs))
 
     def append(self, u_new: np.ndarray, y_new: np.ndarray):
         if self.k >= self.n_steps:
@@ -189,8 +173,7 @@ def history_sum(hist: StateHistory, fn, fn0: float, levels: np.ndarray):
     multiplier of level k+1, fn0 = fn(0)."""
     weights, lags = volterra_weights(hist.k, hist.delta)
     half = hist.delta / 8.0 * fn0
-    name = "g" if levels is hist.y else "g'"      # for the error on a non-finite fn
-    acc = (weights * _finite(name, _pointwise(fn, lags), lags)) @ levels[:hist.k + 1]
+    acc = (weights * _pointwise(fn, lags)) @ levels[:hist.k + 1]
     acc += half * levels[hist.k]
     return acc, half
 
@@ -204,8 +187,7 @@ def i_f(hist: StateHistory, kernel: KernelSpec,
     """
     check_mode(mode)
     weights, lags = forcing_weights(hist.k, hist.delta)
-    coeffs = weights * _finite("g", _pointwise(kernel.g, lags), lags)
-    out = coeffs @ hist.loads[:hist.k + 2]
+    out = (weights * _pointwise(kernel.g, lags)) @ hist.loads[:hist.k + 2]
     if mode == "literal":
         out = out + hist.delta * float(kernel.g(0.0)) * hist.loads[hist.k + 1]
     return out
@@ -214,30 +196,12 @@ def i_f(hist: StateHistory, kernel: KernelSpec,
 def relation_coefficients(g0: float, gp0: float, delta: float):
     """(alpha, beta) of the memory relation for g(0) = g0 and g'(0) = gp0,
     formed once per march; IllPosedStepError where alpha vanishes."""
-    _finite("g", g0, 0.0)
-    _finite("g'", gp0, 0.0)
     alpha = 0.5 + (delta / 8.0) * g0
     if abs(alpha) < 1e-12:
         raise IllPosedStepError(
             f"memory relation is ill posed: |1/2 + delta*g(0)/8| = {abs(alpha):.3e}; "
             "reduce the time step")
     return alpha, -(0.5 * g0 + (delta / 8.0) * gp0)
-
-
-def memory_equation(hist: StateHistory, kernel: KernelSpec,
-                    mode: str = "consistent"):
-    """(state, forcing) of the memory relation at step k by the direct
-    trapezoid sums, for any kernel: every history term lands in state (a
-    nodal combination of stored levels) or forcing (the loads' share F), so
-    alpha*M*Y^{k+1} + beta*M*U^{k+1} = M*state - forcing, with alpha and
-    beta those of relation_coefficients."""
-    g0, k = float(kernel.g(0.0)), hist.k
-    t_half = (k + 0.5) * hist.delta
-    state = (-0.5 * hist.y[k] + 0.5 * g0 * hist.u[k]
-             - _finite("g", float(kernel.g(t_half)), t_half) * hist.u[0]
-             - history_sum(hist, kernel.g, g0, hist.y)[0]
-             + history_sum(hist, kernel.gp, float(kernel.gp(0.0)), hist.u)[0])
-    return state, i_f(hist, kernel, mode)
 
 
 class MemoryBlock:

@@ -24,12 +24,11 @@ same fixed point, and Y is formed once, from the accepted U.
 
 Per run, a StepPlan forms alpha, beta, the slope and the scheme's flags,
 c*M, the factored system where it cannot change (p = 2, slope 0), a
-SeparableForcing's time coefficients at every half-step time, and for an
-exponential kernel the memory block (see memory), with M^{-1}L_0 and the
-forcing's profile loads in one mass solve. Per step: one small dense
-product of that block, or for any other kernel the direct history sums;
-one banded product, M*v; one mass solve for a forcing that is not a
-SeparableForcing or a kernel that is not exponential. Per iteration: one
+SeparableForcing's time coefficients at every half-step time, and the
+memory block of the kernel lam*exp(-s) (see memory), with M^{-1}L_0 and
+the forcing's profile loads in one mass solve. Per step: one small dense
+product of that block; one banded product, M*v; one mass solve for a
+forcing that is not a SeparableForcing. Per iteration: one
 p-Laplacian assembly (two bands for Newton with eps > 0, none for p = 2),
 one product for the right-hand side (two for Newton with eps > 0) and one
 banded solve, and one product for U's squared M-norm increment. For p = 2
@@ -53,7 +52,7 @@ from .assembly import (ElementTables, FluxParams, SeparableForcing,
 from .banded import BandedFactor, BandedSymMatrix
 from .errors import ConfigError, FixedPointDivergenceError, LinearSolveError
 from .memory import (KernelSpec, MemoryBlock, StateHistory, check_mode,
-                     memory_equation, memory_residual, relation_coefficients)
+                     memory_residual)
 from .mesh import (Mesh1D, QuadratureRule, default_quad_points, gauss_legendre,
                    is_count)
 
@@ -192,31 +191,28 @@ class StepPlan:
     system = c*M, plus delta*slope*A(0) and factored where it cannot change
     (p = 2, slope 0; else factor is None); for a SeparableForcing, its time
     coefficients at t_{k+1/2} = (k + 1/2)*delta, row k for step k (else
-    None); for g = lam*exp(-s) the MemoryBlock, with M^{-1}L_0 and any
-    profile loads solved into it."""
+    None); the MemoryBlock of g = kernel.lam*exp(-s), with M^{-1}L_0 and
+    any profile loads solved into it."""
 
     def __init__(self, hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
                  asm: Assembler):
         if hist.k:
             raise ValueError(f"a step plan starts at level 0, not {hist.k}")
-        self.hist, self.kernel, self.cfg, self.asm = hist, kernel, cfg, asm
+        self.hist, self.cfg, self.asm = hist, cfg, asm
         delta, p, forcing = cfg.delta, asm.params.p, asm.load_fn
         separable = isinstance(forcing, SeparableForcing)
+        load0 = asm.load(0.0)       # first, so that an f bad at t = 0 is named there
         self.coefficients = forcing.coefficients(
             (np.arange(hist.n_steps) + 0.5) * delta) if separable else None
-        self.block = block = None if kernel.lam is None else MemoryBlock(
-            kernel.lam, delta, cfg.quadrature_mode, hist.u[0], hist.y[0],
-            len(forcing.terms) if separable else 1)
-        if block is None:
-            self.alpha, self.beta = relation_coefficients(
-                float(kernel.g(0.0)), float(kernel.gp(0.0)), delta)
-        else:
-            self.alpha, self.beta = block.alpha, block.beta
-            if not separable:
-                block.rows[5] = asm.mass_factor.solve(hist.loads[0])
-            elif forcing.terms:     # L_0 with the profiles; f = 0: no load rows
-                block.rows[5:] = asm.mass_factor.solve(
-                    np.vstack((hist.loads[0], asm.profiles(0.0))).T).T
+        self.block = block = MemoryBlock(kernel.lam, delta, cfg.quadrature_mode,
+                                         hist.u[0], hist.y[0],
+                                         len(forcing.terms) if separable else 1)
+        self.alpha, self.beta = block.alpha, block.beta
+        if not separable:
+            block.rows[5] = asm.mass_factor.solve(load0)
+        elif forcing.terms:     # L_0 with the profiles; f = 0: no load rows
+            block.rows[5:] = asm.mass_factor.solve(
+                np.vstack((load0, asm.profiles(0.0))).T).T
         self.y_gain = (self.beta / self.alpha) ** 2   # dY = -(beta/alpha) dU
         self.linear = p == 2.0      # diffusion matrix independent of the state
         self.slope = {"A": 1.0, "B": 0.0, "N": p - 1.0}[cfg.scheme]
@@ -237,28 +233,15 @@ class StepPlan:
 def step_relation(plan: StepPlan):
     """(z, v) of step plan.hist.k: alpha*Y^{k+1} + beta*U^{k+1} = z is the
     memory relation, and M*v the U-block's right-hand side less its diffusion
-    term. An exponential kernel takes both from the plan's MemoryBlock, into
-    which it solves the load of an f that is not a SeparableForcing; any
-    other stores L_{k+1/2} in hist.loads and takes one mass solve. A
-    SeparableForcing's load is row k of the plan's coefficients times its
-    profiles.
+    term, both from the plan's MemoryBlock. A SeparableForcing's load is
+    row k of the plan's coefficients times its solved profiles; any other
+    f's load L_{k+1/2} is assembled and solved into the block.
     """
-    hist, asm, block, coefficients = plan.hist, plan.asm, plan.block, plan.coefficients
-    k, delta = hist.k, plan.cfg.delta
-    t = (k + 0.5) * delta
-    if block is None:
-        hist.loads[k + 1] = (asm.load(t) if coefficients is None
-                             else coefficients[k] @ asm.profiles(t))
-        state, load_share = memory_equation(hist, plan.kernel, plan.cfg.quadrature_mode)
-        solved = asm.mass_factor.solve(np.stack((load_share, hist.loads[k + 1]), axis=1))
-        z = state - solved[:, 0]
-        v = (2.0 * hist.u[k] + delta * hist.y[k] + (delta / plan.alpha) * z
-             + 2.0 * delta * solved[:, 1])
-        return z, v
-    if coefficients is None:
-        block.rows[6] = asm.mass_factor.solve(asm.load(t))
+    k, block = plan.hist.k, plan.block
+    if plan.coefficients is None:
+        block.rows[6] = plan.asm.mass_factor.solve(plan.asm.load((k + 0.5) * plan.cfg.delta))
         return block.relation(np.ones(1))
-    return block.relation(coefficients[k])
+    return block.relation(plan.coefficients[k])
 
 
 def _extrapolate(u: np.ndarray, k: int) -> np.ndarray:
@@ -371,8 +354,7 @@ def cn_step(plan: StepPlan):
                 raise LinearSolveError(f"step {k}, iteration {iteration}: the memory "
                                        "relation gives a non-finite Y")
             hist.append(u_it, y_new)
-            if plan.block is not None:
-                plan.block.accept(u_it, y_new)
+            plan.block.accept(u_it, y_new)
             return u_it, y_new, StepDiagnostics(iterations=iteration,
                                                 increment_u=inc_u,
                                                 increment_y=inc_y,
@@ -416,7 +398,7 @@ def march(problem: "analysis.ProblemSpec", mesh: Mesh1D,
     quad = gauss_legendre(default_quad_points(mesh.r, cfg.quad_points))
     asm = Assembler(mesh, quad, cfg.flux_params(), problem.f)
     hist = StateHistory(mesh.n_interior, cfg.n_steps, cfg.delta)
-    hist.set_initial(interpolate(mesh, problem.u0), asm.load(0.0))
+    hist.set_initial(interpolate(mesh, problem.u0))
 
     plan = StepPlan(hist, problem.kernel, cfg, asm)
     diagnostics = [cn_step(plan)[2] for _ in range(cfg.n_steps)]
@@ -426,8 +408,8 @@ def march(problem: "analysis.ProblemSpec", mesh: Mesh1D,
 def oracle_history(hist: StateHistory, k: int, asm: Assembler) -> StateHistory:
     """Read-only alias of hist (same level, shared u and y) whose loads are
     L_0, L_{1/2}, .., L_{k+1/2}, each assembled anew by asm.load: the load
-    levels the direct quadratures of steps up to k read, taken from the
-    problem and not from any load a step stored."""
+    levels the direct quadratures of steps up to k read, which a march
+    does not store."""
     view = hist.truncated(hist.k)
     times = [0.0] + [(j + 0.5) * hist.delta for j in range(k + 1)]
     view.loads = np.array([asm.load(t) for t in times])

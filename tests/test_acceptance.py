@@ -198,7 +198,8 @@ class TestCriterion5:
         rng = np.random.default_rng(99)
         for k in (0, 1, 5, 30):
             hist = StateHistory(3, max(k, 1) + 1, delta)
-            hist.set_initial(np.zeros(3), rng.standard_normal(3))
+            hist.set_initial(np.zeros(3))
+            hist.loads[0] = rng.standard_normal(3)
             for j in range(k):
                 hist.append(np.zeros(3), np.zeros(3))
             for j in range(k + 1):

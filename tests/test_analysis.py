@@ -358,7 +358,7 @@ class TestRunRecord:
             quad = gauss_legendre(default_quad_points(mesh.r))
             asm = Assembler(mesh, quad, cfg.flux_params(), problem.f)
             hist = StateHistory(mesh.n_interior, cfg.n_steps, cfg.delta)
-            hist.set_initial(interpolate(mesh, problem.u0), asm.load(0.0))
+            hist.set_initial(interpolate(mesh, problem.u0))
             plan = StepPlan(hist, problem.kernel, cfg, asm)
             diags = [cn_step(plan)[2] for _ in range(cfg.n_steps)]
             out[name] = (problem, mesh, cfg, asm, hist, diags)

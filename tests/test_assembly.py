@@ -490,5 +490,5 @@ class TestColumnMajorBands:
         quad = gauss_legendre(default_quad_points(mesh.r, cfg.quad_points))
         asm = Assembler(mesh, quad, cfg.flux_params(), problem.f)
         hist = StateHistory(mesh.n_interior, cfg.n_steps, cfg.delta)
-        hist.set_initial(interpolate(mesh, problem.u0), asm.load(0.0))
+        hist.set_initial(interpolate(mesh, problem.u0))
         assert StepPlan(hist, problem.kernel, cfg, asm).system.data.flags.f_contiguous

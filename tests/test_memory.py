@@ -1,20 +1,18 @@
-import dataclasses
 import math
-import re
 
 import numpy as np
 import pytest
 
 import plapmem.memory
 from fe_oracles import to_dense
+from memory_oracles import (Kernel, coefficients, direct_relation,
+                            memory_equation, relation_rhs)
 from plapmem import (ConfigError, IllPosedStepError, KernelSpec, SolverConfig,
                      build_uniform_mesh, exponential_kernel,
-                     manufactured_example1, march)
-from plapmem.assembly import SeparableForcing
+                     manufactured_example1, march, stepper)
 from plapmem.banded import BandedSymMatrix
 from plapmem.memory import (MemoryBlock, StateHistory, forcing_weights,
-                            history_sum, i_f, memory_equation, memory_residual,
-                            relation_coefficients, volterra_weights)
+                            history_sum, i_f, memory_residual, volterra_weights)
 from plapmem.mesh import gauss_legendre
 from plapmem.stepper import Assembler, StepPlan
 
@@ -22,16 +20,6 @@ from plapmem.stepper import Assembler, StepPlan
 def scalar_mass():
     """1x1 identity: turns the quadratures into plain scalar sums."""
     return BandedSymMatrix(np.array([[1.0]]))
-
-
-def relation_rhs(state, forcing, mass):
-    """R = M*s - F of alpha*M*Y + beta*M*U = R, from the nodal form."""
-    return mass.matvec(state) - forcing
-
-
-def coefficients(kernel, delta):
-    """(alpha, beta) of the kernel's memory relation."""
-    return relation_coefficients(float(kernel.g(0.0)), float(kernel.gp(0.0)), delta)
 
 
 def q_g(hist, kernel):
@@ -46,13 +34,11 @@ def q_gp(hist, kernel):
 
 def history_with(delta, u_levels, y_levels, loads=None, n_steps=10):
     hist = StateHistory(1, n_steps, delta)
-    hist.set_initial(np.array([u_levels[0]], float),
-                     np.array([loads[0] if loads else 0.0]))
-    for j, (u, y) in enumerate(zip(u_levels[1:], y_levels[1:])):
+    hist.set_initial(np.array([u_levels[0]], float))
+    for u, y in zip(u_levels[1:], y_levels[1:]):
         hist.append(np.array([u], float), np.array([y], float))
-    for j in range(len(u_levels)):
-        if loads:
-            hist.loads[1 + j] = loads[j + 1]
+    if loads:
+        hist.loads[:len(loads), 0] = loads
     hist.y[0] = y_levels[0]
     return hist
 
@@ -158,8 +144,8 @@ class TestQgp:
 
 class TestIf:
     def test_constant_forcing_constant_kernel(self):
-        kernel = KernelSpec(g=lambda s: np.ones_like(np.asarray(s, float)),
-                            gp=lambda s: np.zeros_like(np.asarray(s, float)))
+        kernel = Kernel(g=lambda s: np.ones_like(np.asarray(s, float)),
+                        gp=lambda s: np.zeros_like(np.asarray(s, float)))
         for k in (0, 1, 4, 9):
             hist = history_with(0.1, [0.0] * (k + 1), [0.0] * (k + 1),
                                 loads=[1.0] * (k + 2))
@@ -201,7 +187,7 @@ class TestMemoryEquation:
 
     def test_ill_posed_alpha(self):
         # delta * g(0) = -4 makes the diagonal coefficient vanish; a march
-        # without lam meets it when its StepPlan is set up
+        # meets it when its StepPlan is set up
         kernel = exponential_kernel(-40.0)
         with pytest.raises(IllPosedStepError):
             coefficients(kernel, 0.1)
@@ -210,9 +196,9 @@ class TestMemoryEquation:
         asm = Assembler(mesh, gauss_legendre(3), cfg.flux_params(),
                         lambda x, t: 0.0 * x)
         hist = StateHistory(mesh.n_interior, 1, 0.1)
-        hist.set_initial(np.ones(mesh.n_interior), np.zeros(mesh.n_interior))
+        hist.set_initial(np.ones(mesh.n_interior))
         with pytest.raises(IllPosedStepError):
-            StepPlan(hist, direct(kernel), cfg, asm)
+            StepPlan(hist, kernel, cfg, asm)
 
     def test_residual_form_consistent_with_reduction(self):
         # pick U^{k+1}, Y^{k+1} satisfying the reduced relation: the verbatim
@@ -244,8 +230,22 @@ class TestExponentialKernel:
         lags = rng.uniform(0, 10, size=1000)
         assert np.max(np.abs(kernel.gp(lags) + kernel.g(lags))) < 1e-14
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, None, "2.0", True],
+                             ids=["nan", "inf", "-inf", "None", "str", "bool"])
+    def test_bad_lam_rejected(self, lam):
+        # lam is the whole kernel: anything but a finite real number is a
+        # typed error on the kernel, from either constructor
+        for build in (KernelSpec, exponential_kernel):
+            with pytest.raises(ConfigError) as err:
+                build(lam)
+            assert err.value.field == "kernel"
+
+    def test_lam_held_as_float(self):
+        kernel = KernelSpec(np.int64(-3))
+        assert type(kernel.lam) is float and kernel == exponential_kernel(-3.0)
+
     def test_scalar_only_callables_accepted(self):
-        kernel = KernelSpec(g=lambda s: math.exp(-s), gp=lambda s: -math.exp(-s))
+        kernel = Kernel(g=lambda s: math.exp(-s), gp=lambda s: -math.exp(-s))
         hist = history_with(0.1, [1.0, 1.0, 1.0], [0.0, 1.0, 1.0],
                             loads=[1.0, 1.0, 1.0, 1.0])
         explicit, implicit = q_g(hist, kernel)
@@ -256,12 +256,12 @@ class TestExponentialKernel:
 class TestStateHistory:
     def test_initial_memory_level_is_zero(self):
         hist = StateHistory(3, 4, 0.1)
-        hist.set_initial(np.ones(3), np.zeros(3))
+        hist.set_initial(np.ones(3))
         assert np.array_equal(hist.y[0], np.zeros(3))
 
     def test_append_guards_horizon(self):
         hist = StateHistory(2, 1, 0.1)
-        hist.set_initial(np.zeros(2), np.zeros(2))
+        hist.set_initial(np.zeros(2))
         hist.append(np.ones(2), np.ones(2))
         with pytest.raises(ValueError):
             hist.append(np.ones(2), np.ones(2))
@@ -279,7 +279,7 @@ class TestStateHistory:
 
     def test_truncated_view_shares_arrays(self):
         hist = StateHistory(2, 3, 0.1)
-        hist.set_initial(np.zeros(2), np.zeros(2))
+        hist.set_initial(np.zeros(2))
         hist.append(np.ones(2), np.ones(2))
         view = hist.truncated(0)
         assert view.k == 0
@@ -288,15 +288,11 @@ class TestStateHistory:
             hist.truncated(5)
 
 
-def direct(kernel):
-    """The same kernel without its lam: takes the direct quadratures."""
-    return KernelSpec(g=kernel.g, gp=kernel.gp)
-
-
 def random_history(n_steps, delta, n_dofs=3, seed=5):
     rng = np.random.default_rng(seed)
     hist = StateHistory(n_dofs, n_steps, delta)
-    hist.set_initial(rng.uniform(-1, 1, n_dofs), rng.uniform(-1, 1, n_dofs))
+    hist.set_initial(rng.uniform(-1, 1, n_dofs))
+    hist.loads[0] = rng.uniform(-1, 1, n_dofs)
     hist.y[0] = rng.uniform(-1, 1, n_dofs)      # exercise the y_0 share too
     for j in range(n_steps):
         hist.loads[1 + j] = rng.uniform(-1, 1, n_dofs)
@@ -335,7 +331,7 @@ class TestRecursiveHistory:
             past = hist.truncated(k)
             block.rows[6] = solved[k + 1]
             z, v = block.relation(np.ones(1))
-            ref = memory_equation(past, direct(kernel), mode)
+            ref = memory_equation(past, kernel, mode)
             z_ref = np.linalg.solve(dense, relation_rhs(*ref, mass))
             mv_ref = (mass.matvec(2.0 * hist.u[k] + delta * hist.y[k]
                                   + (delta / alpha) * z_ref)
@@ -349,17 +345,17 @@ class TestRecursiveHistory:
     def test_unknown_mode_rejected(self):
         hist = random_history(2, 0.1)
         with pytest.raises(ConfigError) as err:
-            memory_equation(hist, exponential_kernel(1.0), "exact")
+            i_f(hist, exponential_kernel(1.0), "exact")
         assert err.value.field == "quadrature_mode"
 
     @pytest.mark.parametrize("lam", [1.0, -10.0])
-    def test_march_matches_direct(self, lam):
+    def test_march_matches_direct(self, lam, monkeypatch):
         problem = manufactured_example1(3.0, lam, horizon=0.05)
         mesh = build_uniform_mesh(0, 1, 8, 2)
         cfg = SolverConfig(p=3.0, delta=1e-3, n_steps=50, tol=1e-14)
         fast = march(problem, mesh, cfg)
-        ref = march(dataclasses.replace(problem, kernel=direct(problem.kernel)),
-                    mesh, cfg)
+        monkeypatch.setattr(stepper, "step_relation", direct_relation)
+        ref = march(problem, mesh, cfg)
         assert ([d.iterations for d in fast.diagnostics]
                 == [d.iterations for d in ref.diagnostics])
         for name in ("u", "y"):
@@ -381,15 +377,12 @@ class TestRecursiveHistory:
                                      quadrature_mode=mode))
             assert len(run.diagnostics) == 20
 
-    def test_custom_kernel_takes_direct_quadrature(self, monkeypatch):
-        # scalar-only callables, no lam: the scripted trapezoid formula
-        def forbidden(*args, **kwargs):
-            raise AssertionError("running sums used for a general kernel")
-
-        monkeypatch.setattr(MemoryBlock, "relation", forbidden)
+    def test_custom_kernel_takes_direct_quadrature(self):
+        # the oracle's direct sums for a kernel that is not exponential
+        # against the scripted trapezoid formula
         g = lambda s: 1.0 / (1.0 + s)
         gp = lambda s: -1.0 / (1.0 + s) ** 2
-        kernel = KernelSpec(g=g, gp=gp)
+        kernel = Kernel(g=g, gp=gp)
         delta = 0.1
         u, y, loads = [1.0, 0.7, 0.4], [0.0, 0.5, 0.9], [0.3, 0.2, 0.6, 0.8]
         hist = history_with(delta, u, y, loads=loads)
@@ -407,77 +400,6 @@ class TestRecursiveHistory:
                 == pytest.approx([expected], rel=1e-14))
         assert coefficients(kernel, delta)[0] == pytest.approx(0.5 + delta / 8 * g(0),
                                                                rel=1e-15)
-
-
-class TestDeclaredExponential:
-    """lam selects the running sums, so it must describe g and gp."""
-
-    @pytest.mark.parametrize("g, gp", [
-        # wrong decay rate
-        (lambda s: 2.0 * np.exp(-2.0 * np.asarray(s, float)),
-         lambda s: -4.0 * np.exp(-2.0 * np.asarray(s, float))),
-        # wrong amplitude
-        (lambda s: 3.0 * np.exp(-np.asarray(s, float)),
-         lambda s: -3.0 * np.exp(-np.asarray(s, float))),
-        # right g, derivative of the wrong sign
-        (lambda s: 2.0 * np.exp(-np.asarray(s, float)),
-         lambda s: 2.0 * np.exp(-np.asarray(s, float))),
-        # scalar-only, and a different kernel
-        (lambda s: 2.0 / (1.0 + s), lambda s: -2.0 / (1.0 + s) ** 2),
-    ])
-    def test_mismatched_lam_rejected(self, g, gp):
-        with pytest.raises(ConfigError) as err:
-            KernelSpec(g=g, gp=gp, lam=2.0)
-        assert err.value.field == "kernel"
-
-    def test_nonfinite_lam_rejected(self):
-        with pytest.raises(ConfigError):
-            KernelSpec(g=lambda s: 0.0 * s, gp=lambda s: 0.0 * s, lam=float("nan"))
-
-    def test_hand_built_exponential_accepted(self):
-        # scalar-only callables with lam: the march takes the block, which
-        # reads lam alone
-        lam = -2.5
-        kernel = KernelSpec(g=lambda s: lam * math.exp(-s),
-                            gp=lambda s: -lam * math.exp(-s), lam=lam)
-        problem = manufactured_example1(3.0, lam, horizon=0.03)
-        mesh = build_uniform_mesh(0, 1, 6, 2)
-        cfg = SolverConfig(p=3.0, delta=1e-3, n_steps=30)
-        fast = march(dataclasses.replace(problem, kernel=kernel), mesh, cfg)
-        ref = march(problem, mesh, cfg)
-        assert np.array_equal(fast.u, ref.u)
-        assert np.array_equal(fast.y, ref.y)
-
-
-def decay(sign, nan_past=None, at_zero=None):
-    """sign*exp(-s), with nan beyond lag nan_past and at_zero at lag 0."""
-    def fn(s):
-        s = np.asarray(s, dtype=float)
-        out = sign * np.exp(-s)
-        if nan_past is not None:
-            out = np.where(s > nan_past, np.nan, out)
-        return out if at_zero is None else np.where(s == 0.0, at_zero, out)
-    return fn
-
-
-class TestNonFiniteKernel:
-    """A kernel without lam that is not finite where the march samples it
-    is a ConfigError on the kernel, not a failed banded solve later."""
-
-    @pytest.mark.parametrize("g, gp, message", [
-        (decay(1.0, at_zero=np.nan), decay(-1.0), "g(0) = nan"),
-        (decay(1.0, nan_past=0.004), decay(-1.0), "g(0.0045) = nan"),
-        (decay(1.0, at_zero=np.inf), decay(-1.0), "g(0) = inf"),
-        (decay(1.0), decay(-1.0, nan_past=0.004), "g'(0.0045) = nan"),
-    ], ids=["g0-nan", "g-nan-late", "g0-inf", "gp-nan-late"])
-    def test_rejected_naming_function_and_lag(self, g, gp, message):
-        problem = dataclasses.replace(manufactured_example1(3.0, 1.0, horizon=0.01),
-                                      kernel=KernelSpec(g=g, gp=gp),
-                                      f=SeparableForcing())
-        with pytest.raises(ConfigError, match=re.escape(message)) as err:
-            march(problem, build_uniform_mesh(0, 1, 4, 1),
-                  SolverConfig(p=3.0, delta=1e-3, n_steps=10))
-        assert err.value.field == "kernel"
 
 
 class TestParasiticRoot:

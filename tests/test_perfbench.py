@@ -25,18 +25,18 @@ def test_workload_passes_its_oracle(name, tmp_path):
     assert check.check_run(workload, lam, problem, mesh, cfg, run, tmp_path)["errors"] == []
 
 
-def test_tracer_finds_every_layer_but_the_three_retired():
+def test_tracer_finds_every_layer_but_the_four_retired():
     # a refactor that moves or renames a wrapped lookup site (such as
-    # stepper.memory_equation) would otherwise hide that layer from the trace
+    # stepper.cn_step) would otherwise hide that layer from the trace
     import plapmem.stepper
     import tracer
 
-    original = plapmem.stepper.memory_equation
+    original = plapmem.stepper.cn_step
     tr = tracer.Tracer()
     tr.install()
     try:
-        assert tr.absent == ["stepper.iteration_system", "stepper.solve_block",
-                             "stepper.recover_memory_state"]
+        assert tr.absent == ["memory.memory_equation", "stepper.iteration_system",
+                             "stepper.solve_block", "stepper.recover_memory_state"]
     finally:
         tr.restore()
-    assert plapmem.stepper.memory_equation is original
+    assert plapmem.stepper.cn_step is original

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from fe_oracles import to_dense
+from memory_oracles import (coefficients, direct_relation, memory_equation,
+                            relation_rhs)
 from plapmem import stepper
 from plapmem import (ConfigError, FixedPointDivergenceError, IllPosedStepError,
                      ProblemSpec, SolverConfig, build_uniform_mesh,
@@ -16,8 +18,7 @@ from plapmem.banded import BandedFactor, BandedSymMatrix
 from plapmem.assembly import SeparableForcing, assemble_mass, interpolate
 from plapmem.errors import LinearSolveError
 from plapmem.experiments import asymptotics_problem, propagation_problem
-from plapmem.memory import (KernelSpec, MemoryBlock, StateHistory, memory_equation,
-                            relation_coefficients)
+from plapmem.memory import MemoryBlock, StateHistory
 from plapmem.mesh import default_quad_points, gauss_legendre
 from plapmem.stepper import (_STALL_GRACE, _STALL_RATIO, Assembler, StepPlan,
                              cn_step, oracle_history, predicted_start,
@@ -138,20 +139,10 @@ def make_assembler(problem, mesh, cfg):
     return Assembler(mesh, quad, cfg.flux_params(), problem.f)
 
 
-def fresh_history(problem, mesh, cfg, asm):
+def fresh_history(problem, mesh, cfg):
     hist = StateHistory(mesh.n_interior, cfg.n_steps, cfg.delta)
-    hist.set_initial(interpolate(mesh, problem.u0), asm.load(0.0))
+    hist.set_initial(interpolate(mesh, problem.u0))
     return hist
-
-
-def relation_rhs(state, forcing, mass):
-    """R = M*s - F of alpha*M*Y + beta*M*U = R, from the nodal form."""
-    return mass.matvec(state) - forcing
-
-
-def coefficients(kernel, delta):
-    """(alpha, beta) of the kernel's memory relation, from g(0) and g'(0)."""
-    return relation_coefficients(float(kernel.g(0.0)), float(kernel.gp(0.0)), delta)
 
 
 class TestFixedPoint:
@@ -170,7 +161,7 @@ class TestFixedPoint:
             + np.diag(np.full(mesh.n_interior - 1, -1 / mesh.h), -1)
         steady = np.linalg.solve(stiff, asm.load(0.0))
         hist = StateHistory(mesh.n_interior, cfg.n_steps, cfg.delta)
-        hist.set_initial(steady, asm.load(0.0))
+        hist.set_initial(steady)
         _, _, diag = cn_step(StepPlan(hist, problem.kernel, cfg, asm))
         assert diag.iterations == 1
 
@@ -181,7 +172,7 @@ class TestFixedPoint:
             mesh = build_uniform_mesh(-1, 1, 10, 1)
             cfg = SolverConfig(p=2.0, delta=0.01, n_steps=3)
             asm = make_assembler(problem, mesh, cfg)
-            hist = fresh_history(problem, mesh, cfg, asm)
+            hist = fresh_history(problem, mesh, cfg)
             plan = StepPlan(hist, problem.kernel, cfg, asm)
             _, _, diag = cn_step(plan)
             assert diag.iterations == 2
@@ -242,20 +233,12 @@ class TestSolveBlock:
         assert np.max(np.abs(r2)) < 1e-10 * max(1, np.max(np.abs(md @ z)))
 
     def test_vanishing_alpha_guard(self):
-        # alpha = 1/2 + delta*g(0)/8 vanishes for delta*g(0) = -4: both
-        # set-ups refuse it, the plan without lam and the block with it
-        kernel = exponential_kernel(-8.0)
+        # alpha = 1/2 + delta*g(0)/8 vanishes for delta*g(0) = -4: the
+        # coefficients and the block refuse it
         with pytest.raises(IllPosedStepError):
-            coefficients(kernel, 0.5)
-        problem = free_decay(2.0, -8.0, sine_bump, horizon=2.5)
-        mesh = build_uniform_mesh(-1, 1, 4, 1)
-        cfg = SolverConfig(p=2.0, delta=0.5, n_steps=5)
-        asm = make_assembler(problem, mesh, cfg)
-        hist = fresh_history(problem, mesh, cfg, asm)
+            coefficients(exponential_kernel(-8.0), 0.5)
         with pytest.raises(IllPosedStepError):
-            StepPlan(hist, KernelSpec(g=kernel.g, gp=kernel.gp), cfg, asm)
-        with pytest.raises(IllPosedStepError):
-            MemoryBlock(-8.0, 0.5, "consistent", hist.u[0], hist.y[0], 0)
+            MemoryBlock(-8.0, 0.5, "consistent", np.ones(3), np.zeros(3), 0)
 
 
 class TestMarch:
@@ -274,7 +257,7 @@ class TestMarch:
         cfg = SolverConfig(p=3.0, delta=0.01, n_steps=1)
         run = march(problem, mesh, cfg)
         asm = make_assembler(problem, mesh, cfg)
-        hist = fresh_history(problem, mesh, cfg, asm)
+        hist = fresh_history(problem, mesh, cfg)
         plan = StepPlan(hist, problem.kernel, cfg, asm)
         u1, y1, _ = cn_step(plan)
         assert np.array_equal(run.u[1], u1)
@@ -398,14 +381,10 @@ def sine_01(x):
     return np.sin(np.pi * np.asarray(x, dtype=float))
 
 
-def separable_case(time, declared=True):
-    """(problem, mesh, cfg) of a 20-step p = 2 run forced by x(1-x) time(t);
-    the kernel 2 exp(-s), declared with its lam (the memory block) or not
-    (the direct sums)."""
-    kernel = exponential_kernel(2.0)
-    if not declared:
-        kernel = KernelSpec(g=kernel.g, gp=kernel.gp)
-    problem = ProblemSpec(a=0.0, b=1.0, horizon=0.2, p=2.0, kernel=kernel,
+def separable_case(time):
+    """(problem, mesh, cfg) of a 20-step p = 2 run forced by x(1-x) time(t),
+    with the kernel 2 exp(-s)."""
+    problem = ProblemSpec(a=0.0, b=1.0, horizon=0.2, p=2.0, kernel=exponential_kernel(2.0),
                           u0=sine_01,
                           f=SeparableForcing(((lambda x: x * (1 - x), time),)))
     return problem, build_uniform_mesh(0, 1, 6, 2), SolverConfig(p=2.0, delta=0.01,
@@ -451,10 +430,13 @@ class TestSeparableLoad:
     @pytest.mark.parametrize("time", [
         math.cos, lambda t: math.cos(t) if t >= 0.0 else math.nan,
     ], ids=["math.cos", "scalar-only-branch"])
-    def test_scalar_time_function_matches_array_one(self, declared, time):
+    def test_scalar_time_function_matches_array_one(self, monkeypatch, declared, time):
         # a time function that cannot take an array is called per time, and
-        # gives the march np.cos gives, bit for bit
-        runs = [march(*separable_case(fn, declared)) for fn in (np.cos, time)]
+        # gives the march np.cos gives, bit for bit; declared: the march's
+        # memory block, else the direct sums (memory_oracles.direct_relation)
+        if not declared:
+            monkeypatch.setattr(stepper, "step_relation", direct_relation)
+        runs = [march(*separable_case(fn)) for fn in (np.cos, time)]
         for name in ("u", "y", "energies"):
             assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
         assert runs[0].diagnostics == runs[1].diagnostics
@@ -515,7 +497,7 @@ class TestLeanStep:
         cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, tol=tol,
                            scheme=scheme)
         asm = make_assembler(problem, mesh, cfg)
-        hist = fresh_history(problem, mesh, cfg, asm)
+        hist = fresh_history(problem, mesh, cfg)
         plan = StepPlan(hist, problem.kernel, cfg, asm)
         diags = [cn_step(plan)[2] for _ in range(n_steps)]
         if case == "p4-A-relaxed":
@@ -717,7 +699,7 @@ class TestPredictedStart:
     @staticmethod
     def history(levels):
         hist = StateHistory(levels.shape[1], len(levels), 0.1)
-        hist.set_initial(levels[0], np.zeros(levels.shape[1]))
+        hist.set_initial(levels[0])
         for u in levels[1:]:
             hist.append(u, np.zeros_like(u))
         return hist
@@ -748,7 +730,7 @@ class TestPredictedStart:
         mesh = build_uniform_mesh(0, 1, m, r)
         cfg = SolverConfig(p=p, delta=delta, n_steps=40, tol=1e-12, scheme="N")
         asm = make_assembler(problem, mesh, cfg)
-        hist = fresh_history(problem, mesh, cfg, asm)
+        hist = fresh_history(problem, mesh, cfg)
         plan = StepPlan(hist, problem.kernel, cfg, asm)
         early = [cn_step(plan)[2] for _ in range(5)]
         assert [d.restarted for d in early] == [0] * 5
@@ -840,7 +822,7 @@ class TestNonlinearSolveProperties:
         cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, tol=tol,
                            scheme=scheme)
         asm = make_assembler(problem, mesh, cfg)
-        hist = fresh_history(problem, mesh, cfg, asm)
+        hist = fresh_history(problem, mesh, cfg)
         plan = StepPlan(hist, problem.kernel, cfg, asm)
         with np.errstate(over="ignore", invalid="ignore"):
             try:
@@ -1045,14 +1027,14 @@ class TestRoundTrip:
         mesh = build_uniform_mesh(0, 1, 6, 1)
         cfg = SolverConfig(p=3.0, delta=1e-3, n_steps=20, tol=1e-10)
         asm = make_assembler(problem, mesh, cfg)
-        hist = fresh_history(problem, mesh, cfg, asm)
+        hist = fresh_history(problem, mesh, cfg)
         plan = StepPlan(hist, problem.kernel, cfg, asm)
         for _ in range(cfg.n_steps):
             cn_step(plan)
-        # the exponential step stores no load, and step_residuals assembles
-        # the loads it reads: a step that used a wrong load shows here
+        # the march stores no load, and step_residuals assembles the loads
+        # it reads: a step that used a wrong load shows here
         assert np.abs(problem.f(0.5, 0.0)) > 0.0
-        assert not hist.loads[1:].any()
+        assert "loads" not in vars(hist)
         bound = max(1e-9, 10 * np.sqrt(cfg.tol))
         for k in range(cfg.n_steps):
             res_ev, res_mem = step_residuals(hist, k, problem.kernel, cfg, asm)
@@ -1064,7 +1046,7 @@ class TestRoundTrip:
         mesh = build_uniform_mesh(0, 1, 4, 1)
         cfg = SolverConfig(p=3.0, delta=1e-3, n_steps=2)
         asm = make_assembler(problem, mesh, cfg)
-        hist = fresh_history(problem, mesh, cfg, asm)
+        hist = fresh_history(problem, mesh, cfg)
         cn_step(StepPlan(hist, problem.kernel, cfg, asm))
         step_residuals(hist, 0, problem.kernel, cfg, asm)
         for k in (1, 2):
@@ -1084,7 +1066,7 @@ class TestIterationOnU:
         mesh = build_uniform_mesh(0, 1, 6, 2)
         cfg = SolverConfig(p=3.0, delta=0.01, n_steps=5)
         asm = make_assembler(problem, mesh, cfg)
-        hist = fresh_history(problem, mesh, cfg, asm)
+        hist = fresh_history(problem, mesh, cfg)
         plan = StepPlan(hist, problem.kernel, cfg, asm)
         z, _ = step_relation(plan)
         alpha, beta = plan.alpha, plan.beta
@@ -1110,7 +1092,7 @@ class TestIterationOnU:
         mesh = build_uniform_mesh(0, 1, m, r)
         cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps, tol=tol, scheme=scheme)
         asm = make_assembler(problem, mesh, cfg)
-        hist = fresh_history(problem, mesh, cfg, asm)
+        hist = fresh_history(problem, mesh, cfg)
         plan = StepPlan(hist, problem.kernel, cfg, asm)
         mass = asm.mass
         alpha, beta = coefficients(problem.kernel, delta)
@@ -1162,7 +1144,7 @@ class TestIterationOnU:
         cfg = SolverConfig(p=4.0, delta=0.01, n_steps=10, tol=1e-12, scheme="N",
                            epsilon=1e-2)
         asm = make_assembler(problem, mesh, cfg)
-        hist = fresh_history(problem, mesh, cfg, asm)
+        hist = fresh_history(problem, mesh, cfg)
         plan = StepPlan(hist, problem.kernel, cfg, asm)
         for _ in range(cfg.n_steps):
             cn_step(plan)
@@ -1253,7 +1235,7 @@ class TestProductCounts:
         cfg = SolverConfig(p=p, delta=1e-3, n_steps=10, tol=1e-12, scheme=scheme,
                            epsilon=epsilon)
         asm = make_assembler(problem, mesh, cfg)
-        hist = fresh_history(problem, mesh, cfg, asm)
+        hist = fresh_history(problem, mesh, cfg)
         calls = [0]
         method = getattr(owner, name)
 
@@ -1278,7 +1260,7 @@ class TestStepPlan:
         mesh = build_uniform_mesh(-1, 1, 8, 1)
         cfg = SolverConfig(p=3.0, delta=0.01, n_steps=2)
         asm = make_assembler(problem, mesh, cfg)
-        hist = fresh_history(problem, mesh, cfg, asm)
+        hist = fresh_history(problem, mesh, cfg)
         cn_step(StepPlan(hist, problem.kernel, cfg, asm))
         with pytest.raises(ValueError, match="level 0, not 1"):
             StepPlan(hist, problem.kernel, cfg, asm)
@@ -1301,31 +1283,14 @@ class TestStepPlan:
                   SolverConfig(p=p, delta=1e-3, n_steps=n_steps, scheme=scheme))
         assert built == [2, 2]
 
-    def test_kernel_at_lag_zero_once_per_step(self):
-        # without lam, g(0) and g'(0) are read once at set-up (alpha, beta)
-        # and once per step by the direct sums
-        calls = {"g": 0, "gp": 0}
-
-        def counted(name, sign):
-            def fn(s):
-                if np.ndim(s) == 0 and s == 0.0:
-                    calls[name] += 1
-                return sign * 2.0 * np.exp(-np.asarray(s, dtype=float))
-            return fn
-
-        kernel = KernelSpec(g=counted("g", 1.0), gp=counted("gp", -1.0))
-        problem = dataclasses.replace(forced_sine(3.0, 2.0, horizon=0.05), kernel=kernel)
-        march(problem, build_uniform_mesh(0, 1, 6, 1),
-              SolverConfig(p=3.0, delta=0.01, n_steps=5))
-        assert calls == {"g": 6, "gp": 6}
-
 
 class TestNodalMemoryRelation:
     """step_relation's z and M*v against the dense reduction they replace:
     z = M^{-1}(M*s - F) and M(2U_k + delta Y_k + (delta/alpha) z) +
     2 delta L_{k+1/2}, with F summed directly over load vectors assembled
     anew (oracle_history); through the carried block ("running-sums") and
-    through memory_equation and one mass solve ("direct")."""
+    through the direct sums and one mass solve ("direct": step_relation
+    replaced by memory_oracles.direct_relation)."""
 
     FORCINGS = {
         "zero": SeparableForcing(),
@@ -1336,25 +1301,24 @@ class TestNodalMemoryRelation:
     @pytest.mark.parametrize("mode", ["consistent", "literal"])
     @pytest.mark.parametrize("running", [True, False], ids=["running-sums", "direct"])
     @pytest.mark.parametrize("forcing", list(FORCINGS))
-    def test_z_matches_solved_relation(self, forcing, running, mode):
+    def test_z_matches_solved_relation(self, monkeypatch, forcing, running, mode):
         kernel = exponential_kernel(-3.0)
-        if not running:
-            kernel = KernelSpec(g=kernel.g, gp=kernel.gp)
+        relation = step_relation if running else direct_relation
+        monkeypatch.setattr(stepper, "step_relation", relation)
         problem = ProblemSpec(a=0.0, b=1.0, horizon=0.08, p=3.0, kernel=kernel,
                               u0=sine_01, f=self.FORCINGS[forcing])
         mesh = build_uniform_mesh(0, 1, 8, 2)
         cfg = SolverConfig(p=3.0, delta=0.01, n_steps=8, tol=1e-12,
                            quadrature_mode=mode)
         asm = make_assembler(problem, mesh, cfg)
-        hist = fresh_history(problem, mesh, cfg, asm)
+        hist = fresh_history(problem, mesh, cfg)
         plan = StepPlan(hist, kernel, cfg, asm)
         mass = asm.mass
         delta = cfg.delta
         for k in range(cfg.n_steps):
-            z, v = step_relation(plan)
+            z, v = relation(plan)
             alpha, beta = plan.alpha, plan.beta
-            ref = memory_equation(oracle_history(hist, k, asm),
-                                  KernelSpec(g=kernel.g, gp=kernel.gp), mode)
+            ref = memory_equation(oracle_history(hist, k, asm), kernel, mode)
             assert (alpha, beta) == coefficients(kernel, delta)
             z_ref = np.linalg.solve(to_dense(mass), relation_rhs(*ref, mass))
             mv_ref = (mass.matvec(2.0 * hist.u[k] + delta * hist.y[k]
@@ -1366,16 +1330,16 @@ class TestNodalMemoryRelation:
             cn_step(plan)
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
-    def test_forcing_paths_agree(self, p):
+    def test_forcing_paths_agree(self, monkeypatch, p):
         # one f as a plain callable and declared as a SeparableForcing, each
-        # with the exponential kernel and with its direct quadrature: four
-        # load and history paths, one trajectory
-        exponential = exponential_kernel(-3.0)
+        # through the memory block and through the direct sums: four load
+        # and history paths, one trajectory
         runs = []
         for f in (self.FORCINGS["callable"], self.FORCINGS["separable"]):
-            for kernel in (exponential, KernelSpec(g=exponential.g, gp=exponential.gp)):
-                problem = ProblemSpec(a=0.0, b=1.0, horizon=0.1, p=p, kernel=kernel,
-                                      u0=sine_01, f=f)
+            for relation in (step_relation, direct_relation):
+                monkeypatch.setattr(stepper, "step_relation", relation)
+                problem = ProblemSpec(a=0.0, b=1.0, horizon=0.1, p=p,
+                                      kernel=exponential_kernel(-3.0), u0=sine_01, f=f)
                 runs.append(march(problem, build_uniform_mesh(0, 1, 8, 2),
                                   SolverConfig(p=p, delta=2e-3, n_steps=50, tol=1e-13)))
         ref = runs[0]

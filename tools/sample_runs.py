@@ -11,15 +11,13 @@ too), a kernel amplitude lambda in [-10, 10], a degree r in 1..3, m in 4..12
 elements and a time step delta = 10^U(-4, -1.5), in that order, and solves
 u0 = sin(pi x), f = x (1 - x) cos t on (0, 1) for --steps steps at tol
 1e-12, tight enough that the counts measure the solver more than the
-stopping rule. Every other run (odd i) declares f as a SeparableForcing,
-the others pass it as a plain callable, so both load paths are sampled
-with the same draws. Likewise runs with i = 2, 3 (mod 4) pass the kernel
-lambda*exp(-s) as a KernelSpec without lam, so both history paths are
-sampled too: the direct quadrature sums, and the exponential kernel's
-carried memory block. plapmem is imported from src/ of this script's
-checkout. With --against DIR the same problems are also solved in a child
-process that imports plapmem from DIR/src, and the runs where this checkout
-does worse are counted: more iterations, or no completion where DIR
+stopping rule. Every run takes the kernel exponential_kernel(lambda).
+Every other run (odd i) declares f as a SeparableForcing, the others pass
+it as a plain callable, so both load paths are sampled with the same
+draws. plapmem is imported from src/ of this script's checkout. With
+--against DIR the same problems are also solved in a child process that
+imports plapmem from DIR/src, and the runs where this checkout does worse
+are counted: more iterations, or no completion where DIR
 completed, and so are those whose slowest step got slower. Iterations are
 counted over completed runs only. The last line states the largest
 relative difference of the final u and y (max-norm of the difference over
@@ -55,9 +53,9 @@ def solve_all(src, problems, scheme, n_steps):
     sys.path.insert(0, str(src))
     import numpy as np
     import plapmem
-    from plapmem import (FixedPointDivergenceError, KernelSpec, PlapmemError,
-                         ProblemSpec, SeparableForcing, SolverConfig,
-                         build_uniform_mesh, exponential_kernel, march)
+    from plapmem import (FixedPointDivergenceError, PlapmemError, ProblemSpec,
+                         SeparableForcing, SolverConfig, build_uniform_mesh,
+                         exponential_kernel, march)
     if Path(plapmem.__file__).resolve().parent != (Path(src) / "plapmem").resolve():
         raise ImportError(f"imported plapmem from {plapmem.__file__}, not {src}")
 
@@ -65,11 +63,8 @@ def solve_all(src, problems, scheme, n_steps):
     records = []
     for i, prob in enumerate(problems):
         delta = prob["delta"]
-        kernel = exponential_kernel(prob["lam"])
-        if i % 4 >= 2:      # the same kernel without lam: the direct quadrature
-            kernel = KernelSpec(g=kernel.g, gp=kernel.gp)
         problem = ProblemSpec(a=0.0, b=1.0, horizon=delta * n_steps, p=prob["p"],
-                              kernel=kernel,
+                              kernel=exponential_kernel(prob["lam"]),
                               u0=lambda x: np.sin(np.pi * np.asarray(x, dtype=float)),
                               f=separable if i % 2 else
                               lambda x, t: np.asarray(x) * (1 - np.asarray(x)) * np.cos(t))
