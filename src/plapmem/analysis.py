@@ -11,8 +11,7 @@ import numpy as np
 from .assembly import SeparableForcing, _sample, assemble_mass
 from .errors import ConfigError
 from .memory import KernelSpec, StateHistory, exponential_kernel
-from .mesh import (Mesh1D, default_quad_points, eval_on_elements, full_coefficients,
-                   gauss_legendre)
+from .mesh import Mesh1D, default_quad_points, eval_on_elements, gauss_legendre
 
 
 @dataclass(frozen=True)
@@ -138,16 +137,26 @@ def support_gap(mesh: Mesh1D, coeffs: np.ndarray, eta: float):
 
 
 def support_series(mesh: Mesh1D, levels: np.ndarray, eta: float) -> list:
-    """support_gap of every row of a block of coefficient vectors, in one pass."""
+    """support_gap of every row of a block of coefficient vectors, interior
+    or full length, in one pass."""
     if not eta > 0.0:
         raise ValueError(f"threshold must be positive, got {eta}")
-    below = np.abs(full_coefficients(mesh, levels)) < eta
+    levels = np.asarray(levels, dtype=float)
+    n = mesh.n_nodes
+    first = {n: 1, mesh.n_interior: 2}.get(levels.shape[-1])
+    if first is None:
+        raise ValueError(f"coefficient vectors of length {levels.shape[-1]} do not "
+                         f"match a mesh with {n} nodes / {mesh.n_interior} interior dofs")
+    # column 1 + j marks node j below eta, between two stop columns that are
+    # not; the zero boundary values are below every eta > 0
+    below = np.zeros((len(levels), n + 2), dtype=bool)
+    below[:, [1, n]] = True
+    np.less(np.abs(levels), eta, out=below[:, first:n + 2 - first])
     center = int(np.argmin(np.abs(mesh.nodes)))
-    stop = np.zeros((len(below), 1), dtype=bool)
     # length of the below-threshold run from the centre outwards on each
     # side, the centre included: argmin finds the first node at or above eta
-    left = np.argmin(np.hstack([below[:, center::-1], stop]), axis=1)
-    right = np.argmin(np.hstack([below[:, center:], stop]), axis=1)
+    left = np.argmin(below[:, center + 1::-1], axis=1)
+    right = np.argmin(below[:, center + 1:], axis=1)
     found = left > 0
     gaps = zip(mesh.nodes[center + 1 - left[found]].tolist(),
                mesh.nodes[center - 1 + right[found]].tolist())

@@ -10,7 +10,8 @@ The band's width picks the definite routines. A tridiagonal band
 dpttrf/dpttrs; every other band (bandwidth 0 or >= 2, and n = 1) takes
 the banded Cholesky pair dpbtrf/dpbtrs, whose BLAS call per column costs
 more than the arithmetic at bandwidth 1. Every indefinite band takes
-dgbtrf/dgbtrs. A product is one call of the Level-2 BLAS dsbmv.
+dgbtrf/dgbtrs. A product is one call of the Level-2 BLAS dsbmv, which
+takes its scale and a base vector into the same call: base + scale*A x.
 
 Seven routines, from two of scipy's f2py extensions: the six LAPACK ones
 from `scipy/linalg/_flapack` and dsbmv from `scipy/linalg/_fblas`, each
@@ -27,6 +28,7 @@ copies them for a factorization without transposing.
 import importlib.util
 import os
 from importlib.machinery import EXTENSION_SUFFIXES
+from typing import Optional
 
 import numpy as np
 
@@ -95,14 +97,22 @@ class BandedSymMatrix:
     def bandwidth(self) -> int:
         return self.data.shape[0] - 1
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A x for one vector x of shape (n,), by dsbmv; any other shape is
-        a ValueError (dsbmv would read the first n entries of a longer one)."""
+    def matvec(self, x: np.ndarray, scale: float = 1.0,
+               base: Optional[np.ndarray] = None) -> np.ndarray:
+        """base + scale * A x for one vector x of shape (n,), by one dsbmv
+        call (alpha = scale, beta = 1, y = base, which f2py copies: base is
+        left as it was); base None is a zero vector. An x or a base of any
+        other shape is a ValueError (dsbmv would read the first n entries of
+        a longer one)."""
         x = np.asarray(x, dtype=float)
-        if x.shape != self.data.shape[1:]:
+        shape = self.data.shape[1:]
+        if x.shape != shape or base is not None and np.shape(base) != shape:
+            bad = x.shape if x.shape != shape else np.shape(base)
             raise ValueError(f"cannot multiply a band of n = {self.n} with an "
-                             f"array of shape {x.shape}")
-        return dsbmv(self._k, 1.0, self.data, x, lower=1)
+                             f"array of shape {bad}")
+        if base is None:
+            return dsbmv(self._k, scale, self.data, x, lower=1)
+        return dsbmv(self._k, scale, self.data, x, beta=1.0, y=base, lower=1)
 
     def factor(self) -> "BandedFactor":
         return BandedFactor(self)

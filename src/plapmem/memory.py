@@ -19,7 +19,6 @@ import copy
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -132,20 +131,28 @@ class StateHistory:
             raise ConfigError("N", "cannot allocate a history of shape "
                               f"({self.n_steps + 1:.6g}, {self.n_dofs}): {exc}") from exc
         self.k = 0
+        self._loads = [None]    # one holder for this history and its views
 
     def set_initial(self, u0: np.ndarray):
         self.u[0] = u0
         self.y[0] = 0.0          # the memory term vanishes at t = 0
         self.k = 0
 
-    @cached_property
+    @property
     def loads(self) -> np.ndarray:
         """The half-step loads the direct quadratures read: loads[0] the
         load at t = 0 and loads[1 + j] that at t_{j+1/2}, all zero until an
         oracle fills them (see stepper.oracle_history). Allocated at the
-        first access, which no march makes; a view taken by `truncated`
-        before that access allocates loads of its own."""
-        return np.zeros((self.n_steps + 2, self.n_dofs))
+        first access, which no march makes, and shared with every view
+        `truncated` takes, whichever of them reads it first; assigning
+        gives this history loads of its own."""
+        if self._loads[0] is None:
+            self._loads[0] = np.zeros((self.n_steps + 2, self.n_dofs))
+        return self._loads[0]
+
+    @loads.setter
+    def loads(self, value: np.ndarray):
+        self._loads = [value]
 
     def append(self, u_new: np.ndarray, y_new: np.ndarray):
         if self.k >= self.n_steps:
@@ -222,10 +229,14 @@ class MemoryBlock:
         self.rows = np.zeros((6 + n_load_rows, len(u0)))
         self.rows[0] = self.rows[4] = u0
         self.rows[1] = y0
+        # coef = base * scale, scale = (1, 1, 1, 1, g_half, g_half, c) for
+        # g_half = g(t_{k+1/2}): U_0's and M^{-1}L_0's columns of base are
+        # per unit of g_half, and the load columns per unit of c
         self.coef = np.zeros((4, len(self.rows)))
+        self._base = np.zeros_like(self.coef)
+        self._scale = np.ones(len(self.rows))
         ratio = delta / self.alpha
-        # the coefficients of U_0 and M^{-1}L_0 per unit of g(t_{k+1/2})
-        self._first = np.array([[-1.0, -delta / 4.0], [-ratio, -ratio * delta / 4.0]])
+        self._base[:2, 4:6] = ((-1.0, -delta / 4.0), (-ratio, -ratio * delta / 4.0))
         # i_f's share of the newest load beyond its trapezoid weight
         self._newest = -0.5 * delta if mode == "consistent" else 0.5 * delta
         self._weights(delta / 2.0, 3.0 * delta / 4.0)
@@ -239,18 +250,18 @@ class MemoryBlock:
         # v = 2 U_k + delta Y_k + (delta/alpha) z + 2 delta M^{-1}L_{k+1/2}
         shared = lam * (half * (w - delta / 4.0) + delta / 8.0)
         z = np.array([0.5 * lam - shared, -0.5 - shared, -lam * half * decay, -lam * decay])
-        self.coef[:, :4] = (z, ratio * z + (2.0, delta, 0.0, 0.0),
-                            (w, w, decay, 0.0), (0.0, 0.0, 0.0, decay))
+        self._base[:, :4] = (z, ratio * z + (2.0, delta, 0.0, 0.0),
+                             (w, w, decay, 0.0), (0.0, 0.0, 0.0, decay))
         newest = -lam * (w_load + self._newest)
-        # a column, so that the load columns are one product with c
-        self._load = np.array([[newest], [ratio * newest + 2.0 * delta], [0.0], [w_load]])
+        self._base[:, 6:] = [[newest], [ratio * newest + 2.0 * delta], [0.0], [w_load]]
 
     def relation(self, c: Optional[np.ndarray]):
         """(z, v) of step k, with c @ R = M^{-1}L_{k+1/2} (None: no R rows)."""
-        g_half = self.lam * math.exp(-(self.k + 0.5) * self.delta)
-        np.multiply(self._first, g_half, out=self.coef[:2, 4:6])
+        scale = self._scale
+        scale[4:6] = self.lam * math.exp(-(self.k + 0.5) * self.delta)
         if c is not None:
-            np.multiply(self._load, c, out=self.coef[:, 6:])
+            scale[6:] = c
+        np.multiply(self._base, scale, out=self.coef)
         self._product = self.coef @ self.rows
         return self._product[0], self._product[1]
 

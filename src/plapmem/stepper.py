@@ -31,11 +31,16 @@ product of that block; one banded product, M*v; one mass solve for a
 forcing that is not a SeparableForcing. Per iteration: one
 p-Laplacian assembly (two bands for Newton with eps > 0, none for p = 2),
 one product for the right-hand side (two for Newton with eps > 0) and one
-banded solve, and one product for U's squared M-norm increment. For p = 2
+banded solve, and one product for U's squared M-norm increment. A product
+is one dsbmv call that takes its scale and the vector it adds onto, so the
+right-hand side M*v + delta*A(w)(...) is formed inside the call. For p = 2
 with slope 1 the first solve is the step's exact solution, so the later
 iterations form no right-hand side, solve nothing and take no product:
 their increment is exactly 0. Such a step, done in two iterations, makes
-three products: M*v and the first iteration's two.
+three products: M*v and the first iteration's two. Newton's predicted start
+keeps its extrapolation in the plan for the next step's guard, and march
+runs every step under one np.errstate that lets an iterate overflow
+silently into the divergence test.
 """
 
 import math
@@ -192,7 +197,8 @@ class StepPlan:
     (p = 2, slope 0; else factor is None); for a SeparableForcing, its time
     coefficients at t_{k+1/2} = (k + 1/2)*delta, row k for step k (else
     None); the MemoryBlock of g = kernel.lam*exp(-s), with M^{-1}L_0 and
-    any profile loads solved into it."""
+    any profile loads solved into it; and prediction, the last P_k that
+    predicted_start formed (None until then)."""
 
     def __init__(self, hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
                  asm: Assembler):
@@ -228,6 +234,7 @@ class StepPlan:
             data = data + self.stiff_coef * asm.stiffness.data
         self.system = BandedSymMatrix(data)
         self.factor = self.system.factor() if constant else None
+        self.prediction = None
 
 
 def step_relation(plan: StepPlan):
@@ -244,26 +251,23 @@ def step_relation(plan: StepPlan):
     return block.relation(plan.coefficients[k])
 
 
-def _extrapolate(u: np.ndarray, k: int) -> np.ndarray:
-    """Level k+1 extrapolated from levels k, k-1 and k-2."""
-    return 3.0 * (u[k] - u[k - 1]) + u[k - 2]
-
-
-def predicted_start(hist: StateHistory) -> Optional[np.ndarray]:
-    """The next level extrapolated from the last three, 3(U_k - U_{k-1})
+def predicted_start(plan: StepPlan) -> Optional[np.ndarray]:
+    """The next level extrapolated from the last three, P_k = 3(U_k - U_{k-1})
     + U_{k-2} (O(delta^3) from U_{k+1} on a smooth trajectory), or None.
 
-    None before level 3, and wherever the same extrapolation from levels
-    k-1..k-3 missed U_k by no less, in max-norm, than U_{k-1} did: there the
-    trajectory is not smooth on the scale of a step, and U_k is the safer
-    start.
+    From level 2 on, P_k is kept as plan.prediction, the next call's guard.
+    None before level 3, and wherever P_{k-1} missed U_k by no less, in
+    max-norm, than U_{k-1} did: there the trajectory is not smooth on the
+    scale of a step, and U_k is the safer start.
     """
-    k, u = hist.k, hist.u
-    if k < 3:
+    k, u = plan.hist.k, plan.hist.u
+    if k < 2:
         return None
-    misses = np.subtract(u[k], (_extrapolate(u, k - 1), u[k - 1]))
-    missed, stepped = np.abs(misses, out=misses).max(axis=1).tolist()
-    return None if missed >= stepped else _extrapolate(u, k)
+    stepped = u[k] - u[k - 1]
+    previous, plan.prediction = plan.prediction, 3.0 * stepped + u[k - 2]
+    if k == 2 or np.abs(u[k] - previous).max() >= np.abs(stepped).max():
+        return None
+    return plan.prediction
 
 
 #: The first iteration with an increment ratio, where the stall check starts.
@@ -273,7 +277,6 @@ _STALL_GRACE = 2
 _STALL_RATIO = 0.98
 
 
-@np.errstate(over="ignore", invalid="ignore")   # inf/nan: diverged
 def cn_step(plan: StepPlan):
     """Advance plan.hist one level; returns (U, Y, StepDiagnostics). The
     scheme iterates on U until both squared M-norm increments drop below
@@ -291,9 +294,13 @@ def cn_step(plan: StepPlan):
     u_next - u_next would give it. Banded products: one per step for the
     right-hand side, and in each iteration that solves, one for the
     right-hand side (two for Newton with eps > 0) and one for the
-    increment. An iterate that overflows ends the step with
-    FixedPointDivergenceError; a failed solve, or an accepted U whose Y is
-    not finite, with a LinearSolveError naming the step and the iteration.
+    increment; each right-hand side product adds onto rhs_step (or onto
+    the other product) inside its dsbmv call. An iterate that overflows ends
+    the step with FixedPointDivergenceError; a failed solve, or an accepted
+    U whose Y is not finite, with a LinearSolveError naming the step and
+    the iteration. march silences numpy's overflow and invalid warnings for
+    its steps; a caller that drives cn_step itself enters that np.errstate
+    too, or sees the warnings of an overflowing iterate.
     """
     hist, cfg, asm, factor, slope = plan.hist, plan.cfg, plan.asm, plan.factor, plan.slope
     k, delta, alpha, beta = hist.k, cfg.delta, plan.alpha, plan.beta
@@ -305,7 +312,7 @@ def cn_step(plan: StepPlan):
     if plan.linear:
         a_mid = lhs_stiff = asm.stiffness
 
-    start = predicted_start(hist) if plan.predict else None
+    start = predicted_start(plan) if plan.predict else None
     u_it = u_prev if start is None else start
     ratios = []
     prev_total = None
@@ -314,14 +321,18 @@ def cn_step(plan: StepPlan):
     overflow = None
     for iteration in range(1, cfg.max_iter + 1):
         if iteration == 1 or not plan.one_solve:    # else u_next is the same
+            # rhs = rhs_step + delta*(...), each product adding onto the last
             if plan.tangent:
                 a_mid, lhs_stiff = asm.plap(0.5 * (u_it + u_prev), tangent=True)
-                rhs = rhs_step + delta * (lhs_stiff.matvec(u_it)
-                                          - a_mid.matvec(u_it + u_prev))
+                rhs = a_mid.matvec(u_it + u_prev, -delta,
+                                   lhs_stiff.matvec(u_it, delta, rhs_step))
             else:
                 if not plan.linear:
                     a_mid = lhs_stiff = asm.plap(0.5 * (u_it + u_prev))
-                rhs = rhs_step + delta * a_mid.matvec((slope - 1.0) * u_it - u_prev)
+                if slope == 1.0:        # (slope - 1) U - U^k is exactly -U^k
+                    rhs = a_mid.matvec(u_prev, -delta, rhs_step)
+                else:
+                    rhs = a_mid.matvec((slope - 1.0) * u_it - u_prev, delta, rhs_step)
             try:
                 if factor is not None:
                     u_next = factor.solve(rhs)
@@ -379,7 +390,10 @@ def march(problem: "analysis.ProblemSpec", mesh: Mesh1D,
           cfg: SolverConfig) -> "analysis.RunOutput":
     """Run the full time loop and collect the diagnostic series.
 
-    Deterministic: identical inputs produce bitwise-identical histories.
+    The steps run under np.errstate(over="ignore", invalid="ignore"): an
+    inf or NaN iterate is a divergence cn_step reports as an error, not a
+    warning. Deterministic: identical inputs produce bitwise-identical
+    histories.
     """
     if mesh.n_interior < 1:
         raise ConfigError("m", "mesh has no interior degrees of freedom; "
@@ -401,7 +415,8 @@ def march(problem: "analysis.ProblemSpec", mesh: Mesh1D,
     hist.set_initial(interpolate(mesh, problem.u0))
 
     plan = StepPlan(hist, problem.kernel, cfg, asm)
-    diagnostics = [cn_step(plan)[2] for _ in range(cfg.n_steps)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagnostics = [cn_step(plan)[2] for _ in range(cfg.n_steps)]
     return analysis.build_run_output(problem, mesh, asm, hist, diagnostics)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,11 +51,36 @@ class TestBandedSymMatrix:
         x = np.random.default_rng(n).standard_normal(n)
         assert np.array_equal(rows.matvec(x), columns.matvec(x))
 
+    # (n, bw) with bw >= n too; each band row-major and column-major
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n,bw", [(1, 0), (1, 2), (2, 2), (5, 1), (12, 4),
+                                      (39, 1)])
+    def test_scaled_product_onto_base_matches_dense(self, n, bw, order):
+        mat = random_banded(n, bw, seed=n + bw)
+        mat = BandedSymMatrix(np.asarray(mat.data, order=order))
+        rng = np.random.default_rng(n)
+        x, base = rng.standard_normal(n), rng.standard_normal(n)
+        given = base.copy()
+        for scale in (1.0, -0.37, 0.0):
+            product = mat.matvec(x, scale, base)
+            assert np.allclose(product, base + scale * (to_dense(mat) @ x),
+                               rtol=0, atol=1e-13)
+            assert product is not base and np.array_equal(base, given)
+        assert np.allclose(mat.matvec(x, -0.37), -0.37 * (to_dense(mat) @ x),
+                           rtol=0, atol=1e-13)
+
     # (4, 5) is a block of vectors: matvec takes one vector only
     @pytest.mark.parametrize("shape", [(4,), (6,), (3, 6), (), (5, 1), (4, 5)])
     def test_matvec_of_another_length_rejected(self, shape):
         with pytest.raises(ValueError, match="cannot multiply a band of n = 5"):
             random_banded(5, 2).matvec(np.ones(shape))
+
+    # and adds it onto one vector of its own length: the same error
+    @pytest.mark.parametrize("shape", [(4,), (6,), (3, 6), (), (5, 1), (4, 5)])
+    def test_base_of_another_length_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"cannot multiply a band of n = 5 with an "
+                                             rf"array of shape {re.escape(str(shape))}"):
+            random_banded(5, 2).matvec(np.ones(5), 1.0, np.ones(shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("n,bw,where", [(12, 4, 0), (12, 4, 6), (12, 4, 11),

@@ -287,6 +287,25 @@ class TestStateHistory:
         with pytest.raises(ValueError):
             hist.truncated(5)
 
+    @pytest.mark.parametrize("first", ["parent", "view"])
+    def test_truncated_view_shares_loads_taken_before_first_read(self, first):
+        # loads is allocated at its first read, by the history or a view
+        hist = StateHistory(2, 3, 0.1)
+        hist.set_initial(np.zeros(2))
+        view = hist.truncated(0)
+        writer, reader = (hist, view) if first == "parent" else (view, hist)
+        writer.loads[0] = 1.0
+        assert reader.loads is writer.loads
+        assert np.array_equal(reader.loads[0], [1.0, 1.0])
+
+    def test_assigned_loads_stay_the_views_own(self):
+        # as oracle_history sets them on a view of a march's history
+        hist = StateHistory(2, 3, 0.1)
+        view = hist.truncated(0)
+        view.loads = np.ones((5, 2))
+        assert not hist.loads.any()
+        assert view.truncated(0).loads is view.loads
+
 
 def random_history(n_steps, delta, n_dofs=3, seed=5):
     rng = np.random.default_rng(seed)
@@ -420,6 +439,7 @@ class TestParasiticRoot:
         block = MemoryBlock(lam, delta, "consistent", np.zeros(1), np.zeros(1), 0)
         block.relation(None)
         block.accept(np.zeros(1), np.zeros(1))
+        block.relation(None)        # the coefficients of step 1 on
         z, v, s = block.coef[:3, :3]
         alpha, beta = block.alpha, block.beta
         u_row = (v - (delta * mu, 0.0, 0.0)) / (2.0 + delta * beta / alpha + delta * mu)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -672,6 +673,18 @@ class TestRelaxation:
         assert err.value.iterations < cfg.max_iter
         assert isinstance(err.value.__cause__, LinearSolveError) == solve_failed
 
+    @pytest.mark.filterwarnings("error")
+    def test_march_silences_overflow_and_restores_errstate(self):
+        # test_overflowing_assembly_warns_nothing's run (p = 6, scheme B),
+        # with no errstate around the call: march enters its own
+        before = np.geterr()
+        problem = manufactured_example1(6.0, 1.0, horizon=0.5)
+        cfg = SolverConfig(p=6.0, delta=0.05, n_steps=10, scheme="B")
+        with pytest.raises(FixedPointDivergenceError) as err:
+            march(problem, build_uniform_mesh(0, 1, 32, 2), cfg)
+        assert err.value.step == 1
+        assert np.geterr() == before
+
     def test_solver_failure_on_finite_iterate_is_not_divergence(self, monkeypatch):
         # p = 4 (scheme A) solves each iteration's assembled matrix
         calls = []
@@ -697,29 +710,32 @@ class TestPredictedStart:
     that start stalls."""
 
     @staticmethod
-    def history(levels):
+    def starts(levels):
+        """predicted_start at every level of levels, called once per level
+        as a march calls it, with the prediction it keeps."""
         hist = StateHistory(levels.shape[1], len(levels), 0.1)
         hist.set_initial(levels[0])
+        plan = types.SimpleNamespace(hist=hist, prediction=None)
+        out = [predicted_start(plan)]
         for u in levels[1:]:
             hist.append(u, np.zeros_like(u))
-        return hist
+            out.append(predicted_start(plan))
+        return out
 
     def test_extrapolation_exact_on_quadratic_trajectories(self):
         t = np.arange(6)[:, None]
         levels = 1.0 + 0.5 * t - 0.25 * t**2 * np.array([1.0, 2.0, -3.0])
-        for k in range(3):
-            assert predicted_start(self.history(levels[:k + 1])) is None
+        starts = self.starts(levels)
+        assert starts[:3] == [None] * 3
         for k in range(3, 5):
-            hist = self.history(levels[:k + 1])
-            assert np.allclose(predicted_start(hist), levels[k + 1],
-                               rtol=0, atol=1e-13)
+            assert np.allclose(starts[k], levels[k + 1], rtol=0, atol=1e-13)
 
     def test_guard_rejects_rough_trajectories(self):
         # U_{k-1} predicts U_k better than the extrapolation from k-1..k-3
         levels = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-        assert predicted_start(self.history(levels)) is None
+        assert self.starts(levels)[3] is None
         smooth = np.array([[0.0], [1.0], [2.0], [3.0]])
-        assert np.allclose(predicted_start(self.history(smooth)), [4.0])
+        assert np.allclose(self.starts(smooth)[3], [4.0])
 
     def test_stalled_prediction_restarts_from_previous_level(self, monkeypatch):
         import copy
@@ -736,7 +752,7 @@ class TestPredictedStart:
         assert [d.restarted for d in early] == [0] * 5
         plain = copy.deepcopy(plan)
         u, y, diag = cn_step(plan)
-        monkeypatch.setattr(stepper, "predicted_start", lambda hist: None)
+        monkeypatch.setattr(stepper, "predicted_start", lambda plan: None)
         u_plain, y_plain, diag_plain = cn_step(plain)
         # after the restart the step repeats the iteration from U_k exactly:
         # omega back at 1, no relaxation from a ratio seen before the restart
@@ -1034,7 +1050,7 @@ class TestRoundTrip:
         # the march stores no load, and step_residuals assembles the loads
         # it reads: a step that used a wrong load shows here
         assert np.abs(problem.f(0.5, 0.0)) > 0.0
-        assert "loads" not in vars(hist)
+        assert hist._loads[0] is None       # never allocated
         bound = max(1e-9, 10 * np.sqrt(cfg.tol))
         for k in range(cfg.n_steps):
             res_ev, res_mem = step_residuals(hist, k, problem.kernel, cfg, asm)
@@ -1384,8 +1400,8 @@ class TestIncrementalStart:
         incremental = stepper.predicted_start
         decisions = []
 
-        def compare(hist):
-            start, ref = incremental(hist), four_level_start(hist)
+        def compare(plan):
+            start, ref = incremental(plan), four_level_start(plan.hist)
             decisions.append((start is None, ref is None))
             if ref is not None and start is not None:
                 assert np.max(np.abs(start - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -1393,7 +1409,8 @@ class TestIncrementalStart:
 
         monkeypatch.setattr(stepper, "predicted_start", compare)
         run = march(problem, mesh, cfg)
-        monkeypatch.setattr(stepper, "predicted_start", four_level_start)
+        monkeypatch.setattr(stepper, "predicted_start",
+                            lambda plan: four_level_start(plan.hist))
         ref = march(problem, mesh, cfg)
         assert all(new == old for new, old in decisions)
         assert len(decisions) == n_steps

@@ -2,6 +2,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
@@ -77,11 +79,13 @@ def test_problems_cover_the_stated_ranges():
 
 
 def synthetic_report(run_norm_s, failed=0):
+    # run i takes (i + 1) times the wall times and ref_s of the first
     return {"workload": "growth_damped", "seed": 4, "lambda": -10.01, "trace": 0,
             "metrics": {"run_norm_s": {"value": run_norm_s, "unit": "s"},
                         "setup_s": {"value": 0.6, "unit": "s"},
                         "peak_rss_mb": {"value": 60.5, "unit": "MB"}},
-            "runs": [{"ok": i >= failed} for i in range(3)]}
+            "runs": [{"ok": i >= failed, "run_s": 0.2 * (i + 1), "setup_s": 0.1 * (i + 1),
+                      "ref_s": 0.25 * (i + 1)} for i in range(3)]}
 
 
 def test_bench_record_of_one_pair(tmp_path, capsys):
@@ -98,9 +102,14 @@ def test_bench_record_of_one_pair(tmp_path, capsys):
     entry = result["workloads"]["growth_damped"]
     (pair,) = entry["pairs"]
     assert (pair["first"], pair["seed"], pair["lambda"]) == ("change", 4, -10.01)
+    # the raw medians are over the successful runs: runs 2 and 3 for the parent
     assert pair["parent"] == {"metrics": {"run_norm_s": 0.20, "setup_s": 0.6,
-                                          "peak_rss_mb": 60.5}, "runs": 3, "failed": 1}
+                                          "peak_rss_mb": 60.5}, "runs": 3, "failed": 1,
+                              "raw": {"run_s": pytest.approx(0.5),
+                                      "setup_s": pytest.approx(0.25),
+                                      "ref_s": pytest.approx(0.625)}}
     assert pair["change"]["failed"] == 0
+    assert pair["change"]["raw"] == {"run_s": 0.4, "setup_s": 0.2, "ref_s": 0.5}
     run = entry["metrics"]["run_norm_s"]
     assert run["parent"] == {"median": 0.20, "q1": 0.20, "q3": 0.20}
     assert run["change"]["median"] == 0.18 and run["change_wins"] == 1
@@ -108,6 +117,13 @@ def test_bench_record_of_one_pair(tmp_path, capsys):
     assert "run_norm_s: parent 0.2 (0.2-0.2), change 0.18" in capsys.readouterr().out
     # an unpaired report is refused
     assert bench_record.main(["--out", str(out), f"change:{paths['change']}"]) == 2
+
+
+def test_bench_record_raw_medians_need_a_successful_run():
+    # a run that failed may have stopped before its clocks were read
+    runs = [{"ok": False}, {"ok": False, "run_s": 1.0, "setup_s": 1.0, "ref_s": 1.0}]
+    assert bench_record.raw_medians(runs) == {"run_s": None, "setup_s": None,
+                                              "ref_s": None}
 
 
 FIXTURE = '''"""Module docstring,

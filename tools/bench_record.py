@@ -11,11 +11,13 @@ end-to-end report (`perfbench/run.py --trace 0` writes
 .bench_build/perfbench/report-<workload>-seed<s>-trace0.json), given in the
 order the invocations ran. A parent and a change report of the same
 workload and seed form a pair; which of them ran first is its order. Per
-workload the record holds every pair (order, seed, lambda, each end-to-end
-metric and the failed runs per side), and per metric the median and
-quartiles of each side over the pairs and the number of pairs in which the
-change was better. The metric names and their better direction come from
-BENCHMARK.json.
+workload the record holds every pair (order, seed, lambda, and per side each
+end-to-end metric, the failed runs and, under "raw", the medians of the
+successful runs' unscaled run_s, setup_s and ref_s), and per metric the
+median and quartiles of each side over the pairs and the number of pairs in
+which the change was better. The metric names and their better direction
+come from BENCHMARK.json. The raw medians show what the rescaled metrics
+hide: a setup_s that follows ref_s rather than the import it times.
 """
 
 import argparse
@@ -26,6 +28,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+#: The wall times and the reference time every report run carries.
+RAW = ("run_s", "setup_s", "ref_s")
 
 
 def summary(values):
@@ -34,6 +38,13 @@ def summary(values):
         return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, _, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def raw_medians(runs):
+    """Median of each RAW time over the successful runs (None without one)."""
+    ok = [run for run in runs if run["ok"]]
+    return {key: statistics.median(run[key] for run in ok) if ok else None
+            for key in RAW}
 
 
 def pair_reports(tagged):
@@ -69,7 +80,8 @@ def record(tagged, end_to_end):
                 | {side: {"metrics": {m["name"]: pair[side]["metrics"][m["name"]]["value"]
                                       for m in end_to_end},
                           "runs": len(pair[side]["runs"]),
-                          "failed": sum(not r["ok"] for r in pair[side]["runs"])}
+                          "failed": sum(not r["ok"] for r in pair[side]["runs"]),
+                          "raw": raw_medians(pair[side]["runs"])}
                    for side in SIDES}
                  for pair in pairs]
         stats = {}
