@@ -57,9 +57,13 @@ def flux_coefficient(xi, params: FluxParams):
     """Diffusion coefficient (xi^2 + eps^2)^((p-2)/2) seen by the Galerkin matrix.
 
     At p = 2 the power is x**0.0, exactly 1.0 for every x (0, inf and NaN too).
+    With eps = 0 the square is not added to: x*x + 0.0 is x*x, bitwise.
     """
     xi = np.asarray(xi, dtype=float)
-    return np.power(xi * xi + params.epsilon ** 2, (params.p - 2.0) / 2.0)
+    square = xi * xi
+    if params.epsilon != 0.0:
+        square += params.epsilon ** 2
+    return np.power(square, (params.p - 2.0) / 2.0)
 
 
 def _band_slots(mesh: Mesh1D):
@@ -95,6 +99,8 @@ class ElementTables:
     Basis values and the quadrature-weighted derivative products depend
     only on the degree, the rule and h, so a caller that assembles
     repeatedly builds them once and passes them to every assemble_* call.
+    padded is assemble_plap's buffer for a state on the interior nodes,
+    zero at the two boundary nodes, which nothing writes.
     """
 
     def __init__(self, mesh: Mesh1D, quad: QuadratureRule):
@@ -110,6 +116,7 @@ class ElementTables:
         self.slots, self.band_shape = _band_slots(mesh)
         self.points = mesh.a + mesh.h * (np.arange(mesh.m)[:, None]
                                          + quad.points[None, :])     # (m, q)
+        self.padded = np.zeros(mesh.n_nodes)
 
 
 def _sample(fn, x: np.ndarray, field: str, message: str) -> np.ndarray:
@@ -171,7 +178,12 @@ def assemble_plap(mesh: Mesh1D, w: np.ndarray, params: FluxParams,
     vector A(w) w, from the same gradients and on the same band.
     """
     tables = tables or ElementTables(mesh, quad)
-    local_coeffs = full_coefficients(mesh, w)[tables.dofs]      # (m, r+1)
+    padded = tables.padded
+    if np.shape(w) == (len(padded) - 2,):   # interior: into the zero-padded buffer
+        padded[1:-1] = w
+    else:                                   # full length, or a ValueError
+        padded = full_coefficients(mesh, w)
+    local_coeffs = padded[tables.dofs]                          # (m, r+1), a copy
     grads = local_coeffs @ tables.derivs.T / mesh.h             # (m, q)
     coef = flux_coefficient(grads, params)                      # (m, q)
     matrix = _scatter(tables.slots, coef @ tables.grad_products, tables.band_shape)

@@ -13,7 +13,15 @@ more than the arithmetic at bandwidth 1. Every indefinite band takes
 dgbtrf/dgbtrs. A product is one call of the Level-2 BLAS dsbmv, which
 takes its scale and a base vector into the same call: base + scale*A x.
 
-Seven routines, from two of scipy's f2py extensions: the six LAPACK ones
+Solve once or reuse: a band that is solved once (every system a step
+assembles) goes to one LAPACK driver, dptsv or dpbsv by the same width
+rule, which factors and solves in one call, bitwise the same as the
+factor-then-solve pair it runs inside; only an indefinite band, which the
+driver reports, is factored again, by LU. A band solved with several
+right-hand sides (the mass matrix, a system that is a run constant) is
+factored once with factor() and the BandedFactor reused.
+
+Nine routines, from two of scipy's f2py extensions: the eight LAPACK ones
 from `scipy/linalg/_flapack` and dsbmv from `scipy/linalg/_fblas`, each
 loaded by its file path: that skips `scipy.linalg`'s package init, most of
 the cost of importing this package. If a file is missing or fails to
@@ -26,6 +34,7 @@ copies them for a factorization without transposing.
 """
 
 import importlib.util
+import math
 import os
 from importlib.machinery import EXTENSION_SUFFIXES
 from typing import Optional
@@ -60,8 +69,8 @@ def _scipy_linalg(extension: str, fallback: str):
 _lapack = _scipy_linalg("_flapack", "lapack")
 _blas = _scipy_linalg("_fblas", "blas")
 dgbtrf, dgbtrs = _lapack.dgbtrf, _lapack.dgbtrs
-dpbtrf, dpbtrs = _lapack.dpbtrf, _lapack.dpbtrs
-dpttrf, dpttrs = _lapack.dpttrf, _lapack.dpttrs
+dpbtrf, dpbtrs, dpbsv = _lapack.dpbtrf, _lapack.dpbtrs, _lapack.dpbsv
+dpttrf, dpttrs, dptsv = _lapack.dpttrf, _lapack.dpttrs, _lapack.dptsv
 dsbmv = _blas.dsbmv
 
 
@@ -118,8 +127,24 @@ class BandedSymMatrix:
         return BandedFactor(self)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Factor and solve once; keep `factor()` to solve repeatedly."""
-        return self.factor().solve(rhs)
+        """Factor and solve once, by one LAPACK driver call (dptsv for a
+        tridiagonal band with n >= 2, dpbsv otherwise), with factor()'s
+        checks: a non-finite band or a singular one is a LinearSolveError,
+        and an indefinite one is solved through factor()'s LU. Keep
+        `factor()` to solve repeatedly. The band is left as it was: the LU
+        needs it."""
+        data = self.data
+        _require_finite(data)
+        n = data.shape[1]
+        if data.shape[0] == 2 and n >= 2:
+            x, info = dptsv(data[0], data[1, :n - 1], rhs)[2:]
+        else:
+            x, info = dpbsv(data, rhs, lower=1)[1:]
+        if info > 0:        # not positive definite
+            return self.factor().solve(rhs)
+        if info < 0:
+            raise LinearSolveError(f"banded solve rejected argument {-info}")
+        return _finite_solution(x, rhs)
 
 
 class BandedFactor:
@@ -160,20 +185,35 @@ class BandedFactor:
             x, info = dpbtrs(self._chol, rhs, lower=1)
         if info != 0:
             raise LinearSolveError(f"banded solve failed (info {info})")
-        # One sweep, of the solution. A non-finite entry of rhs always
-        # reaches it: every substitution divides by a finite nonzero pivot,
-        # so inf stays inf or becomes NaN (inf - inf, and 0 * inf in a later
-        # row). Only a failed solve looks at rhs, to name the cause.
-        if not np.isfinite(x).all():
-            _require_finite(rhs)
-            raise LinearSolveError("banded solve produced non-finite values "
-                                   "(singular system)")
-        return x
+        return _finite_solution(x, rhs)
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the array a is finite. Its sum of squares is
+    finite only if every entry is, since inf and NaN carry through it, so
+    one BLAS dot product decides, at half the cost of a mask of np.isfinite
+    at the sizes a step solves; only a sum that overflowed takes the mask.
+    np.vdot, unlike @ and np.dot, overflows without a RuntimeWarning."""
+    flat = a.ravel(order="K")
+    return math.isfinite(np.vdot(flat, flat)) or bool(np.isfinite(flat).all())
 
 
 def _require_finite(data: np.ndarray) -> None:
-    if not np.isfinite(data).all():
+    if not all_finite(data):
         raise LinearSolveError("non-finite entries in banded system")
+
+
+def _finite_solution(x: np.ndarray, rhs) -> np.ndarray:
+    """x, the solution for rhs, once it is tested finite. One sweep, of the
+    solution: a non-finite entry of rhs always reaches it, since every
+    substitution divides by a finite nonzero pivot, so inf stays inf or
+    becomes NaN (inf - inf, and 0 * inf in a later row). Only a failed solve
+    looks at rhs, to name the cause."""
+    if not all_finite(x):
+        _require_finite(np.asarray(rhs, dtype=float))
+        raise LinearSolveError("banded solve produced non-finite values "
+                               "(singular system)")
+    return x
 
 
 def _lu_factor(matrix: BandedSymMatrix):

@@ -31,22 +31,23 @@ product of that block; one banded product, M*v; one mass solve for a
 forcing that is not a SeparableForcing. Per iteration: one
 p-Laplacian assembly (two bands for Newton with eps > 0, none for p = 2),
 one product for the right-hand side (two for Newton with eps > 0) and one
-banded solve, and one product for U's squared M-norm increment. A product
-is one dsbmv call that takes its scale and the vector it adds onto, so the
-right-hand side M*v + delta*A(w)(...) is formed inside the call. For p = 2
-with slope 1 the first solve is the step's exact solution, so the later
-iterations form no right-hand side, solve nothing and take no product:
-their increment is exactly 0. Such a step, done in two iterations, makes
-three products: M*v and the first iteration's two. Newton's predicted start
-keeps its extrapolation in the plan for the next step's guard, and march
-runs every step under one np.errstate that lets an iterate overflow
-silently into the divergence test.
+banded solve (one LAPACK driver call on the assembled band, or a solve
+with the run's factor), and one product for U's squared M-norm increment.
+A product is one dsbmv call that takes its scale and the vector it adds
+onto, so the right-hand side M*v + delta*A(w)(...) is formed inside the
+call. For p = 2 with slope 1 the first solve is the step's exact
+solution, so the later iterations form no right-hand side, solve nothing
+and take no product: their increment is exactly 0. Such a step, done in
+two iterations, makes three products: M*v and the first iteration's two.
+Newton's predicted start keeps its extrapolation in the plan for the next
+step's guard, and march runs every step under one np.errstate that lets
+an iterate overflow silently into the divergence test.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -54,7 +55,7 @@ from . import analysis
 from .assembly import (ElementTables, FluxParams, SeparableForcing,
                        assemble_load, assemble_mass, assemble_plap,
                        default_epsilon, interpolate)
-from .banded import BandedFactor, BandedSymMatrix
+from .banded import BandedFactor, BandedSymMatrix, all_finite
 from .errors import ConfigError, FixedPointDivergenceError, LinearSolveError
 from .memory import (KernelSpec, MemoryBlock, StateHistory, check_mode,
                      memory_residual)
@@ -126,14 +127,14 @@ class SolverConfig:
         return self._flux
 
 
-@dataclass(frozen=True)
-class StepDiagnostics:
-    """Per-step record of the fixed-point iteration."""
+class StepDiagnostics(NamedTuple):
+    """Per-step record of the fixed-point iteration; immutable (a named
+    tuple, the cheapest record to build once per step)."""
 
     iterations: int
     increment_u: float          # final squared M-norm increment, unrelaxed
     increment_y: float          # (beta/alpha)^2 * increment_u
-    ratios: tuple = field(default_factory=tuple)
+    ratios: tuple = ()
     relaxed: int = 0            # first iteration with a relaxed update; 0: none
     restarted: int = 0          # first iteration after an abandoned predicted
                                 # start, run from the previous level; 0: none
@@ -282,7 +283,7 @@ def cn_step(plan: StepPlan):
     scheme iterates on U until both squared M-norm increments drop below
     tol; Y's is (beta/alpha)^2 times U's.
 
-    Newton starts from predicted_start(hist) where that gives a start and
+    Newton starts from predicted_start(plan) where that gives a start and
     restarts once from U^k (omega = 1, stall grace counted anew) if the
     iteration from it stalls; every other iteration starts from U^k. From
     iteration _STALL_GRACE on, an increment ratio >= _STALL_RATIO relaxes
@@ -336,14 +337,15 @@ def cn_step(plan: StepPlan):
             try:
                 if factor is not None:
                     u_next = factor.solve(rhs)
-                else:       # the system, in the band this iteration assembled
+                else:       # the system, in the band this iteration assembled,
+                            # solved once: one driver call
                     lhs_stiff.data *= plan.stiff_coef
                     lhs_stiff.data += plan.system.data
                     u_next = lhs_stiff.solve(rhs)
             except LinearSolveError as exc:
                 # divergence only if an iterate grew until the system overflowed
-                if (iteration == 1 or np.isfinite(rhs).all()
-                        and np.isfinite(lhs_stiff.data).all()):
+                if (iteration == 1 or all_finite(rhs)
+                        and all_finite(lhs_stiff.data)):
                     raise type(exc)(f"step {k}, iteration {iteration}: {exc}") from exc
                 overflow = exc
                 break
@@ -361,17 +363,13 @@ def cn_step(plan: StepPlan):
         u_it = u_it + omega * du if relaxed else u_next
         if inc_u < cfg.tol and inc_y < cfg.tol:
             y_new = (z - beta * u_it) / alpha
-            if not np.isfinite(y_new).all():
+            if not all_finite(y_new):
                 raise LinearSolveError(f"step {k}, iteration {iteration}: the memory "
                                        "relation gives a non-finite Y")
             hist.append(u_it, y_new)
             plan.block.accept(u_it, y_new)
-            return u_it, y_new, StepDiagnostics(iterations=iteration,
-                                                increment_u=inc_u,
-                                                increment_y=inc_y,
-                                                ratios=tuple(ratios),
-                                                relaxed=relaxed,
-                                                restarted=restarted)
+            return u_it, y_new, StepDiagnostics(iteration, inc_u, inc_y, tuple(ratios),
+                                                relaxed, restarted)
         if iteration - begun >= _STALL_GRACE and ratios[-1] >= _STALL_RATIO:
             if start is not None:       # restart once, from the previous level
                 start = None

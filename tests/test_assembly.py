@@ -199,6 +199,41 @@ class TestAssemblePlap:
                            FluxParams(p=2.0), quad3)
         assert np.array_equal(m1.data, m2.data)
 
+    @pytest.mark.parametrize("r, epsilon", [(1, 0.0), (3, 0.0), (2, 1e-2)])
+    def test_padded_buffer_never_reaches_a_band(self, r, epsilon):
+        # the tables' zero-padded buffer takes each interior state in turn:
+        # a band from one state is independent of the next assembly's
+        mesh = build_uniform_mesh(0, 1, 6, r)
+        quad = gauss_legendre(r + 2)
+        tables = ElementTables(mesh, quad)
+        params = FluxParams(p=3.0, epsilon=epsilon)
+        w1, w2 = np.random.default_rng(r).standard_normal((2, mesh.n_interior))
+        first = assemble_plap(mesh, w1, params, quad, tables=tables, tangent=True)
+        kept = [band.data.copy() for band in first]
+        second = assemble_plap(mesh, w2, params, quad, tables=tables, tangent=True)
+        for band, before, other in zip(first, kept, second):
+            assert np.array_equal(band.data, before)
+            assert not np.array_equal(band.data, other.data)
+            assert not np.shares_memory(band.data, other.data)
+            assert not np.shares_memory(band.data, tables.padded)
+        assert tables.padded[0] == tables.padded[-1] == 0.0
+        # fresh tables, and a full-length state, give the same bands
+        for w, bands in ((w1, first), (w2, second)):
+            for state, given in ((w, None), (full_coefficients(mesh, w), tables),
+                                 (full_coefficients(mesh, w), None)):
+                again = assemble_plap(mesh, state, params, quad, tables=given,
+                                      tangent=True)
+                for band, same in zip(bands, again):
+                    assert np.array_equal(band.data, same.data)
+
+    def test_state_of_another_length_rejected(self, quad3):
+        mesh = build_uniform_mesh(0, 1, 5, 2)
+        tables = ElementTables(mesh, quad3)
+        for n in (mesh.n_interior - 1, mesh.n_interior + 1):
+            with pytest.raises(ValueError, match="does not match"):
+                assemble_plap(mesh, np.ones(n), FluxParams(p=3.0), quad3, tables=tables)
+        assert not tables.padded.any()
+
 
 class TestAssembleLoad:
     def test_constant_forcing_linear(self, quad3):

@@ -142,7 +142,7 @@ class TestBandedSymMatrix:
         mat = random_banded(n, bw, seed=5 * n + bw)
         rhs = np.random.default_rng(n).standard_normal(n)
         expected = mat.factor().solve(rhs)
-        calls = {"dpttrf": 0, "dpbtrf": 0, "dgbtrf": 0}
+        calls = dict.fromkeys(("dptsv", "dpbsv", "dpttrf", "dpbtrf", "dgbtrf"), 0)
 
         def counting(name):
             original = getattr(banded, name)
@@ -155,9 +155,11 @@ class TestBandedSymMatrix:
         for name in calls:
             monkeypatch.setattr(banded, name, counting(name))
         assert np.array_equal(mat.solve(rhs), expected)
-        # a definite band is factored once, with no LU: by LDL^T when it
-        # is tridiagonal, by banded Cholesky otherwise
-        assert calls == {"dpttrf": int(bw == 1), "dpbtrf": int(bw != 1), "dgbtrf": 0}
+        # a definite band solved once is one driver call, with no separate
+        # factorization and no LU: LDL^T's dptsv when it is tridiagonal,
+        # banded Cholesky's dpbsv otherwise
+        assert calls == {"dptsv": int(bw == 1), "dpbsv": int(bw != 1),
+                         "dpttrf": 0, "dpbtrf": 0, "dgbtrf": 0}
 
     def test_lu_is_factored_once(self, monkeypatch):
         import plapmem.banded as banded
@@ -236,6 +238,9 @@ class TestBandedSymMatrix:
         data[0, -1] = np.inf
         with pytest.raises(LinearSolveError, match="non-finite entries in banded system"):
             BandedSymMatrix(data).factor()
+        # and so does the one-call solve, before its driver sees the band
+        with pytest.raises(LinearSolveError, match="non-finite entries in banded system"):
+            BandedSymMatrix(data).solve(np.ones(5))
 
     @pytest.mark.parametrize("definite,bw,bad,where", [
         pytest.param(True, 2, np.nan, 1, id="cholesky"),
@@ -248,13 +253,17 @@ class TestBandedSymMatrix:
         for where, place in ((0, "first"), (2, "middle"), (4, "last"))
     ])
     def test_nonfinite_rhs_named_as_input(self, definite, bw, bad, where):
-        # not as a singular system, which is what the solve would report
-        factor = random_banded(5, bw, seed=3, definite=definite).factor()
+        # not as a singular system, which is what the solve would report,
+        # by a reused factor and by the one-call solve alike
+        matrix = random_banded(5, bw, seed=3, definite=definite)
+        factor = matrix.factor()
         assert (factor._lu is None) == definite
         rhs = np.ones(5)
         rhs[where] = bad
-        with pytest.raises(LinearSolveError, match="non-finite entries in banded system"):
-            factor.solve(rhs)
+        for solve in (factor.solve, matrix.solve):
+            with pytest.raises(LinearSolveError,
+                               match="non-finite entries in banded system"):
+                solve(rhs)
 
     def test_overflowing_solve_reported_singular(self):
         # finite inputs: the Cholesky factor of [[1e-308]] is 1e-154, and
@@ -263,6 +272,23 @@ class TestBandedSymMatrix:
         with pytest.raises(LinearSolveError,
                            match=r"produced non-finite values \(singular system\)"):
             factor.solve(np.array([10.0]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [None, np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("shape, order, where", [
+        ((39,), "C", 0), ((39,), "C", 38), ((2, 39), "F", (1, 20)),
+        ((5, 13), "C", (4, 12)), ((6, 8), "C", (2, 3)), ((0,), "C", None)])
+    @pytest.mark.parametrize("scale", [1.0, 1e200])     # squares overflow at 1e200
+    def test_all_finite_is_the_finiteness_mask(self, bad, shape, order, where, scale):
+        # by one dot product, or by the mask where the squares overflowed;
+        # either way without a warning
+        from plapmem.banded import all_finite
+        a = scale * np.asarray(np.random.default_rng(1).standard_normal(shape), order=order)
+        if shape == (6, 8):
+            a = a[:, ::2]       # not contiguous
+        if bad is not None and where is not None:
+            a[where] = bad
+        assert all_finite(a) == bool(np.isfinite(a).all())
 
 
 

@@ -21,9 +21,9 @@ from plapmem.errors import LinearSolveError
 from plapmem.experiments import asymptotics_problem, propagation_problem
 from plapmem.memory import MemoryBlock, StateHistory
 from plapmem.mesh import default_quad_points, gauss_legendre
-from plapmem.stepper import (_STALL_GRACE, _STALL_RATIO, Assembler, StepPlan,
-                             cn_step, oracle_history, predicted_start,
-                             resolve_scheme, step_relation)
+from plapmem.stepper import (_STALL_GRACE, _STALL_RATIO, Assembler,
+                             StepDiagnostics, StepPlan, cn_step, oracle_history,
+                             predicted_start, resolve_scheme, step_relation)
 
 
 def zero_f(x, t):
@@ -179,6 +179,24 @@ class TestFixedPoint:
             assert diag.iterations == 2
             assert diag.increment_u < 1e-24
             assert diag.increment_y < 1e-24
+
+    def test_step_record_is_immutable(self):
+        # keyword and positional construction agree, defaults included, and
+        # no field can be reassigned or added
+        fields = ("iterations", "increment_u", "increment_y", "ratios", "relaxed",
+                  "restarted")
+        values = (3, 1e-12, 4e-13, (0.5, 0.25), 2, 0)
+        record = StepDiagnostics(**dict(zip(fields, values)))
+        assert StepDiagnostics._fields == fields
+        assert StepDiagnostics(*values) == record
+        assert tuple(getattr(record, name) for name in fields) == values
+        assert StepDiagnostics(3, 1e-12, 4e-13) == StepDiagnostics(
+            iterations=3, increment_u=1e-12, increment_y=4e-13, ratios=(),
+            relaxed=0, restarted=0)
+        for name in fields + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
+        assert record == StepDiagnostics(*values)     # as it was
 
     def test_divergence_error_reports_step(self):
         problem = manufactured_example1(4.0, 1.0)
@@ -802,17 +820,27 @@ class TestNonlinearSolveProperties:
     """Random exponents, amplitudes, meshes and time steps: every run either
     completes at the fixed point or stops with a typed divergence."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(**PROPERTY_CASES)
     def test_run_completes_or_diverges(self, p, lam, r, m, log_delta):
         # the fixed-point schemes: B where A is unavailable, A elsewhere
         self.check_run(p, lam, r, m, 10.0 ** log_delta,
                        "B" if 2.0 < p < 3.0 else "A")
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(**PROPERTY_CASES)
     def test_newton_run_completes_or_diverges(self, p, lam, r, m, log_delta):
         self.check_run(p, lam, r, m, 10.0 ** log_delta, "N")
+
+    # a draw the Newton property test once made at random: the accepted pair
+    # of a step is 7.6e-13 from the next plain iterate, against the 16*tol
+    # bound, the p < 1.5 stopping-rule defect of ROADMAP item 8
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="p < 1.5 stopping rule: the absolute increment test "
+                              "accepts a pair short of the fixed point")
+    def test_newton_run_at_small_p_stops_short_of_the_fixed_point(self):
+        self.check_run(1.4279151778081682, 0.0, 2, 12, 10.0 ** -3.2136396481224754,
+                       "N")
 
     # (p, lambda, r, m, delta): without the guard the predicted start takes
     # up to 13 iterations in a step of the first (315 in all, against 205
@@ -1204,10 +1232,11 @@ class TestProductCounts:
     ])
     def test_system_solves_per_step(self, monkeypatch, scheme, p, one_solve):
         # a SeparableForcing takes no mass solve per step: every solve
-        # counted is one with the step's system
+        # counted is one with the step's system, by the run's factor or by
+        # one driver call on the band an iteration assembled
+        forcing = SeparableForcing(((lambda x: x * (1 - x), np.cos),))
         _, counts = self.count(monkeypatch, BandedFactor, "solve", scheme, p, None,
-                               forcing=SeparableForcing(((lambda x: x * (1 - x),
-                                                          np.cos),)))
+                               forcing=forcing, also=(BandedSymMatrix, "solve"))
         if one_solve:
             assert [(calls, diag.iterations) for calls, diag in counts] == [(1, 2)] * 10
         else:
@@ -1240,10 +1269,11 @@ class TestProductCounts:
 
     @staticmethod
     def count(monkeypatch, owner, name, scheme, p, epsilon, forcing=None,
-              mass_only=False):
-        """The calls of owner.name in the StepPlan's set-up, and (calls,
-        diagnostics) of each of 10 steps; forcing replaces forced_sine's f,
-        and mass_only counts only the calls on the mass factor."""
+              mass_only=False, also=None):
+        """The calls of owner.name (and of also, another (owner, name) pair)
+        in the StepPlan's set-up, and (calls, diagnostics) of each of 10
+        steps; forcing replaces forced_sine's f, and mass_only counts only
+        the calls on the mass factor."""
         problem = forced_sine(p, 1.0, horizon=0.01)
         if forcing is not None:
             problem = dataclasses.replace(problem, f=forcing)
@@ -1253,14 +1283,16 @@ class TestProductCounts:
         asm = make_assembler(problem, mesh, cfg)
         hist = fresh_history(problem, mesh, cfg)
         calls = [0]
-        method = getattr(owner, name)
 
-        def counting(self, *args):
-            if not mass_only or self is vars(asm).get("mass_factor"):
-                calls[0] += 1
-            return method(self, *args)
+        def counting(method):
+            def wrapper(self, *args):
+                if not mass_only or self is vars(asm).get("mass_factor"):
+                    calls[0] += 1
+                return method(self, *args)
+            return wrapper
 
-        monkeypatch.setattr(owner, name, counting)
+        for site in ((owner, name),) + ((also,) if also else ()):
+            monkeypatch.setattr(*site, counting(getattr(*site)))
         plan = StepPlan(hist, problem.kernel, cfg, asm)
         setup, out = calls[0], []
         for _ in range(cfg.n_steps):

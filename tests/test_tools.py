@@ -8,6 +8,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
 import bench_record  # noqa: E402
+import interleave  # noqa: E402
 import same_outputs  # noqa: E402
 import sample_runs  # noqa: E402
 import src_lines  # noqa: E402
@@ -35,6 +36,23 @@ def test_same_outputs_against_its_own_checkout(capsys):
     assert same_outputs.main(["--against", str(ROOT), "--examples", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"20 outputs here, 20 in {ROOT}: 0 differ"]
+
+
+def test_interleave_against_its_own_checkout(capsys):
+    before = sys.modules.get("plapmem")
+    assert interleave.main(["--against", str(ROOT), "--workload", "growth_damped",
+                            "--rounds", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("growth_damped, lambda -10.0342 (seed 0), 2 rounds")
+    won = []
+    for line, label in zip(lines[1:], ("this checkout", str(ROOT))):
+        assert line.startswith(f"{label}: min ")
+        won.append(int(line.split("won ")[1].split(" of 2")[0]))
+    assert len(lines) == 3 and sum(won) == 2
+    # each side ran on its own package, and plapmem is left as it was
+    here, there = (sys.modules[name] for name in interleave.SIDES)
+    assert here is not there and here.stepper.march is not there.stepper.march
+    assert sys.modules.get("plapmem") is before
 
 
 def test_same_outputs_reports_first_differing_byte():
