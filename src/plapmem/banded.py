@@ -12,6 +12,8 @@ the banded Cholesky pair dpbtrf/dpbtrs, whose BLAS call per column costs
 more than the arithmetic at bandwidth 1. Every indefinite band takes
 dgbtrf/dgbtrs. A product is one call of the Level-2 BLAS dsbmv, which
 takes its scale and a base vector into the same call: base + scale*A x.
+A right-hand side of any length but n is a ValueError before LAPACK sees
+it (LAPACK reads the first n rows of a longer one).
 
 Solve once or reuse: a band that is solved once (every system a step
 assembles) goes to one LAPACK driver, dptsv or dpbsv by the same width
@@ -21,12 +23,18 @@ driver reports, is factored again, by LU. A band solved with several
 right-hand sides (the mass matrix, a system that is a run constant) is
 factored once with factor() and the BandedFactor reused.
 
-Nine routines, from two of scipy's f2py extensions: the eight LAPACK ones
-from `scipy/linalg/_flapack` and dsbmv from `scipy/linalg/_fblas`, each
-loaded by its file path: that skips `scipy.linalg`'s package init, most of
-the cost of importing this package. If a file is missing or fails to
-load, its routines come from `scipy.linalg.lapack` or `scipy.linalg.blas`
-instead, which hand out the same routine objects.
+Eleven routines, from two of scipy's f2py extensions: the eight LAPACK
+ones from `scipy/linalg/_flapack`, and from `scipy/linalg/_fblas` dsbmv
+and the two Level-1 reductions a step takes, ddot (all_finite's sum of
+squares) and idamax (max_norm), each extension loaded by its file path:
+that skips `scipy.linalg`'s package init, most of the cost of importing
+this package. If a file is missing or fails to load, its routines come
+from `scipy.linalg.lapack` or `scipy.linalg.blas` instead, which hand out
+the same routine objects. At the sizes a step works on (n = 39 on the
+dome) a reduction is mostly call overhead: one Level-1 call costs a
+fraction of numpy's np.vdot or np.abs(x).max(), which build temporaries
+and dispatch a ufunc. Every f2py routine is called with positional
+arguments, which f2py parses faster than keywords.
 
 The bands the solver builds are stored column-major (Fortran order), the
 layout BLAS and LAPACK read: f2py hands them to dsbmv as they are, and
@@ -71,7 +79,11 @@ _blas = _scipy_linalg("_fblas", "blas")
 dgbtrf, dgbtrs = _lapack.dgbtrf, _lapack.dgbtrs
 dpbtrf, dpbtrs, dpbsv = _lapack.dpbtrf, _lapack.dpbtrs, _lapack.dpbsv
 dpttrf, dpttrs, dptsv = _lapack.dpttrf, _lapack.dpttrs, _lapack.dptsv
-dsbmv = _blas.dsbmv
+dsbmv, ddot, idamax = _blas.dsbmv, _blas.ddot, _blas.idamax
+# f2py's argument slots, passed by position:
+#   dsbmv(k, alpha, a, x, incx, offx, beta, y, incy, offy, lower),
+#     y None for a zero base
+#   dpbsv(ab, b, lower), dpbtrf(ab, lower), dpbtrs(ab, b, lower)
 
 
 class BandedSymMatrix:
@@ -120,8 +132,8 @@ class BandedSymMatrix:
             raise ValueError(f"cannot multiply a band of n = {self.n} with an "
                              f"array of shape {bad}")
         if base is None:
-            return dsbmv(self._k, scale, self.data, x, lower=1)
-        return dsbmv(self._k, scale, self.data, x, beta=1.0, y=base, lower=1)
+            return dsbmv(self._k, scale, self.data, x, 1, 0, 0.0, None, 1, 0, 1)
+        return dsbmv(self._k, scale, self.data, x, 1, 0, 1.0, base, 1, 0, 1)
 
     def factor(self) -> "BandedFactor":
         return BandedFactor(self)
@@ -132,14 +144,15 @@ class BandedSymMatrix:
         checks: a non-finite band or a singular one is a LinearSolveError,
         and an indefinite one is solved through factor()'s LU. Keep
         `factor()` to solve repeatedly. The band is left as it was: the LU
-        needs it."""
+        needs it. rhs is one vector (n,) or a block (n, k)."""
         data = self.data
-        _require_finite(data)
         n = data.shape[1]
+        rhs = _right_hand_side(rhs, n)
+        _require_finite(data)
         if data.shape[0] == 2 and n >= 2:
             x, info = dptsv(data[0], data[1, :n - 1], rhs)[2:]
         else:
-            x, info = dpbsv(data, rhs, lower=1)[1:]
+            x, info = dpbsv(data, rhs, 1)[1:]
         if info > 0:        # not positive definite
             return self.factor().solve(rhs)
         if info < 0:
@@ -161,7 +174,7 @@ class BandedFactor:
     def __init__(self, matrix: BandedSymMatrix):
         data = matrix.data
         _require_finite(data)
-        n = matrix.n
+        self.n = n = matrix.n
         self._ldl = self._chol = None
         # LAPACK's own routines: the scipy wrappers around them cost several
         # times the factorization itself at the small sizes solved per step
@@ -169,33 +182,52 @@ class BandedFactor:
             d, e, info = dpttrf(data[0], data[1, :n - 1])
             self._ldl = d, e
         else:
-            self._chol, info = dpbtrf(data, lower=1)
+            self._chol, info = dpbtrf(data, 1)
         if info < 0:
             raise LinearSolveError(f"banded factorization rejected argument {-info}")
         self._lu = None if info == 0 else _lu_factor(matrix)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float)
+        """The solution for one vector (n,) or a block (n, k)."""
+        rhs = _right_hand_side(rhs, self.n)
         if self._lu is not None:
             bw, lu, piv = self._lu
             x, info = dgbtrs(lu, bw, bw, rhs, piv)
         elif self._ldl is not None:
             x, info = dpttrs(*self._ldl, rhs)
         else:
-            x, info = dpbtrs(self._chol, rhs, lower=1)
+            x, info = dpbtrs(self._chol, rhs, 1)
         if info != 0:
             raise LinearSolveError(f"banded solve failed (info {info})")
         return _finite_solution(x, rhs)
 
 
 def all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of the array a is finite. Its sum of squares is
-    finite only if every entry is, since inf and NaN carry through it, so
-    one BLAS dot product decides, at half the cost of a mask of np.isfinite
-    at the sizes a step solves; only a sum that overflowed takes the mask.
-    np.vdot, unlike @ and np.dot, overflows without a RuntimeWarning."""
+    """Whether every entry of the float array a is finite. Its sum of
+    squares is finite only if every entry is, since inf and NaN carry
+    through it, so one ddot call decides (0.3 against 2.7 us for a mask of
+    np.isfinite at n = 39); only a sum that overflowed takes the mask, so
+    the answer is exact. A BLAS call raises no numpy warning on overflow.
+    An empty array is all finite (ddot refuses n = 0)."""
     flat = a.ravel(order="K")
-    return math.isfinite(np.vdot(flat, flat)) or bool(np.isfinite(flat).all())
+    return (not flat.size or math.isfinite(ddot(flat, flat))
+            or bool(np.isfinite(flat).all()))
+
+
+def max_norm(x: np.ndarray) -> float:
+    """max |x_i| of a nonempty float vector, by idamax, which gives the
+    (0-based) index of the first entry of largest magnitude: the value is
+    exactly np.abs(x).max()'s wherever x has no NaN."""
+    return abs(x[idamax(x)])
+
+
+def _right_hand_side(rhs, n: int) -> np.ndarray:
+    """rhs as a float array, when it is a vector (n,) or a block (n, k)."""
+    rhs = np.asarray(rhs, dtype=float)
+    if not 1 <= rhs.ndim <= 2 or rhs.shape[0] != n:
+        raise ValueError(f"cannot solve a band of n = {n} for a right-hand "
+                         f"side of shape {rhs.shape}")
+    return rhs
 
 
 def _require_finite(data: np.ndarray) -> None:

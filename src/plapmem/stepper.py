@@ -32,7 +32,8 @@ forcing that is not a SeparableForcing. Per iteration: one
 p-Laplacian assembly (two bands for Newton with eps > 0, none for p = 2),
 one product for the right-hand side (two for Newton with eps > 0) and one
 banded solve (one LAPACK driver call on the assembled band, or a solve
-with the run's factor), and one product for U's squared M-norm increment.
+with the run's factor), and one product for U's squared M-norm increment,
+which one ddot call reduces.
 A product is one dsbmv call that takes its scale and the vector it adds
 onto, so the right-hand side M*v + delta*A(w)(...) is formed inside the
 call. For p = 2 with slope 1 the first solve is the step's exact
@@ -40,7 +41,7 @@ solution, so the later iterations form no right-hand side, solve nothing
 and take no product: their increment is exactly 0. Such a step, done in
 two iterations, makes three products: M*v and the first iteration's two.
 Newton's predicted start keeps its extrapolation in the plan for the next
-step's guard, and march runs every step under one np.errstate that lets
+step's guard, whose two max-norms are one idamax call each, and march runs every step under one np.errstate that lets
 an iterate overflow silently into the divergence test.
 """
 
@@ -55,7 +56,7 @@ from . import analysis
 from .assembly import (ElementTables, FluxParams, SeparableForcing,
                        assemble_load, assemble_mass, assemble_plap,
                        default_epsilon, interpolate)
-from .banded import BandedFactor, BandedSymMatrix, all_finite
+from .banded import BandedFactor, BandedSymMatrix, all_finite, ddot, max_norm
 from .errors import ConfigError, FixedPointDivergenceError, LinearSolveError
 from .memory import (KernelSpec, MemoryBlock, StateHistory, check_mode,
                      memory_residual)
@@ -259,14 +260,17 @@ def predicted_start(plan: StepPlan) -> Optional[np.ndarray]:
     From level 2 on, P_k is kept as plan.prediction, the next call's guard.
     None before level 3, and wherever P_{k-1} missed U_k by no less, in
     max-norm, than U_{k-1} did: there the trajectory is not smooth on the
-    scale of a step, and U_k is the safer start.
+    scale of a step, and U_k is the safer start. Both max-norms are one
+    idamax call each (banded.max_norm), exact, so the decision is the one
+    np.abs(...).max() gives: the levels are finite, and a prediction that
+    overflowed leaves an infinite miss, never a NaN.
     """
     k, u = plan.hist.k, plan.hist.u
     if k < 2:
         return None
     stepped = u[k] - u[k - 1]
     previous, plan.prediction = plan.prediction, 3.0 * stepped + u[k - 2]
-    if k == 2 or np.abs(u[k] - previous).max() >= np.abs(stepped).max():
+    if k == 2 or max_norm(u[k] - previous) >= max_norm(stepped):
         return None
     return plan.prediction
 
@@ -295,8 +299,9 @@ def cn_step(plan: StepPlan):
     u_next - u_next would give it. Banded products: one per step for the
     right-hand side, and in each iteration that solves, one for the
     right-hand side (two for Newton with eps > 0) and one for the
-    increment; each right-hand side product adds onto rhs_step (or onto
-    the other product) inside its dsbmv call. An iterate that overflows ends
+    increment, du . M du by one ddot call (bitwise the du @ M du of numpy's
+    BLAS on the benchmark's workloads); each right-hand side product adds
+    onto rhs_step (or onto the other product) inside its dsbmv call. An iterate that overflows ends
     the step with FixedPointDivergenceError; a failed solve, or an accepted
     U whose Y is not finite, with a LinearSolveError naming the step and
     the iteration. march silences numpy's overflow and invalid warnings for
@@ -350,7 +355,7 @@ def cn_step(plan: StepPlan):
                 overflow = exc
                 break
             du = u_next - u_it      # the plain map's increment, compared with tol
-            inc_u = float(du @ mass.matvec(du))
+            inc_u = ddot(du, mass.matvec(du))
         else:       # u_it is the first iteration's u_next
             inc_u = 0.0
         inc_y = plan.y_gain * inc_u

@@ -290,6 +290,42 @@ class TestBandedSymMatrix:
             a[where] = bad
         assert all_finite(a) == bool(np.isfinite(a).all())
 
+    @pytest.mark.parametrize("x", [
+        [2.0, -2.0], [-2.0, 2.0], [5.0, 1.0, -2.0], [1.0, 2.0, -5.0], [-7.0],
+        [0.0, -0.0], [np.inf, 1.0], [1.0, -np.inf], [-np.inf, np.inf],
+        [1e308, -1e308], np.random.default_rng(2).standard_normal(39),
+        np.arange(12.0)[::-3]])     # a strided view
+    def test_max_norm_is_the_largest_magnitude(self, x):
+        from plapmem.banded import max_norm
+        x = np.asarray(x)
+        assert max_norm(x) == np.abs(x).max()
+
+    # a shorter and a longer vector and block, a scalar and a 3-D array
+    @pytest.mark.parametrize("shape", [(8,), (10,), (8, 2), (10, 2), (), (9, 2, 1)])
+    @pytest.mark.parametrize("path", ["driver", "factor", "lu"])
+    @pytest.mark.parametrize("bw", [1, 2])
+    def test_solve_of_another_length_rejected(self, bw, path, shape, capfd):
+        # before any LAPACK call: LAPACK solves the first n rows of a longer
+        # one and prints an error for a shorter one
+        matrix = random_banded(9, bw, seed=5, definite=path != "lu")
+        solve = matrix.solve if path == "driver" else matrix.factor().solve
+        with pytest.raises(ValueError, match=re.escape(
+                f"cannot solve a band of n = 9 for a right-hand side of shape {shape}")):
+            solve(np.ones(shape))
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("path", ["driver", "factor", "lu"])
+    @pytest.mark.parametrize("bw", [1, 2])
+    def test_vector_and_block_right_hand_sides(self, bw, path):
+        matrix = random_banded(9, bw, seed=5, definite=path != "lu")
+        factor = matrix.factor()
+        assert (factor._lu is None) == (path != "lu")
+        solve = matrix.solve if path == "driver" else factor.solve
+        rhs = np.random.default_rng(6).standard_normal((9, 3))
+        dense = np.linalg.solve(to_dense(matrix), rhs)
+        assert np.allclose(solve(rhs), dense, rtol=0, atol=1e-12)
+        assert np.allclose(solve(rhs[:, 0]), dense[:, 0], rtol=0, atol=1e-12)
+
 
 
 # Run in a new interpreter after a prelude: factors the saved definite,
@@ -305,7 +341,7 @@ import sys
 
 import numpy as np
 import plapmem
-from plapmem.banded import BandedSymMatrix
+from plapmem.banded import BandedSymMatrix, all_finite, max_norm
 
 loaded = sorted(set(sys.modules) & {"scipy.linalg", "numpy.f2py", "numpy.testing"})
 given = np.load(sys.argv[1])
@@ -316,6 +352,14 @@ for band in ("definite", "indefinite", "tridiagonal"):
     for rhs in ("vector", "block"):
         solves[f"{band}-{rhs}"] = factor.solve(given[rhs])
     solves[f"{band}-vector-product"] = matrix.matvec(given["vector"])
+# the Level-1 reductions, on the block's columns and on vectors with -inf,
+# with squares that overflow (1e200) and with NaN (all_finite only)
+columns = list(given["block"].T)
+for where, value in ((0, -np.inf), (14, 1e200), (7, np.nan)):
+    columns.append(np.ones(15))
+    columns[-1][where] = value
+solves["max-norm"] = np.array([max_norm(c) for c in columns[:5]])
+solves["finite"] = np.array([all_finite(c) for c in columns])
 np.savez(sys.argv[2], **solves)
 
 from scipy.linalg import blas, lapack
@@ -326,7 +370,9 @@ print(json.dumps({"routines": [plapmem.banded._lapack.__name__,
                                plapmem.banded._blas.__name__],
                   "loaded": loaded,
                   "same": bool(np.array_equal(x, solves["definite-vector"])
-                               and np.array_equal(y, solves["definite-vector-product"]))}))
+                               and np.array_equal(y, solves["definite-vector-product"])),
+                  "reductions": [plapmem.banded.idamax is blas.idamax,
+                                 plapmem.banded.ddot is blas.ddot]}))
 """
 
 
@@ -354,7 +400,7 @@ class TestLapackLoader:
     def test_import_leaves_scipy_linalg_unloaded(self, tmp_path):
         _, report = fresh_solves(tmp_path, "direct")
         assert report == {"routines": ["scipy.linalg._flapack", "scipy.linalg._fblas"],
-                          "loaded": [], "same": True}
+                          "loaded": [], "same": True, "reductions": [True, True]}
 
     def test_fallback_gives_the_same_solves(self, tmp_path):
         direct, _ = fresh_solves(tmp_path, "direct")
@@ -365,9 +411,16 @@ class TestLapackLoader:
             "import importlib.machinery\nimportlib.machinery.EXTENSION_SUFFIXES.clear()\n")
         assert report["routines"] == ["scipy.linalg.lapack", "scipy.linalg.blas"]
         assert "scipy.linalg" in report["loaded"] and report["same"]
+        assert report["reductions"] == [True, True]
         assert sorted(direct) == sorted(fallback) == sorted(
-            f"{band}-{kind}" for band in ("definite", "indefinite", "tridiagonal")
-            for kind in ("block", "vector", "vector-product"))
+            [f"{band}-{kind}" for band in ("definite", "indefinite", "tridiagonal")
+             for kind in ("block", "vector", "vector-product")] + ["finite", "max-norm"])
         for key, value in direct.items():
-            assert value.shape == ((15, 3) if key.endswith("-block") else (15,))
+            assert value.shape == {"max-norm": (5,), "finite": (6,)}.get(
+                key, (15, 3) if key.endswith("-block") else (15,))
             assert np.array_equal(value, fallback[key])
+        # and the answers of np.abs(...).max() and the np.isfinite mask
+        block = np.load(tmp_path / "given.npz")["block"]
+        assert np.array_equal(fallback["max-norm"],
+                              list(np.abs(block).max(axis=0)) + [np.inf, 1e200])
+        assert fallback["finite"].tolist() == [True] * 3 + [False, True, False]

@@ -722,6 +722,15 @@ class TestRelaxation:
             march(problem, build_uniform_mesh(0, 1, m, r), cfg)
 
 
+def guard_levels(miss, stepped):
+    """Four levels whose U_3 - P_2 is miss and U_3 - U_2 is stepped, exactly
+    (small integers), P_2 = 3(U_2 - U_1) + U_0 the prediction of U_3."""
+    miss, stepped = np.array(miss, dtype=float), np.array(stepped, dtype=float)
+    u1, u2 = np.zeros_like(miss), np.ones_like(miss)
+    u3 = u2 + stepped
+    return np.array([u3 - miss - 3.0 * (u2 - u1), u1, u2, u3])
+
+
 class TestPredictedStart:
     """Newton starts from the extrapolation 3(U_k - U_{k-1}) + U_{k-2} where
     it predicted U_k better than U_{k-1} did, and restarts once from U_k if
@@ -754,6 +763,48 @@ class TestPredictedStart:
         assert self.starts(levels)[3] is None
         smooth = np.array([[0.0], [1.0], [2.0], [3.0]])
         assert np.allclose(self.starts(smooth)[3], [4.0])
+
+    @staticmethod
+    def old_guard_start(levels):
+        """The start at the last of four levels as the guard took it by
+        np.abs(...).max(), the oracle of the idamax max-norms."""
+        u, k = levels, 3
+        stepped = u[k] - u[k - 1]
+        previous = 3.0 * (u[k - 1] - u[k - 2]) + u[k - 3]
+        if np.abs(u[k] - previous).max() >= np.abs(stepped).max():
+            return None
+        return 3.0 * stepped + u[k - 2]
+
+    # (levels, whether the guard passes)
+    GUARD_CASES = {
+        # ties: equal magnitudes, of opposite sign within or across the two
+        "tie-opposite-signs": (guard_levels([2, -2], [-2, 2]), False),
+        "tie-across-indices": (guard_levels([-2, 1], [1, 2]), False),
+        "tie-first-and-last": (guard_levels([-3, 0, 3], [3, 1, -3]), False),
+        # the largest magnitude at index 0 or n - 1
+        "miss-at-0": (guard_levels([3, 0, 0], [0, 0, -4]), True),
+        "miss-at-end": (guard_levels([0, 0, -5], [4, 0, 0]), False),
+        "stepped-at-end": (guard_levels([1, -1, 1], [0, 0, 2]), True),
+        "n1-tie": (guard_levels([1], [-1]), False),
+        "n1-smaller-miss": (guard_levels([-1], [2]), True),
+        "n1-larger-miss": (guard_levels([3], [2]), False),
+        # P_2 overflowed to +inf or -inf: an infinite miss
+        "prediction-inf": (np.array([[0.0, 1.0], [-1e308, 0.0], [1e308, 1.0],
+                                     [1e308, 2.0]]), False),
+        "prediction-minus-inf": (np.array([[0.0], [1e308], [-1e308], [-1e308]]), False),
+        # U_3 - U_2 overflowed: the guard passes, the start is infinite
+        "stepped-inf": (np.array([[1e308, 0.0], [-1e308, 0.0], [-1e308, 0.0],
+                                  [1e308, 1.0]]), True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GUARD_CASES))
+    def test_guard_decides_as_the_absolute_maximum(self, case):
+        levels, passes = self.GUARD_CASES[case]
+        with np.errstate(over="ignore", invalid="ignore"):
+            start, ref = self.starts(levels)[3], self.old_guard_start(levels)
+        assert (start is not None) == (ref is not None) == passes
+        if passes:
+            assert np.array_equal(start, ref)
 
     def test_stalled_prediction_restarts_from_previous_level(self, monkeypatch):
         import copy

@@ -2,6 +2,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,6 +37,40 @@ def test_same_outputs_against_its_own_checkout(capsys):
     assert same_outputs.main(["--against", str(ROOT), "--examples", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"20 outputs here, 20 in {ROOT}: 0 differ"]
+
+
+def test_same_outputs_workloads_against_its_own_checkout(capsys):
+    assert same_outputs.main(["--against", str(ROOT), "--workloads", "--seeds", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "fine_mesh-seed3 (lambda 0.998628): identical, 201 levels",
+        "growth_damped-seed3 (lambda -9.95459): identical, 1201 levels",
+        "history_long-seed3 (lambda 0.995251): identical, 2001 levels",
+        f"3 workload runs here, 3 in {ROOT}: 0 differ"]
+
+
+def test_same_outputs_finds_the_first_differing_level():
+    def saved(levels=6):
+        record = {"iterations": 2, "increment_u": 0.0, "ratios": (0.5,)}
+        return {"u": np.zeros((levels, 3)), "y": np.ones((levels, 3)),
+                "energies": np.zeros(levels),
+                "diagnostics": [dict(record) for _ in range(levels - 1)]}
+    ours, theirs = saved(), saved()
+    assert same_outputs.first_differing_level(ours, theirs) is None
+    theirs["y"][4, 2] = np.nextafter(1.0, 2.0)      # one ulp, at a later level
+    theirs["diagnostics"][2]["ratios"] = (0.25,)    # the third step's: level 3
+    assert same_outputs.first_differing_level(ours, theirs) == (3, ["ratios"])
+    theirs["energies"][3] = -0.0    # the same value, other bytes
+    assert same_outputs.first_differing_level(ours, theirs) == (3, ["energies", "ratios"])
+    theirs = saved()
+    theirs["diagnostics"][1]["ratios"] = (0.5, 0.5)     # one ratio more
+    theirs["diagnostics"][1]["increment_u"] = -0.0
+    assert same_outputs.first_differing_level(ours, theirs) == (2, ["increment_u",
+                                                                    "ratios"])
+    assert same_outputs.first_differing_level(ours, saved(7)) == (None, ["shape"])
+    failed = {"lam": 1.0, "error": "LinearSolveError: singular"}
+    assert same_outputs.first_differing_level(ours, failed) == (None, ["error"])
+    assert same_outputs.first_differing_level(failed, dict(failed)) is None
 
 
 def test_interleave_against_its_own_checkout(capsys):

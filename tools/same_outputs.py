@@ -3,6 +3,7 @@ and report every output that differs between the two.
 
     python3 tools/same_outputs.py --against ../other-checkout
     python3 tools/same_outputs.py --against ../other-checkout --examples 3
+    python3 tools/same_outputs.py --against ../other-checkout --workloads --seeds 0,3
 
 Each checkout runs, in a child process that imports plapmem from its own
 src/, examples 1-4 (or those given with --examples) through `plapmem
@@ -18,6 +19,15 @@ differs: whether its integer columns are identical, and for each float
 column the largest difference between the two sides relative to the
 largest magnitude in that column. The exit status is 0 when everything is
 identical and 1 otherwise.
+
+With --workloads, each checkout instead marches every perfbench workload
+at each seed of --seeds (default 0,3), with its problem, mesh and config
+from this checkout's perfbench/workloads.py (`build`, at the seed's drawn
+lambda), in a child process that imports plapmem from its own src/. The
+u and y of every level, the energies and every step's StepDiagnostics
+field are compared byte for byte, and each workload and seed gets one
+line: the levels all identical, or the first level at which something
+differs and what.
 """
 
 import argparse
@@ -27,14 +37,19 @@ import io
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 SOLVE_CONFIG = {"domain": [0, 1], "p": 4, "lambda": 1, "T": 0.05, "r": 2, "m": 8,
                 "N": 50}
+#: The per-level arrays a workload march is compared by, with its step records.
+LEVEL_FIELDS = ("u", "y", "energies")
 
 
 def jobs(examples):
@@ -48,11 +63,8 @@ def run_jobs(src, workdir, examples):
     """Run every job with plapmem imported from src, in workdir; returns
     {"<name> stdout": text, exit status included} and leaves the written
     files in workdir."""
-    sys.path.insert(0, str(src))
-    import plapmem
+    import_plapmem(src)
     from plapmem.cli import main
-    if Path(plapmem.__file__).resolve().parent != (Path(src) / "plapmem").resolve():
-        raise ImportError(f"imported plapmem from {plapmem.__file__}, not {src}")
     os.chdir(workdir)
     Path("config.json").write_text(json.dumps(SOLVE_CONFIG), encoding="utf-8")
     stdout = {}
@@ -79,6 +91,107 @@ def outputs(src, examples):
             if path.is_file() and name != "config.json":     # the solve's input
                 found[name] = path.read_bytes()
     return found
+
+
+def import_plapmem(src):
+    """plapmem imported from src (an ImportError if another one loads)."""
+    sys.path.insert(0, str(src))
+    import plapmem
+    if Path(plapmem.__file__).resolve().parent != (Path(src) / "plapmem").resolve():
+        raise ImportError(f"imported plapmem from {plapmem.__file__}, not {src}")
+    return plapmem
+
+
+def march_workloads(src, workdir, seeds):
+    """March every perfbench workload at every seed with plapmem from src,
+    pickling each run's levels and step records to
+    workdir/<workload>-seed<s>.pickle; a march that raises leaves its error
+    instead."""
+    plapmem = import_plapmem(src)
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    for name, workload in workloads.WORKLOADS.items():
+        for seed in seeds:
+            saved = {"lam": workloads.draw_lambda(workload, seed)}
+            try:
+                run = plapmem.stepper.march(*workloads.build(workload, saved["lam"]))
+            except Exception as exc:    # noqa: BLE001 - reported, not raised
+                saved["error"] = f"{type(exc).__name__}: {exc}"
+            else:
+                saved.update(u=run.u, y=run.y, energies=run.energies,
+                             diagnostics=[d._asdict() for d in run.diagnostics])
+            with open(Path(workdir) / f"{name}-seed{seed}.pickle", "wb") as file:
+                pickle.dump(saved, file)
+
+
+def workload_runs(src, seeds):
+    """{file stem: saved march} of march_workloads run on src in a child
+    process."""
+    with tempfile.TemporaryDirectory() as workdir:
+        subprocess.run([sys.executable, __file__, "--src", str(src), "--workdir", workdir,
+                        "--workloads", "--seeds", ",".join(map(str, seeds))],
+                       check=True, capture_output=True, text=True)
+        runs = {}
+        for path in sorted(Path(workdir).glob("*.pickle")):
+            with open(path, "rb") as file:
+                runs[path.stem] = pickle.load(file)
+        return runs
+
+
+def as_bytes(value) -> bytes:
+    """The bytes of a number, a tuple of numbers or an array, as floats."""
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def first_differing_level(ours, theirs):
+    """(level, names differing there) of two saved marches, or None if
+    every level is byte for byte the same; a step's record belongs to the
+    level it reaches. Level None where the runs do not line up: an error,
+    or a different number of levels or unknowns."""
+    if "error" in ours or "error" in theirs:
+        return None if ours.get("error") == theirs.get("error") else (None, ["error"])
+    if any(ours[name].shape != theirs[name].shape for name in LEVEL_FIELDS):
+        return None, ["shape"]
+    firsts = {}
+    for name in LEVEL_FIELDS:
+        for level, (a, b) in enumerate(zip(ours[name], theirs[name])):
+            if as_bytes(a) != as_bytes(b):
+                firsts[name] = level
+                break
+    for level, (a, b) in enumerate(zip(ours["diagnostics"], theirs["diagnostics"]), 1):
+        for name in a:
+            if name not in firsts and as_bytes(a[name]) != as_bytes(b[name]):
+                firsts[name] = level
+    if not firsts:
+        return None
+    level = min(firsts.values())
+    return level, [name for name, first in firsts.items() if first == level]
+
+
+def compare_workloads(against, seeds):
+    """Print one line per workload and seed; returns how many differ."""
+    ours, theirs = workload_runs(ROOT / "src", seeds), workload_runs(against / "src", seeds)
+    differing = 0
+    for stem in sorted(ours.keys() | theirs.keys()):
+        if stem not in ours or stem not in theirs:
+            differing += 1
+            print(f"{stem}: only in {'this checkout' if stem in ours else against}")
+            continue
+        found = first_differing_level(ours[stem], theirs[stem])
+        head = f"{stem} (lambda {ours[stem]['lam']:.6g})"
+        if found is None:
+            print(f"{head}: identical, " + (f"both fail: {ours[stem]['error']}"
+                                           if "error" in ours[stem] else
+                                           f"{len(ours[stem]['u'])} levels"))
+            continue
+        differing += 1
+        level, fields = found
+        print(f"{head}: " + (f"first differs at level {level}: {', '.join(fields)}"
+                             if level is not None else
+                             f"runs do not line up: {', '.join(fields)}"))
+    print(f"{len(ours)} workload runs here, {len(theirs)} in {against}: "
+          f"{differing} differ")
+    return differing
 
 
 def first_difference(a: bytes, b: bytes) -> int:
@@ -159,15 +272,25 @@ def main(argv=None):
                         help="another checkout whose src/ runs the same commands")
     parser.add_argument("--examples", type=int, nargs="*", default=[1, 2, 3, 4],
                         choices=(1, 2, 3, 4), help="the examples to run (default: all)")
+    parser.add_argument("--workloads", action="store_true",
+                        help="compare marches of the perfbench workloads instead")
+    parser.add_argument("--seeds", default="0,3",
+                        help="with --workloads, the seeds of the lambda draw (default 0,3)")
     parser.add_argument("--src", type=Path, help=argparse.SUPPRESS)    # child side
     parser.add_argument("--workdir", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    seeds = [int(seed) for seed in args.seeds.split(",")]
 
+    if args.src is not None and args.workloads:
+        march_workloads(args.src, args.workdir, seeds)
+        return 0
     if args.src is not None:
         print(json.dumps(run_jobs(args.src, args.workdir, args.examples)))
         return 0
     if args.against is None:
         parser.error("--against is required")
+    if args.workloads:
+        return 1 if compare_workloads(args.against, seeds) else 0
     ours = outputs(ROOT / "src", args.examples)
     theirs = outputs(args.against / "src", args.examples)
     for line in compare(ours, theirs, args.against):
