@@ -15,7 +15,7 @@ from .assembly import SeparableForcing
 from .config import RunConfig, parse_config
 from .errors import (ConfigError, FixedPointDivergenceError, IllPosedStepError,
                      LinearSolveError, PlapmemError)
-from .memory import KernelSpec, exponential_kernel
+from .memory import KernelSpec
 from .mesh import Mesh1D, build_uniform_mesh
 from .stepper import SolverConfig, march, step_residuals
 
@@ -25,7 +25,7 @@ __all__ = [
     "ConfigError", "FixedPointDivergenceError", "IllPosedStepError",
     "KernelSpec", "LinearSolveError", "Mesh1D", "PlapmemError", "ProblemSpec",
     "RunConfig", "RunOutput", "SeparableForcing", "SolverConfig",
-    "build_uniform_mesh", "convergence_orders", "energy", "exponential_kernel",
-    "extrema_series", "fit_order", "l2_error", "manufactured_example1", "march",
-    "mass_norm", "parse_config", "step_residuals", "support_gap", "waiting_time",
+    "build_uniform_mesh", "convergence_orders", "energy", "extrema_series",
+    "fit_order", "l2_error", "manufactured_example1", "march", "mass_norm",
+    "parse_config", "step_residuals", "support_gap", "waiting_time",
 ]

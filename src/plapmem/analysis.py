@@ -10,7 +10,7 @@ import numpy as np
 
 from .assembly import SeparableForcing, _sample, assemble_mass
 from .errors import ConfigError
-from .memory import KernelSpec, StateHistory, exponential_kernel
+from .memory import KernelSpec, StateHistory
 from .mesh import Mesh1D, default_quad_points, eval_on_elements, gauss_legendre
 
 
@@ -309,6 +309,6 @@ def manufactured_example1(p: float, lam: float, horizon: float = 0.1) -> Problem
          lambda t: -np.exp(-(p - 1.0) * t) - lam * np.exp(-t) * _memory_growth(t, p)),
     ))
     return ProblemSpec(a=0.0, b=1.0, horizon=horizon, p=p,
-                       kernel=exponential_kernel(lam),
+                       kernel=KernelSpec(lam),
                        u0=_bump, f=forcing,
                        exact_u=exact_u, exact_y=exact_y)

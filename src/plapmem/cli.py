@@ -68,13 +68,13 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_verify() -> int:
-    """Self checks: quadrature identities, kernel identity, manufactured
-    forcing against an independent finite-difference/quadrature oracle.
+    """Self checks: quadrature identities and the manufactured forcing
+    against an independent finite-difference/quadrature oracle.
     """
     from scipy.integrate import quad as scipy_quad
 
     from .analysis import plap_of_bump
-    from .memory import exponential_kernel, forcing_weights, volterra_weights
+    from .memory import forcing_weights, volterra_weights
     from .mesh import gauss_legendre
 
     failures = 0
@@ -93,12 +93,6 @@ def _cmd_verify() -> int:
         worst = max(worst, abs(float(np.sum(fw)) - (k + 0.5) * delta))
     report("memory weight sums equal t_{k+1/2} (k <= 200)", worst < 1e-14,
            f"max deviation {worst:.2e}")
-
-    kernel = exponential_kernel(1.7)
-    lags = np.linspace(0.0, 5.0, 1000)
-    dev = float(np.max(np.abs(kernel.gp(lags) + kernel.g(lags))))
-    report("exponential kernel derivative identity", dev < 1e-14,
-           f"max |g' + g| = {dev:.2e}")
 
     rule = gauss_legendre(6)
     errs = [abs(float(rule.weights @ rule.points ** d) - 1.0 / (d + 1))

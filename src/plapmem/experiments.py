@@ -12,7 +12,7 @@ from .analysis import (ProblemSpec, RunOutput, convergence_orders,
                        manufactured_example1)
 from .assembly import SeparableForcing
 from .errors import ConfigError
-from .memory import exponential_kernel
+from .memory import KernelSpec
 from .mesh import build_uniform_mesh, default_quad_points, eval_on_elements, gauss_legendre
 from .stepper import SolverConfig, march
 
@@ -142,7 +142,7 @@ def _dome(x):
 def asymptotics_problem(p: float, lam: float, horizon: float = 3.0) -> ProblemSpec:
     """Free decay of the dome 1 - x^4 on (-1, 1); no forcing."""
     return ProblemSpec(a=-1.0, b=1.0, horizon=horizon, p=p,
-                       kernel=exponential_kernel(lam),
+                       kernel=KernelSpec(lam),
                        u0=_dome, f=SeparableForcing())
 
 
@@ -192,7 +192,7 @@ def _front_profile(x, sharpness: int, scale: float):
 def propagation_problem(p: float, lam: float, sharpness: int, scale: float,
                         horizon: float) -> ProblemSpec:
     return ProblemSpec(a=-1.0, b=1.0, horizon=horizon, p=p,
-                       kernel=exponential_kernel(lam),
+                       kernel=KernelSpec(lam),
                        u0=lambda x: _front_profile(x, sharpness, scale),
                        f=SeparableForcing())
 

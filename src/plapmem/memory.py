@@ -12,13 +12,14 @@ combination of stored levels and F the loads' share (alpha and beta from
 discounted running sums, and a march carries them in a `MemoryBlock` at
 O(1) cost per step; the README derives the recursions. The direct O(k)
 sums (`history_sum`, `i_f`) take any kernel with g and gp and stay as the
-oracle (`memory_residual`).
+oracle (`memory_residual`): each takes the levels or loads it reads and
+the step index k, so any prefix of a history is summed in place.
 """
 
-import copy
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -59,11 +60,6 @@ class KernelSpec:
 
     def gp(self, s):
         return -self.g(s)
-
-
-def exponential_kernel(lam: float) -> KernelSpec:
-    """The kernel lam * exp(-s)."""
-    return KernelSpec(lam)
 
 
 def volterra_weights(k: int, delta: float):
@@ -131,28 +127,19 @@ class StateHistory:
             raise ConfigError("N", "cannot allocate a history of shape "
                               f"({self.n_steps + 1:.6g}, {self.n_dofs}): {exc}") from exc
         self.k = 0
-        self._loads = [None]    # one holder for this history and its views
 
     def set_initial(self, u0: np.ndarray):
         self.u[0] = u0
         self.y[0] = 0.0          # the memory term vanishes at t = 0
         self.k = 0
 
-    @property
+    @cached_property
     def loads(self) -> np.ndarray:
-        """The half-step loads the direct quadratures read: loads[0] the
-        load at t = 0 and loads[1 + j] that at t_{j+1/2}, all zero until an
-        oracle fills them (see stepper.oracle_history). Allocated at the
-        first access, which no march makes, and shared with every view
-        `truncated` takes, whichever of them reads it first; assigning
-        gives this history loads of its own."""
-        if self._loads[0] is None:
-            self._loads[0] = np.zeros((self.n_steps + 2, self.n_dofs))
-        return self._loads[0]
-
-    @loads.setter
-    def loads(self, value: np.ndarray):
-        self._loads = [value]
+        """Room for the half-step loads, in the layout `i_f` reads: loads[0]
+        the load at t = 0 and loads[1 + j] that at t_{j+1/2}, all zero until
+        a caller fills them. Allocated at the first access, which no march
+        makes; stepper.step_residuals assembles the loads it reads."""
+        return np.zeros((self.n_steps + 2, self.n_dofs))
 
     def append(self, u_new: np.ndarray, y_new: np.ndarray):
         if self.k >= self.n_steps:
@@ -165,38 +152,32 @@ class StateHistory:
     def times(self) -> np.ndarray:
         return self.delta * np.arange(self.n_steps + 1)
 
-    def truncated(self, k: int) -> "StateHistory":
-        """Read-only alias of this history rewound to level k (shares arrays)."""
-        if not 0 <= k <= self.k:
-            raise ValueError(f"cannot rewind to {k}; history is at {self.k}")
-        view = copy.copy(self)
-        view.k = k
-        return view
 
-
-def history_sum(hist: StateHistory, fn, fn0: float, levels: np.ndarray):
-    """Trapezoid sum of fn(lag) * level over the stored levels (y under g,
-    u under g'), with the averaged t_k share; and the delta/8 * fn0
-    multiplier of level k+1, fn0 = fn(0)."""
-    weights, lags = volterra_weights(hist.k, hist.delta)
-    half = hist.delta / 8.0 * fn0
-    acc = (weights * _pointwise(fn, lags)) @ levels[:hist.k + 1]
-    acc += half * levels[hist.k]
+def history_sum(levels: np.ndarray, k: int, delta: float, fn, fn0: float):
+    """Step k's trapezoid sum of fn(lag) * level over levels[0..k] (y under
+    g, u under g'), with the averaged t_k share; and the delta/8 * fn0
+    multiplier of level k+1, fn0 = fn(0). Rows past k are not read."""
+    weights, lags = volterra_weights(k, delta)
+    half = delta / 8.0 * fn0
+    acc = (weights * _pointwise(fn, lags)) @ levels[:k + 1]
+    acc += half * levels[k]
     return acc, half
 
 
-def i_f(hist: StateHistory, kernel: KernelSpec,
+def i_f(loads: np.ndarray, k: int, delta: float, kernel: KernelSpec,
         mode: str = "consistent") -> np.ndarray:
-    """Kernel-weighted sum of the stored load vectors over [0, t_{k+1/2}].
+    """Step k's kernel-weighted sum of the loads over [0, t_{k+1/2}], with
+    loads[0] the load at t = 0 and loads[1 + j] that at t_{j+1/2}; rows
+    past k + 1 are not read.
 
     The literal mode adds delta * g(0) times the newest half-step load, as a
     printed upper summation limit that double-counts that node does.
     """
     check_mode(mode)
-    weights, lags = forcing_weights(hist.k, hist.delta)
-    out = (weights * _pointwise(kernel.g, lags)) @ hist.loads[:hist.k + 2]
+    weights, lags = forcing_weights(k, delta)
+    out = (weights * _pointwise(kernel.g, lags)) @ loads[:k + 2]
     if mode == "literal":
-        out = out + hist.delta * float(kernel.g(0.0)) * hist.loads[hist.k + 1]
+        out = out + delta * float(kernel.g(0.0)) * loads[k + 1]
     return out
 
 
@@ -275,20 +256,22 @@ class MemoryBlock:
             self._weights(self.delta, self.delta)
 
 
-def memory_residual(hist: StateHistory, k: int, kernel: KernelSpec,
-                    mass: BandedSymMatrix, mode: str = "consistent") -> np.ndarray:
-    """Residual of the full memory relation across the completed step k -> k+1.
+def memory_residual(hist: StateHistory, k: int, loads: np.ndarray,
+                    kernel: KernelSpec, mass: BandedSymMatrix,
+                    mode: str = "consistent") -> np.ndarray:
+    """Residual of the full memory relation across the completed step k -> k+1,
+    with the loads L_0, L_{1/2}, .., L_{k+1/2} in loads' rows 0..k+1.
 
     Evaluates the averaged-unknowns form directly (not the rearranged one),
     so it cross-checks the alpha/beta/rhs reduction.
     """
     if k >= hist.k:
         raise ValueError(f"step {k} not completed yet (history at {hist.k})")
-    past = hist.truncated(k)
-    t_half = (k + 0.5) * hist.delta
+    delta = hist.delta
+    t_half = (k + 0.5) * delta
     g0 = float(kernel.g(0.0))
-    qg_explicit, qg_impl = history_sum(past, kernel.g, g0, hist.y)
-    qgp_explicit, qgp_impl = history_sum(past, kernel.gp, float(kernel.gp(0.0)), hist.u)
+    qg_explicit, qg_impl = history_sum(hist.y, k, delta, kernel.g, g0)
+    qgp_explicit, qgp_impl = history_sum(hist.u, k, delta, kernel.gp, float(kernel.gp(0.0)))
     y_bar = 0.5 * (hist.y[k + 1] + hist.y[k])
     u_bar = 0.5 * (hist.u[k + 1] + hist.u[k])
     return (mass.matvec(y_bar)
@@ -296,4 +279,4 @@ def memory_residual(hist: StateHistory, k: int, kernel: KernelSpec,
             + float(kernel.g(t_half)) * mass.matvec(hist.u[0])
             + mass.matvec(qg_explicit) + qg_impl * mass.matvec(hist.y[k + 1])
             - mass.matvec(qgp_explicit) - qgp_impl * mass.matvec(hist.u[k + 1])
-            + i_f(past, kernel, mode))
+            + i_f(loads, k, delta, kernel, mode))

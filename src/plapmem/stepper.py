@@ -41,8 +41,9 @@ solution, so the later iterations form no right-hand side, solve nothing
 and take no product: their increment is exactly 0. Such a step, done in
 two iterations, makes three products: M*v and the first iteration's two.
 Newton's predicted start keeps its extrapolation in the plan for the next
-step's guard, whose two max-norms are one idamax call each, and march runs every step under one np.errstate that lets
-an iterate overflow silently into the divergence test.
+step's guard, whose two max-norms are one idamax call each, and march
+runs every step under one np.errstate that lets an iterate overflow
+silently into the divergence test.
 """
 
 import math
@@ -423,29 +424,20 @@ def march(problem: "analysis.ProblemSpec", mesh: Mesh1D,
     return analysis.build_run_output(problem, mesh, asm, hist, diagnostics)
 
 
-def oracle_history(hist: StateHistory, k: int, asm: Assembler) -> StateHistory:
-    """Read-only alias of hist (same level, shared u and y) whose loads are
-    L_0, L_{1/2}, .., L_{k+1/2}, each assembled anew by asm.load: the load
-    levels the direct quadratures of steps up to k read, which a march
-    does not store."""
-    view = hist.truncated(hist.k)
-    times = [0.0] + [(j + 0.5) * hist.delta for j in range(k + 1)]
-    view.loads = np.array([asm.load(t) for t in times])
-    return view
-
-
 def step_residuals(hist: StateHistory, k: int, kernel: KernelSpec,
                    cfg: SolverConfig, asm: Assembler):
     """Galerkin residual vectors of the two weak equations across step k.
 
     Evaluates the averaged (non-rearranged) forms with the stored pair and
-    the loads of oracle_history, so any sign or bookkeeping slip in the step
+    the loads L_0, L_{1/2}, .., L_{k+1/2}, each assembled anew by asm.load
+    (a march stores none), so any sign or bookkeeping slip in the step
     solver, its loads included, shows up here.
     """
     if k >= hist.k:
         raise ValueError(f"step {k} not completed yet (history at {hist.k})")
-    past = oracle_history(hist, k, asm)
     delta = hist.delta
+    loads = np.array([asm.load(t) for t in
+                      [0.0] + [(j + 0.5) * delta for j in range(k + 1)]])
     mass = asm.mass
     u_new, u_old = hist.u[k + 1], hist.u[k]
     y_new, y_old = hist.y[k + 1], hist.y[k]
@@ -454,6 +446,6 @@ def step_residuals(hist: StateHistory, k: int, kernel: KernelSpec,
     res_evolution = (mass.matvec((u_new - u_old) / delta)
                      + a_mid.matvec(u_mid)
                      - mass.matvec(0.5 * (y_new + y_old))
-                     - past.loads[k + 1])
-    res_memory = memory_residual(past, k, kernel, mass, cfg.quadrature_mode)
+                     - loads[k + 1])
+    res_memory = memory_residual(hist, k, loads, kernel, mass, cfg.quadrature_mode)
     return res_evolution, res_memory

@@ -2,9 +2,10 @@
 
 `memory_equation` forms step k's memory relation by the direct O(k)
 trapezoid sums of plapmem.memory for any kernel with g and gp (a `Kernel`
-of two callables, or a KernelSpec), and `direct_relation` is a drop-in for
-stepper.step_relation that takes z and v from those sums and one mass
-solve, so one cn_step drives both marches:
+of two callables, or a KernelSpec), over loads such as `assembled_loads`
+gives, and `direct_relation` is a drop-in for stepper.step_relation that
+takes z and v from those sums and one mass solve, so one cn_step drives
+both marches:
 
     monkeypatch.setattr(stepper, "step_relation", direct_relation)
 """
@@ -36,19 +37,28 @@ def coefficients(kernel, delta):
     return relation_coefficients(float(kernel.g(0.0)), float(kernel.gp(0.0)), delta)
 
 
-def memory_equation(hist: StateHistory, kernel, mode: str = "consistent"):
+def assembled_loads(asm, k: int, delta: float) -> np.ndarray:
+    """L_0, L_{1/2}, .., L_{k+1/2}, each assembled anew by asm.load: the
+    loads the direct sums of steps up to k read, which a march does not
+    store."""
+    return np.array([asm.load(t) for t in
+                     [0.0] + [(j + 0.5) * delta for j in range(k + 1)]])
+
+
+def memory_equation(hist: StateHistory, k: int, loads, kernel,
+                    mode: str = "consistent"):
     """(state, forcing) of the memory relation at step k by the direct
-    trapezoid sums: every history term lands in state (a nodal combination
-    of stored levels) or forcing (the loads' share F, over hist.loads), so
-    alpha*M*Y^{k+1} + beta*M*U^{k+1} = M*state - forcing, with alpha and
-    beta those of relation_coefficients."""
-    g0, k = float(kernel.g(0.0)), hist.k
-    t_half = (k + 0.5) * hist.delta
+    trapezoid sums over hist's levels 0..k and loads' rows 0..k+1: every
+    history term lands in state (a nodal combination of stored levels) or
+    forcing (the loads' share F), so alpha*M*Y^{k+1} + beta*M*U^{k+1} =
+    M*state - forcing, with alpha and beta those of relation_coefficients."""
+    g0, delta = float(kernel.g(0.0)), hist.delta
+    t_half = (k + 0.5) * delta
     state = (-0.5 * hist.y[k] + 0.5 * g0 * hist.u[k]
              - float(kernel.g(t_half)) * hist.u[0]
-             - history_sum(hist, kernel.g, g0, hist.y)[0]
-             + history_sum(hist, kernel.gp, float(kernel.gp(0.0)), hist.u)[0])
-    return state, i_f(hist, kernel, mode)
+             - history_sum(hist.y, k, delta, kernel.g, g0)[0]
+             + history_sum(hist.u, k, delta, kernel.gp, float(kernel.gp(0.0)))[0])
+    return state, i_f(loads, k, delta, kernel, mode)
 
 
 def direct_relation(plan: StepPlan):
@@ -65,7 +75,7 @@ def direct_relation(plan: StepPlan):
     if k == 0:
         hist.loads[0] = asm.load(0.0)
     hist.loads[k + 1] = asm.load(t) if table is None else table[k] @ asm.profiles(t)
-    state, load_share = memory_equation(hist, KernelSpec(plan.block.lam),
+    state, load_share = memory_equation(hist, k, hist.loads, KernelSpec(plan.block.lam),
                                         plan.cfg.quadrature_mode)
     solved = asm.mass_factor.solve(np.stack((load_share, hist.loads[k + 1]), axis=1))
     z = state - solved[:, 0]

@@ -7,14 +7,14 @@ not calibrated at runtime; run with -s to see the per-criterion lines.
 import numpy as np
 import pytest
 
-from plapmem import (SolverConfig, ProblemSpec, build_uniform_mesh,
-                     convergence_orders, exponential_kernel, fit_order,
+from plapmem import (KernelSpec, SolverConfig, ProblemSpec, build_uniform_mesh,
+                     convergence_orders, fit_order,
                      manufactured_example1, march, mass_norm, support_gap,
                      waiting_time)
 from plapmem.analysis import extrema_series
 from plapmem.assembly import FluxParams, assemble_mass, flux
 from plapmem.experiments import asymptotics_problem, propagation_problem
-from plapmem.memory import StateHistory, forcing_weights, i_f, volterra_weights
+from plapmem.memory import forcing_weights, i_f, volterra_weights
 from plapmem.mesh import eval_on_elements, gauss_legendre
 
 
@@ -148,7 +148,7 @@ class TestCriterion4:
         m, n_steps, horizon = 16, 100, 0.5
         h = 1.0 / m
         problem = ProblemSpec(a=0.0, b=1.0, horizon=horizon, p=2.0,
-                              kernel=exponential_kernel(0.0),
+                              kernel=KernelSpec(0.0),
                               u0=lambda x: np.sin(np.pi * np.asarray(x)),
                               f=lambda x, t: np.zeros_like(np.asarray(x)))
         mesh = build_uniform_mesh(0.0, 1.0, m, 1)
@@ -193,20 +193,14 @@ class TestCriterion5:
 
         # literal minus consistent forcing quadrature is exactly the one
         # extra delta * g(0) share on the newest half-step load
-        kernel = exponential_kernel(1.0)
+        kernel = KernelSpec(1.0)
         exact = True
         rng = np.random.default_rng(99)
         for k in (0, 1, 5, 30):
-            hist = StateHistory(3, max(k, 1) + 1, delta)
-            hist.set_initial(np.zeros(3))
-            hist.loads[0] = rng.standard_normal(3)
-            for j in range(k):
-                hist.append(np.zeros(3), np.zeros(3))
-            for j in range(k + 1):
-                hist.loads[1 + j] = rng.standard_normal(3)
-            lit = i_f(hist, kernel, "literal")
-            con = i_f(hist, kernel, "consistent")
-            extra = delta * 1.0 * hist.loads[k + 1]
+            loads = rng.standard_normal((k + 2, 3))
+            lit = i_f(loads, k, delta, kernel, "literal")
+            con = i_f(loads, k, delta, kernel, "consistent")
+            extra = delta * 1.0 * loads[k + 1]
             exact &= bool(np.array_equal(lit, con + extra))
         ok &= exact
         report(5, "constant-kernel weight sums and literal I(f) share", ok,

@@ -8,8 +8,7 @@ from fe_oracles import to_dense
 from memory_oracles import (Kernel, coefficients, direct_relation,
                             memory_equation, relation_rhs)
 from plapmem import (ConfigError, IllPosedStepError, KernelSpec, SolverConfig,
-                     build_uniform_mesh, exponential_kernel,
-                     manufactured_example1, march, stepper)
+                     build_uniform_mesh, manufactured_example1, march, stepper)
 from plapmem.banded import BandedSymMatrix
 from plapmem.memory import (MemoryBlock, StateHistory, forcing_weights,
                             history_sum, i_f, memory_residual, volterra_weights)
@@ -24,12 +23,12 @@ def scalar_mass():
 
 def q_g(hist, kernel):
     """Q_g: the history sum of the y levels under g."""
-    return history_sum(hist, kernel.g, float(kernel.g(0.0)), hist.y)
+    return history_sum(hist.y, hist.k, hist.delta, kernel.g, float(kernel.g(0.0)))
 
 
 def q_gp(hist, kernel):
     """Q_g': the history sum of the u levels under g'."""
-    return history_sum(hist, kernel.gp, float(kernel.gp(0.0)), hist.u)
+    return history_sum(hist.u, hist.k, hist.delta, kernel.gp, float(kernel.gp(0.0)))
 
 
 def history_with(delta, u_levels, y_levels, loads=None, n_steps=10):
@@ -86,14 +85,14 @@ class TestQg:
     """history_sum on y under g (scalar levels: no mass product)."""
 
     def test_zero_history_start(self):
-        kernel = exponential_kernel(2.0)
+        kernel = KernelSpec(2.0)
         hist = history_with(0.1, [1.0], [0.0])
         explicit, implicit = q_g(hist, kernel)
         assert explicit == pytest.approx([0.0])
         assert implicit == pytest.approx(0.1 / 8 * 2.0)
 
     def test_null_kernel(self):
-        kernel = exponential_kernel(0.0)
+        kernel = KernelSpec(0.0)
         hist = history_with(0.1, [1.0, 1.0], [0.0, 3.0])
         explicit, implicit = q_g(hist, kernel)
         assert explicit == pytest.approx([0.0])
@@ -103,7 +102,7 @@ class TestQg:
         # independent evaluation of the printed trapezoid sum
         delta, lam = 0.1, 1.0
         hist = history_with(delta, [0.0, 0.0, 0.0], [0.0, 1.0, 1.0])
-        kernel = exponential_kernel(lam)
+        kernel = KernelSpec(lam)
         explicit, implicit = q_g(hist, kernel)
         t_half = 2.5 * delta
         g = lambda s: lam * math.exp(-s)
@@ -120,20 +119,20 @@ class TestQgp:
 
     def test_null_kernel(self):
         hist = history_with(0.1, [1.0, 2.0], [0.0, 0.0])
-        explicit, implicit = q_gp(hist, exponential_kernel(0.0))
+        explicit, implicit = q_gp(hist, KernelSpec(0.0))
         assert explicit == pytest.approx([0.0])
         assert implicit == 0.0
 
     def test_exponential_implicit_coefficient(self):
         lam, delta = 3.0, 0.05
         hist = history_with(delta, [1.0], [0.0])
-        _, implicit = q_gp(hist, exponential_kernel(lam))
+        _, implicit = q_gp(hist, KernelSpec(lam))
         assert implicit == pytest.approx(-lam * delta / 8)
 
     def test_k1_against_scripted_formula(self):
         delta, lam = 0.1, 1.0
         hist = history_with(delta, [1.0, 1.0], [0.0, 0.0])
-        explicit, _ = q_gp(hist, exponential_kernel(lam))
+        explicit, _ = q_gp(hist, KernelSpec(lam))
         gp = lambda s: -lam * math.exp(-s)
         t_half = 1.5 * delta
         expected = (delta / 2 * gp(t_half) * 1.0
@@ -149,21 +148,21 @@ class TestIf:
         for k in (0, 1, 4, 9):
             hist = history_with(0.1, [0.0] * (k + 1), [0.0] * (k + 1),
                                 loads=[1.0] * (k + 2))
-            out = i_f(hist, kernel)
+            out = i_f(hist.loads, k, 0.1, kernel)
             assert out == pytest.approx([(k + 0.5) * 0.1], rel=1e-14)
 
     def test_zero_forcing(self):
         hist = history_with(0.1, [0.0, 0.0], [0.0, 0.0], loads=[0.0, 0.0, 0.0])
-        assert i_f(hist, exponential_kernel(1.0)) == pytest.approx([0.0])
+        assert i_f(hist.loads, 1, 0.1, KernelSpec(1.0)) == pytest.approx([0.0])
 
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_literal_minus_consistent_is_exact(self, k):
         delta, lam = 0.1, 1.0
         hist = history_with(delta, [0.0] * (k + 1), [0.0] * (k + 1),
                             loads=[1.0] * (k + 2))
-        kernel = exponential_kernel(lam)
-        lit = i_f(hist, kernel, "literal")
-        con = i_f(hist, kernel, "consistent")
+        kernel = KernelSpec(lam)
+        lit = i_f(hist.loads, k, delta, kernel, "literal")
+        con = i_f(hist.loads, k, delta, kernel, "consistent")
         # literal is exactly consistent plus the one extra quadrature share
         extra = delta * lam * hist.loads[k + 1]
         assert np.array_equal(lit, con + extra)
@@ -173,22 +172,22 @@ class TestIf:
 class TestMemoryEquation:
     def test_null_kernel_halves(self):
         hist = history_with(0.1, [2.0, 2.0], [0.0, 3.0], loads=[1.0, 1.0, 1.0])
-        kernel = exponential_kernel(0.0)
+        kernel = KernelSpec(0.0)
         alpha, beta = coefficients(kernel, 0.1)
         assert alpha == 0.5
         assert beta == 0.0
-        assert (relation_rhs(*memory_equation(hist, kernel), scalar_mass())
+        assert (relation_rhs(*memory_equation(hist, 1, hist.loads, kernel), scalar_mass())
                 == pytest.approx([-0.5 * 3.0]))
 
     def test_exponential_coefficients(self):
-        alpha, beta = coefficients(exponential_kernel(1.0), 0.1)
+        alpha, beta = coefficients(KernelSpec(1.0), 0.1)
         assert alpha == pytest.approx(0.5125, abs=1e-15)
         assert beta == pytest.approx(-0.4875, abs=1e-15)
 
     def test_ill_posed_alpha(self):
         # delta * g(0) = -4 makes the diagonal coefficient vanish; a march
         # meets it when its StepPlan is set up
-        kernel = exponential_kernel(-40.0)
+        kernel = KernelSpec(-40.0)
         with pytest.raises(IllPosedStepError):
             coefficients(kernel, 0.1)
         mesh = build_uniform_mesh(0, 1, 4, 1)
@@ -204,15 +203,16 @@ class TestMemoryEquation:
         # pick U^{k+1}, Y^{k+1} satisfying the reduced relation: the verbatim
         # averaged form must then vanish to roundoff
         delta = 0.05
-        kernel = exponential_kernel(1.3)
+        kernel = KernelSpec(1.3)
         hist = history_with(delta, [1.0, 0.8], [0.0, 0.4],
                             loads=[0.7, 0.6, 0.5])
         alpha, beta = coefficients(kernel, delta)
         u_next = 0.9
-        y_next = (relation_rhs(*memory_equation(hist, kernel), scalar_mass())[0]
+        y_next = (relation_rhs(*memory_equation(hist, 1, hist.loads, kernel),
+                               scalar_mass())[0]
                   - beta * u_next) / alpha
         hist.append(np.array([u_next]), np.array([y_next]))
-        res = memory_residual(hist, 1, kernel, scalar_mass())
+        res = memory_residual(hist, 1, hist.loads, kernel, scalar_mass())
         assert abs(res[0]) < 1e-15
 
     def test_residual_of_an_uncompleted_step_rejected(self):
@@ -220,12 +220,12 @@ class TestMemoryEquation:
         for k in (1, 2):
             with pytest.raises(ValueError, match=f"step {k} not completed yet "
                                                  r"\(history at 1\)"):
-                memory_residual(hist, k, exponential_kernel(1.3), scalar_mass())
+                memory_residual(hist, k, hist.loads, KernelSpec(1.3), scalar_mass())
 
 
 class TestExponentialKernel:
     def test_derivative_identity(self):
-        kernel = exponential_kernel(2.5)
+        kernel = KernelSpec(2.5)
         rng = np.random.default_rng(19)
         lags = rng.uniform(0, 10, size=1000)
         assert np.max(np.abs(kernel.gp(lags) + kernel.g(lags))) < 1e-14
@@ -234,22 +234,21 @@ class TestExponentialKernel:
                              ids=["nan", "inf", "-inf", "None", "str", "bool"])
     def test_bad_lam_rejected(self, lam):
         # lam is the whole kernel: anything but a finite real number is a
-        # typed error on the kernel, from either constructor
-        for build in (KernelSpec, exponential_kernel):
-            with pytest.raises(ConfigError) as err:
-                build(lam)
-            assert err.value.field == "kernel"
+        # typed error on the kernel
+        with pytest.raises(ConfigError) as err:
+            KernelSpec(lam)
+        assert err.value.field == "kernel"
 
     def test_lam_held_as_float(self):
         kernel = KernelSpec(np.int64(-3))
-        assert type(kernel.lam) is float and kernel == exponential_kernel(-3.0)
+        assert type(kernel.lam) is float and kernel == KernelSpec(-3.0)
 
     def test_scalar_only_callables_accepted(self):
         kernel = Kernel(g=lambda s: math.exp(-s), gp=lambda s: -math.exp(-s))
         hist = history_with(0.1, [1.0, 1.0, 1.0], [0.0, 1.0, 1.0],
                             loads=[1.0, 1.0, 1.0, 1.0])
         explicit, implicit = q_g(hist, kernel)
-        vec = q_g(hist, exponential_kernel(1.0))[0]
+        vec = q_g(hist, KernelSpec(1.0))[0]
         assert explicit == pytest.approx(vec)
 
 
@@ -276,35 +275,6 @@ class TestStateHistory:
         assert err.value.field == "N"
         assert "shape (1e+08, 1000)" in str(err.value)
         assert isinstance(err.value.__cause__, MemoryError)
-
-    def test_truncated_view_shares_arrays(self):
-        hist = StateHistory(2, 3, 0.1)
-        hist.set_initial(np.zeros(2))
-        hist.append(np.ones(2), np.ones(2))
-        view = hist.truncated(0)
-        assert view.k == 0
-        assert view.u is hist.u
-        with pytest.raises(ValueError):
-            hist.truncated(5)
-
-    @pytest.mark.parametrize("first", ["parent", "view"])
-    def test_truncated_view_shares_loads_taken_before_first_read(self, first):
-        # loads is allocated at its first read, by the history or a view
-        hist = StateHistory(2, 3, 0.1)
-        hist.set_initial(np.zeros(2))
-        view = hist.truncated(0)
-        writer, reader = (hist, view) if first == "parent" else (view, hist)
-        writer.loads[0] = 1.0
-        assert reader.loads is writer.loads
-        assert np.array_equal(reader.loads[0], [1.0, 1.0])
-
-    def test_assigned_loads_stay_the_views_own(self):
-        # as oracle_history sets them on a view of a march's history
-        hist = StateHistory(2, 3, 0.1)
-        view = hist.truncated(0)
-        view.loads = np.ones((5, 2))
-        assert not hist.loads.any()
-        assert view.truncated(0).loads is view.loads
 
 
 def random_history(n_steps, delta, n_dofs=3, seed=5):
@@ -340,17 +310,16 @@ class TestRecursiveHistory:
         mass = tridiagonal_mass(hist.n_dofs)
         dense = to_dense(mass)
         solved = np.linalg.solve(dense, hist.loads.T).T
-        kernel = exponential_kernel(lam)
+        kernel = KernelSpec(lam)
         block = MemoryBlock(lam, delta, mode, hist.u[0], hist.y[0], 1)
         block.rows[5:] = solved[:2]
         alpha, beta = coefficients(kernel, delta)
         assert (block.alpha, block.beta) == (alpha, beta)
         worst = 0.0
         for k in range(n_steps):          # k = 0 included
-            past = hist.truncated(k)
             block.rows[6] = solved[k + 1]
             z, v = block.relation(np.ones(1))
-            ref = memory_equation(past, kernel, mode)
+            ref = memory_equation(hist, k, hist.loads, kernel, mode)
             z_ref = np.linalg.solve(dense, relation_rhs(*ref, mass))
             mv_ref = (mass.matvec(2.0 * hist.u[k] + delta * hist.y[k]
                                   + (delta / alpha) * z_ref)
@@ -364,7 +333,7 @@ class TestRecursiveHistory:
     def test_unknown_mode_rejected(self):
         hist = random_history(2, 0.1)
         with pytest.raises(ConfigError) as err:
-            i_f(hist, exponential_kernel(1.0), "exact")
+            i_f(hist.loads, hist.k, hist.delta, KernelSpec(1.0), "exact")
         assert err.value.field == "quadrature_mode"
 
     @pytest.mark.parametrize("lam", [1.0, -10.0])
@@ -405,7 +374,7 @@ class TestRecursiveHistory:
         delta = 0.1
         u, y, loads = [1.0, 0.7, 0.4], [0.0, 0.5, 0.9], [0.3, 0.2, 0.6, 0.8]
         hist = history_with(delta, u, y, loads=loads)
-        state, load_share = memory_equation(hist, kernel)
+        state, load_share = memory_equation(hist, 2, hist.loads, kernel)
         t = 2.5 * delta
         qg = (delta / 2 * g(t) * y[0] + delta * g(t - delta) * y[1]
               + 3 * delta / 4 * g(t - 2 * delta) * y[2] + delta / 8 * g(0) * y[2])

@@ -49,7 +49,7 @@ def test_same_outputs_workloads_against_its_own_checkout(capsys):
         f"3 workload runs here, 3 in {ROOT}: 0 differ"]
 
 
-def test_same_outputs_finds_the_first_differing_level():
+def test_same_outputs_finds_the_first_differing_level(monkeypatch, capsys):
     def saved(levels=6):
         record = {"iterations": 2, "increment_u": 0.0, "ratios": (0.5,)}
         return {"u": np.zeros((levels, 3)), "y": np.ones((levels, 3)),
@@ -71,6 +71,22 @@ def test_same_outputs_finds_the_first_differing_level():
     failed = {"lam": 1.0, "error": "LinearSolveError: singular"}
     assert same_outputs.first_differing_level(ours, failed) == (None, ["error"])
     assert same_outputs.first_differing_level(failed, dict(failed)) is None
+    # the printed line scales u's change by max|u_k| and y's by
+    # max(|y_k|, |u_k|): here u is 4 and y 1 at every level
+    runs = {side: {"w-seed0": dict(saved(), lam=1.0, u=np.full((6, 3), 4.0))}
+            for side in ("ours", "theirs")}
+    runs["theirs"]["w-seed0"]["u"][2, 1] = 4.0 + 4e-12
+    runs["theirs"]["w-seed0"]["y"][4, 0] = 1.0 + 2e-12
+    monkeypatch.setattr(same_outputs, "workload_runs",
+                        lambda src, seeds: runs["ours" if src == ROOT / "src" else "theirs"])
+    assert same_outputs.compare_workloads(Path("other"), [0]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "w-seed0 (lambda 1): first differs at level 2: u; largest change per level: "
+        "u 1e-12 of max|u_k|, y 5e-13 of max(|y_k|, |u_k|)",
+        "1 workload runs here, 1 in other: 1 differ"]
+    # levels that are zero on both sides (saved()'s u) change by 0, not nan
+    assert same_outputs.level_changes(saved(), saved()) == (
+        "largest change per level: u 0 of max|u_k|, y 0 of max(|y_k|, |u_k|)")
 
 
 def test_interleave_against_its_own_checkout(capsys):
@@ -212,3 +228,11 @@ def test_src_lines_categories_add_up_to_wc():
     for path in (ROOT / "src" / "plapmem").glob("*.py"):
         source = path.read_text(encoding="utf-8")
         assert sum(src_lines.count_lines(source).values()) == source.count("\n")
+
+
+def test_src_lines_fit_in_99_characters():
+    long = [f"{path.relative_to(ROOT)}:{number}: {len(line)} characters"
+            for path in sorted((ROOT / "src").rglob("*.py"))
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > 99]
+    assert long == []

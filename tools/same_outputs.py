@@ -27,7 +27,10 @@ lambda), in a child process that imports plapmem from its own src/. The
 u and y of every level, the energies and every step's StepDiagnostics
 field are compared byte for byte, and each workload and seed gets one
 line: the levels all identical, or the first level at which something
-differs and what.
+differs and what, with how much u and y change (level_changes). y's
+change is measured against u's scale too: where y is far smaller than u,
+as on fine_mesh, a few-ulp change of u carries over to y in absolute
+terms and would read as a large relative change of y alone.
 """
 
 import argparse
@@ -168,6 +171,23 @@ def first_differing_level(ours, theirs):
     return level, [name for name, first in firsts.items() if first == level]
 
 
+def level_changes(ours, theirs) -> str:
+    """The largest per-level change of u relative to max|u_k|, and of y
+    relative to max(|y_k|, |u_k|), each level's magnitudes taken over both
+    sides (a level that is zero on both sides changes by 0)."""
+    def largest(name, scale):
+        change = np.abs(ours[name] - theirs[name]).max(axis=1)
+        return float(np.divide(change, scale, out=change, where=scale > 0).max())
+
+    def magnitude(name):
+        return np.maximum(np.abs(ours[name]).max(axis=1), np.abs(theirs[name]).max(axis=1))
+
+    u_scale = magnitude("u")
+    return (f"largest change per level: u {largest('u', u_scale):.2g} of max|u_k|, "
+            f"y {largest('y', np.maximum(magnitude('y'), u_scale)):.2g} "
+            "of max(|y_k|, |u_k|)")
+
+
 def compare_workloads(against, seeds):
     """Print one line per workload and seed; returns how many differ."""
     ours, theirs = workload_runs(ROOT / "src", seeds), workload_runs(against / "src", seeds)
@@ -186,7 +206,8 @@ def compare_workloads(against, seeds):
             continue
         differing += 1
         level, fields = found
-        print(f"{head}: " + (f"first differs at level {level}: {', '.join(fields)}"
+        print(f"{head}: " + (f"first differs at level {level}: {', '.join(fields)}; "
+                             + level_changes(ours[stem], theirs[stem])
                              if level is not None else
                              f"runs do not line up: {', '.join(fields)}"))
     print(f"{len(ours)} workload runs here, {len(theirs)} in {against}: "

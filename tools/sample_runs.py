@@ -11,7 +11,7 @@ too), a kernel amplitude lambda in [-10, 10], a degree r in 1..3, m in 4..12
 elements and a time step delta = 10^U(-4, -1.5), in that order, and solves
 u0 = sin(pi x), f = x (1 - x) cos t on (0, 1) for --steps steps at tol
 1e-12, tight enough that the counts measure the solver more than the
-stopping rule. Every run takes the kernel exponential_kernel(lambda).
+stopping rule. Every run takes the kernel KernelSpec(lambda).
 Every other run (odd i) declares f as a SeparableForcing, the others pass
 it as a plain callable, so both load paths are sampled with the same
 draws. plapmem is imported from src/ of this script's checkout. With
@@ -53,9 +53,9 @@ def solve_all(src, problems, scheme, n_steps):
     sys.path.insert(0, str(src))
     import numpy as np
     import plapmem
-    from plapmem import (FixedPointDivergenceError, PlapmemError, ProblemSpec,
-                         SeparableForcing, SolverConfig, build_uniform_mesh,
-                         exponential_kernel, march)
+    from plapmem import (FixedPointDivergenceError, KernelSpec, PlapmemError,
+                         ProblemSpec, SeparableForcing, SolverConfig,
+                         build_uniform_mesh, march)
     if Path(plapmem.__file__).resolve().parent != (Path(src) / "plapmem").resolve():
         raise ImportError(f"imported plapmem from {plapmem.__file__}, not {src}")
 
@@ -64,7 +64,7 @@ def solve_all(src, problems, scheme, n_steps):
     for i, prob in enumerate(problems):
         delta = prob["delta"]
         problem = ProblemSpec(a=0.0, b=1.0, horizon=delta * n_steps, p=prob["p"],
-                              kernel=exponential_kernel(prob["lam"]),
+                              kernel=KernelSpec(prob["lam"]),
                               u0=lambda x: np.sin(np.pi * np.asarray(x, dtype=float)),
                               f=separable if i % 2 else
                               lambda x, t: np.asarray(x) * (1 - np.asarray(x)) * np.cos(t))
