@@ -276,6 +276,15 @@ class TestStateHistory:
         assert "shape (1e+08, 1000)" in str(err.value)
         assert isinstance(err.value.__cause__, MemoryError)
 
+    def test_loads_allocated_at_first_read_as_zeros(self):
+        hist = StateHistory(2, 3, 0.1)
+        assert "loads" not in vars(hist)
+        loads = hist.loads
+        assert loads.shape == (5, 2) and not loads.any()
+        loads[4] = 1.0
+        assert hist.loads is loads
+        assert np.array_equal(hist.loads[4], [1.0, 1.0])
+
 
 def random_history(n_steps, delta, n_dofs=3, seed=5):
     rng = np.random.default_rng(seed)
@@ -294,6 +303,38 @@ def tridiagonal_mass(n_dofs):
     bands[0] = 4.0 / 6.0
     bands[1, :-1] = 1.0 / 6.0
     return BandedSymMatrix(bands)
+
+
+class TestStepPrefix:
+    """The direct sums of step k read levels 0..k+1 and loads 0..k+1 only:
+    rows past them turned to NaN leave the results bitwise the same."""
+
+    @pytest.mark.parametrize("which", ["history_sum", "i_f", "memory_residual"])
+    def test_rows_past_step_not_read(self, which):
+        n_steps, delta, k = 6, 0.1, 2
+        hist = random_history(n_steps, delta)
+        poisoned = StateHistory(hist.n_dofs, n_steps, delta)
+        poisoned.u[:], poisoned.y[:] = hist.u, hist.y
+        poisoned.k = hist.k
+        loads = hist.loads.copy()
+        loads[k + 2:] = np.nan
+        kernel = KernelSpec(1.3)
+        if which == "history_sum":
+            poisoned.y[k + 1:] = np.nan
+            def total(h, _):
+                return history_sum(h.y, k, delta, kernel.g, float(kernel.g(0.0)))[0]
+        elif which == "i_f":
+            def total(_, ld):
+                return i_f(ld, k, delta, kernel, "literal")
+        else:
+            poisoned.u[k + 2:] = np.nan
+            poisoned.y[k + 2:] = np.nan
+            mass = tridiagonal_mass(hist.n_dofs)
+            def total(h, ld):
+                return memory_residual(h, k, ld, kernel, mass)
+        out = total(poisoned, loads)
+        assert np.all(np.isfinite(out))
+        assert np.array_equal(out, total(hist, hist.loads))
 
 
 class TestRecursiveHistory:
