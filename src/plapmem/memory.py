@@ -20,7 +20,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -192,68 +191,99 @@ def relation_coefficients(g0: float, gp0: float, delta: float):
     return alpha, -(0.5 * g0 + (delta / 8.0) * gp0)
 
 
+#: Steps whose coefficient matrices a MemoryBlock forms at a time, 4R
+#: floats each for R rows: 12 kB at R = 6 (f = 0). A table for the whole
+#: run would take 0.23 MB at R = 6 over 1200 steps, a third of the u and y
+#: history of such a run at 39 unknowns. Formed 64 steps at a time, a
+#: step's matrix costs about a sixth of forming it alone (0.3 against 1.7
+#: us on the 2-CPU VM of README "Performance").
+_TABLE_STEPS = 64
+
+
 class MemoryBlock:
     """The rows one march with g = lam*exp(-s) carries from step to step.
 
     rows = [U_k, Y_k, S_{k-1}, H_{k-1}, U_0, M^{-1}L_0, R_1..R_T], with S
     the discounted sum over Y + U, H = M^{-1}G that over the half-step
-    loads (both start at zero), and c @ R = M^{-1}L_{k+1/2}; stepper.StepPlan
-    fills the solved loads rows[5:]. relation(c) forms step k's z and v by
-    one product, and accept moves the block to level k+1. alpha is checked
-    once, here; the mode is the caller's to check (SolverConfig does).
+    loads (both start at zero), and coefficients[k] @ R = M^{-1}L_{k+1/2}
+    for coefficients of shape (steps, T): a SeparableForcing's time
+    coefficients with its solved profiles as R (T = 0 for f = 0), or a
+    column of ones and one R row that the caller writes into rows[6] before
+    each relation. loads, M^{-1}L_0 and any solved profiles, fill rows[5:]
+    of both buffers. Step k's 4 x (6 + T) coefficient matrix is
+    table[k % _TABLE_STEPS], formed _TABLE_STEPS steps at a time.
+    relation() forms z, v, S_k and H_k by one product into the spare
+    buffer, next_y(U) forms Y_{k+1} there in place of v, and accept(U)
+    writes U there and swaps the buffers. alpha is checked once, here; the
+    mode is the caller's to check (SolverConfig does).
     """
 
-    def __init__(self, lam: float, delta: float, mode: str,
-                 u0: np.ndarray, y0: np.ndarray, n_load_rows: int):
+    def __init__(self, lam: float, delta: float, mode: str, u0: np.ndarray,
+                 y0: np.ndarray, coefficients: np.ndarray, loads: np.ndarray):
         self.lam, self.delta, self.k = lam, delta, 0
         self.alpha, self.beta = relation_coefficients(lam, -lam, delta)
-        self.rows = np.zeros((6 + n_load_rows, len(u0)))
-        self.rows[0] = self.rows[4] = u0
-        self.rows[1] = y0
-        # coef = base * scale, scale = (1, 1, 1, 1, g_half, g_half, c) for
-        # g_half = g(t_{k+1/2}): U_0's and M^{-1}L_0's columns of base are
-        # per unit of g_half, and the load columns per unit of c
-        self.coef = np.zeros((4, len(self.rows)))
-        self._base = np.zeros_like(self.coef)
-        self._scale = np.ones(len(self.rows))
-        ratio = delta / self.alpha
-        self._base[:2, 4:6] = ((-1.0, -delta / 4.0), (-ratio, -ratio * delta / 4.0))
+        self.coefficients = coefficients
+        self.rows = np.zeros((6 + coefficients.shape[1], len(u0)))
+        self.rows[[0, 1, 4]] = u0, y0, u0
+        self.rows[5:5 + len(loads)] = loads
+        self._spare = self.rows.copy()
         # i_f's share of the newest load beyond its trapezoid weight
-        self._newest = -0.5 * delta if mode == "consistent" else 0.5 * delta
-        self._weights(delta / 2.0, 3.0 * delta / 4.0)
+        newest = -0.5 * delta if mode == "consistent" else 0.5 * delta
+        # step 0's weights, then those of every later step
+        self._bases = np.array([self._base(w, w_load, newest) for w, w_load
+                                in ((delta / 2.0, 3.0 * delta / 4.0), (delta, delta))])
+        self._tabulate()
 
-    def _weights(self, w: float, w_load: float):
-        """The coefficients that hold from step k on: w is level k's weight
-        in S_k, w_load that of L_{k+1/2} in G_k (both delta from k = 1)."""
+    def _base(self, w: float, w_load: float, newest: float) -> np.ndarray:
+        """Coefficients per unit of scale = (1, 1, 1, 1, g_half, g_half, c)
+        for g_half = g(t_{k+1/2}) and c step k's load coefficients: w is
+        level k's weight in S_k, w_load that of L_{k+1/2} in G_k."""
         lam, delta, decay = self.lam, self.delta, math.exp(-self.delta)
         ratio, half = delta / self.alpha, math.exp(-0.5 * delta)
+        base = np.zeros((4, len(self.rows)))
         # z = s - M^{-1}F, with the history's weight on Y_k + U_k shared;
         # v = 2 U_k + delta Y_k + (delta/alpha) z + 2 delta M^{-1}L_{k+1/2}
         shared = lam * (half * (w - delta / 4.0) + delta / 8.0)
         z = np.array([0.5 * lam - shared, -0.5 - shared, -lam * half * decay, -lam * decay])
-        self._base[:, :4] = (z, ratio * z + (2.0, delta, 0.0, 0.0),
-                             (w, w, decay, 0.0), (0.0, 0.0, 0.0, decay))
-        newest = -lam * (w_load + self._newest)
-        self._base[:, 6:] = [[newest], [ratio * newest + 2.0 * delta], [0.0], [w_load]]
+        base[:, :4] = (z, ratio * z + (2.0, delta, 0.0, 0.0),
+                       (w, w, decay, 0.0), (0.0, 0.0, 0.0, decay))
+        base[:2, 4:6] = ((-1.0, -delta / 4.0), (-ratio, -ratio * delta / 4.0))
+        newest = -lam * (w_load + newest)
+        base[:, 6:] = [[newest], [ratio * newest + 2.0 * delta], [0.0], [w_load]]
+        return base
 
-    def relation(self, c: Optional[np.ndarray]):
-        """(z, v) of step k, with c @ R = M^{-1}L_{k+1/2} (None: no R rows)."""
-        scale = self._scale
-        scale[4:6] = self.lam * math.exp(-(self.k + 0.5) * self.delta)
-        if c is not None:
-            scale[6:] = c
-        np.multiply(self._base, scale, out=self.coef)
-        self._product = self.coef @ self.rows
-        return self._product[0], self._product[1]
+    def _tabulate(self):
+        """table: base * scale of steps k .. k + _TABLE_STEPS - 1, up to the
+        last row of coefficients. An entry that overflows is left non-finite,
+        silently: the step that reads it gets a non-finite Y, which cn_step
+        reports with the step's index."""
+        k, c = self.k, self.coefficients[self.k:self.k + _TABLE_STEPS]
+        g_half = [self.lam * math.exp(-(j + 0.5) * self.delta) for j in range(k, k + len(c))]
+        scale = np.column_stack((np.ones((len(c), 4)), g_half, g_half, c))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.table = self._bases[np.arange(k, k + len(c)).clip(max=1)] * scale[:, None]
 
-    def accept(self, u: np.ndarray, y: np.ndarray):
-        """Move to level k+1 = (u, y), with the sums of the last relation."""
-        self.rows[0] = u
-        self.rows[1] = y
-        self.rows[2:4] = self._product[2:4]
+    def relation(self):
+        """(z, v) of step k, rows 0 and 1 of the spare buffer."""
+        product = np.matmul(self.table[self.k % _TABLE_STEPS], self.rows,
+                            self._spare[:4])
+        return product[0], product[1]
+
+    def next_y(self, u: np.ndarray) -> np.ndarray:
+        """Y_{k+1} = (z - beta*U)/alpha of the last relation's z, formed in
+        place of its v."""
+        y = self._spare[1]
+        np.multiply(u, self.beta, y)
+        np.subtract(self._spare[0], y, y)
+        return np.divide(y, self.alpha, y)
+
+    def accept(self, u: np.ndarray):
+        """Move to level k+1 = (u, next_y(u)), with the last relation's sums."""
+        self._spare[0] = u
+        self.rows, self._spare = self._spare, self.rows
         self.k += 1
-        if self.k == 1:
-            self._weights(self.delta, self.delta)
+        if self.k % _TABLE_STEPS == 0:
+            self._tabulate()
 
 
 def memory_residual(hist: StateHistory, k: int, loads: np.ndarray,

@@ -26,14 +26,18 @@ Per run, a StepPlan forms alpha, beta, the slope and the scheme's flags,
 c*M, the factored system where it cannot change (p = 2, slope 0), a
 SeparableForcing's time coefficients at every half-step time, and the
 memory block of the kernel lam*exp(-s) (see memory), with M^{-1}L_0 and
-the forcing's profile loads in one mass solve. Per step: one small dense
-product of that block; one banded product, M*v; one mass solve for a
-forcing that is not a SeparableForcing. Per iteration: one
-p-Laplacian assembly (two bands for Newton with eps > 0, none for p = 2),
-one product for the right-hand side (two for Newton with eps > 0) and one
-banded solve (one LAPACK driver call on the assembled band, or a solve
-with the run's factor), and one product for U's squared M-norm increment,
-which one ddot call reduces.
+the forcing's profile loads in one mass solve; the block tabulates its
+coefficient matrices 64 steps at a time. Per step: one small dense
+product of that block, with the step's matrix from its table, into the
+block's spare buffer, where Y is then formed by three in-place
+elementwise operations and U copied, allocating nothing; one banded
+product, M*v; one mass solve for a forcing that is not a
+SeparableForcing. Per iteration: one p-Laplacian assembly (two bands for
+Newton with eps > 0, none for p = 2), one product for the right-hand
+side (two for Newton with eps > 0) and one banded solve (one LAPACK
+driver call on the assembled band, or a solve with the run's factor),
+and one product for U's squared M-norm increment, which one ddot call
+reduces.
 A product is one dsbmv call that takes its scale and the vector it adds
 onto, so the right-hand side M*v + delta*A(w)(...) is formed inside the
 call. For p = 2 with slope 1 the first solve is the step's exact
@@ -213,15 +217,16 @@ class StepPlan:
         load0 = asm.load(0.0)       # first, so that an f bad at t = 0 is named there
         self.coefficients = forcing.coefficients(
             (np.arange(hist.n_steps) + 0.5) * delta) if separable else None
-        self.block = block = MemoryBlock(kernel.lam, delta, cfg.quadrature_mode,
-                                         hist.u[0], hist.y[0],
-                                         len(forcing.terms) if separable else 1)
+        if separable and not forcing.terms:     # f = 0: M^{-1}L_0 = L_0 = 0
+            loads = load0[None]
+        else:       # M^{-1}L_0, with a SeparableForcing's profiles, in one solve
+            loads = asm.mass_factor.solve(
+                (np.vstack((load0, asm.profiles(0.0))) if separable else load0[None]).T).T
+        self.block = block = MemoryBlock(
+            kernel.lam, delta, cfg.quadrature_mode, hist.u[0], hist.y[0],
+            np.ones((hist.n_steps, 1)) if self.coefficients is None else self.coefficients,
+            loads)
         self.alpha, self.beta = block.alpha, block.beta
-        if not separable:
-            block.rows[5] = asm.mass_factor.solve(load0)
-        elif forcing.terms:     # L_0 with the profiles; f = 0: no load rows
-            block.rows[5:] = asm.mass_factor.solve(
-                np.vstack((load0, asm.profiles(0.0))).T).T
         self.y_gain = (self.beta / self.alpha) ** 2   # dY = -(beta/alpha) dU
         self.linear = p == 2.0      # diffusion matrix independent of the state
         self.slope = {"A": 1.0, "B": 0.0, "N": p - 1.0}[cfg.scheme]
@@ -247,11 +252,10 @@ def step_relation(plan: StepPlan):
     row k of the plan's coefficients times its solved profiles; any other
     f's load L_{k+1/2} is assembled and solved into the block.
     """
-    k, block = plan.hist.k, plan.block
     if plan.coefficients is None:
-        block.rows[6] = plan.asm.mass_factor.solve(plan.asm.load((k + 0.5) * plan.cfg.delta))
-        return block.relation(np.ones(1))
-    return block.relation(plan.coefficients[k])
+        plan.block.rows[6] = plan.asm.mass_factor.solve(
+            plan.asm.load((plan.hist.k + 0.5) * plan.cfg.delta))
+    return plan.block.relation()
 
 
 def predicted_start(plan: StepPlan) -> Optional[np.ndarray]:
@@ -293,7 +297,8 @@ def cn_step(plan: StepPlan):
     iteration from it stalls; every other iteration starts from U^k. From
     iteration _STALL_GRACE on, an increment ratio >= _STALL_RATIO relaxes
     the later updates, u + omega*(u_next - u) with omega /= 1 + sqrt(ratio);
-    tol bounds the plain map's increment whatever omega is. Where the map
+    tol bounds the plain map's increment whatever omega is, and the step
+    accepts that map's iterate u_next, relaxed or not. Where the map
     does not depend on the iterate (plan.one_solve: p = 2, slope 1), the
     later iterations keep the first one's u_next: no right-hand side, no
     solve, and an increment of exactly 0 recorded without its product, as
@@ -307,11 +312,12 @@ def cn_step(plan: StepPlan):
     U whose Y is not finite, with a LinearSolveError naming the step and
     the iteration. march silences numpy's overflow and invalid warnings for
     its steps; a caller that drives cn_step itself enters that np.errstate
-    too, or sees the warnings of an overflowing iterate.
+    too, or sees the warnings of an overflowing iterate. The returned U and
+    Y are the history's new level, not the memory block's buffers.
     """
     hist, cfg, asm, factor, slope = plan.hist, plan.cfg, plan.asm, plan.factor, plan.slope
-    k, delta, alpha, beta = hist.k, cfg.delta, plan.alpha, plan.beta
-    z, v = step_relation(plan)
+    k, delta = hist.k, cfg.delta
+    v = step_relation(plan)[1]      # z stays in the block, for its next_y
     mass, u_prev = asm.mass, hist.u[k]
     rhs_step = mass.matvec(v)       # the U-block's right-hand side, less A's term
     # a_mid is A at the iterate's midpoint; lhs_stiff the stiffness band of
@@ -366,16 +372,16 @@ def cn_step(plan: StepPlan):
         if prev_total is not None and prev_total > 0.0:
             ratios.append(total / prev_total)
         prev_total = total
-        u_it = u_it + omega * du if relaxed else u_next
-        if inc_u < cfg.tol and inc_y < cfg.tol:
-            y_new = (z - beta * u_it) / alpha
+        if inc_u < cfg.tol and inc_y < cfg.tol:     # accept the iterate tol measured
+            y_new = plan.block.next_y(u_next)
             if not all_finite(y_new):
                 raise LinearSolveError(f"step {k}, iteration {iteration}: the memory "
                                        "relation gives a non-finite Y")
-            hist.append(u_it, y_new)
-            plan.block.accept(u_it, y_new)
-            return u_it, y_new, StepDiagnostics(iteration, inc_u, inc_y, tuple(ratios),
-                                                relaxed, restarted)
+            hist.append(u_next, y_new)
+            plan.block.accept(u_next)
+            return u_next, hist.y[k + 1], StepDiagnostics(iteration, inc_u, inc_y,
+                                                          tuple(ratios), relaxed, restarted)
+        u_it = u_it + omega * du if relaxed else u_next
         if iteration - begun >= _STALL_GRACE and ratios[-1] >= _STALL_RATIO:
             if start is not None:       # restart once, from the previous level
                 start = None

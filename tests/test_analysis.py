@@ -154,6 +154,21 @@ class TestSupportGap:
         mesh = build_uniform_mesh(-1, 0, 4, 1)
         assert support_gap(mesh, np.ones(mesh.n_nodes), 1e-8) is None
 
+    @pytest.mark.parametrize("value", [1e-3, -1e-3, np.nextafter(1e-3, 0.0),
+                                       -np.nextafter(1e-3, 0.0), 0.0, -0.0,
+                                       np.inf, -np.inf, np.nan])
+    def test_threshold_test_is_strict_magnitude(self, value):
+        # support_series' u < eta and u > -eta against |u| < eta, at eta =
+        # 1e-3, for the value at the centre node and at its right neighbour
+        mesh = build_uniform_mesh(-1, 1, 10, 1)
+        levels = np.zeros((2, mesh.n_interior))
+        centre = int(np.argmin(np.abs(mesh.nodes))) - 1
+        levels[0, centre] = levels[1, centre + 1] = value
+        below = bool(np.abs(value) < 1e-3)
+        gaps = analysis.support_series(mesh, levels, 1e-3)
+        assert (gaps[0] is not None) == below
+        assert gaps[1] == (-1.0, 1.0 if below else 0.0)
+
     def test_threshold_must_be_positive(self):
         mesh = build_uniform_mesh(-1, 1, 10, 1)
         with pytest.raises(ValueError):
@@ -369,9 +384,18 @@ class TestRunRecord:
     def test_blocked_record_matches_levels(self, runs, monkeypatch, name,
                                            block_levels):
         problem, mesh, cfg, asm, hist, diags = runs[name]
-        if block_levels is not None:    # 151 and 21 levels: a partial last block
-            monkeypatch.setattr(analysis, "_BLOCK_BYTES", 8 * mesh.n_nodes * block_levels)
+        blocks, series = [], analysis.support_series
+        monkeypatch.setattr(analysis, "support_series", lambda mesh, levels, eta: (
+            blocks.append(len(levels)) or series(mesh, levels, eta)))
+        if block_levels is not None:
+            # one byte per node and level: 151 levels end in a partial block
+            # of 3 (4 levels a block) or 4 (7 a block), 21 in one of 1 (4)
+            monkeypatch.setattr(analysis, "_BLOCK_BYTES", mesh.n_nodes * block_levels)
         run = analysis.build_run_output(problem, mesh, asm, hist, diags)
+        assert sum(blocks) == len(hist.u)
+        if block_levels is not None:
+            full, rest = divmod(len(hist.u), block_levels)
+            assert blocks == [block_levels] * full + [rest] * (rest > 0)
         # the band form rounds differently from a product and a dot per level
         energies = np.array([float(u @ asm.mass.matvec(u)) for u in hist.u])
         assert np.allclose(run.energies, energies, rtol=1e-13, atol=0.0)
@@ -390,7 +414,7 @@ class TestRunRecord:
         mass = assemble_mass(mesh, gauss_legendre(default_quad_points(r)))
         u = np.random.default_rng(10 * m + r).standard_normal((7, mesh.n_interior))
         # 3 levels per block: 7 levels end in a partial block
-        monkeypatch.setattr(analysis, "_BLOCK_BYTES", 8 * mesh.n_nodes * 3)
+        monkeypatch.setattr(analysis, "_BLOCK_BYTES", mesh.n_nodes * 3)
         hist = SimpleNamespace(u=u, y=u, times=np.arange(7.0))
         run = analysis.build_run_output(asymptotics_problem(2.0, 0.0), mesh,
                                         SimpleNamespace(mass=mass), hist, [])

@@ -6,9 +6,10 @@ import pytest
 import plapmem.memory
 from fe_oracles import to_dense
 from memory_oracles import (Kernel, coefficients, direct_relation,
-                            memory_equation, relation_rhs)
-from plapmem import (ConfigError, IllPosedStepError, KernelSpec, SolverConfig,
-                     build_uniform_mesh, manufactured_example1, march, stepper)
+                            memory_equation, relation_rhs, step_coefficients)
+from plapmem import (ConfigError, IllPosedStepError, KernelSpec, SeparableForcing,
+                     SolverConfig, build_uniform_mesh, manufactured_example1, march,
+                     stepper)
 from plapmem.banded import BandedSymMatrix
 from plapmem.memory import (MemoryBlock, StateHistory, forcing_weights,
                             history_sum, i_f, memory_residual, volterra_weights)
@@ -225,10 +226,14 @@ class TestMemoryEquation:
 
 class TestExponentialKernel:
     def test_derivative_identity(self):
+        # gp against a central difference of g on the same lags, over the
+        # steps the rounded lags really take: a gp of the wrong sign or
+        # scale fails, where gp + g, which is 0 by gp's definition, cannot
         kernel = KernelSpec(2.5)
-        rng = np.random.default_rng(19)
-        lags = rng.uniform(0, 10, size=1000)
-        assert np.max(np.abs(kernel.gp(lags) + kernel.g(lags))) < 1e-14
+        lags = np.random.default_rng(19).uniform(0, 10, size=1000)
+        above, below = lags + 1e-5, lags - 1e-5
+        central = (kernel.g(above) - kernel.g(below)) / (above - below)
+        assert np.all(np.abs(kernel.gp(lags) - central) <= 1e-9 * kernel.g(lags))
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, None, "2.0", True],
                              ids=["nan", "inf", "-inf", "None", "str", "bool"])
@@ -345,21 +350,23 @@ class TestRecursiveHistory:
     def test_rhs_matches_direct_over_long_march(self, lam, mode):
         # z and M*v of MemoryBlock.relation, with the newest load as its one
         # R row, against the direct sums and the step's unreduced right-hand
-        # side M(2U_k + delta Y_k + (delta/alpha) z) + 2 delta L_{k+1/2}
+        # side M(2U_k + delta Y_k + (delta/alpha) z) + 2 delta L_{k+1/2};
+        # each accepted level is the random history's, its Y written over
+        # the one next_y forms
         n_steps, delta = 2000, 1e-3
         hist = random_history(n_steps, delta)
         mass = tridiagonal_mass(hist.n_dofs)
         dense = to_dense(mass)
         solved = np.linalg.solve(dense, hist.loads.T).T
         kernel = KernelSpec(lam)
-        block = MemoryBlock(lam, delta, mode, hist.u[0], hist.y[0], 1)
-        block.rows[5:] = solved[:2]
+        block = MemoryBlock(lam, delta, mode, hist.u[0], hist.y[0],
+                            np.ones((n_steps, 1)), solved[:1])
         alpha, beta = coefficients(kernel, delta)
         assert (block.alpha, block.beta) == (alpha, beta)
         worst = 0.0
         for k in range(n_steps):          # k = 0 included
             block.rows[6] = solved[k + 1]
-            z, v = block.relation(np.ones(1))
+            z, v = block.relation()
             ref = memory_equation(hist, k, hist.loads, kernel, mode)
             z_ref = np.linalg.solve(dense, relation_rhs(*ref, mass))
             mv_ref = (mass.matvec(2.0 * hist.u[k] + delta * hist.y[k]
@@ -367,7 +374,8 @@ class TestRecursiveHistory:
                       + 2.0 * delta * hist.loads[k + 1])
             for fast, slow in ((z, z_ref), (mass.matvec(v), mv_ref)):
                 worst = max(worst, np.max(np.abs(fast - slow)) / np.max(np.abs(slow)))
-            block.accept(hist.u[k + 1], hist.y[k + 1])
+            block.next_y(hist.u[k + 1])[:] = hist.y[k + 1]
+            block.accept(hist.u[k + 1])
         assert block.k == n_steps
         assert worst <= 1e-12
 
@@ -431,6 +439,43 @@ class TestRecursiveHistory:
                                                                rel=1e-15)
 
 
+class TestCoefficientTable:
+    """A march's tabulated coefficient matrices against the per-step formula
+    they replaced (memory_oracles.step_coefficients), bit for bit: at k = 0,
+    across table boundaries and up to a last table cut short, for f = 0,
+    SeparableForcings of one and two terms, and a plain callable f."""
+
+    FORCINGS = {
+        "zero": SeparableForcing(),
+        "one-term": SeparableForcing(((np.sin, np.cos),)),
+        "two-terms": SeparableForcing(((np.sin, np.cos), (lambda x: x * x, np.exp))),
+        "callable": lambda x, t: np.sin(x) * np.cos(t),
+    }
+
+    @pytest.mark.parametrize("mode", ["consistent", "literal"])
+    @pytest.mark.parametrize("table_steps,n_steps", [(64, 131), (64, 128), (5, 131)])
+    @pytest.mark.parametrize("forcing", list(FORCINGS))
+    def test_table_matches_per_step_formula(self, monkeypatch, forcing, table_steps,
+                                            n_steps, mode):
+        monkeypatch.setattr(plapmem.memory, "_TABLE_STEPS", table_steps)
+        lam, delta = -3.0, 1e-3
+        mesh = build_uniform_mesh(0, 1, 4, 1)
+        cfg = SolverConfig(p=2.0, delta=delta, n_steps=n_steps, quadrature_mode=mode)
+        asm = Assembler(mesh, gauss_legendre(3), cfg.flux_params(), self.FORCINGS[forcing])
+        hist = StateHistory(mesh.n_interior, n_steps, delta)
+        hist.set_initial(np.sin(np.pi * mesh.nodes[1:-1]))
+        plan = StepPlan(hist, KernelSpec(lam), cfg, asm)
+        block = plan.block
+        for k in range(n_steps):
+            c = np.ones(1) if plan.coefficients is None else plan.coefficients[k]
+            expected = step_coefficients(lam, delta, mode, k, c)
+            assert np.array_equal(block.table[k % table_steps], expected)
+            z, v = stepper.step_relation(plan)
+            assert np.array_equal(np.stack((z, v)), (expected @ block.rows)[:2])
+            stepper.cn_step(plan)
+        assert block.k == n_steps and len(block.table) == n_steps % table_steps
+
+
 class TestParasiticRoot:
     """The step's amplification per mode at p = 2, f = 0, as an oracle.
 
@@ -446,11 +491,9 @@ class TestParasiticRoot:
 
     @staticmethod
     def step_matrix(lam, delta, mu):
-        block = MemoryBlock(lam, delta, "consistent", np.zeros(1), np.zeros(1), 0)
-        block.relation(None)
-        block.accept(np.zeros(1), np.zeros(1))
-        block.relation(None)        # the coefficients of step 1 on
-        z, v, s = block.coef[:3, :3]
+        block = MemoryBlock(lam, delta, "consistent", np.zeros(1), np.zeros(1),
+                            np.zeros((2, 0)), np.zeros((0, 1)))
+        z, v, s = block.table[1][:3, :3]        # the coefficients of step 1 on
         alpha, beta = block.alpha, block.beta
         u_row = (v - (delta * mu, 0.0, 0.0)) / (2.0 + delta * beta / alpha + delta * mu)
         return np.array([u_row, (z - beta * u_row) / alpha, s])

@@ -54,6 +54,7 @@ def test_same_outputs_finds_the_first_differing_level(monkeypatch, capsys):
         record = {"iterations": 2, "increment_u": 0.0, "ratios": (0.5,)}
         return {"u": np.zeros((levels, 3)), "y": np.ones((levels, 3)),
                 "energies": np.zeros(levels),
+                "support": same_outputs.support_array([(-0.5, 0.5)] * levels),
                 "diagnostics": [dict(record) for _ in range(levels - 1)]}
     ours, theirs = saved(), saved()
     assert same_outputs.first_differing_level(ours, theirs) is None
@@ -68,6 +69,12 @@ def test_same_outputs_finds_the_first_differing_level(monkeypatch, capsys):
     assert same_outputs.first_differing_level(ours, theirs) == (2, ["increment_u",
                                                                     "ratios"])
     assert same_outputs.first_differing_level(ours, saved(7)) == (None, ["shape"])
+    # a support gap that moves by one ulp, or is lost, at level 1
+    for gap in ((-0.5, np.nextafter(0.5, 1.0)), None):
+        theirs = saved()
+        theirs["support"] = same_outputs.support_array([(-0.5, 0.5), gap] + [(-0.5, 0.5)] * 4)
+        assert same_outputs.first_differing_level(ours, theirs) == (1, ["support"])
+    assert same_outputs.support_array([]).shape == (0, 2)
     failed = {"lam": 1.0, "error": "LinearSolveError: singular"}
     assert same_outputs.first_differing_level(ours, failed) == (None, ["error"])
     assert same_outputs.first_differing_level(failed, dict(failed)) is None

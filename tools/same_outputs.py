@@ -24,13 +24,14 @@ With --workloads, each checkout instead marches every perfbench workload
 at each seed of --seeds (default 0,3), with its problem, mesh and config
 from this checkout's perfbench/workloads.py (`build`, at the seed's drawn
 lambda), in a child process that imports plapmem from its own src/. The
-u and y of every level, the energies and every step's StepDiagnostics
-field are compared byte for byte, and each workload and seed gets one
-line: the levels all identical, or the first level at which something
-differs and what, with how much u and y change (level_changes). y's
-change is measured against u's scale too: where y is far smaller than u,
-as on fine_mesh, a few-ulp change of u carries over to y in absolute
-terms and would read as a large relative change of y alone.
+u and y of every level, the energies, the support gaps (NaN for a level
+without one) and every step's StepDiagnostics field are compared byte for
+byte, and each workload and seed gets one line: the levels all
+identical, or the first level at which something differs and what, with
+how much u and y change (level_changes). y's change is measured against
+u's scale too: where y is far smaller than u, as on fine_mesh, a few-ulp
+change of u carries over to y in absolute terms and would read as a
+large relative change of y alone.
 """
 
 import argparse
@@ -52,7 +53,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOLVE_CONFIG = {"domain": [0, 1], "p": 4, "lambda": 1, "T": 0.05, "r": 2, "m": 8,
                 "N": 50}
 #: The per-level arrays a workload march is compared by, with its step records.
-LEVEL_FIELDS = ("u", "y", "energies")
+LEVEL_FIELDS = ("u", "y", "energies", "support")
 
 
 def jobs(examples):
@@ -122,9 +123,15 @@ def march_workloads(src, workdir, seeds):
                 saved["error"] = f"{type(exc).__name__}: {exc}"
             else:
                 saved.update(u=run.u, y=run.y, energies=run.energies,
+                             support=support_array(run.support),
                              diagnostics=[d._asdict() for d in run.diagnostics])
             with open(Path(workdir) / f"{name}-seed{seed}.pickle", "wb") as file:
                 pickle.dump(saved, file)
+
+
+def support_array(support) -> np.ndarray:
+    """RunOutput.support as a (levels, 2) float array, NaN for no gap."""
+    return np.array([gap or (np.nan, np.nan) for gap in support], dtype=float).reshape(-1, 2)
 
 
 def workload_runs(src, seeds):
