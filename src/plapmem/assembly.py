@@ -15,7 +15,7 @@ import numpy as np
 
 from .banded import BandedSymMatrix
 from .errors import ConfigError
-from .mesh import Mesh1D, QuadratureRule, full_coefficients
+from .mesh import Mesh1D, QuadratureRule, full_coefficients, is_real
 
 #: Regularization used for the singular range p < 2 when none is given.
 DEFAULT_EPSILON_SINGULAR = 1e-8
@@ -29,11 +29,11 @@ class FluxParams:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.p) or self.p <= 1.0:
+        if not is_real(self.p) or not np.isfinite(self.p) or self.p <= 1.0:
             raise ConfigError("p", f"exponent must satisfy p > 1, got {self.p}")
         # eps ** 2 is finite exactly up to this bound (past it a float's **
         # raises OverflowError); unlike eps * eps, comparing warns for no type
-        if not 0.0 <= self.epsilon <= math.sqrt(sys.float_info.max):
+        if not is_real(self.epsilon) or not 0.0 <= self.epsilon <= math.sqrt(sys.float_info.max):
             raise ConfigError("epsilon", f"must be >= 0 with a finite square, "
                               f"got {self.epsilon}")
         if self.p < 2.0 and self.epsilon == 0.0:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 from typing import List
 
 from .errors import ConfigError
-from .mesh import build_uniform_mesh, default_quad_points
+from .mesh import build_uniform_mesh, default_quad_points, is_real
 from .stepper import SolverConfig
 
 _KNOWN_FIELDS = {
@@ -37,9 +37,9 @@ def _require(raw: dict, key: str):
 
 
 def _as_number(key, value, *, integer=False):
-    """A JSON number (an int or float, not a bool) as a finite float, or as
-    an int with integer=True; the one number rule of a config."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A JSON number (is_real: an int or float, not a bool) as a finite
+    float, or as an int with integer=True."""
+    if not is_real(value):
         raise ConfigError(key, f"expected a number, got {value!r}")
     # before int() or float(): JSON admits NaN, Infinity and ints past 1e308
     if not abs(value) <= sys.float_info.max:

@@ -17,7 +17,6 @@ the step index k, so any prefix of a history is summed in place.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,6 +25,7 @@ import numpy as np
 from .assembly import _pointwise
 from .banded import BandedSymMatrix
 from .errors import ConfigError, IllPosedStepError
+from .mesh import is_real
 
 QUADRATURE_MODES = ("consistent", "literal")
 
@@ -49,8 +49,7 @@ class KernelSpec:
 
     def __post_init__(self):
         lam = self.lam
-        if (isinstance(lam, bool) or not isinstance(lam, numbers.Real)
-                or not math.isfinite(lam)):
+        if not is_real(lam) or not math.isfinite(lam):
             raise ConfigError("kernel", f"lam must be a finite real number, got {lam!r}")
         object.__setattr__(self, "lam", float(lam))
 

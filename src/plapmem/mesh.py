@@ -7,6 +7,7 @@ freedom. Local-to-global numbering is contiguous: element e owns global
 nodes e*r .. e*r + r, so neighbouring elements share exactly one node.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,12 @@ class QuadratureRule:
 def is_count(value) -> bool:
     """True for an int or numpy integer that is not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for a real number (an int, a float or a numpy one) that is not a
+    bool; the one number rule of every entry point."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def default_quad_points(r: int, requested=None) -> int:

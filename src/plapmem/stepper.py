@@ -66,7 +66,7 @@ from .errors import ConfigError, FixedPointDivergenceError, LinearSolveError
 from .memory import (KernelSpec, MemoryBlock, StateHistory, check_mode,
                      memory_residual)
 from .mesh import (Mesh1D, QuadratureRule, default_quad_points, gauss_legendre,
-                   is_count)
+                   is_count, is_real)
 
 SCHEMES = ("auto", "A", "B", "N")
 
@@ -113,6 +113,9 @@ class SolverConfig:
     quadrature_mode: str = "consistent"
 
     def __post_init__(self):
+        for name, value in (("p", self.p), ("delta", self.delta), ("tol", self.tol)):
+            if not is_real(value):
+                raise ConfigError(name, f"expected a real number, got {value!r}")
         if not np.isfinite(self.delta) or self.delta <= 0.0:
             raise ConfigError("delta", f"time step must be positive, got {self.delta}")
         if not is_count(self.n_steps) or self.n_steps < 1:
@@ -430,20 +433,25 @@ def march(problem: "analysis.ProblemSpec", mesh: Mesh1D,
     return analysis.build_run_output(problem, mesh, asm, hist, diagnostics)
 
 
+def assembled_loads(asm: Assembler, k: int, delta: float) -> np.ndarray:
+    """L_0, L_{1/2}, .., L_{k+1/2} as rows, each assembled anew by asm.load:
+    the loads the direct sums of steps up to k read, which a march does not
+    store."""
+    return np.array([asm.load(t) for t in [0.0] + [(j + 0.5) * delta for j in range(k + 1)]])
+
+
 def step_residuals(hist: StateHistory, k: int, kernel: KernelSpec,
                    cfg: SolverConfig, asm: Assembler):
     """Galerkin residual vectors of the two weak equations across step k.
 
     Evaluates the averaged (non-rearranged) forms with the stored pair and
-    the loads L_0, L_{1/2}, .., L_{k+1/2}, each assembled anew by asm.load
-    (a march stores none), so any sign or bookkeeping slip in the step
-    solver, its loads included, shows up here.
+    the loads of assembled_loads (a march stores none), so any sign or
+    bookkeeping slip in the step solver, its loads included, shows up here.
     """
     if k >= hist.k:
         raise ValueError(f"step {k} not completed yet (history at {hist.k})")
     delta = hist.delta
-    loads = np.array([asm.load(t) for t in
-                      [0.0] + [(j + 0.5) * delta for j in range(k + 1)]])
+    loads = assembled_loads(asm, k, delta)
     mass = asm.mass
     u_new, u_old = hist.u[k + 1], hist.u[k]
     y_new, y_old = hist.y[k + 1], hist.y[k]

@@ -2,10 +2,10 @@
 
 `memory_equation` forms step k's memory relation by the direct O(k)
 trapezoid sums of plapmem.memory for any kernel with g and gp (a `Kernel`
-of two callables, or a KernelSpec), over loads such as `assembled_loads`
-gives, and `direct_relation` is a drop-in for stepper.step_relation that
-takes z and v from those sums and one mass solve, so one cn_step drives
-both marches; `step_coefficients` is the per-step formula of a
+of two callables, or a KernelSpec), over loads such as
+`plapmem.stepper.assembled_loads` gives, and `direct_relation` is a
+drop-in for stepper.step_relation that takes z and v from those sums and
+one mass solve, so one cn_step drives both marches; `step_coefficients` is the per-step formula of a
 MemoryBlock's coefficient matrices:
 
     monkeypatch.setattr(stepper, "step_relation", direct_relation)
@@ -61,14 +61,6 @@ def step_coefficients(lam: float, delta: float, mode: str, k: int, c) -> np.ndar
     scale[4:6] = lam * math.exp(-(k + 0.5) * delta)
     scale[6:] = c
     return base * scale
-
-
-def assembled_loads(asm, k: int, delta: float) -> np.ndarray:
-    """L_0, L_{1/2}, .., L_{k+1/2}, each assembled anew by asm.load: the
-    loads the direct sums of steps up to k read, which a march does not
-    store."""
-    return np.array([asm.load(t) for t in
-                     [0.0] + [(j + 0.5) * delta for j in range(k + 1)]])
 
 
 def memory_equation(hist: StateHistory, k: int, loads, kernel,

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from fe_oracles import to_dense
-from memory_oracles import (assembled_loads, coefficients, direct_relation,
-                            memory_equation, relation_rhs)
+from memory_oracles import coefficients, direct_relation, memory_equation, relation_rhs
 from plapmem import stepper
 from plapmem import (ConfigError, FixedPointDivergenceError, IllPosedStepError,
                      KernelSpec, ProblemSpec, SolverConfig, build_uniform_mesh,
@@ -21,8 +20,8 @@ from plapmem.experiments import asymptotics_problem, propagation_problem
 from plapmem.memory import MemoryBlock, StateHistory
 from plapmem.mesh import default_quad_points, gauss_legendre
 from plapmem.stepper import (_STALL_GRACE, _STALL_RATIO, Assembler,
-                             StepDiagnostics, StepPlan, cn_step, predicted_start,
-                             resolve_scheme, step_relation)
+                             StepDiagnostics, StepPlan, assembled_loads, cn_step,
+                             predicted_start, resolve_scheme, step_relation)
 
 
 def zero_f(x, t):
@@ -90,6 +89,26 @@ class TestSchemeSelection:
         with pytest.raises(ConfigError) as err:
             SolverConfig(p=p, delta=0.1, n_steps=10, scheme=requested)
         assert err.value.field == field
+
+
+class TestNumberRule:
+    @pytest.mark.parametrize("entry, name, value", [
+        ("SolverConfig", "p", "2"), ("SolverConfig", "delta", "a"),
+        ("SolverConfig", "delta", True), ("SolverConfig", "tol", "x"),
+        ("SolverConfig", "tol", True), ("SolverConfig", "epsilon", "1e-8"),
+        ("ProblemSpec", "a", "0"), ("ProblemSpec", "b", None),
+        ("ProblemSpec", "horizon", "1"), ("ProblemSpec", "p", "3"),
+    ], ids=lambda value: repr(value) if not isinstance(value, str) else None)
+    def test_not_a_real_number(self, entry, name, value):
+        # mesh.is_real is the number rule of both entry points: a string,
+        # None or a bool is a ConfigError naming its field, not a TypeError
+        # from a comparison, and True is not read as 1
+        with pytest.raises(ConfigError) as err:
+            if entry == "SolverConfig":
+                SolverConfig(**{"p": 2.0, "delta": 0.1, "n_steps": 10, name: value})
+            else:
+                dataclasses.replace(manufactured_example1(3.0, 1.0), **{name: value})
+        assert err.value.field == {"horizon": "T"}.get(name, name)
 
 
 class TestSolverConfig:
@@ -1408,8 +1427,8 @@ class TestNodalMemoryRelation:
     """step_relation's z and M*v against the dense reduction they replace:
     z = M^{-1}(M*s - F) and M(2U_k + delta Y_k + (delta/alpha) z) +
     2 delta L_{k+1/2}, with F summed directly over load vectors assembled
-    anew (memory_oracles.assembled_loads); through the carried block ("running-sums") and
-    through the direct sums and one mass solve ("direct": step_relation
+    anew (stepper.assembled_loads); through the carried block
+    ("running-sums") and through the direct sums and one mass solve ("direct": step_relation
     replaced by memory_oracles.direct_relation)."""
 
     FORCINGS = {

@@ -1,4 +1,5 @@
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -9,6 +10,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
 import bench_record  # noqa: E402
+import checkout  # noqa: E402
 import interleave  # noqa: E402
 import same_outputs  # noqa: E402
 import sample_runs  # noqa: E402
@@ -111,6 +113,44 @@ def test_interleave_against_its_own_checkout(capsys):
     here, there = (sys.modules[name] for name in interleave.SIDES)
     assert here is not there and here.stepper.march is not there.stepper.march
     assert sys.modules.get("plapmem") is before
+
+
+def test_interleave_counts_a_tie_for_neither_side(monkeypatch, capsys):
+    monkeypatch.setattr(interleave, "timed_solve", lambda *args: 0.25)
+    assert interleave.main(["--against", str(ROOT), "--workload", "growth_damped",
+                            "--rounds", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("won ")[1] for line in lines[1:]] == ["0 of 3", "0 of 3"]
+
+
+def test_load_package_reads_only_the_given_src(tmp_path):
+    folder = tmp_path / "src" / "plapmem"
+    shutil.copytree(ROOT / "src" / "plapmem", folder,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    before = sys.modules.get("plapmem")
+    package = checkout.load_package(tmp_path / "src", "plapmem_copy")
+    loaded = [module for key, module in sys.modules.items()
+              if key.split(".")[0] == "plapmem_copy"]
+    assert len(loaded) == len(list(folder.glob("*.py")))
+    assert {Path(module.__file__).parent for module in loaded} == {folder.resolve()}
+    assert sys.modules.get("plapmem") is before
+    with checkout.as_plapmem(package):
+        from plapmem.stepper import march
+        assert sys.modules["plapmem"] is package and march is package.stepper.march
+    assert sys.modules.get("plapmem") is before
+
+
+def test_load_package_refuses_a_module_from_elsewhere(tmp_path):
+    (tmp_path / "elsewhere").mkdir()
+    (tmp_path / "elsewhere" / "stray.py").write_text("")
+    folder = tmp_path / "src" / "plapmem"
+    folder.mkdir(parents=True)
+    (folder / "__init__.py").write_text(
+        f"__path__.append({str(tmp_path / 'elsewhere')!r})\nfrom . import stray\n")
+    with pytest.raises(ImportError, match=r"plapmem_stray\.stray loaded from .*elsewhere"):
+        checkout.load_package(tmp_path / "src", "plapmem_stray")
+    with pytest.raises(ImportError, match="no plapmem package in"):
+        checkout.load_package(tmp_path / "elsewhere", "plapmem_none")
 
 
 def test_same_outputs_reports_first_differing_byte():

@@ -5,33 +5,34 @@ and report every output that differs between the two.
     python3 tools/same_outputs.py --against ../other-checkout --examples 3
     python3 tools/same_outputs.py --against ../other-checkout --workloads --seeds 0,3
 
-Each checkout runs, in a child process that imports plapmem from its own
-src/, examples 1-4 (or those given with --examples) through `plapmem
-example ID --out out`, one `plapmem solve` of the manufactured problem at
-p = 4, lambda = 1, r = 2, m = 8, N = 50, T = 0.05 into `solve`, and
-`plapmem verify`, all in a fresh temporary directory of that checkout's
-own, so that printed paths are the same on both sides. Every written file
-(the solve's config echo included) and the stdout and exit status of every
-command are then compared byte for byte: an output of one side only, or
-one whose bytes differ, is reported, the latter with its first differing
-byte. A differing CSV file gets a second line that says how much it
-differs: whether its integer columns are identical, and for each float
-column the largest difference between the two sides relative to the
-largest magnitude in that column. The exit status is 0 when everything is
+Each checkout's plapmem is loaded from its own src/ into this process
+(checkout.load_package) and stands in for plapmem while it runs examples
+1-4 (or those given with --examples) through `plapmem example ID --out
+out`, one `plapmem solve` of the manufactured problem at p = 4, lambda = 1,
+r = 2, m = 8, N = 50, T = 0.05 into `solve`, and `plapmem verify`, all in
+a fresh temporary working directory of that checkout's own, so that
+printed paths are the same on both sides. Every written file (the solve's
+config echo included) and the stdout and exit status of every command are
+then compared byte for byte: an output of one side only, or one whose
+bytes differ, is reported, the latter with its first differing byte. A
+differing CSV file gets a second line that says how much it differs:
+whether its integer columns are identical, and for each float column the
+largest difference between the two sides relative to the largest
+magnitude in that column. The exit status is 0 when everything is
 identical and 1 otherwise.
 
-With --workloads, each checkout instead marches every perfbench workload
-at each seed of --seeds (default 0,3), with its problem, mesh and config
-from this checkout's perfbench/workloads.py (`build`, at the seed's drawn
-lambda), in a child process that imports plapmem from its own src/. The
-u and y of every level, the energies, the support gaps (NaN for a level
-without one) and every step's StepDiagnostics field are compared byte for
-byte, and each workload and seed gets one line: the levels all
-identical, or the first level at which something differs and what, with
-how much u and y change (level_changes). y's change is measured against
-u's scale too: where y is far smaller than u, as on fine_mesh, a few-ulp
-change of u carries over to y in absolute terms and would read as a
-large relative change of y alone.
+With --workloads, each checkout's plapmem, loaded the same way, instead
+marches every perfbench workload at each seed of --seeds (default 0,3),
+with its problem, mesh and config from this checkout's
+perfbench/workloads.py (`build`, at the seed's drawn lambda). The u and y
+of every level, the energies, the support gaps (NaN for a level without
+one) and every step's StepDiagnostics field are compared byte for byte,
+and each workload and seed gets one line: the levels all identical, or the
+first level at which something differs and what, with how much u and y
+change (level_changes). y's change is measured against u's scale too:
+where y is far smaller than u, as on fine_mesh, a few-ulp change of u
+carries over to y in absolute terms and would read as a large relative
+change of y alone.
 """
 
 import argparse
@@ -41,15 +42,17 @@ import io
 import json
 import math
 import os
-import pickle
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from checkout import as_plapmem, load_package
+
 ROOT = Path(__file__).resolve().parent.parent
+#: The name each side's plapmem is loaded under, one side at a time.
+PACKAGE = "plapmem_compared"
 SOLVE_CONFIG = {"domain": [0, 1], "p": 4, "lambda": 1, "T": 0.05, "r": 2, "m": 8,
                 "N": 50}
 #: The per-level arrays a workload march is compared by, with its step records.
@@ -63,13 +66,11 @@ def jobs(examples):
                ("verify", ["verify"])])
 
 
-def run_jobs(src, workdir, examples):
-    """Run every job with plapmem imported from src, in workdir; returns
-    {"<name> stdout": text, exit status included} and leaves the written
-    files in workdir."""
-    import_plapmem(src)
+def run_jobs(examples):
+    """Run every job with the plapmem in force, in the working directory;
+    returns {"<name> stdout": text, exit status included} and leaves the
+    written files there."""
     from plapmem.cli import main
-    os.chdir(workdir)
     Path("config.json").write_text(json.dumps(SOLVE_CONFIG), encoding="utf-8")
     stdout = {}
     for name, argv in jobs(examples):
@@ -81,52 +82,20 @@ def run_jobs(src, workdir, examples):
 
 
 def outputs(src, examples):
-    """{name: bytes} of every file and stdout of one checkout's run, from a
-    child process that imports plapmem from src."""
-    with tempfile.TemporaryDirectory() as workdir:
-        child = subprocess.run(
-            [sys.executable, __file__, "--src", str(src), "--workdir", workdir,
-             "--examples", *map(str, examples)],
-            check=True, capture_output=True, text=True)
-        found = {name: text.encode() for name, text
-                 in json.loads(child.stdout.splitlines()[-1]).items()}
+    """{name: bytes} of every file and stdout of one checkout's run, with
+    plapmem loaded from src, in a fresh temporary working directory."""
+    package, cwd = load_package(src, PACKAGE), os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir, as_plapmem(package):
+        os.chdir(workdir)
+        try:
+            found = {name: text.encode() for name, text in run_jobs(examples).items()}
+        finally:
+            os.chdir(cwd)
         for path in sorted(Path(workdir).rglob("*")):
             name = path.relative_to(workdir).as_posix()
             if path.is_file() and name != "config.json":     # the solve's input
                 found[name] = path.read_bytes()
     return found
-
-
-def import_plapmem(src):
-    """plapmem imported from src (an ImportError if another one loads)."""
-    sys.path.insert(0, str(src))
-    import plapmem
-    if Path(plapmem.__file__).resolve().parent != (Path(src) / "plapmem").resolve():
-        raise ImportError(f"imported plapmem from {plapmem.__file__}, not {src}")
-    return plapmem
-
-
-def march_workloads(src, workdir, seeds):
-    """March every perfbench workload at every seed with plapmem from src,
-    pickling each run's levels and step records to
-    workdir/<workload>-seed<s>.pickle; a march that raises leaves its error
-    instead."""
-    plapmem = import_plapmem(src)
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-    for name, workload in workloads.WORKLOADS.items():
-        for seed in seeds:
-            saved = {"lam": workloads.draw_lambda(workload, seed)}
-            try:
-                run = plapmem.stepper.march(*workloads.build(workload, saved["lam"]))
-            except Exception as exc:    # noqa: BLE001 - reported, not raised
-                saved["error"] = f"{type(exc).__name__}: {exc}"
-            else:
-                saved.update(u=run.u, y=run.y, energies=run.energies,
-                             support=support_array(run.support),
-                             diagnostics=[d._asdict() for d in run.diagnostics])
-            with open(Path(workdir) / f"{name}-seed{seed}.pickle", "wb") as file:
-                pickle.dump(saved, file)
 
 
 def support_array(support) -> np.ndarray:
@@ -135,17 +104,27 @@ def support_array(support) -> np.ndarray:
 
 
 def workload_runs(src, seeds):
-    """{file stem: saved march} of march_workloads run on src in a child
-    process."""
-    with tempfile.TemporaryDirectory() as workdir:
-        subprocess.run([sys.executable, __file__, "--src", str(src), "--workdir", workdir,
-                        "--workloads", "--seeds", ",".join(map(str, seeds))],
-                       check=True, capture_output=True, text=True)
-        runs = {}
-        for path in sorted(Path(workdir).glob("*.pickle")):
-            with open(path, "rb") as file:
-                runs[path.stem] = pickle.load(file)
-        return runs
+    """{"<workload>-seed<s>": saved march} of every perfbench workload at
+    every seed, marched by plapmem loaded from src: the drawn lambda with
+    the run's levels and step records, or the error of a march that
+    raises."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    package, runs = load_package(src, PACKAGE), {}
+    with as_plapmem(package):
+        for name, workload in workloads.WORKLOADS.items():
+            for seed in seeds:
+                saved = runs[f"{name}-seed{seed}"] = {
+                    "lam": workloads.draw_lambda(workload, seed)}
+                try:
+                    run = package.stepper.march(*workloads.build(workload, saved["lam"]))
+                except Exception as exc:    # noqa: BLE001 - reported, not raised
+                    saved["error"] = f"{type(exc).__name__}: {exc}"
+                else:
+                    saved.update(u=run.u, y=run.y, energies=run.energies,
+                                 support=support_array(run.support),
+                                 diagnostics=[d._asdict() for d in run.diagnostics])
+    return runs
 
 
 def as_bytes(value) -> bytes:
@@ -296,7 +275,7 @@ def compare(ours, theirs, against):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--against", type=Path,
+    parser.add_argument("--against", type=Path, required=True,
                         help="another checkout whose src/ runs the same commands")
     parser.add_argument("--examples", type=int, nargs="*", default=[1, 2, 3, 4],
                         choices=(1, 2, 3, 4), help="the examples to run (default: all)")
@@ -304,19 +283,9 @@ def main(argv=None):
                         help="compare marches of the perfbench workloads instead")
     parser.add_argument("--seeds", default="0,3",
                         help="with --workloads, the seeds of the lambda draw (default 0,3)")
-    parser.add_argument("--src", type=Path, help=argparse.SUPPRESS)    # child side
-    parser.add_argument("--workdir", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     seeds = [int(seed) for seed in args.seeds.split(",")]
 
-    if args.src is not None and args.workloads:
-        march_workloads(args.src, args.workdir, seeds)
-        return 0
-    if args.src is not None:
-        print(json.dumps(run_jobs(args.src, args.workdir, args.examples)))
-        return 0
-    if args.against is None:
-        parser.error("--against is required")
     if args.workloads:
         return 1 if compare_workloads(args.against, seeds) else 0
     ours = outputs(ROOT / "src", args.examples)

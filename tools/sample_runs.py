@@ -7,28 +7,29 @@ how many iterations they take, and how that compares with another checkout.
 
 Run i draws, from numpy's default_rng(seed), an exponent p in (1, 6] (so
 the regularized range p < 2 and the Newton tangent K_T there are sampled
-too), a kernel amplitude lambda in [-10, 10], a degree r in 1..3, m in 4..12
-elements and a time step delta = 10^U(-4, -1.5), in that order, and solves
-u0 = sin(pi x), f = x (1 - x) cos t on (0, 1) for --steps steps at tol
-1e-12, tight enough that the counts measure the solver more than the
-stopping rule. Every run takes the kernel KernelSpec(lambda).
-Every other run (odd i) declares f as a SeparableForcing, the others pass
-it as a plain callable, so both load paths are sampled with the same
-draws. plapmem is imported from src/ of this script's checkout. With
---against DIR the same problems are also solved in a child process that
-imports plapmem from DIR/src, and the runs where this checkout does worse
-are counted: more iterations, or no completion where DIR
-completed, and so are those whose slowest step got slower. Iterations are
-counted over completed runs only. The last line states the largest
-relative difference of the final u and y (max-norm of the difference over
-max-norm of DIR's) over the runs that both checkouts completed.
+too), a kernel amplitude lambda in [-10, 10], a degree r in 1..3, m in
+4..12 elements and a time step delta = 10^U(-4, -1.5), in that order, and
+solves u0 = sin(pi x), f = x (1 - x) cos t on (0, 1) for --steps steps at
+tol 1e-12, tight enough that the counts measure the solver more than the
+stopping rule. Every run takes the kernel KernelSpec(lambda). Every other
+run (odd i) declares f as a SeparableForcing, the others pass it as a
+plain callable, so both load paths are sampled with the same draws.
+plapmem is loaded from src/ of this script's checkout into this process
+(checkout.load_package). With --against DIR the same problems are also
+solved by plapmem loaded from DIR/src, in the same process, and the runs
+where this checkout does worse are counted: more iterations, or no
+completion where DIR completed, and so are those whose slowest step got
+slower. Iterations are counted over completed runs only. The last line
+states the largest relative difference of the final u and y (max-norm of
+the difference over max-norm of DIR's) over the runs that both checkouts
+completed.
 """
 
 import argparse
-import json
-import subprocess
 import sys
 from pathlib import Path
+
+from checkout import as_plapmem, load_package
 
 ROOT = Path(__file__).resolve().parent.parent
 TOL = 1e-12
@@ -50,14 +51,11 @@ def draw_problems(count, seed):
 def solve_all(src, problems, scheme, n_steps):
     """One record per problem: status, total and largest per-step iterations,
     and the final u and y."""
-    sys.path.insert(0, str(src))
     import numpy as np
-    import plapmem
-    from plapmem import (FixedPointDivergenceError, KernelSpec, PlapmemError,
-                         ProblemSpec, SeparableForcing, SolverConfig,
-                         build_uniform_mesh, march)
-    if Path(plapmem.__file__).resolve().parent != (Path(src) / "plapmem").resolve():
-        raise ImportError(f"imported plapmem from {plapmem.__file__}, not {src}")
+    with as_plapmem(load_package(src, "plapmem_sampled")):
+        from plapmem import (FixedPointDivergenceError, KernelSpec, PlapmemError,
+                             ProblemSpec, SeparableForcing, SolverConfig,
+                             build_uniform_mesh, march)
 
     separable = SeparableForcing(((lambda x: x * (1 - x), np.cos),))
     records = []
@@ -81,8 +79,7 @@ def solve_all(src, problems, scheme, n_steps):
             continue
         iters = [d.iterations for d in run.diagnostics]
         records.append(dict(status="completed", iterations=sum(iters),
-                            max_step=max(iters), u=run.u[-1].tolist(),
-                            y=run.y[-1].tolist()))
+                            max_step=max(iters), u=run.u[-1], y=run.y[-1]))
     return records
 
 
@@ -139,27 +136,15 @@ def main(argv=None):
     parser.add_argument("--steps", type=int, default=40)
     parser.add_argument("--against", type=Path,
                         help="another checkout whose src/ solves the same problems")
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help=argparse.SUPPRESS)     # the child's import root
-    parser.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     problems = draw_problems(args.count, args.seed)
-    ours = solve_all(args.src, problems, args.scheme, args.steps)
-    if args.json:
-        print(json.dumps(ours))
-        return 0
+    ours = solve_all(ROOT / "src", problems, args.scheme, args.steps)
     print(f"scheme {args.scheme}, {args.count} runs, seed {args.seed}, "
           f"{args.steps} steps, tol {TOL:g}")
     print(f"this checkout: {summary(ours)}")
     if args.against is not None:
-        child = subprocess.run(
-            [sys.executable, __file__, "--scheme", args.scheme,
-             "--count", str(args.count), "--seed", str(args.seed),
-             "--steps", str(args.steps), "--src", str(args.against / "src"),
-             "--json"],
-            check=True, capture_output=True, text=True)
-        theirs = json.loads(child.stdout.splitlines()[-1])
+        theirs = solve_all(args.against / "src", problems, args.scheme, args.steps)
         print(f"{args.against}: {summary(theirs)}")
         print(compare(problems, ours, theirs))
         print(accuracy(ours, theirs))
