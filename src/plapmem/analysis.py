@@ -11,7 +11,7 @@ import numpy as np
 from .assembly import SeparableForcing, _sample, assemble_mass
 from .errors import ConfigError
 from .memory import KernelSpec, StateHistory
-from .mesh import Mesh1D, default_quad_points, eval_on_elements, gauss_legendre, is_real
+from .mesh import Mesh1D, finite_real, default_quad_points, eval_on_elements, gauss_legendre
 
 
 @dataclass(frozen=True)
@@ -35,14 +35,11 @@ class ProblemSpec:
     exact_y: Optional[Callable] = None
 
     def __post_init__(self):
-        for name, value in (("a", self.a), ("b", self.b), ("T", self.horizon), ("p", self.p)):
-            if not is_real(value):
-                raise ConfigError(name, f"expected a real number, got {value!r}")
-        if not 0.0 < self.horizon < np.inf:
-            raise ConfigError("T", f"horizon must be positive and finite, got {self.horizon}")
-        if not self.p > 1.0:
+        if not finite_real("T", self.horizon) > 0.0:
+            raise ConfigError("T", f"horizon must be positive, got {self.horizon}")
+        if not finite_real("p", self.p) > 1.0:
             raise ConfigError("p", f"exponent must satisfy p > 1, got {self.p}")
-        if not self.b > self.a:
+        if not finite_real("b", self.b) > finite_real("a", self.a):
             raise ConfigError("domain", f"need b > a, got [{self.a}, {self.b}]")
 
 

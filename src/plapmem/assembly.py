@@ -15,7 +15,7 @@ import numpy as np
 
 from .banded import BandedSymMatrix
 from .errors import ConfigError
-from .mesh import Mesh1D, QuadratureRule, full_coefficients, is_real
+from .mesh import Mesh1D, QuadratureRule, finite_real, full_coefficients
 
 #: Regularization used for the singular range p < 2 when none is given.
 DEFAULT_EPSILON_SINGULAR = 1e-8
@@ -23,28 +23,28 @@ DEFAULT_EPSILON_SINGULAR = 1e-8
 
 @dataclass(frozen=True)
 class FluxParams:
-    """Exponent and regularization of the scalar flux a(s) = (s^2+eps^2)^((p-2)/2) s."""
+    """Exponent and regularization of the scalar flux a(s) = (s^2+eps^2)^((p-2)/2) s.
+
+    epsilon=None takes 0 for p >= 2 and DEFAULT_EPSILON_SINGULAR below 2."""
 
     p: float
-    epsilon: float = 0.0
+    epsilon: Optional[float] = None
 
     def __post_init__(self):
-        if not is_real(self.p) or not np.isfinite(self.p) or self.p <= 1.0:
-            raise ConfigError("p", f"exponent must satisfy p > 1, got {self.p}")
+        if not finite_real("p", self.p) > 1.0:
+            raise ConfigError("p", f"exponent must satisfy p > 1, got {self.p!r}")
+        if self.epsilon is None:
+            object.__setattr__(self, "epsilon",
+                               0.0 if self.p >= 2.0 else DEFAULT_EPSILON_SINGULAR)
         # eps ** 2 is finite exactly up to this bound (past it a float's **
         # raises OverflowError); unlike eps * eps, comparing warns for no type
-        if not is_real(self.epsilon) or not 0.0 <= self.epsilon <= math.sqrt(sys.float_info.max):
+        if not 0.0 <= finite_real("epsilon", self.epsilon) <= math.sqrt(sys.float_info.max):
             raise ConfigError("epsilon", f"must be >= 0 with a finite square, "
                               f"got {self.epsilon}")
         if self.p < 2.0 and self.epsilon == 0.0:
             raise ConfigError("epsilon",
                               f"p = {self.p} < 2 is singular at zero gradient; "
                               "a positive regularization is required")
-
-
-def default_epsilon(p: float) -> float:
-    """Zero for p >= 2; a small positive value for the singular range."""
-    return 0.0 if p >= 2.0 else DEFAULT_EPSILON_SINGULAR
 
 
 def flux(xi, params: FluxParams):
@@ -120,12 +120,12 @@ class ElementTables:
 
 
 def _sample(fn, x: np.ndarray, field: str, message: str) -> np.ndarray:
-    """fn(x), a user callable, broadcast to the shape of x. A result of a
-    shape that does not broadcast is a ConfigError on field, and so is a
-    non-finite value, with message formatted with x, the first point where
-    it occurs, and count, "<bad> of <all>"."""
+    """fn(x), a user callable, broadcast to the shape of x. A result that is
+    not real numbers, or of a shape that does not broadcast, is a ConfigError
+    on field, and so is a non-finite value, with message formatted with x,
+    the first point where it occurs, and count, "<bad> of <all>"."""
     with np.errstate(all="ignore"):     # a non-finite value is reported below
-        vals = np.asarray(fn(x), dtype=float)
+        vals = _floats(fn(x), field)
     try:
         vals = np.broadcast_to(vals, x.shape)
     except ValueError:
@@ -138,16 +138,26 @@ def _sample(fn, x: np.ndarray, field: str, message: str) -> np.ndarray:
     return vals
 
 
-def _pointwise(fn, points: np.ndarray) -> np.ndarray:
+def _floats(values, field: str) -> np.ndarray:
+    """values, returned by a user callable, as a float array; a ConfigError
+    on field if they are not real numbers."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(field, f"returned a value that is not a real number: {exc}") from None
+
+
+def _pointwise(fn, points: np.ndarray, field: str) -> np.ndarray:
     """fn at every entry of points, a user callable: one call on the array
     where it gives one value per point, else one call per point (fn raises
-    on an array, or returns the wrong shape)."""
+    on an array, or returns the wrong shape). Values that are not real
+    numbers are a ConfigError on field."""
     try:
         vals = np.asarray(fn(points), dtype=float)
     except (TypeError, ValueError):
         vals = None
     if vals is None or vals.shape != points.shape:
-        vals = np.array([float(fn(s)) for s in points.flat]).reshape(points.shape)
+        vals = _floats([fn(s) for s in points.flat], field).reshape(points.shape)
     return vals
 
 
@@ -245,7 +255,7 @@ class SeparableForcing:
         table = np.empty(times.shape + (len(self.terms),))
         with np.errstate(all="ignore"):     # a non-finite value is reported below
             for term, (_, time) in enumerate(self.terms):
-                table[..., term] = _pointwise(time, times)
+                table[..., term] = _pointwise(time, times, "forcing")
         bad = np.argwhere(~np.isfinite(np.atleast_2d(table)))     # (time, term) pairs
         if len(bad):
             row, term = bad[0]

@@ -1,12 +1,11 @@
 """JSON run configuration: parsing, validation and the resolved echo."""
 
 import json
-import sys
 from dataclasses import dataclass, field, replace
 from typing import List
 
 from .errors import ConfigError
-from .mesh import build_uniform_mesh, default_quad_points, is_real
+from .mesh import build_uniform_mesh, default_quad_points, finite_real
 from .stepper import SolverConfig
 
 _KNOWN_FIELDS = {
@@ -37,13 +36,10 @@ def _require(raw: dict, key: str):
 
 
 def _as_number(key, value, *, integer=False):
-    """A JSON number (is_real: an int or float, not a bool) as a finite
-    float, or as an int with integer=True."""
-    if not is_real(value):
-        raise ConfigError(key, f"expected a number, got {value!r}")
-    # before int() or float(): JSON admits NaN, Infinity and ints past 1e308
-    if not abs(value) <= sys.float_info.max:
-        raise ConfigError(key, "must be finite")
+    """A JSON number as a float, or as an int with integer=True; checked
+    (mesh.finite_real) before int() or float(), as JSON admits NaN, Infinity
+    and ints past 1e308."""
+    finite_real(key, value)
     if integer and int(value) != value:
         raise ConfigError(key, f"expected an integer, got {value!r}")
     return int(value) if integer else float(value)

@@ -25,7 +25,7 @@ import numpy as np
 from .assembly import _pointwise
 from .banded import BandedSymMatrix
 from .errors import ConfigError, IllPosedStepError
-from .mesh import is_real
+from .mesh import finite_real
 
 QUADRATURE_MODES = ("consistent", "literal")
 
@@ -48,10 +48,7 @@ class KernelSpec:
     lam: float
 
     def __post_init__(self):
-        lam = self.lam
-        if not is_real(lam) or not math.isfinite(lam):
-            raise ConfigError("kernel", f"lam must be a finite real number, got {lam!r}")
-        object.__setattr__(self, "lam", float(lam))
+        object.__setattr__(self, "lam", float(finite_real("kernel", self.lam)))
 
     def g(self, s):
         return self.lam * np.exp(-np.asarray(s, dtype=float))
@@ -157,7 +154,7 @@ def history_sum(levels: np.ndarray, k: int, delta: float, fn, fn0: float):
     multiplier of level k+1, fn0 = fn(0). Rows past k are not read."""
     weights, lags = volterra_weights(k, delta)
     half = delta / 8.0 * fn0
-    acc = (weights * _pointwise(fn, lags)) @ levels[:k + 1]
+    acc = (weights * _pointwise(fn, lags, "kernel")) @ levels[:k + 1]
     acc += half * levels[k]
     return acc, half
 
@@ -173,7 +170,7 @@ def i_f(loads: np.ndarray, k: int, delta: float, kernel: KernelSpec,
     """
     check_mode(mode)
     weights, lags = forcing_weights(k, delta)
-    out = (weights * _pointwise(kernel.g, lags)) @ loads[:k + 2]
+    out = (weights * _pointwise(kernel.g, lags, "kernel")) @ loads[:k + 2]
     if mode == "literal":
         out = out + delta * float(kernel.g(0.0)) * loads[k + 1]
     return out

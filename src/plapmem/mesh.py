@@ -8,6 +8,7 @@ nodes e*r .. e*r + r, so neighbouring elements share exactly one node.
 """
 
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +29,23 @@ class QuadratureRule:
 
 
 def is_count(value) -> bool:
-    """True for an int or numpy integer that is not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    """True for an int or numpy integer, not a bool, that a float holds."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
-def is_real(value) -> bool:
-    """True for a real number (an int, a float or a numpy one) that is not a
-    bool; the one number rule of every entry point."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def finite_real(field: str, value):
+    """value, if it is a real number (an int, a float or a numpy one, not a
+    bool) that a float holds finitely; else a ConfigError on field, "expected
+    a real number, got ..." or "must be finite". The one number rule of
+    every entry point."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigError(field, f"expected a real number, got {value!r}")
+    # NaN, inf and ints past 1e308 fail; a numpy scalar is compared as a Python
+    # number, since a float32 compared with 1.8e308 casts that to inf
+    if not abs(value.item() if isinstance(value, np.generic) else value) <= sys.float_info.max:
+        raise ConfigError(field, "must be finite")
+    return value
 
 
 def default_quad_points(r: int, requested=None) -> int:
@@ -107,12 +117,12 @@ class Mesh1D:
     """
 
     def __init__(self, a: float, b: float, m: int, r: int):
-        if not np.isfinite(a) or not np.isfinite(b) or b <= a:
-            raise ConfigError("domain", f"need finite b > a, got [{a}, {b}]")
+        self.a = float(finite_real("domain", a))
+        self.b = float(finite_real("domain", b))
+        if not self.b > self.a:
+            raise ConfigError("domain", f"need b > a, got [{a}, {b}]")
         if not is_count(m) or m < 1:
             raise ConfigError("m", f"need a positive element count, got {m!r}")
-        self.a = float(a)
-        self.b = float(b)
         self.m = int(m)
         self.basis = ReferenceBasis(r)
         self.r = self.basis.degree

@@ -59,14 +59,13 @@ import numpy as np
 
 from . import analysis
 from .assembly import (ElementTables, FluxParams, SeparableForcing,
-                       assemble_load, assemble_mass, assemble_plap,
-                       default_epsilon, interpolate)
+                       assemble_load, assemble_mass, assemble_plap, interpolate)
 from .banded import BandedFactor, BandedSymMatrix, all_finite, ddot, max_norm
 from .errors import ConfigError, FixedPointDivergenceError, LinearSolveError
 from .memory import (KernelSpec, MemoryBlock, StateHistory, check_mode,
                      memory_residual)
-from .mesh import (Mesh1D, QuadratureRule, default_quad_points, gauss_legendre,
-                   is_count, is_real)
+from .mesh import (Mesh1D, QuadratureRule, default_quad_points, finite_real,
+                   gauss_legendre, is_count)
 
 SCHEMES = ("auto", "A", "B", "N")
 
@@ -113,24 +112,21 @@ class SolverConfig:
     quadrature_mode: str = "consistent"
 
     def __post_init__(self):
-        for name, value in (("p", self.p), ("delta", self.delta), ("tol", self.tol)):
-            if not is_real(value):
-                raise ConfigError(name, f"expected a real number, got {value!r}")
-        if not np.isfinite(self.delta) or self.delta <= 0.0:
+        finite_real("p", self.p)
+        if not finite_real("delta", self.delta) > 0.0:
             raise ConfigError("delta", f"time step must be positive, got {self.delta}")
         if not is_count(self.n_steps) or self.n_steps < 1:
             raise ConfigError("N", f"need an integer >= 1, got {self.n_steps!r}")
-        if not 0.0 < self.tol < math.inf:
-            raise ConfigError("tol", f"must be positive and finite, got {self.tol}")
+        if not finite_real("tol", self.tol) > 0.0:
+            raise ConfigError("tol", f"must be positive, got {self.tol}")
         if not is_count(self.max_iter) or self.max_iter < 2:
             raise ConfigError("max_iter", f"need an integer >= 2, got {self.max_iter!r}")
         if self.quad_points is not None:
             gauss_legendre(self.quad_points)
         check_mode(self.quadrature_mode)
         self.scheme = resolve_scheme(self.p, self.scheme)
-        if self.epsilon is None:
-            self.epsilon = default_epsilon(self.p)
         self._flux = FluxParams(p=self.p, epsilon=self.epsilon)
+        self.epsilon = self._flux.epsilon
 
     def flux_params(self) -> FluxParams:
         return self._flux

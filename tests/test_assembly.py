@@ -11,8 +11,7 @@ from plapmem import ConfigError, SolverConfig, build_uniform_mesh
 from plapmem import manufactured_example1
 from plapmem.assembly import (ElementTables, FluxParams, SeparableForcing,
                               assemble_load, assemble_mass, assemble_plap,
-                              default_epsilon, flux, flux_coefficient,
-                              interpolate)
+                              flux, flux_coefficient, interpolate)
 from plapmem.memory import StateHistory
 from plapmem.mesh import default_quad_points, full_coefficients, gauss_legendre
 from plapmem.stepper import Assembler, StepPlan
@@ -267,7 +266,7 @@ class TestAssembleLoad:
 
 def separable_assembler(mesh, forcing, p=2.0):
     quad = gauss_legendre(default_quad_points(mesh.r))
-    return Assembler(mesh, quad, FluxParams(p, default_epsilon(p)), forcing), quad
+    return Assembler(mesh, quad, FluxParams(p), forcing), quad
 
 
 class TestSeparableForcing:

@@ -1,3 +1,4 @@
+import ast
 import json
 import shutil
 import sys
@@ -151,6 +152,8 @@ def test_load_package_refuses_a_module_from_elsewhere(tmp_path):
         checkout.load_package(tmp_path / "src", "plapmem_stray")
     with pytest.raises(ImportError, match="no plapmem package in"):
         checkout.load_package(tmp_path / "elsewhere", "plapmem_none")
+    # a refused package leaves none of its modules loaded
+    assert [key for key in sys.modules if key.startswith(("plapmem_stray", "plapmem_none"))] == []
 
 
 def test_same_outputs_reports_first_differing_byte():
@@ -283,3 +286,30 @@ def test_src_lines_fit_in_99_characters():
             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if len(line) > 99]
     assert long == []
+
+
+ENTRY_POINTS = {"SolverConfig", "FluxParams", "KernelSpec", "ProblemSpec", "Mesh1D"}
+
+
+def test_one_number_rule_in_src():
+    # numbers.Real appears only in mesh.finite_real, and no entry point's
+    # __init__ or __post_init__ tests finiteness on its own
+    rule, found, entries = [], [], set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {id(node) for function in tree.body if isinstance(function, ast.FunctionDef)
+                  and path.name == "mesh.py" and function.name == "finite_real"
+                  for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "Real"
+                    or isinstance(node, ast.ImportFrom) and node.module == "numbers"):
+                (rule if id(node) in inside else found).append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ClassDef) and node.name in ENTRY_POINTS:
+                entries.add(node.name)
+                found += [f"{path.name}:{call.lineno}: {node.name}.{method.name}"
+                          for method in node.body if isinstance(method, ast.FunctionDef)
+                          and method.name in ("__init__", "__post_init__")
+                          for call in ast.walk(method)
+                          if "isfinite" in (getattr(call, "attr", None), getattr(call, "id", None))]
+    assert rule and entries == ENTRY_POINTS
+    assert found == []

@@ -20,25 +20,39 @@ def load_package(src, name):
     """src/plapmem imported afresh as the package `name`, with its
     submodules; sys.modules["plapmem"] is left as it was. An ImportError if
     src holds no plapmem package, or if a module of `name` loads from
-    outside src/plapmem."""
+    outside src/plapmem; a load that fails leaves no module of `name` in
+    sys.modules."""
     folder = (Path(src) / "plapmem").resolve()
     if not (folder / "__init__.py").is_file():
         raise ImportError(f"no plapmem package in {src}")
-    for key in [key for key in sys.modules if key == name or key.startswith(name + ".")]:
-        del sys.modules[key]
+    _forget(name)
     spec = importlib.util.spec_from_file_location(
         name, folder / "__init__.py", submodule_search_locations=[str(folder)])
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
-    spec.loader.exec_module(package)
-    for path in sorted(folder.glob("*.py")):
-        if path.stem != "__init__":
-            importlib.import_module(f"{name}.{path.stem}")
-    for key, module in sys.modules.items():
-        if ((key == name or key.startswith(name + "."))
-                and Path(module.__file__).resolve().parent != folder):
-            raise ImportError(f"{key} loaded from {module.__file__}, not {folder}")
+    try:
+        spec.loader.exec_module(package)
+        for path in sorted(folder.glob("*.py")):
+            if path.stem != "__init__":
+                importlib.import_module(f"{name}.{path.stem}")
+        for key in _modules(name):
+            module = sys.modules[key]
+            if Path(module.__file__).resolve().parent != folder:
+                raise ImportError(f"{key} loaded from {module.__file__}, not {folder}")
+    except BaseException:
+        _forget(name)
+        raise
     return package
+
+
+def _modules(name):
+    """The keys of sys.modules that are `name` or one of its submodules."""
+    return [key for key in sys.modules if key == name or key.startswith(name + ".")]
+
+
+def _forget(name):
+    for key in _modules(name):
+        del sys.modules[key]
 
 
 @contextlib.contextmanager
