@@ -33,12 +33,13 @@ class FluxParams:
     def __post_init__(self):
         if not finite_real("p", self.p) > 1.0:
             raise ConfigError("p", f"exponent must satisfy p > 1, got {self.p!r}")
-        if self.epsilon is None:
-            object.__setattr__(self, "epsilon",
-                               0.0 if self.p >= 2.0 else DEFAULT_EPSILON_SINGULAR)
-        # eps ** 2 is finite exactly up to this bound (past it a float's **
-        # raises OverflowError); unlike eps * eps, comparing warns for no type
-        if not 0.0 <= finite_real("epsilon", self.epsilon) <= math.sqrt(sys.float_info.max):
+        default = 0.0 if self.p >= 2.0 else DEFAULT_EPSILON_SINGULAR
+        epsilon = default if self.epsilon is None else finite_real("epsilon", self.epsilon)
+        # kept as a Python float, as a numpy float32 would form eps^2 in
+        # float32; its ** 2 is finite exactly up to this bound (past it a
+        # float's ** raises OverflowError)
+        object.__setattr__(self, "epsilon", float(epsilon))
+        if not 0.0 <= self.epsilon <= math.sqrt(sys.float_info.max):
             raise ConfigError("epsilon", f"must be >= 0 with a finite square, "
                               f"got {self.epsilon}")
         if self.p < 2.0 and self.epsilon == 0.0:

@@ -1,11 +1,11 @@
 """JSON run configuration: parsing, validation and the resolved echo."""
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List
 
 from .errors import ConfigError
-from .mesh import build_uniform_mesh, default_quad_points, finite_real
+from .mesh import build_uniform_mesh, count, default_quad_points, finite_real
 from .stepper import SolverConfig
 
 _KNOWN_FIELDS = {
@@ -72,9 +72,7 @@ def validate_config(raw: dict) -> RunConfig:
     p = _as_number("p", _require(raw, "p"))
     r = _as_number("r", _require(raw, "r"), integer=True)
     m = _as_number("m", _require(raw, "m"), integer=True)
-    n_steps = _as_number("N", _require(raw, "N"), integer=True)
-    if n_steps < 1:
-        raise ConfigError("N", f"must be >= 1, got {n_steps}")
+    n_steps = count("N", _as_number("N", _require(raw, "N"), integer=True), 1)
 
     # kernel: nested object, or the top-level "lambda" shorthand, not both
     if "kernel" in raw:
@@ -107,13 +105,11 @@ def validate_config(raw: dict) -> RunConfig:
     if q is not None:
         q = _as_number("quadrature_points", q, integer=True)
 
+    build_uniform_mesh(a, b, m, r)      # first, as the default point count r + 2 needs a valid r
     solver = SolverConfig(p=p, delta=T / n_steps, n_steps=n_steps, tol=tol,
                           max_iter=max_iter, scheme=raw.get("scheme", "auto"),
-                          epsilon=epsilon,
+                          epsilon=epsilon, quad_points=default_quad_points(r, q),
                           quadrature_mode=raw.get("quadrature_mode", "consistent"))
-    build_uniform_mesh(a, b, m, r)
-    # the point count last, as its default r + 2 is only valid for a valid r
-    solver = replace(solver, quad_points=default_quad_points(r, q))
 
     snaps = raw.get("snapshot_times")
     if snaps is None:

@@ -7,6 +7,7 @@ freedom. Local-to-global numbering is contiguous: element e owns global
 nodes e*r .. e*r + r, so neighbouring elements share exactly one node.
 """
 
+import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -28,12 +29,6 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-def is_count(value) -> bool:
-    """True for an int or numpy integer, not a bool, that a float holds."""
-    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
 def finite_real(field: str, value):
     """value, if it is a real number (an int, a float or a numpy one, not a
     bool) that a float holds finitely; else a ConfigError on field, "expected
@@ -46,6 +41,20 @@ def finite_real(field: str, value):
     if not abs(value.item() if isinstance(value, np.generic) else value) <= sys.float_info.max:
         raise ConfigError(field, "must be finite")
     return value
+
+
+def count(field: str, value, low: int, high=math.inf) -> int:
+    """int(value), if value is an int or a numpy integer, not a bool, in
+    [low, high]; else a ConfigError on field, "expected an integer, got ...",
+    "must be finite" (past a float's range, as finite_real says) or "need an
+    integer >= low" ("in [low, high]" for a finite high). The one count rule
+    of every entry point."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ConfigError(field, f"expected an integer, got {value!r}")
+    if low <= finite_real(field, value) <= high:
+        return int(value)
+    bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+    raise ConfigError(field, f"need an integer {bounds}, got {value}")
 
 
 def default_quad_points(r: int, requested=None) -> int:
@@ -63,10 +72,7 @@ def gauss_legendre(q: int) -> QuadratureRule:
 
     Exact for polynomials of degree <= 2q - 1.
     """
-    if not is_count(q) or not 1 <= q <= MAX_QUAD_POINTS:
-        raise ConfigError("quadrature_points",
-                          f"need an integer in [1, {MAX_QUAD_POINTS}], got {q!r}")
-    t, w = np.polynomial.legendre.leggauss(int(q))
+    t, w = np.polynomial.legendre.leggauss(count("quadrature_points", q, 1, MAX_QUAD_POINTS))
     return QuadratureRule(points=(t + 1.0) / 2.0, weights=w / 2.0)
 
 
@@ -74,10 +80,7 @@ class ReferenceBasis:
     """Lagrange basis of degree r on equispaced nodes of [0, 1]."""
 
     def __init__(self, degree: int):
-        if not is_count(degree) or not 1 <= degree <= MAX_DEGREE:
-            raise ConfigError("r", f"need an integer degree in [1, {MAX_DEGREE}], "
-                                   f"got {degree!r}")
-        self.degree = int(degree)
+        self.degree = count("r", degree, 1, MAX_DEGREE)
         self.nodes = np.linspace(0.0, 1.0, self.degree + 1)
 
     def tabulate(self, xi, order: int = 0) -> np.ndarray:
@@ -121,9 +124,7 @@ class Mesh1D:
         self.b = float(finite_real("domain", b))
         if not self.b > self.a:
             raise ConfigError("domain", f"need b > a, got [{a}, {b}]")
-        if not is_count(m) or m < 1:
-            raise ConfigError("m", f"need a positive element count, got {m!r}")
-        self.m = int(m)
+        self.m = count("m", m, 1)
         self.basis = ReferenceBasis(r)
         self.r = self.basis.degree
         self.h = (self.b - self.a) / self.m

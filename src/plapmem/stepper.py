@@ -46,8 +46,8 @@ and take no product: their increment is exactly 0. Such a step, done in
 two iterations, makes three products: M*v and the first iteration's two.
 Newton's predicted start keeps its extrapolation in the plan for the next
 step's guard, whose two max-norms are one idamax call each, and march
-runs every step under one np.errstate that lets an iterate overflow
-silently into the divergence test.
+builds its plan and runs every step under one np.errstate that lets a
+system or an iterate overflow silently into the tests that report it.
 """
 
 import math
@@ -64,8 +64,7 @@ from .banded import BandedFactor, BandedSymMatrix, all_finite, ddot, max_norm
 from .errors import ConfigError, FixedPointDivergenceError, LinearSolveError
 from .memory import (KernelSpec, MemoryBlock, StateHistory, check_mode,
                      memory_residual)
-from .mesh import (Mesh1D, QuadratureRule, default_quad_points, finite_real,
-                   gauss_legendre, is_count)
+from .mesh import Mesh1D, QuadratureRule, count, default_quad_points, finite_real, gauss_legendre
 
 SCHEMES = ("auto", "A", "B", "N")
 
@@ -115,12 +114,10 @@ class SolverConfig:
         finite_real("p", self.p)
         if not finite_real("delta", self.delta) > 0.0:
             raise ConfigError("delta", f"time step must be positive, got {self.delta}")
-        if not is_count(self.n_steps) or self.n_steps < 1:
-            raise ConfigError("N", f"need an integer >= 1, got {self.n_steps!r}")
+        self.n_steps = count("N", self.n_steps, 1)
         if not finite_real("tol", self.tol) > 0.0:
             raise ConfigError("tol", f"must be positive, got {self.tol}")
-        if not is_count(self.max_iter) or self.max_iter < 2:
-            raise ConfigError("max_iter", f"need an integer >= 2, got {self.max_iter!r}")
+        self.max_iter = count("max_iter", self.max_iter, 2)
         if self.quad_points is not None:
             gauss_legendre(self.quad_points)
         check_mode(self.quadrature_mode)
@@ -240,7 +237,10 @@ class StepPlan:
         if constant and self.slope != 0.0:
             data = data + self.stiff_coef * asm.stiffness.data
         self.system = BandedSymMatrix(data)
-        self.factor = self.system.factor() if constant else None
+        try:
+            self.factor = self.system.factor() if constant else None
+        except LinearSolveError as exc:     # the system of every step, from step 0
+            raise type(exc)(f"step 0: {exc}") from exc
         self.prediction = None
 
 
@@ -399,8 +399,9 @@ def march(problem: "analysis.ProblemSpec", mesh: Mesh1D,
           cfg: SolverConfig) -> "analysis.RunOutput":
     """Run the full time loop and collect the diagnostic series.
 
-    The steps run under np.errstate(over="ignore", invalid="ignore"): an
-    inf or NaN iterate is a divergence cn_step reports as an error, not a
+    The step plan and the steps run under np.errstate(over="ignore",
+    invalid="ignore"): an inf or NaN system (a LinearSolveError naming step
+    0) or iterate (a divergence cn_step reports) is an error, not a
     warning. Deterministic: identical inputs produce bitwise-identical
     histories.
     """
@@ -423,8 +424,8 @@ def march(problem: "analysis.ProblemSpec", mesh: Mesh1D,
     hist = StateHistory(mesh.n_interior, cfg.n_steps, cfg.delta)
     hist.set_initial(interpolate(mesh, problem.u0))
 
-    plan = StepPlan(hist, problem.kernel, cfg, asm)
     with np.errstate(over="ignore", invalid="ignore"):
+        plan = StepPlan(hist, problem.kernel, cfg, asm)
         diagnostics = [cn_step(plan)[2] for _ in range(cfg.n_steps)]
     return analysis.build_run_output(problem, mesh, asm, hist, diagnostics)
 

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from plapmem import ConfigError, parse_config
+from plapmem import ConfigError, parse_config, stepper
 from plapmem.cli import main
 from plapmem.config import config_to_dict, validate_config, write_config_echo
 from plapmem.experiments import write_outputs
@@ -34,6 +34,16 @@ class TestValidateConfig:
         assert cfg.solver.quadrature_mode == "consistent"
         assert cfg.snapshot_times == [0.0, 0.05, 0.1]
         assert cfg.solver.delta == pytest.approx(1e-3)
+
+    def test_builds_one_solver_config(self, monkeypatch):
+        # its checks, resolve_scheme and FluxParams run once, not again for
+        # the point count
+        calls = []
+        resolve = stepper.resolve_scheme
+        monkeypatch.setattr(stepper, "resolve_scheme",
+                            lambda *args: calls.append(args) or resolve(*args))
+        assert validate_config(dict(MINIMAL, quadrature_points=5)).solver.quad_points == 5
+        assert calls == [(3.0, "auto")]
 
     def test_nested_kernel_form(self):
         raw = dict(MINIMAL)
@@ -293,6 +303,14 @@ class TestCliExitCodes:
         assert re.fullmatch(r"L2 error at T=0\.01: u \S+e-\d+, y not computed \(exact: "
                             r"y is not square-integrable at p = 1\.3 <= 1\.5, .*: the "
                             r"L2 error is infinite\)", line)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_system_is_4_in_one_line(self, tmp_path, capsys):
+        # T = 1e308 in one step: the step plan's system overflows to NaN,
+        # reported as step 0's failed solve with no numpy warning before it
+        assert run_cli(tmp_path, dict(MINIMAL, T=1e308, N=1)) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: step 0, iteration 1: non-finite entries in banded system"]
 
     def test_unallocatable_history_is_2(self, tmp_path, capsys):
         # valid as a config; the history's shape is refused, nothing allocated

@@ -1,9 +1,10 @@
-"""The number rule of the entry points (mesh.finite_real and mesh.is_count):
+"""The number rules of the entry points (mesh.finite_real and mesh.count):
 every constructor either accepts a number or names the field it rejects, and
 a user callable that returns something other than numbers is a ConfigError."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,67 @@ def test_one_field_builds_or_names_itself(target, value):
         assert err.field == names[0] if must_fail else err.field in names
     else:
         assert not must_fail
+
+
+# entry point: (build it with one count changed, the field its errors name)
+COUNTS = {
+    "SolverConfig n_steps": (lambda n: ENTRIES["SolverConfig"][0](n_steps=n), "N"),
+    "SolverConfig max_iter": (lambda n: ENTRIES["SolverConfig"][0](max_iter=n), "max_iter"),
+    "build_uniform_mesh m": (lambda n: build_uniform_mesh(0.0, 1.0, n, 1), "m"),
+    "build_uniform_mesh r": (lambda n: build_uniform_mesh(0.0, 1.0, 4, n), "r"),
+    "gauss_legendre q": (gauss_legendre, "quadrature_points"),
+}
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400], ids=["huge", "-huge"])
+@pytest.mark.parametrize("entry", COUNTS)
+def test_a_count_past_float_range_is_not_finite(entry, value):
+    # said in a short line, not with the count's 401 digits
+    build, field = COUNTS[entry]
+    with pytest.raises(ConfigError) as err:
+        build(value)
+    assert str(err.value) == f"{field}: must be finite"
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), 2.0, "2"])
+@pytest.mark.parametrize("entry", COUNTS)
+def test_a_count_that_is_no_integer_is_named(entry, value):
+    build, field = COUNTS[entry]
+    with pytest.raises(ConfigError, match=r"expected an integer, got ") as err:
+        build(value)
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("entry, value, message", [
+    ("SolverConfig n_steps", 0, "N: need an integer >= 1, got 0"),
+    ("SolverConfig max_iter", np.int64(1), "max_iter: need an integer >= 2, got 1"),
+    ("build_uniform_mesh m", -3, "m: need an integer >= 1, got -3"),
+    ("build_uniform_mesh r", 7, "r: need an integer in [1, 6], got 7"),
+    ("gauss_legendre q", 0, "quadrature_points: need an integer in [1, 16], got 0"),
+])
+def test_a_count_out_of_range_states_its_range(entry, value, message):
+    with pytest.raises(ConfigError) as err:
+        COUNTS[entry][0](value)
+    assert str(err.value) == message
+
+
+def test_counts_are_stored_as_python_ints():
+    cfg = SolverConfig(p=3.0, delta=0.1, n_steps=np.int64(10), max_iter=np.int32(5))
+    assert type(cfg.n_steps) is int and cfg.n_steps == 10
+    assert type(cfg.max_iter) is int and cfg.max_iter == 5
+    mesh = build_uniform_mesh(0.0, 1.0, np.int64(4), np.uint8(2))
+    assert (type(mesh.m), type(mesh.r)) == (int, int) and (mesh.m, mesh.r) == (4, 2)
+
+
+def test_a_float32_epsilon_is_kept_as_a_float():
+    # a float32 eps once formed eps^2 in float32, inf for eps = 1e20, and its
+    # bound test cast sqrt(float max) to float32 inf with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        epsilon = FluxParams(3.0, np.float32(1e20)).epsilon
+        assert type(epsilon) is float
+        assert math.isfinite(epsilon ** 2)
+        assert epsilon ** 2 == float(np.float32(1e20)) ** 2
 
 
 def returns_a_string(*_):

@@ -398,6 +398,21 @@ class TestMarch:
             march(problem, mesh, cfg)
         assert str(err.value) == "step 1, iteration 2: injected failure"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p, message", [
+        (3.0, "step 0, iteration 1: non-finite entries in banded system"),
+        # p = 2 factors its constant system in the step plan
+        (2.0, "step 0: non-finite entries in banded system"),
+    ])
+    def test_overflowing_system_names_step_0_silently(self, p, message):
+        # delta*beta overflows in the plan's (2 + delta*beta/alpha)*M, and
+        # inf*0 off the band gives NaN: an error, with no RuntimeWarning
+        problem = manufactured_example1(p, 1.0, horizon=1e200)
+        mesh = build_uniform_mesh(0, 1, 4, 1)
+        with pytest.raises(LinearSolveError) as err:
+            march(problem, mesh, SolverConfig(p=p, delta=1e200, n_steps=1))
+        assert str(err.value) == message
+
 
 class CountingTerm:
     """A (space, time) pair that counts its evaluations."""

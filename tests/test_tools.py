@@ -292,18 +292,26 @@ ENTRY_POINTS = {"SolverConfig", "FluxParams", "KernelSpec", "ProblemSpec", "Mesh
 
 
 def test_one_number_rule_in_src():
-    # numbers.Real appears only in mesh.finite_real, and no entry point's
-    # __init__ or __post_init__ tests finiteness on its own
-    rule, found, entries = [], [], set()
+    # numbers.Real appears only in mesh.finite_real and np.integer only in
+    # mesh.count, is_count nowhere, and no entry point's __init__ or
+    # __post_init__ tests finiteness on its own
+    rule, counted, found, entries = [], [], [], set()
     for path in sorted((ROOT / "src").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        inside = {id(node) for function in tree.body if isinstance(function, ast.FunctionDef)
-                  and path.name == "mesh.py" and function.name == "finite_real"
+        inside = {(function.name, id(node)) for function in tree.body
+                  if isinstance(function, ast.FunctionDef) and path.name == "mesh.py"
                   for node in ast.walk(function)}
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute) and node.attr == "Real"
                     or isinstance(node, ast.ImportFrom) and node.module == "numbers"):
-                (rule if id(node) in inside else found).append(f"{path.name}:{node.lineno}")
+                (rule if ("finite_real", id(node)) in inside else found).append(
+                    f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Attribute) and node.attr == "integer":
+                (counted if ("count", id(node)) in inside else found).append(
+                    f"{path.name}:{node.lineno}")
+            if "is_count" in (getattr(node, "id", None), getattr(node, "attr", None),
+                              getattr(node, "name", None)):
+                found.append(f"{path.name}:{node.lineno}: is_count")
             if isinstance(node, ast.ClassDef) and node.name in ENTRY_POINTS:
                 entries.add(node.name)
                 found += [f"{path.name}:{call.lineno}: {node.name}.{method.name}"
@@ -311,5 +319,5 @@ def test_one_number_rule_in_src():
                           and method.name in ("__init__", "__post_init__")
                           for call in ast.walk(method)
                           if "isfinite" in (getattr(call, "attr", None), getattr(call, "id", None))]
-    assert rule and entries == ENTRY_POINTS
+    assert rule and counted and entries == ENTRY_POINTS
     assert found == []
