@@ -18,10 +18,13 @@ from .mesh import Mesh1D, finite_real, default_quad_points, eval_on_elements, ga
 class ProblemSpec:
     """Continuous problem: domain, horizon, exponent, kernel and data.
 
-    u0 maps x -> value; f maps (x, t) -> value and must accept numpy
-    arrays in x. An f declared as a SeparableForcing has its load vector
-    assembled once per run instead of once per step. exact_u / exact_y,
-    when given, enable error tables.
+    u0 maps x -> value and f (x, t) -> value. Each is sampled by the one
+    rule of every user callable (assembly._sample): one call on an array
+    of points, or one per point if it cannot take one, so a plain f that
+    takes only a number costs a Python call per quadrature point per step.
+    An f declared as a SeparableForcing has its load vector assembled once
+    per run instead of once per step. exact_u / exact_y, when given, enable
+    error tables.
     """
 
     a: float

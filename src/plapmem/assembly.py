@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .banded import BandedSymMatrix
+from .banded import BandedSymMatrix, all_finite
 from .errors import ConfigError
 from .mesh import Mesh1D, QuadratureRule, finite_real, full_coefficients
 
@@ -121,44 +121,31 @@ class ElementTables:
 
 
 def _sample(fn, x: np.ndarray, field: str, message: str) -> np.ndarray:
-    """fn(x), a user callable, broadcast to the shape of x. A result that is
-    not real numbers, or of a shape that does not broadcast, is a ConfigError
+    """fn at every entry of x, a user callable, broadcast to the shape of x:
+    one call on the array, or one call per entry where that call raises a
+    TypeError or ValueError (fn takes one number). A result that is not
+    real numbers, or of a shape that does not broadcast, is a ConfigError
     on field, and so is a non-finite value, with message formatted with x,
-    the first point where it occurs, and count, "<bad> of <all>"."""
+    the first entry where it occurs, and count, "<bad> of <all>"."""
     with np.errstate(all="ignore"):     # a non-finite value is reported below
-        vals = _floats(fn(x), field)
+        try:
+            vals = fn(x)
+        except (TypeError, ValueError):
+            vals = np.reshape([fn(s) for s in x.flat], x.shape)
+        try:
+            vals = np.asarray(vals, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(field, f"returned a value that is not a real number: "
+                              f"{exc}") from None
     try:
         vals = np.broadcast_to(vals, x.shape)
     except ValueError:
         raise ConfigError(field, f"returned an array of shape {vals.shape}, which "
                           f"does not broadcast to the {x.shape} points") from None
-    if not np.all(np.isfinite(vals)):
+    if not all_finite(vals):
         bad = x[~np.isfinite(vals)]
         raise ConfigError(field, message.format(x=float(bad[0]),
                                                 count=f"{bad.size} of {x.size}"))
-    return vals
-
-
-def _floats(values, field: str) -> np.ndarray:
-    """values, returned by a user callable, as a float array; a ConfigError
-    on field if they are not real numbers."""
-    try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(field, f"returned a value that is not a real number: {exc}") from None
-
-
-def _pointwise(fn, points: np.ndarray, field: str) -> np.ndarray:
-    """fn at every entry of points, a user callable: one call on the array
-    where it gives one value per point, else one call per point (fn raises
-    on an array, or returns the wrong shape). Values that are not real
-    numbers are a ConfigError on field."""
-    try:
-        vals = np.asarray(fn(points), dtype=float)
-    except (TypeError, ValueError):
-        vals = None
-    if vals is None or vals.shape != points.shape:
-        vals = _floats([fn(s) for s in points.flat], field).reshape(points.shape)
     return vals
 
 
@@ -249,20 +236,16 @@ class SeparableForcing:
     def coefficients(self, t) -> np.ndarray:
         """The time coefficients at t, one per term: shape (terms,) for a
         scalar t, (len(t), terms) for an array of times. Each time_i is
-        called once on the array, or once per time if it cannot take one
-        (see _pointwise); a non-finite coefficient is a ConfigError naming
-        the first t where one occurs."""
+        sampled by the one rule of every user callable (_sample): one call
+        on the array, or one per time if it cannot take one, and a scalar
+        result is broadcast. A non-finite coefficient is a ConfigError
+        naming the first term that has one, at that term's first such t."""
         times = np.asarray(t, dtype=float)
         table = np.empty(times.shape + (len(self.terms),))
-        with np.errstate(all="ignore"):     # a non-finite value is reported below
-            for term, (_, time) in enumerate(self.terms):
-                table[..., term] = _pointwise(time, times, "forcing")
-        bad = np.argwhere(~np.isfinite(np.atleast_2d(table)))     # (time, term) pairs
-        if len(bad):
-            row, term = bad[0]
-            raise ConfigError("forcing", f"non-finite time coefficient at "
-                              f"t={float(times.flat[row])} (term {term}); the "
-                              "forcing is singular there")
+        for term, (_, time) in enumerate(self.terms):
+            table[..., term] = _sample(time, times, "forcing",
+                                       f"non-finite time coefficient at t={{x}} (term "
+                                       f"{term}); the forcing is singular there")
         return table
 
 

@@ -68,13 +68,12 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_verify() -> int:
-    """Self checks: quadrature identities and the manufactured forcing
+    """Self checks: the Gauss rule's exactness and the manufactured forcing
     against an independent finite-difference/quadrature oracle.
     """
     from scipy.integrate import quad as scipy_quad
 
     from .analysis import plap_of_bump
-    from .memory import forcing_weights, volterra_weights
     from .mesh import gauss_legendre
 
     failures = 0
@@ -83,16 +82,6 @@ def _cmd_verify() -> int:
         nonlocal failures
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
         failures += 0 if ok else 1
-
-    delta = 0.01
-    worst = 0.0
-    for k in range(201):
-        vw, _ = volterra_weights(k, delta)
-        worst = max(worst, abs(float(np.sum(vw)) + delta / 4.0 - (k + 0.5) * delta))
-        fw, _ = forcing_weights(k, delta)
-        worst = max(worst, abs(float(np.sum(fw)) - (k + 0.5) * delta))
-    report("memory weight sums equal t_{k+1/2} (k <= 200)", worst < 1e-14,
-           f"max deviation {worst:.2e}")
 
     rule = gauss_legendre(6)
     errs = [abs(float(rule.weights @ rule.points ** d) - 1.0 / (d + 1))

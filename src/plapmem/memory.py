@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .assembly import _pointwise
+from .assembly import _sample
 from .banded import BandedSymMatrix
 from .errors import ConfigError, IllPosedStepError
 from .mesh import finite_real
@@ -148,13 +148,18 @@ class StateHistory:
         return self.delta * np.arange(self.n_steps + 1)
 
 
+_LAG_MESSAGE = "non-finite value at lag s={x} ({count} lags)"
+
+
 def history_sum(levels: np.ndarray, k: int, delta: float, fn, fn0: float):
     """Step k's trapezoid sum of fn(lag) * level over levels[0..k] (y under
     g, u under g'), with the averaged t_k share; and the delta/8 * fn0
-    multiplier of level k+1, fn0 = fn(0). Rows past k are not read."""
+    multiplier of level k+1, fn0 = fn(0). Rows past k are not read. fn is
+    sampled at the lags as every user callable is (assembly._sample): a
+    non-finite value is a ConfigError on the kernel naming its lag."""
     weights, lags = volterra_weights(k, delta)
     half = delta / 8.0 * fn0
-    acc = (weights * _pointwise(fn, lags, "kernel")) @ levels[:k + 1]
+    acc = (weights * _sample(fn, lags, "kernel", _LAG_MESSAGE)) @ levels[:k + 1]
     acc += half * levels[k]
     return acc, half
 
@@ -170,7 +175,7 @@ def i_f(loads: np.ndarray, k: int, delta: float, kernel: KernelSpec,
     """
     check_mode(mode)
     weights, lags = forcing_weights(k, delta)
-    out = (weights * _pointwise(kernel.g, lags, "kernel")) @ loads[:k + 2]
+    out = (weights * _sample(kernel.g, lags, "kernel", _LAG_MESSAGE)) @ loads[:k + 2]
     if mode == "literal":
         out = out + delta * float(kernel.g(0.0)) * loads[k + 1]
     return out

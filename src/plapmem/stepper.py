@@ -64,7 +64,8 @@ from .banded import BandedFactor, BandedSymMatrix, all_finite, ddot, max_norm
 from .errors import ConfigError, FixedPointDivergenceError, LinearSolveError
 from .memory import (KernelSpec, MemoryBlock, StateHistory, check_mode,
                      memory_residual)
-from .mesh import Mesh1D, QuadratureRule, count, default_quad_points, finite_real, gauss_legendre
+from .mesh import (MAX_QUAD_POINTS, Mesh1D, QuadratureRule, count, default_quad_points,
+                   finite_real, gauss_legendre)
 
 SCHEMES = ("auto", "A", "B", "N")
 
@@ -119,7 +120,7 @@ class SolverConfig:
             raise ConfigError("tol", f"must be positive, got {self.tol}")
         self.max_iter = count("max_iter", self.max_iter, 2)
         if self.quad_points is not None:
-            gauss_legendre(self.quad_points)
+            self.quad_points = count("quadrature_points", self.quad_points, 1, MAX_QUAD_POINTS)
         check_mode(self.quadrature_mode)
         self.scheme = resolve_scheme(self.p, self.scheme)
         self._flux = FluxParams(p=self.p, epsilon=self.epsilon)

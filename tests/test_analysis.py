@@ -43,6 +43,14 @@ class TestL2Error:
             errs.append(l2_error(mesh, nodal, lambda x: np.sin(np.pi * x)))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
 
+    def test_scalar_exact_solution_matches_array_one(self):
+        # an exact solution that cannot take an array is called per point
+        mesh = build_uniform_mesh(0, 1, 5, 2)
+        coeffs = np.random.default_rng(0).uniform(-1, 1, mesh.n_interior)
+        scalar_only = lambda x: x * (1 - x) if x >= 0.0 else np.nan
+        assert (l2_error(mesh, coeffs, scalar_only)
+                == l2_error(mesh, coeffs, lambda x: x * (1 - x)))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_exact_value_rejected(self):
         # 5 Gauss points on each of 3 elements: the middle one of the middle

@@ -256,6 +256,21 @@ class TestExponentialKernel:
         vec = q_g(hist, KernelSpec(1.0))[0]
         assert explicit == pytest.approx(vec)
 
+    def test_nonfinite_kernel_value_names_its_lag(self):
+        # the direct sums sample the kernel as every user callable is sampled:
+        # infinite below lag 0.1, so at the newest level's lag only (the
+        # loads' newest lag is 0)
+        g = lambda s: np.where(np.asarray(s) < 0.1, np.inf, 1.0)
+        kernel = Kernel(g=g, gp=g)
+        hist = history_with(0.1, [1.0, 1.0, 1.0], [0.0, 1.0, 1.0],
+                            loads=[1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(ConfigError, match=r"^kernel: non-finite value at lag "
+                                              r"s=0\.0499+\d* \(1 of 3 lags\)$"):
+            q_g(hist, kernel)
+        with pytest.raises(ConfigError, match=r"^kernel: non-finite value at lag "
+                                              r"s=0\.0 \(1 of 4 lags\)$"):
+            i_f(hist.loads, 2, hist.delta, kernel)
+
 
 class TestStateHistory:
     def test_initial_memory_level_is_zero(self):

@@ -434,14 +434,18 @@ def sine_01(x):
     return np.sin(np.pi * np.asarray(x, dtype=float))
 
 
-def separable_case(time):
-    """(problem, mesh, cfg) of a 20-step p = 2 run forced by x(1-x) time(t),
-    with the kernel 2 exp(-s)."""
+def separable_case(time=np.cos, space=lambda x: x * (1 - x), **change):
+    """(problem, mesh, cfg) of a 20-step p = 2 run forced by space(x) time(t),
+    with the kernel 2 exp(-s); change replaces fields of the problem."""
     problem = ProblemSpec(a=0.0, b=1.0, horizon=0.2, p=2.0, kernel=KernelSpec(2.0),
-                          u0=sine_01,
-                          f=SeparableForcing(((lambda x: x * (1 - x), time),)))
-    return problem, build_uniform_mesh(0, 1, 6, 2), SolverConfig(p=2.0, delta=0.01,
-                                                                  n_steps=20)
+                          u0=sine_01, f=SeparableForcing(((space, time),)))
+    return (dataclasses.replace(problem, **change), build_uniform_mesh(0, 1, 6, 2),
+            SolverConfig(p=2.0, delta=0.01, n_steps=20))
+
+
+def only_scalar(fn):
+    """fn for one number; an array raises ValueError at the branch."""
+    return lambda x, *t: fn(x, *t) if x >= 0.0 else math.nan
 
 
 class TestSeparableLoad:
@@ -480,16 +484,24 @@ class TestSeparableLoad:
         assert err.value.field == "forcing"
 
     @pytest.mark.parametrize("declared", [True, False])
-    @pytest.mark.parametrize("time", [
-        math.cos, lambda t: math.cos(t) if t >= 0.0 else math.nan,
-    ], ids=["math.cos", "scalar-only-branch"])
-    def test_scalar_time_function_matches_array_one(self, monkeypatch, declared, time):
-        # a time function that cannot take an array is called per time, and
-        # gives the march np.cos gives, bit for bit; declared: the march's
-        # memory block, else the direct sums (memory_oracles.direct_relation)
+    @pytest.mark.parametrize("array_case, scalar_case", [
+        ({}, dict(time=math.cos)),
+        ({}, dict(time=only_scalar(math.cos))),
+        (dict(u0=lambda x: x * (1 - x)), dict(u0=only_scalar(lambda x: x * (1 - x)))),
+        (dict(f=lambda x, t: x * (1 - x) * math.cos(t)),
+         dict(f=only_scalar(lambda x, t: x * (1 - x) * math.cos(t)))),
+        (dict(space=np.sin), dict(space=math.sin)),
+    ], ids=["math.cos", "scalar-only-branch", "scalar-only-u0", "scalar-only-f",
+            "math.sin-profile"])
+    def test_scalar_time_function_matches_array_one(self, monkeypatch, declared,
+                                                    array_case, scalar_case):
+        # a time function, u0, plain f or profile that cannot take an array
+        # is called per time or point, and gives the march its array twin
+        # gives, bit for bit; declared: the march's memory block, else the
+        # direct sums (memory_oracles.direct_relation)
         if not declared:
             monkeypatch.setattr(stepper, "step_relation", direct_relation)
-        runs = [march(*separable_case(fn)) for fn in (np.cos, time)]
+        runs = [march(*separable_case(**case)) for case in (array_case, scalar_case)]
         for name in ("u", "y", "energies"):
             assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
         assert runs[0].diagnostics == runs[1].diagnostics
@@ -498,11 +510,32 @@ class TestSeparableLoad:
         runs = [march(*separable_case(fn))
                 for fn in (lambda t: 2.0, lambda t: np.full(np.shape(t), 2.0))]
         assert np.array_equal(runs[0].u, runs[1].u)
-        forcing = SeparableForcing(((np.sin, lambda t: 2.0), (np.sin, np.cos)))
+        calls = []
+        forcing = SeparableForcing(((np.sin, lambda t: calls.append(t) or 2.0),
+                                    (np.sin, np.cos)))
         table = forcing.coefficients(np.array([0.5, 1.5, 2.5]))
         assert table.shape == (3, 2) and np.all(table[:, 0] == 2.0)
+        assert len(calls) == 1      # one call on the array, its scalar broadcast
         assert np.array_equal(table[:, 1], np.cos([0.5, 1.5, 2.5]))
         assert np.array_equal(forcing.coefficients(1.5), table[1])
+
+    def test_time_function_that_does_not_broadcast_rejected(self):
+        forcing = SeparableForcing(((np.sin, lambda t: np.ones(2)),))
+        with pytest.raises(ConfigError, match=re.escape(
+                "forcing: returned an array of shape (2,), which does not broadcast "
+                "to the (3,) points")):
+            forcing.coefficients(np.array([0.5, 1.5, 2.5]))
+
+    def test_nonfinite_coefficients_name_the_first_term(self):
+        # term 1 turns infinite earlier (t >= 0.3) than term 0 (t >= 0.7);
+        # the error names term 0, the first term with one, at its first such t
+        times = np.arange(1, 11) / 10
+        forcing = SeparableForcing(tuple(
+            (np.sin, lambda t, edge=edge: np.where(t >= edge, np.inf, 1.0))
+            for edge in (0.7, 0.3)))
+        with pytest.raises(ConfigError, match=r"^forcing: non-finite time coefficient "
+                                              r"at t=0\.7 \(term 0\); "):
+            forcing.coefficients(times)
 
     @pytest.mark.filterwarnings("error")
     def test_nonfinite_time_coefficient_found_before_any_step(self, monkeypatch):

@@ -321,3 +321,26 @@ def test_one_number_rule_in_src():
                           if "isfinite" in (getattr(call, "attr", None), getattr(call, "id", None))]
     assert rule and counted and entries == ENTRY_POINTS
     assert found == []
+
+
+def test_one_sampler_in_src():
+    # np.isfinite appears only in assembly._sample, the one rule that samples
+    # a user callable, and in banded.all_finite; _pointwise and _floats nowhere
+    allowed = {("assembly.py", "_sample"), ("banded.py", "all_finite")}
+    sampler, found = [], []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {id(node) for function in ast.walk(tree)
+                  if isinstance(function, ast.FunctionDef)
+                  and (path.name, function.name) in allowed
+                  for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "isfinite"
+                    and getattr(node.value, "id", None) == "np"):
+                (sampler if id(node) in inside else found).append(
+                    f"{path.name}:{node.lineno}")
+            names = {getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None)}
+            found += [f"{path.name}:{node.lineno}: {name}"
+                      for name in names & {"_pointwise", "_floats"}]
+    assert sampler and found == []
