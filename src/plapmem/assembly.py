@@ -129,16 +129,16 @@ def _sample(fn, x: np.ndarray, field: str, message: str) -> np.ndarray:
     the first entry where it occurs, and count, "<bad> of <all>"."""
     with np.errstate(all="ignore"):     # a non-finite value is reported below
         try:
-            vals = fn(x)
+            vals, each = fn(x), False
         except (TypeError, ValueError):
-            vals = np.reshape([fn(s) for s in x.flat], x.shape)
+            vals, each = [fn(s) for s in x.flat], True
         try:
             vals = np.asarray(vals, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(field, f"returned a value that is not a real number: "
                               f"{exc}") from None
-    try:
-        vals = np.broadcast_to(vals, x.shape)
+    try:        # one value per entry, in x.flat's order, or one array
+        vals = vals.reshape(x.shape) if each else np.broadcast_to(vals, x.shape)
     except ValueError:
         raise ConfigError(field, f"returned an array of shape {vals.shape}, which "
                           f"does not broadcast to the {x.shape} points") from None

@@ -22,16 +22,19 @@ Newton with eps > 0 alone assembles K_T(w) and solves with c*M + delta*K_T,
 right-hand side b + delta*(K_T U - A(w)(U + U^k)). All three share the
 same fixed point, and Y is formed once, from the accepted U.
 
-Per run, a StepPlan forms alpha, beta, the slope and the scheme's flags,
-c*M, the factored system where it cannot change (p = 2, slope 0), a
-SeparableForcing's time coefficients at every half-step time, and the
-memory block of the kernel lam*exp(-s) (see memory), with M^{-1}L_0 and
-the forcing's profile loads in one mass solve; the block tabulates its
-coefficient matrices 64 steps at a time. Per step: one small dense
-product of that block, with the step's matrix from its table, into the
-block's spare buffer, where Y is then formed by three in-place
-elementwise operations and U copied, allocating nothing; one banded
-product, M*v; one mass solve for a forcing that is not a
+An Assembler only assembles, for one (mesh, quadrature, flux, f): its
+one cache is M, and its load is that of f itself at any t. Per run, a
+StepPlan forms every constant the steps share: M's factor, A(0) when
+p = 2, alpha, beta, the slope and the scheme's flags, c*M, the factored
+system where it cannot change (p = 2, slope 0), and the memory block of
+the kernel lam*exp(-s) (see memory), with M^{-1}L_0 and, for a
+SeparableForcing (the plan alone tells one from any other f), its profile
+loads in one mass solve, and its time coefficients at every half-step
+time; the block tabulates its coefficient matrices 64 steps at a time.
+Per step: one small dense product of that block, with the step's matrix
+from its table, into the block's spare buffer, where Y is then formed by
+three in-place elementwise operations and U copied, allocating nothing;
+one banded product, M*v; one mass solve for a forcing that is not a
 SeparableForcing. Per iteration: one p-Laplacian assembly (two bands for
 Newton with eps > 0, none for p = 2), one product for the right-hand
 side (two for Newton with eps > 0) and one banded solve (one LAPACK
@@ -60,7 +63,7 @@ import numpy as np
 from . import analysis
 from .assembly import (ElementTables, FluxParams, SeparableForcing,
                        assemble_load, assemble_mass, assemble_plap, interpolate)
-from .banded import BandedFactor, BandedSymMatrix, all_finite, ddot, max_norm
+from .banded import BandedSymMatrix, all_finite, ddot, max_norm
 from .errors import ConfigError, FixedPointDivergenceError, LinearSolveError
 from .memory import (KernelSpec, MemoryBlock, StateHistory, check_mode,
                      memory_residual)
@@ -144,9 +147,11 @@ class StepDiagnostics(NamedTuple):
 
 
 class Assembler:
-    """Mesh + quadrature + flux bundle used by the stepping loop; keeps
-    what depends on these alone: basis tables, mass matrix and its factor,
-    A(0), and a SeparableForcing's profile loads."""
+    """The assembler of one (mesh, quadrature, flux, f): basis tables, the
+    mass matrix (its one cache, which the march, its output and the oracle
+    all read), the p-Laplacian at a state and the load of f itself at t,
+    assembled anew at every call whatever f is. The run's constants built
+    from these are the StepPlan's."""
 
     def __init__(self, mesh: Mesh1D, quad: QuadratureRule,
                  params: FluxParams, load_fn):
@@ -155,70 +160,56 @@ class Assembler:
         self.params = params
         self.load_fn = load_fn
         self.tables = ElementTables(mesh, quad)
-        self._profile_loads = None
 
     @cached_property
     def mass(self) -> BandedSymMatrix:
         return assemble_mass(self.mesh, self.quad, tables=self.tables)
-
-    @cached_property
-    def mass_factor(self) -> BandedFactor:
-        return self.mass.factor()
 
     def plap(self, state: np.ndarray, tangent: bool = False):
         return assemble_plap(self.mesh, state, self.params, self.quad,
                              tables=self.tables, tangent=tangent)
 
     def load(self, t: float) -> np.ndarray:
-        """Interior load vector at t. A SeparableForcing's profiles are
-        integrated at the first call and later calls only combine them;
-        any other f is assembled anew."""
-        if not isinstance(self.load_fn, SeparableForcing):
-            return assemble_load(self.mesh, self.load_fn, t, self.quad,
-                                 tables=self.tables)
-        return self.load_fn.coefficients(t) @ self.profiles(t)
-
-    def profiles(self, t: float) -> np.ndarray:
-        """A SeparableForcing's profile loads P_i as rows, integrated at the
-        first call (a singular one is reported with that call's t)."""
-        if self._profile_loads is None:
-            self._profile_loads = np.array(
-                [assemble_load(self.mesh, lambda x, _: space(x), t, self.quad,
-                               tables=self.tables)
-                 for space, _ in self.load_fn.terms]).reshape(-1, self.mesh.n_interior)
-        return self._profile_loads
-
-    @cached_property
-    def stiffness(self) -> BandedSymMatrix:
-        """A(0); the diffusion matrix at every state when p = 2."""
-        return self.plap(np.zeros(self.mesh.n_interior))
+        """Interior load vector of f(., t)."""
+        return assemble_load(self.mesh, self.load_fn, t, self.quad, tables=self.tables)
 
 
 class StepPlan:
     """What every step of a march shares, set up once at level 0 of the
-    history it advances: alpha, beta, the slope and the scheme's flags;
-    system = c*M, plus delta*slope*A(0) and factored where it cannot change
-    (p = 2, slope 0; else factor is None); for a SeparableForcing, its time
-    coefficients at t_{k+1/2} = (k + 1/2)*delta, row k for step k (else
-    None); the MemoryBlock of g = kernel.lam*exp(-s), with M^{-1}L_0 and
-    any profile loads solved into it; and prediction, the last P_k that
-    predicted_start formed (None until then)."""
+    history it advances: the run's constants, which the Assembler does not
+    keep. mass_factor is M's factor and stiffness A(0), the diffusion
+    matrix at every state when p = 2 (else None); alpha, beta, the slope
+    and the scheme's flags; system = c*M, plus delta*slope*A(0) and
+    factored where it cannot change (p = 2, slope 0; else factor is None).
+    The plan alone tells a SeparableForcing from any other f: for one,
+    loads holds L_0 = coefficients(0) @ profiles and below it the profile
+    loads, each integrated once, and coefficients its time coefficients at
+    t_{k+1/2} = (k + 1/2)*delta, row k for step k; for any other f, loads
+    is L_0 alone and coefficients None. block is the MemoryBlock of
+    g = kernel.lam*exp(-s), with the loads solved with M into it;
+    prediction, the last P_k that predicted_start formed (None until
+    then)."""
 
     def __init__(self, hist: StateHistory, kernel: KernelSpec, cfg: SolverConfig,
                  asm: Assembler):
         if hist.k:
             raise ValueError(f"a step plan starts at level 0, not {hist.k}")
         self.hist, self.cfg, self.asm = hist, cfg, asm
-        delta, p, forcing = cfg.delta, asm.params.p, asm.load_fn
-        separable = isinstance(forcing, SeparableForcing)
-        load0 = asm.load(0.0)       # first, so that an f bad at t = 0 is named there
-        self.coefficients = forcing.coefficients(
-            (np.arange(hist.n_steps) + 0.5) * delta) if separable else None
-        if separable and not forcing.terms:     # f = 0: M^{-1}L_0 = L_0 = 0
-            loads = load0[None]
-        else:       # M^{-1}L_0, with a SeparableForcing's profiles, in one solve
-            loads = asm.mass_factor.solve(
-                (np.vstack((load0, asm.profiles(0.0))) if separable else load0[None]).T).T
+        delta, p, forcing, n = cfg.delta, asm.params.p, asm.load_fn, asm.mesh.n_interior
+        self.mass_factor = asm.mass.factor()
+        if isinstance(forcing, SeparableForcing):
+            # t = 0 first, so that an f bad there is named at t = 0
+            first = forcing.coefficients(0.0)
+            profiles = np.array([assemble_load(asm.mesh, lambda x, _: space(x), 0.0,
+                                               asm.quad, tables=asm.tables)
+                                 for space, _ in forcing.terms]).reshape(-1, n)
+            self.coefficients = forcing.coefficients((np.arange(hist.n_steps) + 0.5) * delta)
+            self.loads = np.vstack((first @ profiles, profiles))
+        else:
+            self.coefficients, self.loads = None, asm.load(0.0)[None]
+        # M^{-1} of every row in one solve; for f = 0, M^{-1}L_0 = L_0 = 0
+        loads = (self.mass_factor.solve(self.loads.T).T
+                 if self.coefficients is None or forcing.terms else self.loads)
         self.block = block = MemoryBlock(
             kernel.lam, delta, cfg.quadrature_mode, hist.u[0], hist.y[0],
             np.ones((hist.n_steps, 1)) if self.coefficients is None else self.coefficients,
@@ -226,6 +217,7 @@ class StepPlan:
         self.alpha, self.beta = block.alpha, block.beta
         self.y_gain = (self.beta / self.alpha) ** 2   # dY = -(beta/alpha) dU
         self.linear = p == 2.0      # diffusion matrix independent of the state
+        self.stiffness = asm.plap(np.zeros(n)) if self.linear else None
         self.slope = {"A": 1.0, "B": 0.0, "N": p - 1.0}[cfg.scheme]
         # the map U -> U_next does not depend on U: one solve is the step
         self.one_solve = self.linear and self.slope == 1.0
@@ -236,7 +228,7 @@ class StepPlan:
         data = (2.0 + delta * self.beta / self.alpha) * asm.mass.data
         constant = self.linear or self.slope == 0.0
         if constant and self.slope != 0.0:
-            data = data + self.stiff_coef * asm.stiffness.data
+            data = data + self.stiff_coef * self.stiffness.data
         self.system = BandedSymMatrix(data)
         try:
             self.factor = self.system.factor() if constant else None
@@ -250,10 +242,11 @@ def step_relation(plan: StepPlan):
     memory relation, and M*v the U-block's right-hand side less its diffusion
     term, both from the plan's MemoryBlock. A SeparableForcing's load is
     row k of the plan's coefficients times its solved profiles; any other
-    f's load L_{k+1/2} is assembled and solved into the block.
+    f's load L_{k+1/2} is assembled and solved, with the plan's mass
+    factor, into the block.
     """
     if plan.coefficients is None:
-        plan.block.rows[6] = plan.asm.mass_factor.solve(
+        plan.block.rows[6] = plan.mass_factor.solve(
             plan.asm.load((plan.hist.k + 0.5) * plan.cfg.delta))
     return plan.block.relation()
 
@@ -323,7 +316,7 @@ def cn_step(plan: StepPlan):
     # a_mid is A at the iterate's midpoint; lhs_stiff the stiffness band of
     # the solved system: A, or Newton's K_T with eps > 0
     if plan.linear:
-        a_mid = lhs_stiff = asm.stiffness
+        a_mid = lhs_stiff = plan.stiffness
 
     start = predicted_start(plan) if plan.predict else None
     u_it = u_prev if start is None else start
@@ -432,7 +425,8 @@ def march(problem: "analysis.ProblemSpec", mesh: Mesh1D,
 
 
 def assembled_loads(asm: Assembler, k: int, delta: float) -> np.ndarray:
-    """L_0, L_{1/2}, .., L_{k+1/2} as rows, each assembled anew by asm.load:
+    """L_0, L_{1/2}, .., L_{k+1/2} as rows, each assembled anew from f(x, t)
+    by asm.load, a SeparableForcing's too, not from the plan's split of it:
     the loads the direct sums of steps up to k read, which a march does not
     store."""
     return np.array([asm.load(t) for t in [0.0] + [(j + 0.5) * delta for j in range(k + 1)]])
@@ -444,7 +438,8 @@ def step_residuals(hist: StateHistory, k: int, kernel: KernelSpec,
 
     Evaluates the averaged (non-rearranged) forms with the stored pair and
     the loads of assembled_loads (a march stores none), so any sign or
-    bookkeeping slip in the step solver, its loads included, shows up here.
+    bookkeeping slip in the step solver, its loads and a SeparableForcing's
+    split of them included, shows up here.
     """
     if k >= hist.k:
         raise ValueError(f"step {k} not completed yet (history at {hist.k})")

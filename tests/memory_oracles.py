@@ -81,21 +81,21 @@ def memory_equation(hist: StateHistory, k: int, loads, kernel,
 
 def direct_relation(plan: StepPlan):
     """step_relation's (z, v) by the direct sums: the step's load
-    L_{k+1/2} (L_0 too at k = 0) goes into plan.hist.loads, memory_equation
-    over the kernel lam*exp(-s) of the plan's block, and one mass solve of
-    the loads' share and L_{k+1/2}. The real step_relation runs first, so
+    L_{k+1/2} (L_0 too at k = 0), assembled from f itself (asm.load, not
+    the plan's SeparableForcing split), goes into plan.hist.loads,
+    memory_equation over the kernel lam*exp(-s) of the plan's block, and
+    one mass solve of the loads' share and L_{k+1/2}. The real step_relation runs first, so
     that the block cn_step accepts into stays in step, and the direct z and
     v overwrite its own in place: the block's next_y forms Y from this z."""
     z, v = step_relation(plan)
-    hist, asm, table = plan.hist, plan.asm, plan.coefficients
+    hist, asm = plan.hist, plan.asm
     k, delta = hist.k, plan.cfg.delta
-    t = (k + 0.5) * delta
     if k == 0:
         hist.loads[0] = asm.load(0.0)
-    hist.loads[k + 1] = asm.load(t) if table is None else table[k] @ asm.profiles(t)
+    hist.loads[k + 1] = asm.load((k + 0.5) * delta)
     state, load_share = memory_equation(hist, k, hist.loads, KernelSpec(plan.block.lam),
                                         plan.cfg.quadrature_mode)
-    solved = asm.mass_factor.solve(np.stack((load_share, hist.loads[k + 1]), axis=1))
+    solved = plan.mass_factor.solve(np.stack((load_share, hist.loads[k + 1]), axis=1))
     z[:] = state - solved[:, 0]
     v[:] = (2.0 * hist.u[k] + delta * hist.y[k] + (delta / plan.alpha) * z
             + 2.0 * delta * solved[:, 1])

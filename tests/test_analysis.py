@@ -177,6 +177,14 @@ class TestSupportGap:
         assert (gaps[0] is not None) == below
         assert gaps[1] == (-1.0, 1.0 if below else 0.0)
 
+    @pytest.mark.parametrize("length", [8, 10, 12])
+    def test_wrong_length_names_nodes_and_interior_dofs(self, length):
+        # 11 nodes, 9 interior dofs: any other length is neither layout
+        mesh = build_uniform_mesh(-1, 1, 10, 1)
+        with pytest.raises(ValueError, match=f"length {length} do not match a mesh "
+                                             "with 11 nodes / 9 interior dofs"):
+            analysis.support_series(mesh, np.zeros((2, length)), 1e-3)
+
     def test_threshold_must_be_positive(self):
         mesh = build_uniform_mesh(-1, 1, 10, 1)
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fe_oracles import eval_fe, to_dense
-from plapmem import ConfigError, SolverConfig, build_uniform_mesh
+from plapmem import ConfigError, KernelSpec, SolverConfig, build_uniform_mesh
 from plapmem import manufactured_example1
 from plapmem.assembly import (ElementTables, FluxParams, SeparableForcing,
                               assemble_load, assemble_mass, assemble_plap,
@@ -270,32 +271,38 @@ def separable_assembler(mesh, forcing, p=2.0):
 
 
 class TestSeparableForcing:
-    """Assembler.load combines once-integrated profiles; the generic
-    per-step assembly of the same callable is the oracle."""
+    """A StepPlan splits a SeparableForcing's loads: L_0, and coefficients
+    row k times the once-integrated profiles at t_{k+1/2}; the generic
+    assembly of the same callable is the oracle."""
 
-    def check_against_generic(self, mesh, forcing, times, p=2.0):
+    def check_against_generic(self, mesh, forcing, delta, n_steps, steps, p=2.0):
         asm, quad = separable_assembler(mesh, forcing, p)
-        for t in times:
+        cfg = SolverConfig(p=p, delta=delta, n_steps=n_steps)
+        hist = StateHistory(mesh.n_interior, n_steps, delta)
+        plan = StepPlan(hist, KernelSpec(1.0), cfg, asm)
+        split = [(0.0, plan.loads[0])] + [
+            ((k + 0.5) * delta, plan.coefficients[k] @ plan.loads[1:]) for k in steps]
+        for t, got in split:
             expected = assemble_load(mesh, forcing, t, quad)
-            got = asm.load(t)
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("r", [1, 4])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
     def test_manufactured_load_matches_generic(self, p, r):
-        # m even: the singular point x = 1/2 of the p < 2 profile is a node
+        # m even: the singular point x = 1/2 of the p < 2 profile is a node;
+        # t = 0, delta/2 and the last half-step time before the horizon 0.1
         problem = manufactured_example1(p, 1.3)
-        delta = 1e-3
         self.check_against_generic(build_uniform_mesh(0, 1, 6, r), problem.f,
-                                   (0.0, delta / 2, problem.horizon), p)
+                                   1e-3, 100, (0, 99), p)
 
     @pytest.mark.parametrize("r", [1, 4])
     def test_two_term_load_matches_generic(self, r):
-        # x (1 - x) cos t, split as x cos t - x^2 cos t
+        # x (1 - x) cos t, split as x cos t - x^2 cos t; t = 0, 5e-4, 0.0995
+        # and 1.9995
         forcing = SeparableForcing(((lambda x: x, np.cos),
                                     (lambda x: -x * x, np.cos)))
         self.check_against_generic(build_uniform_mesh(0, 1, 5, r), forcing,
-                                   (0.0, 5e-4, 0.1, 2.0))
+                                   1e-3, 2000, (0, 99, 1999))
 
     def test_callable_matches_its_terms(self):
         forcing = SeparableForcing(((lambda x: x, np.cos), (np.sin, np.exp)))
@@ -367,6 +374,16 @@ class TestInterpolate:
                 interpolate(mesh, u0)
         assert err.value.field == "u0"
         assert "x=0.0 (1 of 5 nodes)" in str(err.value)
+
+    def test_scalar_only_datum_of_several_values_names_both_shapes(self):
+        # the `if` makes the call on the array raise, so u0 is called once
+        # per node, and each call returns two values: 10 values for 5 nodes
+        mesh = build_uniform_mesh(0, 1, 4, 1)
+        with pytest.raises(ConfigError, match=re.escape(
+                "returned an array of shape (5, 2), which does not broadcast "
+                "to the (5,) points")) as err:
+            interpolate(mesh, lambda x: [x, x] if x >= 0 else 0.0)
+        assert err.value.field == "u0"
 
     def test_coefficient_default(self):
         assert flux_coefficient(np.array([0.0, 2.0]),

@@ -1208,6 +1208,35 @@ class TestRoundTrip:
             assert np.max(np.abs(res_ev)) < bound
             assert np.max(np.abs(res_mem)) < 1e-10
 
+    @pytest.mark.parametrize("slip", [False, True], ids=["exact", "coefficients-1e-3"])
+    def test_oracle_catches_a_slip_in_the_separable_split(self, monkeypatch, slip):
+        # the march forms a SeparableForcing's loads from its time
+        # coefficients and profiles; step_residuals assembles them from
+        # f(x, t) itself, so coefficients 1e-3 too large show at that size
+        if slip:
+            exact = SeparableForcing.coefficients
+            monkeypatch.setattr(SeparableForcing, "coefficients",
+                                lambda self, t: exact(self, t) * (1.0 + 1e-3))
+        problem = manufactured_example1(3.0, 1.0, horizon=0.02)
+        mesh = build_uniform_mesh(0, 1, 8, 2)
+        cfg = SolverConfig(p=3.0, delta=1e-3, n_steps=20, tol=1e-10)
+        asm = make_assembler(problem, mesh, cfg)
+        hist = fresh_history(problem, mesh, cfg)
+        plan = StepPlan(hist, problem.kernel, cfg, asm)
+        for _ in range(cfg.n_steps):
+            cn_step(plan)
+        relative = []
+        for k in range(cfg.n_steps):
+            res_ev = step_residuals(hist, k, problem.kernel, cfg, asm)[0]
+            u_mid = 0.5 * (hist.u[k + 1] + hist.u[k])
+            terms = (asm.mass.matvec(hist.u[k + 1] - hist.u[k]) / cfg.delta,
+                     asm.plap(u_mid).matvec(u_mid),
+                     asm.mass.matvec(0.5 * (hist.y[k + 1] + hist.y[k])),
+                     asm.load((k + 0.5) * cfg.delta))
+            relative.append(np.max(np.abs(res_ev)) / max(np.max(np.abs(t)) for t in terms))
+        # exact: at most 3.7e-8 at every step; with the slip 1.0e-3 at the worst
+        assert (max(relative) > 1e-5) == slip
+
     def test_residuals_of_an_uncompleted_step_rejected(self):
         problem = manufactured_example1(3.0, 1.0, horizon=0.002)
         mesh = build_uniform_mesh(0, 1, 4, 1)
@@ -1421,23 +1450,28 @@ class TestProductCounts:
                            epsilon=epsilon)
         asm = make_assembler(problem, mesh, cfg)
         hist = fresh_history(problem, mesh, cfg)
-        calls = [0]
+        called = []     # the instance of each call, counted once plan exists
 
         def counting(method):
             def wrapper(self, *args):
-                if not mass_only or self is vars(asm).get("mass_factor"):
-                    calls[0] += 1
+                called.append(self)
                 return method(self, *args)
             return wrapper
+
+        def calls():
+            # the plan builds its mass factor itself, so calls on it are
+            # told from the others after the set-up
+            n = sum(not mass_only or self is plan.mass_factor for self in called)
+            called.clear()
+            return n
 
         for site in ((owner, name),) + ((also,) if also else ()):
             monkeypatch.setattr(*site, counting(getattr(*site)))
         plan = StepPlan(hist, problem.kernel, cfg, asm)
-        setup, out = calls[0], []
+        setup, out = calls(), []
         for _ in range(cfg.n_steps):
-            calls[0] = 0
             diag = cn_step(plan)[2]
-            out.append((calls[0], diag))
+            out.append((calls(), diag))
         return setup, out
 
 

@@ -344,3 +344,31 @@ def test_one_sampler_in_src():
             found += [f"{path.name}:{node.lineno}: {name}"
                       for name in names & {"_pointwise", "_floats"}]
     assert sampler and found == []
+
+
+def test_one_separable_decision_in_src():
+    # isinstance(..., SeparableForcing) appears only in StepPlan.__init__,
+    # which owns the run's constants, and Assembler caches its mass alone
+    decisions, found, cached = [], [], None
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {id(node) for plan in tree.body
+                  if isinstance(plan, ast.ClassDef) and plan.name == "StepPlan"
+                  for method in plan.body
+                  if isinstance(method, ast.FunctionDef) and method.name == "__init__"
+                  for node in ast.walk(method)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and any("SeparableForcing" in (getattr(name, "id", None),
+                                                   getattr(name, "attr", None))
+                            for arg in node.args[1:] for name in ast.walk(arg))):
+                (decisions if id(node) in inside else found).append(
+                    f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ClassDef) and node.name == "Assembler":
+                cached = [method.name for method in node.body
+                          if isinstance(method, ast.FunctionDef)
+                          for decorator in method.decorator_list
+                          if "cached_property" in (getattr(decorator, "id", None),
+                                                   getattr(decorator, "attr", None))]
+    assert decisions and found == []
+    assert cached == ["mass"]
